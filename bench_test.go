@@ -310,7 +310,7 @@ func BenchmarkSDCDetection(b *testing.B) {
 // wirescale`.
 func BenchmarkWireScale(b *testing.B) {
 	for _, n := range []int{8, 32, 64, 128, 256} {
-		for _, mode := range []string{"unbatched", "tcp", "ring"} {
+		for _, mode := range []string{"tcp", "ring"} {
 			b.Run(fmt.Sprintf("ranks=%d/%s", n, mode), func(b *testing.B) {
 				var row bench.WireScaleRow
 				for i := 0; i < b.N; i++ {

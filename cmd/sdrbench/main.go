@@ -160,7 +160,7 @@ func main() {
 		case "wirescale":
 			rows, err := bench.WireScaleCurve(
 				[]int{8, 32, 64, 128, 256}, []int{2, 4}, []int{64, 4096},
-				[]string{"unbatched", "tcp", "ring"}, 8, 5**scale)
+				[]string{"tcp", "ring"}, 8, 5**scale)
 			if err != nil {
 				return err
 			}

@@ -12,9 +12,10 @@
 //
 //	internal/transport  byte-transfer layer: reliable FIFO ordered-pair
 //	                    channels with per-source sharded inbound queues,
-//	                    pooled zero-copy buffers/envelopes, a TCP loopback
-//	                    wire, a peer-to-peer TCP wire for multi-process
-//	                    runs, delay models and fail-stop injection
+//	                    pooled zero-copy buffers/envelopes, one socket
+//	                    wire (peer-to-peer TCP between worker processes,
+//	                    or every rank behind one loopback listener),
+//	                    delay models and fail-stop injection
 //	internal/mpi        PML matching/progress engine and the MPI surface:
 //	                    requests, communicators, collectives, datatypes
 //	internal/core       the vProtocol interception point: SDR-MPI with
@@ -142,11 +143,10 @@
 //
 // # Fast path
 //
-// Five default-on mechanisms keep the message path hardware-bound rather
-// than allocation-, syscall- and ack-bound: transport buffer/envelope
-// pooling with explicit ownership hand-off (transport.SetPooling toggles
-// it for measurement; see internal/transport/pool.go for the ownership
-// rules); receiver-side ack coalescing in the replication protocol
+// Five mechanisms keep the message path hardware-bound rather than
+// allocation-, syscall- and ack-bound: transport buffer/envelope pooling
+// with explicit ownership hand-off (see internal/transport/pool.go for
+// the ownership rules); receiver-side ack coalescing in the replication protocol
 // (core.Options.NoAckCoalesce restores one discrete ack per message and
 // replica; see internal/core/acks.go for the flush triggers); the
 // batch-first wire API (staged frames flushed as net.Buffers vectored

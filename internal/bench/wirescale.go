@@ -13,10 +13,9 @@ import (
 
 // Wire scaling curve (experiment wirescale): the batch-first transport
 // measured at the wire level, ranks × exchange degree × message size,
-// under three configurations —
+// under two configurations (the per-message-write baseline they replaced
+// is on record in BENCH_PR8.json and BENCH_PR10.json) —
 //
-//	unbatched  per-message writes (the pre-batch-API behavior, restored
-//	           via SetBatchLimits(1,...)): the syscalls-per-message baseline
 //	tcp        batched loopback TCP: frames coalesce into net.Buffers
 //	           vectored writes at flush points
 //	ring       batched shared-memory rings: every pair is colocated (one
@@ -38,7 +37,7 @@ type WireScaleConfig struct {
 	Size   int // payload bytes per message
 	Window int // messages per neighbor per iteration
 	Iters  int
-	Mode   string // "unbatched" | "tcp" | "ring"
+	Mode   string // "tcp" | "ring"
 }
 
 // WireScaleRow is one measured point.
@@ -106,10 +105,6 @@ func RunWireScale(cfg WireScaleConfig) (WireScaleRow, error) {
 	}
 	if cfg.Iters <= 0 {
 		cfg.Iters = 10
-	}
-	if cfg.Mode == "unbatched" {
-		restore := transport.SetBatchLimits(1, 0, 0)
-		defer restore()
 	}
 
 	// Fd preflight: the in-process mesh holds n listeners plus, in tcp

@@ -84,6 +84,9 @@ type Config struct {
 	Replication int // ignored (forced to 1) for Native
 	Protocol    Protocol
 
+	// Delay is the simulated network model of the in-process wire. UseTCP
+	// runs on real loopback sockets instead; their own latency applies and
+	// Delay is ignored.
 	Delay  *transport.DelayModel
 	UseTCP bool
 
@@ -807,9 +810,9 @@ func Run(cfg Config, app AppFunc) *Report {
 func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fired *firedSet, restart [][]byte, restartWave, epoch int) (*Report, *runState) {
 	var nw *transport.Network
 	if cfg.UseTCP {
-		var tw *transport.TCPWire
+		var tw *transport.PeerWire
 		var err error
-		if nw, tw, err = transport.NewTCPNetwork(layout.Procs(), cfg.Delay); err != nil {
+		if nw, tw, err = transport.NewTCPNetwork(layout.Procs()); err != nil {
 			// Loopback listen failed (exotic sandbox): run in-process.
 			nw = transport.NewNetwork(layout.Procs(), cfg.Delay)
 		} else {

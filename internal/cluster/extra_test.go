@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 func TestTripleReplication(t *testing.T) {
@@ -63,21 +65,35 @@ func TestTripleReplicationSurvivesTwoFailures(t *testing.T) {
 	}
 }
 
-func TestRunOverTCPWire(t *testing.T) {
-	// The whole stack over real loopback TCP connections.
-	rep := Run(Config{Ranks: 3, Protocol: SDR, UseTCP: true, Timeout: 60 * time.Second},
-		ringApp(3))
-	if err := rep.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	var want any
-	for _, p := range rep.Procs {
-		if want == nil {
-			want = p.Result
-		}
-		if p.Result != want {
-			t.Errorf("TCP run: rank %d rep %d got %v want %v", p.Rank, p.Rep, p.Result, want)
-		}
+func TestRunOverLoopbackTCP(t *testing.T) {
+	// The whole stack over real loopback TCP connections — also when a
+	// delay model is configured: UseTCP ignores it, the bytes must really
+	// cross the sockets (a delayed send is routed around the wire).
+	const flushes = "sdr_transport_flushes_total"
+	for name, delay := range map[string]*transport.DelayModel{
+		"no-delay":      nil,
+		"delay-ignored": {Latency: 50 * time.Microsecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := obs.Default.Snapshot()[flushes]
+			rep := Run(Config{Ranks: 3, Protocol: SDR, UseTCP: true, Delay: delay, Timeout: 60 * time.Second},
+				ringApp(3))
+			if err := rep.FirstError(); err != nil {
+				t.Fatal(err)
+			}
+			var want any
+			for _, p := range rep.Procs {
+				if want == nil {
+					want = p.Result
+				}
+				if p.Result != want {
+					t.Errorf("TCP run: rank %d rep %d got %v want %v", p.Rank, p.Rep, p.Result, want)
+				}
+			}
+			if obs.Default.Snapshot()[flushes] == before {
+				t.Errorf("%s did not advance: no frame crossed the socket wire", flushes)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -67,18 +66,4 @@ func TestNetworkInject(t *testing.T) {
 	// Out-of-range destinations are dropped, not panics.
 	nw.Inject(-1, &Message{Kind: KindCtl})
 	nw.Inject(9, &Message{Kind: KindCtl})
-}
-
-func TestTCPWireAddr(t *testing.T) {
-	nw := NewNetwork(2, nil)
-	defer nw.Close()
-	tw, err := NewTCPWire(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tw.Close()
-	addr := tw.Addr()
-	if !strings.Contains(addr, ":") {
-		t.Errorf("Addr = %q", addr)
-	}
 }

@@ -3,17 +3,18 @@ package transport
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Outbound batching for the socket-backed wires (PeerWire, TCPWire).
+// Outbound batching for the socket wire (PeerWire).
 //
 // Deliver no longer pays a syscall per message: frames are staged per
-// destination and emitted as one net.Buffers vectored write (writev) at a
-// flush point. The flush triggers mirror the ones ack coalescing already
-// uses through Engine.OnFlush:
+// ordered (source, destination) pair and emitted as one net.Buffers
+// vectored write (writev) at a flush point. The flush triggers mirror the
+// ones ack coalescing already uses through Engine.OnFlush:
 //
 //   - batch-full: staging the frame that crosses batchMaxFrames or
 //     batchMaxBytes flushes the batch inline (bounded memory, and a burst
@@ -31,75 +32,90 @@ import (
 // message; the flush that empties it is the one ownership handoff for every
 // element — each frame is either serialized and then released, or dropped
 // (dead peer, unreachable peer, write failure) and released, exactly once.
+//
+// The thresholds are variables only so the in-package FIFO property test
+// can shrink them; nothing else writes them.
 var (
 	batchMaxFrames = 64
 	batchMaxBytes  = 256 << 10
 	batchMaxAge    = 200 * time.Microsecond
 )
 
-// flushTick is the period of the background flusher goroutine each batched
-// wire runs as a liveness backstop.
+// flushTick is the period of the background flusher goroutine the wire
+// runs as a liveness backstop.
 const flushTick = 500 * time.Microsecond
 
-// SetBatchLimits overrides the staging thresholds; frames <= 1 degrades to
-// per-message writes (the pre-batching behavior, kept as a benchmark
-// baseline). It must be called before any batched wire is created and is
-// not safe to change while traffic flows. It returns a function restoring
-// the previous limits.
-func SetBatchLimits(frames, bytes int, age time.Duration) (restore func()) {
-	pf, pb, pa := batchMaxFrames, batchMaxBytes, batchMaxAge
-	if frames < 1 {
-		frames = 1
-	}
-	batchMaxFrames, batchMaxBytes, batchMaxAge = frames, bytes, age
-	return func() { batchMaxFrames, batchMaxBytes, batchMaxAge = pf, pb, pa }
-}
-
-// outBatch is the staged outbound traffic for one destination (PeerWire)
-// or one ordered pair (TCPWire). The mutex is held across the vectored
-// write that empties the batch: staging and flushing serialize per
-// destination, which is what preserves per ordered-pair FIFO across flush
-// boundaries.
-type outBatch struct {
-	// sdr:lockrank batch < ringio < peer
-	// sdr:lockrank batch < tcpwire
+// link is the outbound side of one ordered (hosted source, destination)
+// pair: the staged batch plus the stream it flushes onto — the cached
+// connection, or the shared-memory ring when rendezvous negotiated one.
+// The mutex is held across the vectored write that empties the batch:
+// staging and flushing serialize per pair, which is what preserves per
+// ordered-pair FIFO across flush boundaries. The atomics are what the
+// control plane (MarkDead, Revive, Close) flips without waiting for a
+// flush in progress, and what Deliver/Flush read without any wire-wide
+// lock.
+type link struct {
+	// sdr:lockrank batch < peer
 	// sdr:lockrank batch < conn
 	mu     sync.Mutex
-	frames []*Message // guarded by mu
-	bytes  int        // guarded by mu
-	since  time.Time  // guarded by mu; when the oldest staged frame arrived
+	frames []*Message  // guarded by mu
+	bytes  int         // guarded by mu
+	since  int64       // guarded by mu; monotonic ns when the oldest staged frame arrived
+	wr     *ringWriter // guarded by mu; opened by the pair's first ring flush
+
+	tc   atomic.Pointer[tcpConn] // cached connection, dialed on first flush
+	dead atomic.Bool             // destination declared dead by the control plane
+	// ring selects the ring path for the pair: set for colocated peers at
+	// SetRingPeers time, permanently cleared on death/revive or any ring
+	// failure (open failure, stalled or interrupted push).
+	ring atomic.Bool
 }
 
+// tcpConn is one established ordered-pair stream. The scratch is the
+// per-connection vectored-write assembly area, guarded by mu together
+// with the socket itself.
+type tcpConn struct {
+	mu      sync.Mutex // sdr:lockrank conn
+	c       net.Conn
+	scratch batchScratch // guarded by mu
+}
+
+// processStart anchors the links' monotonic staging clock: an int64 of
+// nanoseconds since it, not a time.Time, because a wire holds one link per
+// hosted source and destination and a 128-wire mesh holds 16k of them.
+var processStart = time.Now()
+
+func monoNow() int64 { return int64(time.Since(processStart)) }
+
 // stageLocked appends m and reports whether the batch is now due for an
-// inline flush. Caller holds b.mu.
-func (b *outBatch) stageLocked(m *Message) bool {
-	if len(b.frames) == 0 {
-		b.since = time.Now()
+// inline flush. Caller holds l.mu.
+func (l *link) stageLocked(m *Message) bool {
+	if len(l.frames) == 0 {
+		l.since = monoNow()
 	}
-	b.frames = append(b.frames, m)
-	b.bytes += wireHeaderLen + len(m.Data)
-	return len(b.frames) >= batchMaxFrames || b.bytes >= batchMaxBytes
+	l.frames = append(l.frames, m)
+	l.bytes += wireHeaderLen + len(m.Data)
+	return len(l.frames) >= batchMaxFrames || l.bytes >= batchMaxBytes
 }
 
 // takeLocked empties the batch, returning the staged frames. The returned
-// slice aliases the batch's storage, which is reused after resetLocked;
+// slice aliases the batch's storage, which the next stageLocked reuses;
 // the caller must finish with it (serialize or drop every element) before
-// releasing b.mu. Caller holds b.mu.
-func (b *outBatch) takeLocked() []*Message {
-	frames := b.frames
-	b.frames = b.frames[:0]
-	b.bytes = 0
-	b.since = time.Time{}
+// releasing l.mu. Caller holds l.mu.
+func (l *link) takeLocked() []*Message {
+	frames := l.frames
+	l.frames = l.frames[:0]
+	l.bytes = 0
 	return frames
 }
 
 // dueLocked reports whether the batch has frames old enough for a
-// non-forced flush. Caller holds b.mu.
-func (b *outBatch) dueLocked(force bool) bool {
-	if len(b.frames) == 0 {
+// non-forced flush. Caller holds l.mu.
+func (l *link) dueLocked(force bool) bool {
+	if len(l.frames) == 0 {
 		return false
 	}
-	return force || time.Since(b.since) >= batchMaxAge
+	return force || monoNow()-l.since >= int64(batchMaxAge)
 }
 
 // batchScratch is the reusable assembly area for one connection's vectored

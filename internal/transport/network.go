@@ -56,9 +56,9 @@ func (s StatsSnapshot) TotalMsgs() uint64 {
 // destination endpoint's inbound queue. The contract is batch-first:
 // Deliver stages (or immediately forwards) one message, Flush emits
 // whatever a source has staged. The in-process wire forwards on Deliver
-// and has nothing to flush; the socket-backed wires stage frames per
-// destination and emit them as single vectored writes at flush points
-// (see batch.go for the trigger set).
+// and has nothing to flush; the socket wire stages frames per ordered pair
+// and emits them as single vectored writes at flush points (see batch.go
+// for the trigger set).
 //
 // Ownership: Deliver takes ownership of m (envelope and payload). From
 // that point the message has exactly one owner — the wire's staged batch,
@@ -112,8 +112,8 @@ func NewNetwork(n int, delay *DelayModel) *Network {
 }
 
 // installWire installs the delivery mechanism. It is unexported by design:
-// wires are injected at construction (NewTCPWire, NewPeerWire, or the
-// combined NewTCPNetwork/NewPeerNetwork constructors), never swapped on a
+// wires are injected at construction (NewPeerWire, or the combined
+// NewPeerNetwork/NewTCPNetwork constructors), never swapped on a
 // network that already carried traffic — the old exported SetWire made
 // that mutate-after-construct mistake expressible, and silently dropped
 // any frames the previous wire still had staged.
@@ -487,12 +487,7 @@ func (ep *Endpoint) Drain() []*Message {
 	if n == 0 {
 		return nil
 	}
-	var out []*Message
-	if pooling.Load() {
-		// Reuse the drain buffer (part of the pooled fast path; the
-		// unpooled baseline allocates per call, as the seed did).
-		out = ep.drainBuf[:0]
-	}
+	out := ep.drainBuf[:0]
 	var now time.Time
 	removed := 0
 	for i := range ep.shards {

@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-// Dialing policy shared by the TCP wires. A dead remote peer must never
+// Dialing policy of the socket wire. A dead remote peer must never
 // hang a sender forever: every dial carries a hard timeout, and the retry
 // loop is bounded — after it, the message is treated as fallen off the
 // wire (fail-stop) or the error surfaces to the caller.
@@ -71,22 +71,26 @@ type RingConfig struct {
 	Bytes int
 }
 
-// PeerWire is the distributed-mode transport: one instance lives in each
-// worker OS process, listens on its own port for inbound traffic, and
-// dials its *peers'* listeners (looked up in the rendezvous table the
-// registry distributed) — in contrast to TCPWire, whose every connection
-// loops back to its own listener inside a single process.
+// PeerWire is the socket transport: it hosts a contiguous range of the
+// network's processes, listens on one port for traffic addressed to them,
+// and dials the listeners of everyone else's hosts (looked up in the peer
+// table). A distributed worker hosts exactly one process — its own — and
+// gets the table from the rendezvous registry; the in-process loopback
+// network (NewTCPNetwork) hosts every process on one wire whose table
+// points them all at its own listener, so every pair but self-sends still
+// crosses a real socket.
 //
-// Outbound traffic is batch-first: Deliver stages frames per destination
-// and Flush emits each staged batch as one net.Buffers vectored write (or
-// one ring push for colocated peers) — see batch.go for the triggers.
+// Outbound traffic is batch-first: Deliver stages frames per ordered
+// (source, destination) pair and Flush emits each staged batch as one
+// net.Buffers vectored write (or one ring push for colocated peers) — see
+// batch.go for the triggers.
 //
 // Delivery semantics:
-//   - messages addressed to the local process are injected directly into
-//     its endpoint queue (no socket round-trip);
-//   - messages to a peer are staged and flushed onto a lazily dialed,
-//     cached connection (one per destination, preserving per-pair FIFO
-//     across flush boundaries) — or onto the pair's shared-memory ring
+//   - a process's messages to itself are injected directly into its
+//     endpoint queue (no socket round-trip);
+//   - messages to any other process are staged and flushed onto a lazily
+//     dialed, cached connection (one per ordered pair, preserving per-pair
+//     FIFO across flush boundaries) — or onto the pair's shared-memory ring
 //     when rendezvous negotiated one (same host, ring directory armed);
 //   - messages to a peer declared dead — or one that stays unreachable
 //     after the bounded dial budget — are dropped: the fail-stop model's
@@ -94,50 +98,77 @@ type RingConfig struct {
 //     in-process endpoint. The failure detector (the coordinator's control
 //     plane) is the authority on death; the wire never invents liveness
 //     information, it only stops burning dial budgets once told. Every
-//     drop is counted on sdr_transport_dropped_total with its reason.
+//     drop is counted on sdr_transport_dropped_total with its reason;
+//   - an inbound frame addressed to a process this wire does not host is
+//     freed and skipped, never injected into a foreign queue.
 type PeerWire struct {
-	nw   *Network
-	self ProcID
-	ln   net.Listener
+	nw *Network
+	ln net.Listener
+
+	// Hosted processes are [lo, hi); srcs[p-lo] is hosted process p's
+	// outbound side. Sized at construction, never resized.
+	lo, hi ProcID
+	srcs   []source
 
 	mu      sync.Mutex            // sdr:lockrank peer
-	addrs   []string              // guarded by mu; proc → listener address ("" = unknown/local)
-	conns   map[ProcID]*tcpConn   // guarded by mu
-	down    map[ProcID]bool       // guarded by mu; peers declared dead by the control plane
+	addrs   []string              // guarded by mu; proc → listener address ("" = unknown)
 	inbound map[net.Conn]struct{} // guarded by mu
+	ringCfg RingConfig            // guarded by mu
 
-	// Outbound staging, indexed by destination; staged counts frames
-	// across all batches so engine-driven flushes are a cheap no-op when
-	// nothing is pending.
-	batches []*outBatch
-	staged  atomic.Int64
-
-	// Ring transport state: ringTo[dst] true selects the ring path for
-	// the pair — set for colocated peers at SetRingPeers time,
-	// permanently cleared on death/revive or any ring failure (open
-	// failure, stalled or interrupted push).
-	ringCfg  RingConfig    // guarded by mu
-	ringTo   []bool        // guarded by mu
-	ringWr   []*ringWriter // guarded by mu
 	readers  atomic.Pointer[[]*ringReader]
 	scanOnce sync.Once
-
-	// ringIO fences producer-side ring access against Close's unmap:
-	// flushRing holds it shared across its writes (application goroutines
-	// flushing inline are not tracked by wg), and Close takes it
-	// exclusively — after done is closed, so no writer parks on a full
-	// ring while holding it — before releasing the mappings.
-	ringIO sync.RWMutex // sdr:lockrank ringio
 
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
 
+// source is one hosted process's outbound side: a link per destination,
+// and the count of frames staged across them, so an engine-driven Flush is
+// a cheap no-op while this process — whatever its neighbours on the wire
+// are doing — has nothing pending.
+type source struct {
+	staged atomic.Int64
+	links  []link
+}
+
+// takeLocked empties l, one of s's links, and takes its frames off s's
+// staged count. Caller holds l.mu (see link.takeLocked for the aliasing
+// rule on the returned slice).
+func (s *source) takeLocked(l *link) []*Message {
+	frames := l.takeLocked()
+	s.staged.Add(int64(-len(frames)))
+	return frames
+}
+
+// newPeerWire builds the wire hosting processes [lo, hi) behind ln and
+// installs it on the network (constructor injection; there is no
+// post-construction wire swap).
+func newPeerWire(nw *Network, lo, hi ProcID, ln net.Listener) *PeerWire {
+	pw := &PeerWire{
+		nw:      nw,
+		ln:      ln,
+		lo:      lo,
+		hi:      hi,
+		srcs:    make([]source, hi-lo),
+		addrs:   make([]string, nw.Size()),
+		inbound: make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
+	}
+	for i := range pw.srcs {
+		pw.srcs[i].links = make([]link, nw.Size())
+	}
+	pw.wg.Add(1)
+	go pw.acceptLoop()
+	pw.wg.Add(1)
+	go pw.flushLoop()
+	nw.installWire(pw)
+	return pw
+}
+
 // NewPeerWire creates a peer wire for local process self, listening on
-// listenAddr (host:0 picks a free port), and installs it on the network
-// (constructor injection; there is no post-construction wire swap). Peer
-// addresses must be provided via SetPeers before any remote traffic
+// listenAddr (host:0 picks a free port), and installs it on the network.
+// Peer addresses must be provided via SetPeers before any remote traffic
 // flows; the rendezvous registry guarantees that ordering by broadcasting
 // the world table only after every worker has registered its listener.
 func NewPeerWire(nw *Network, self ProcID, listenAddr string) (*PeerWire, error) {
@@ -148,32 +179,12 @@ func NewPeerWire(nw *Network, self ProcID, listenAddr string) (*PeerWire, error)
 	if err != nil {
 		return nil, fmt.Errorf("transport: peer wire listen: %w", err)
 	}
-	pw := &PeerWire{
-		nw:      nw,
-		self:    self,
-		ln:      ln,
-		addrs:   make([]string, nw.Size()),
-		conns:   make(map[ProcID]*tcpConn),
-		down:    make(map[ProcID]bool),
-		inbound: make(map[net.Conn]struct{}),
-		batches: make([]*outBatch, nw.Size()),
-		done:    make(chan struct{}),
-	}
-	for i := range pw.batches {
-		pw.batches[i] = &outBatch{}
-	}
-	pw.wg.Add(1)
-	go pw.acceptLoop()
-	pw.wg.Add(1)
-	go pw.flushLoop()
-	nw.installWire(pw)
-	return pw, nil
+	return newPeerWire(nw, self, self+1, ln), nil
 }
 
 // NewPeerNetwork builds a full-size network whose only live endpoint is
 // self, wired to its peers through a PeerWire injected at construction —
-// the one-step replacement for the retired NewNetwork-then-SetWire
-// two-step used by the distributed worker.
+// what the distributed worker runs on.
 func NewPeerNetwork(n int, self ProcID, listenAddr string) (*Network, *PeerWire, error) {
 	nw := NewNetwork(n, nil)
 	pw, err := NewPeerWire(nw, self, listenAddr)
@@ -183,20 +194,39 @@ func NewPeerNetwork(n int, self ProcID, listenAddr string) (*Network, *PeerWire,
 	return nw, pw, nil
 }
 
+// NewTCPNetwork builds a network of n endpoints on one loopback wire that
+// hosts them all: every message between two different processes crosses a
+// real TCP connection to the wire's own listener. There is no delay model
+// — Endpoint.Send routes delayed messages around the wire, so a simulated
+// delay and a real socket exclude each other.
+func NewTCPNetwork(n int) (*Network, *PeerWire, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: loopback wire listen: %w", err)
+	}
+	nw := NewNetwork(n, nil)
+	pw := newPeerWire(nw, 0, ProcID(n), ln)
+	addrs := make([]string, n)
+	for p := range addrs {
+		addrs[p] = pw.Addr()
+	}
+	pw.SetPeers(addrs)
+	return nw, pw, nil
+}
+
+// hosts reports whether p is one of this wire's local processes.
+func (pw *PeerWire) hosts(p ProcID) bool { return p >= pw.lo && p < pw.hi }
+
 // Addr returns the local listener address — what the worker registers with
 // the rendezvous registry.
 func (pw *PeerWire) Addr() string { return pw.ln.Addr().String() }
 
 // SetPeers installs the ProcID → address table (the registry's world
-// broadcast). The local process's own entry is ignored.
+// broadcast).
 func (pw *PeerWire) SetPeers(addrs []string) {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
-	for p, a := range addrs {
-		if p < len(pw.addrs) && ProcID(p) != pw.self {
-			pw.addrs[p] = a
-		}
-	}
+	copy(pw.addrs, addrs)
 }
 
 // SetRingPeers arms the colocated ring transport: colocated[p] marks the
@@ -204,8 +234,9 @@ func (pw *PeerWire) SetPeers(addrs []string) {
 // For each of them the pair's outbound traffic switches from loopback TCP
 // to the shared-memory ring, and a scan goroutine starts draining the
 // inbound rings. Must be called alongside SetPeers, before remote traffic
-// flows; peers already declared dead stay banned. A no-op when the
-// platform has no ring support or cfg.Dir is empty.
+// flows; peers already declared dead stay banned, and processes hosted by
+// this very wire are never ring peers. A no-op when the platform has no
+// ring support or cfg.Dir is empty.
 func (pw *PeerWire) SetRingPeers(cfg RingConfig, colocated []bool) {
 	if !ringSupported() || cfg.Dir == "" {
 		return
@@ -213,32 +244,29 @@ func (pw *PeerWire) SetRingPeers(cfg RingConfig, colocated []bool) {
 	if cfg.Bytes <= 0 {
 		cfg.Bytes = DefaultRingBytes
 	}
-	n := pw.nw.Size()
 	pw.mu.Lock()
 	pw.ringCfg = cfg
-	pw.ringTo = make([]bool, n)
-	pw.ringWr = make([]*ringWriter, n)
-	for p := 0; p < n && p < len(colocated); p++ {
-		if colocated[p] && ProcID(p) != pw.self && !pw.down[ProcID(p)] {
-			pw.ringTo[p] = true
-		}
-	}
 	pw.mu.Unlock()
 
-	// Attach the inbound side eagerly: the producer may start writing the
+	// The inbound side attaches eagerly: the producer may start writing the
 	// moment its world table lands, and the ring file buffers until this
 	// consumer attaches. An attach failure leaves that pair on TCP —
 	// inbound TCP is always accepted, so the asymmetry is harmless.
 	var rs []*ringReader
-	for p := 0; p < n && p < len(colocated); p++ {
-		if !colocated[p] || ProcID(p) == pw.self {
+	for p := 0; p < pw.nw.Size() && p < len(colocated); p++ {
+		if !colocated[p] || pw.hosts(ProcID(p)) {
 			continue
 		}
-		rr, err := newRingReader(ringPath(cfg.Dir, ProcID(p), pw.self), cfg.Bytes, ProcID(p))
-		if err != nil {
-			continue
+		for i := range pw.srcs {
+			if l := &pw.srcs[i].links[p]; !l.dead.Load() {
+				l.ring.Store(true)
+			}
+			rr, err := newRingReader(ringPath(cfg.Dir, ProcID(p), pw.lo+ProcID(i)), cfg.Bytes, ProcID(p))
+			if err != nil {
+				continue
+			}
+			rs = append(rs, rr)
 		}
-		rs = append(rs, rr)
 	}
 	if len(rs) > 0 {
 		pw.readers.Store(&rs)
@@ -255,42 +283,30 @@ func ringPath(dir string, src, dst ProcID) string {
 }
 
 // MarkDead records that peer p has failed (control-plane notification):
-// its cached connection is dropped, its ring (if any) is permanently
-// banned, and every later Deliver to it becomes an immediate fail-stop
-// drop instead of a doomed dial.
+// its cached connections are dropped, its rings (if any) are permanently
+// banned — the SPSC stream cannot survive an incarnation change, a
+// producer killed mid-frame leaves it torn — and every later Deliver to it
+// becomes an immediate fail-stop drop instead of a doomed dial.
 func (pw *PeerWire) MarkDead(p ProcID) {
-	pw.mu.Lock()
-	pw.down[p] = true
-	pw.banRingLocked(p)
-	tc := pw.conns[p]
-	delete(pw.conns, p)
-	pw.mu.Unlock()
-	if tc != nil {
-		tc.c.Close()
+	if p < 0 || int(p) >= pw.nw.Size() {
+		return
 	}
-	// Frames already staged for p are dropped now rather than at the next
-	// flush: the control plane said the bytes have nowhere to go. The drop
-	// happens under b.mu — takeLocked's slice aliases the batch's backing
-	// array, so it must be fully consumed before a concurrent Deliver can
-	// stage into the same slots.
-	if int(p) < len(pw.batches) {
-		b := pw.batches[p]
-		b.mu.Lock()
-		if frames := b.takeLocked(); len(frames) > 0 {
-			pw.staged.Add(int64(-len(frames)))
-			dropFrames(frames, mDroppedDead)
+	for i := range pw.srcs {
+		s := &pw.srcs[i]
+		l := &s.links[p]
+		l.dead.Store(true)
+		l.ring.Store(false)
+		if tc := l.tc.Swap(nil); tc != nil {
+			tc.c.Close()
 		}
-		b.mu.Unlock()
-	}
-}
-
-// banRingLocked permanently disables the ring pair to p. The ring's SPSC
-// stream cannot survive an incarnation change (a producer killed mid-frame
-// leaves a torn stream), so death is a one-way switch back to TCP — and
-// the revived incarnation starts with rings disabled for the same reason.
-func (pw *PeerWire) banRingLocked(p ProcID) {
-	if int(p) < len(pw.ringTo) {
-		pw.ringTo[p] = false
+		// Frames already staged for p are dropped now rather than at the next
+		// flush: the control plane said the bytes have nowhere to go. The drop
+		// happens under l.mu — takeLocked's slice aliases the batch's backing
+		// array, so it must be fully consumed before a concurrent Deliver can
+		// stage into the same slots.
+		l.mu.Lock()
+		dropFrames(s.takeLocked(l), mDroppedDead)
+		l.mu.Unlock()
 	}
 }
 
@@ -299,17 +315,21 @@ func (pw *PeerWire) banRingLocked(p ProcID) {
 // connection is dropped — it pointed at the dead incarnation — and the
 // ring ban stays: the new incarnation talks TCP.
 func (pw *PeerWire) Revive(p ProcID, addr string) {
-	pw.mu.Lock()
-	delete(pw.down, p)
-	pw.banRingLocked(p)
-	if int(p) < len(pw.addrs) && p != pw.self && addr != "" {
-		pw.addrs[p] = addr
+	if p < 0 || int(p) >= pw.nw.Size() {
+		return
 	}
-	tc := pw.conns[p]
-	delete(pw.conns, p)
-	pw.mu.Unlock()
-	if tc != nil {
-		tc.c.Close()
+	if addr != "" {
+		pw.mu.Lock()
+		pw.addrs[p] = addr
+		pw.mu.Unlock()
+	}
+	for i := range pw.srcs {
+		l := &pw.srcs[i].links[p]
+		l.ring.Store(false)
+		if tc := l.tc.Swap(nil); tc != nil {
+			tc.c.Close()
+		}
+		l.dead.Store(false)
 	}
 }
 
@@ -321,13 +341,16 @@ func (pw *PeerWire) acceptLoop() {
 		if err != nil {
 			select {
 			case <-pw.done:
-				return
+				return // shutdown: Close closed the listener
 			default:
 			}
 			if errors.Is(err, net.ErrClosed) {
-				return
+				return // listener gone (Close raced the done signal)
 			}
-			// Transient accept failure: back off and keep the listener.
+			// Transient accept failure (ECONNABORTED, EMFILE, ...): a
+			// single error must not silently kill the listener for the
+			// rest of the run. Back off — doubling so a persistent error
+			// does not become a busy loop — and keep accepting.
 			time.Sleep(backoff)
 			if backoff < time.Second {
 				backoff *= 2
@@ -344,7 +367,8 @@ func (pw *PeerWire) acceptLoop() {
 }
 
 // flushLoop is the liveness backstop: traffic staged by callers that never
-// drive an engine flush still goes out within a flush tick.
+// drive an engine flush (Endpoint.Send in tests, drain loops) still goes
+// out within a flush tick.
 func (pw *PeerWire) flushLoop() {
 	defer pw.wg.Done()
 	tick := time.NewTicker(flushTick)
@@ -403,22 +427,27 @@ func (pw *PeerWire) ringScanLoop() {
 	}
 }
 
-// ringInject hands one ring-delivered frame to the local endpoint,
-// mirroring readLoop's misrouted-frame rejection.
-func (pw *PeerWire) ringInject(m *Message) {
-	mRingFramesIn.Inc()
+// receive hands one decoded inbound frame to the hosted process it is
+// addressed to. A misrouted frame — this listener serves only the
+// processes it hosts — is dropped rather than corrupting a foreign queue.
+func (pw *PeerWire) receive(m *Message) {
 	mBytesIn.Add(uint64(wireHeaderLen + len(m.Data)))
-	if m.Dst != pw.self {
+	if !pw.hosts(m.Dst) {
 		FreeMessage(m)
 		return
 	}
 	pw.nw.eps[int(m.Dst)].inject(m)
 }
 
-// readLoop decodes inbound peer traffic and injects it into the local
-// endpoint. A decode error or EOF (peer died, connection reset) simply
-// ends the connection: retransmission is the sender's protocol-level
-// concern, not the wire's.
+// ringInject is the ring scanner's sink.
+func (pw *PeerWire) ringInject(m *Message) {
+	mRingFramesIn.Inc()
+	pw.receive(m)
+}
+
+// readLoop decodes one inbound connection's traffic. A decode error or EOF
+// (peer died, connection reset) simply ends the connection:
+// retransmission is the sender's protocol-level concern, not the wire's.
 func (pw *PeerWire) readLoop(c net.Conn) {
 	defer pw.wg.Done()
 	defer func() {
@@ -428,6 +457,8 @@ func (pw *PeerWire) readLoop(c net.Conn) {
 		pw.mu.Unlock()
 	}()
 	r := bufio.NewReaderSize(c, 256<<10)
+	// The dialer first sends an 8-byte (src,dst) preamble; it only keeps
+	// the handshake explicit.
 	var pre [8]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return
@@ -437,89 +468,90 @@ func (pw *PeerWire) readLoop(c net.Conn) {
 		if err != nil {
 			return
 		}
-		mBytesIn.Add(uint64(wireHeaderLen + len(m.Data)))
-		if m.Dst != pw.self {
-			// Misrouted frame: this listener only serves the local
-			// process. Drop it rather than corrupting a foreign queue.
-			FreeMessage(m)
-			continue
-		}
-		pw.nw.eps[int(m.Dst)].inject(m)
+		pw.receive(m)
 	}
 }
 
-// Deliver implements Wire. Local destinations bypass the sockets entirely;
-// remote ones are staged on the destination's batch — dead ones are
-// dropped at stage time (counted, reason "dead"). The batch that fills
-// past a threshold is flushed inline.
+// Deliver implements Wire. A process's message to itself bypasses the
+// sockets entirely; anything else is staged on the (source, destination)
+// link — or dropped at stage time when the destination is dead (counted,
+// reason "dead"). The batch that fills past a threshold is flushed inline.
+// No wire-wide lock is taken, and a link belongs to one source: hosted
+// processes sharing the wire never contend here.
 func (pw *PeerWire) Deliver(m *Message) error {
-	if m.Dst == pw.self {
-		pw.nw.eps[int(m.Dst)].inject(m)
-		return nil
-	}
-	if int(m.Dst) >= len(pw.batches) {
+	if !pw.hosts(m.Src) || int(m.Dst) >= pw.nw.n {
 		dropFrames([]*Message{m}, mDroppedUnreachable)
 		return nil
 	}
-	pw.mu.Lock()
-	dead := pw.down[m.Dst]
-	pw.mu.Unlock()
-	if dead {
+	if m.Src == m.Dst {
+		pw.nw.eps[int(m.Dst)].inject(m)
+		return nil
+	}
+	s := &pw.srcs[m.Src-pw.lo]
+	l := &s.links[m.Dst]
+	if l.dead.Load() {
 		dropFrames([]*Message{m}, mDroppedDead)
 		return nil
 	}
-	b := pw.batches[m.Dst]
-	b.mu.Lock()
-	// The shutdown check lives under b.mu so it serializes with Close's
-	// drain sweep: any frame staged before the sweep takes the batch lock
+	l.mu.Lock()
+	// The shutdown check lives under l.mu so it serializes with Close's
+	// drain sweep: any frame staged before the sweep takes the link lock
 	// is swept, any Deliver arriving after it lands here and drops.
 	select {
 	case <-pw.done:
-		b.mu.Unlock()
+		l.mu.Unlock()
 		dropFrames([]*Message{m}, mDroppedClosed)
 		return nil
 	default:
 	}
-	full := b.stageLocked(m)
-	pw.staged.Add(1)
+	full := l.stageLocked(m)
+	s.staged.Add(1)
 	if full {
-		pw.flushBatchLocked(m.Dst, b)
+		pw.flushBatchLocked(m.Src, m.Dst, l)
 	}
-	b.mu.Unlock()
+	l.mu.Unlock()
 	return nil
 }
 
-// Flush implements Wire: emit batches staged by this process — all when
-// force is true, only aged ones otherwise. The src parameter is ignored:
-// a peer wire serves exactly one source, its own process. Delivery
-// failures never surface as errors here; they are fail-stop drops, counted
-// by reason.
-func (pw *PeerWire) Flush(_ ProcID, force bool) error {
-	if pw.staged.Load() == 0 {
-		return nil
-	}
-	for dst, b := range pw.batches {
-		b.mu.Lock()
-		if b.dueLocked(force) {
-			pw.flushBatchLocked(ProcID(dst), b)
+// Flush implements Wire: emit the batches staged by hosted process src
+// (NoProc = every hosted process) — all when force is true, only aged ones
+// otherwise. Only src's own links are walked, and not even those while it
+// has nothing staged. Delivery failures never surface as errors here; they
+// are fail-stop drops, counted by reason.
+func (pw *PeerWire) Flush(src ProcID, force bool) error {
+	lo, hi := pw.lo, pw.hi
+	if src != NoProc {
+		if !pw.hosts(src) {
+			return nil
 		}
-		b.mu.Unlock()
+		lo, hi = src, src+1
+	}
+	for p := lo; p < hi; p++ {
+		s := &pw.srcs[p-pw.lo]
+		if s.staged.Load() == 0 {
+			continue
+		}
+		for dst := range s.links {
+			l := &s.links[dst]
+			l.mu.Lock()
+			if l.dueLocked(force) {
+				pw.flushBatchLocked(p, ProcID(dst), l)
+			}
+			l.mu.Unlock()
+		}
 	}
 	return nil
 }
 
-// flushBatchLocked emits dst's staged frames: one ring push for a
-// colocated pair, otherwise one net.Buffers vectored write on the cached
-// connection (redialing once on a fresh stream after a write error, as a
-// mid-batch failure leaves the old one misframed). Caller holds the
-// batch's mutex — the per-pair serialization that makes staging order the
-// emission order.
-func (pw *PeerWire) flushBatchLocked(dst ProcID, b *outBatch) {
-	frames := b.takeLocked()
+// flushBatchLocked emits the frames staged on src's link l to dst: one
+// ring push for a colocated pair, otherwise one net.Buffers vectored write
+// on the cached connection. Caller holds l.mu — the per-pair serialization
+// that makes staging order the emission order.
+func (pw *PeerWire) flushBatchLocked(src, dst ProcID, l *link) {
+	frames := pw.srcs[src-pw.lo].takeLocked(l)
 	if len(frames) == 0 {
 		return
 	}
-	pw.staged.Add(int64(-len(frames)))
 
 	// A flush racing with Close must not dial or touch ring mappings the
 	// teardown is about to release; its frames are shutdown drops.
@@ -529,68 +561,47 @@ func (pw *PeerWire) flushBatchLocked(dst ProcID, b *outBatch) {
 		return
 	default:
 	}
-
-	pw.mu.Lock()
-	if pw.down[dst] {
-		pw.mu.Unlock()
+	if l.dead.Load() {
 		dropFrames(frames, mDroppedDead)
 		return
 	}
-	ring := int(dst) < len(pw.ringTo) && pw.ringTo[dst]
-	pw.mu.Unlock()
-
-	if ring && pw.flushRing(dst, frames) {
+	if l.ring.Load() && pw.flushRingLocked(src, dst, l, frames) {
 		return
 	}
-	pw.flushTCP(dst, frames)
+	pw.flushTCP(src, dst, l, frames)
 }
 
-// flushRing pushes a batch through the pair's shared-memory ring. It
+// flushRingLocked pushes a batch through the pair's shared-memory ring. It
 // reports false — leaving the frames for the TCP path — only when the
 // ring could not be opened at all (nothing was ever written to it, so
 // switching transports preserves FIFO). After the first successful open, a
 // push failure is a fail-stop drop AND a permanent ban of the pair: the
 // consumer stopped draining, which from this side is indistinguishable
 // from death, and without the ban every later flush would re-pay the full
-// stall timeout under the batch lock — freezing the sender's progress
+// stall timeout under the link lock — freezing the sender's progress
 // loop until the control plane declares the peer dead.
-func (pw *PeerWire) flushRing(dst ProcID, frames []*Message) bool {
-	pw.mu.Lock()
-	wr := pw.ringWr[dst]
-	if wr == nil {
+//
+// Caller holds l.mu, which is also what keeps Close from unmapping the
+// ring under these writes: Close unmaps each link's ring under that
+// link's lock, after closing done — so a flush that saw done open
+// finishes its writes first (a write parked on a full ring aborts on
+// done), and one that sees it closed never reaches here.
+func (pw *PeerWire) flushRingLocked(src, dst ProcID, l *link, frames []*Message) bool {
+	if l.wr == nil {
+		pw.mu.Lock()
 		cfg := pw.ringCfg
 		pw.mu.Unlock()
-		pipe, err := openRing(ringPath(cfg.Dir, pw.self, dst), cfg.Bytes)
-		pw.mu.Lock()
+		pipe, err := openRing(ringPath(cfg.Dir, src, dst), cfg.Bytes)
 		if err != nil {
-			pw.banRingLocked(dst)
-			pw.mu.Unlock()
+			l.ring.Store(false)
 			return false
 		}
-		wr = &ringWriter{pipe: pipe, done: pw.done}
-		pw.ringWr[dst] = wr
+		l.wr = &ringWriter{pipe: pipe, done: pw.done}
 	}
-	pw.mu.Unlock()
-
-	// The shared fence keeps Close from unmapping the ring while this
-	// (wg-untracked) goroutine is copying into it: a writer that observes
-	// done open here finishes its writes before Close can take the fence
-	// exclusively; one that observes it closed never touches the mapping.
-	pw.ringIO.RLock()
-	defer pw.ringIO.RUnlock()
-	select {
-	case <-pw.done:
-		dropFrames(frames, mDroppedClosed)
-		return true
-	default:
-	}
-
 	total := 0
 	for i, m := range frames {
-		if err := wr.writeFrame(m); err != nil {
-			pw.mu.Lock()
-			pw.banRingLocked(dst)
-			pw.mu.Unlock()
+		if err := l.wr.writeFrame(m); err != nil {
+			l.ring.Store(false)
 			dropFrames(frames[i:], mDroppedWrite)
 			frames = frames[:i]
 			break
@@ -607,14 +618,14 @@ func (pw *PeerWire) flushRing(dst ProcID, frames []*Message) bool {
 	return true
 }
 
-// flushTCP emits a batch as one vectored write on the cached connection to
-// dst. A write error drops the connection (the stream is mid-batch and
-// every later write would be misframed) and retries the whole batch once
-// on a fresh dial; if the peer stays unreachable the frames are released —
-// fail-stop, counted by reason.
-func (pw *PeerWire) flushTCP(dst ProcID, frames []*Message) {
+// flushTCP emits a batch as one vectored write on the cached connection of
+// the (src, dst) link. A write error drops the connection (the stream is
+// mid-batch and every later write would be misframed) and retries the
+// whole batch once on a fresh dial; if the peer stays unreachable the
+// frames are released — fail-stop, counted by reason.
+func (pw *PeerWire) flushTCP(src, dst ProcID, l *link, frames []*Message) {
 	for attempt := 0; attempt < 2; attempt++ {
-		tc, err := pw.conn(dst)
+		tc, err := pw.conn(src, dst, l)
 		if err != nil {
 			dropFrames(frames, mDroppedUnreachable)
 			return
@@ -631,72 +642,54 @@ func (pw *PeerWire) flushTCP(dst ProcID, frames []*Message) {
 			freeFrames(frames)
 			return
 		}
-		pw.dropConn(dst, tc)
+		l.dropConn(tc)
 		mRedials.Inc()
 	}
 	dropFrames(frames, mDroppedWrite)
 }
 
-// conn returns the cached connection to dst, dialing it on first use.
-func (pw *PeerWire) conn(dst ProcID) (*tcpConn, error) {
-	pw.mu.Lock()
-	if pw.down[dst] {
-		pw.mu.Unlock()
+// conn returns the link's cached connection, dialing it on first use. Only
+// the flush holding the link's lock calls it, so there is one dialer per
+// pair at a time — and none of them holds a wire-wide lock across the
+// dial: a slow or dead peer stalls deliveries to itself only.
+func (pw *PeerWire) conn(src, dst ProcID, l *link) (*tcpConn, error) {
+	if l.dead.Load() {
 		return nil, fmt.Errorf("transport: peer %d is dead", dst)
 	}
-	if tc, ok := pw.conns[dst]; ok {
-		pw.mu.Unlock()
+	if tc := l.tc.Load(); tc != nil {
 		return tc, nil
 	}
-	addr := ""
-	if int(dst) < len(pw.addrs) {
-		addr = pw.addrs[int(dst)]
-	}
+	pw.mu.Lock()
+	addr := pw.addrs[dst]
 	pw.mu.Unlock()
 	if addr == "" {
 		return nil, fmt.Errorf("transport: no address for peer %d", dst)
 	}
-
-	// Dial outside the wire lock: a slow or dead peer must not stall
-	// deliveries to every other destination.
 	c, err := dialRetry(addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial peer %d (%s): %w", dst, addr, err)
 	}
 	var pre [8]byte
-	binary.LittleEndian.PutUint32(pre[:], uint32(int32(pw.self)))
+	binary.LittleEndian.PutUint32(pre[:], uint32(int32(src)))
 	binary.LittleEndian.PutUint32(pre[4:], uint32(int32(dst)))
 	if _, err := c.Write(pre[:]); err != nil {
 		c.Close()
 		return nil, err
 	}
 	tc := &tcpConn{c: c}
-
-	pw.mu.Lock()
-	if pw.down[dst] {
-		pw.mu.Unlock()
-		c.Close()
+	l.tc.Store(tc)
+	// MarkDead sets the flag before it empties the slot: either its swap
+	// took (and closed) tc, or the flag is visible here.
+	if l.dead.Load() {
+		l.dropConn(tc)
 		return nil, fmt.Errorf("transport: peer %d died during dial", dst)
 	}
-	if prev, ok := pw.conns[dst]; ok {
-		// A concurrent flush won the dial race; keep its connection so
-		// the (self,dst) stream stays a single FIFO.
-		pw.mu.Unlock()
-		c.Close()
-		return prev, nil
-	}
-	pw.conns[dst] = tc
-	pw.mu.Unlock()
 	return tc, nil
 }
 
-// dropConn closes tc and forgets it, provided dst's slot still holds it.
-func (pw *PeerWire) dropConn(dst ProcID, tc *tcpConn) {
-	pw.mu.Lock()
-	if pw.conns[dst] == tc {
-		delete(pw.conns, dst)
-	}
-	pw.mu.Unlock()
+// dropConn closes tc and forgets it, provided the link still caches it.
+func (l *link) dropConn(tc *tcpConn) {
+	l.tc.CompareAndSwap(tc, nil)
 	tc.c.Close()
 }
 
@@ -706,50 +699,51 @@ func (pw *PeerWire) dropConn(dst ProcID, tc *tcpConn) {
 // freed (counted, reason "closed") rather than stranded. Inbound
 // connections must be closed here too — they are peers' outbound conns,
 // and waiting for the peer to close its side first would deadlock two
-// wires closing in sequence. Idempotent.
+// wires closing in sequence. Idempotent: the network's Close and a
+// caller's deferred Close may race.
 func (pw *PeerWire) Close() error {
 	pw.closeOnce.Do(func() {
 		_ = pw.Flush(NoProc, true)
 		close(pw.done)
 		pw.ln.Close()
-		pw.mu.Lock()
-		for _, tc := range pw.conns {
-			tc.c.Close()
+		for i := range pw.srcs {
+			for dst := range pw.srcs[i].links {
+				if tc := pw.srcs[i].links[dst].tc.Load(); tc != nil {
+					tc.c.Close()
+				}
+			}
 		}
+		pw.mu.Lock()
 		for c := range pw.inbound {
 			c.Close()
 		}
 		pw.mu.Unlock()
 		pw.wg.Wait()
-		// Frames staged between the final flush snapshot and the done
-		// signal have no emitter left (flushLoop has exited): drop and
-		// free them rather than stranding pooled buffers. The sweep
-		// serializes with Deliver's under-lock shutdown check, so nothing
-		// can stage after it.
-		for _, b := range pw.batches {
-			b.mu.Lock()
-			if frames := b.takeLocked(); len(frames) > 0 {
-				pw.staged.Add(int64(-len(frames)))
-				dropFrames(frames, mDroppedClosed)
+		// Frames staged between the final flush and the done signal have
+		// no emitter left (flushLoop has exited): drop and free them rather
+		// than stranding pooled buffers. The sweep serializes with
+		// Deliver's under-lock shutdown check, so nothing can stage after
+		// it — and with any flush still copying into a ring, so the unmap
+		// below cannot pull the mapping from under it.
+		for i := range pw.srcs {
+			s := &pw.srcs[i]
+			for dst := range s.links {
+				l := &s.links[dst]
+				l.mu.Lock()
+				dropFrames(s.takeLocked(l), mDroppedClosed)
+				if l.wr != nil {
+					l.wr.pipe.close()
+					l.wr = nil
+				}
+				l.mu.Unlock()
 			}
-			b.mu.Unlock()
 		}
-		// The scan goroutine has exited (readers idle) and the ringIO
-		// fence drains in-flight producer writes: unmap the rings.
-		pw.ringIO.Lock()
+		// The scan goroutine has exited: the inbound rings are idle.
 		if rs := pw.readers.Load(); rs != nil {
 			for _, rr := range *rs {
 				rr.close()
 			}
 		}
-		pw.mu.Lock()
-		for _, wr := range pw.ringWr {
-			if wr != nil {
-				wr.pipe.close()
-			}
-		}
-		pw.mu.Unlock()
-		pw.ringIO.Unlock()
 	})
 	return nil
 }

@@ -44,8 +44,8 @@ func TestMarkDeadRacesWithDeliver(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if pw0.staged.Load() < 0 {
-		t.Fatalf("staged frame count went negative: %d", pw0.staged.Load())
+	if n := stagedFrames(pw0); n < 0 {
+		t.Fatalf("staged frame count went negative: %d", n)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestCloseAccountsForLateStagedFrames(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if n := pw0.staged.Load(); n != 0 {
+	if n := stagedFrames(pw0); n != 0 {
 		t.Fatalf("%d frames still staged after Close", n)
 	}
 	accounted := int64(mFlushFrames.Value()-baseFlushed) +
@@ -148,10 +148,7 @@ func TestRingStallBansPair(t *testing.T) {
 	}
 	_ = pw0.Flush(NoProc, true)
 
-	pw0.mu.Lock()
-	banned := !pw0.ringTo[1]
-	pw0.mu.Unlock()
-	if !banned {
+	if wireLink(pw0, 0, 1).ring.Load() {
 		t.Fatal("ring pair not banned after a stalled push")
 	}
 

@@ -77,48 +77,6 @@ func TestPeerWireCrossProcessDelivery(t *testing.T) {
 	FreeMessage(m)
 }
 
-func TestPeerWirePreservesPairFIFO(t *testing.T) {
-	nw0, nw1, _, _ := twoPeerWorld(t)
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := nw0.Endpoint(0).Send(&Message{Dst: 1, Kind: KindEager, Tag: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := 0
-	deadline := time.Now().Add(5 * time.Second)
-	for got < n && time.Now().Before(deadline) {
-		for _, m := range nw1.Endpoint(1).Drain() {
-			if m.Tag != got {
-				t.Fatalf("out of order: got tag %d, want %d", m.Tag, got)
-			}
-			got++
-			FreeMessage(m)
-		}
-		nw1.Endpoint(1).WaitActivity(5 * time.Millisecond)
-	}
-	if got != n {
-		t.Fatalf("received %d/%d messages", got, n)
-	}
-}
-
-func TestPeerWireLocalDeliveryBypassesSockets(t *testing.T) {
-	nw := NewNetwork(2, nil)
-	pw, err := NewPeerWire(nw, 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pw.Close()
-	defer nw.Close()
-	// No peer table installed at all: a self-addressed message must still
-	// arrive (it never touches a socket).
-	if err := nw.Endpoint(0).Send(&Message{Dst: 0, Kind: KindEager, Tag: 1}); err != nil {
-		t.Fatal(err)
-	}
-	m := recvOne(t, nw.Endpoint(0), time.Second)
-	FreeMessage(m)
-}
-
 func TestPeerWireDropsToDeadPeer(t *testing.T) {
 	nw0, _, pw0, pw1 := twoPeerWorld(t)
 

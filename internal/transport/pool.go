@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -33,23 +32,8 @@ import (
 //     collected as before). When in doubt, not freeing is always safe: the
 //     object falls back to the garbage collector.
 //
-// Pooling can be disabled globally with SetPooling(false) (the benchmarks
-// use this to measure the unpooled baseline). The flags are recorded per
-// object, so toggling at runtime never mis-frees: only objects actually
-// handed out by a pool are ever returned to one.
-
-// pooling gates allocation through the pools. It defaults to on.
-var pooling atomic.Bool
-
-func init() { pooling.Store(true) }
-
-// SetPooling enables or disables buffer/envelope pooling globally. It
-// exists for benchmarking the unpooled baseline; production code leaves it
-// on.
-func SetPooling(on bool) { pooling.Store(on) }
-
-// PoolingEnabled reports whether pooling is active.
-func PoolingEnabled() bool { return pooling.Load() }
+// Pool ownership is recorded per object (the flag bits below), so only
+// objects actually handed out by a pool are ever returned to one.
 
 // Message flag bits (Message.pflags).
 const (
@@ -86,32 +70,30 @@ func classFor(n int) int {
 	return -1
 }
 
-// GetBuf returns a byte slice of length n. When pooling is enabled and n
-// fits a size class, the backing array is recycled; otherwise it is a
-// fresh allocation. The contents are unspecified (callers overwrite).
+// GetBuf returns a byte slice of length n. When n fits a size class the
+// backing array is recycled; otherwise it is a fresh allocation. The
+// contents are unspecified (callers overwrite).
 func GetBuf(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	if pooling.Load() {
-		if ci := classFor(n); ci >= 0 {
-			if v := bufPools[ci].Get(); v != nil {
-				mPoolHitBuf.Inc()
-				return unsafe.Slice((*byte)(v.(unsafe.Pointer)), bufClasses[ci])[:n]
-			}
-			mPoolMissBuf.Inc()
-			return make([]byte, n, bufClasses[ci])
-		}
+	ci := classFor(n)
+	if ci < 0 {
+		return make([]byte, n)
 	}
-	return make([]byte, n)
+	if v := bufPools[ci].Get(); v != nil {
+		mPoolHitBuf.Inc()
+		return unsafe.Slice((*byte)(v.(unsafe.Pointer)), bufClasses[ci])[:n]
+	}
+	mPoolMissBuf.Inc()
+	return make([]byte, n, bufClasses[ci])
 }
 
 // FreeBuf returns a buffer obtained from GetBuf to its pool. Callers must
 // own b exclusively; after FreeBuf the slice must not be touched. Buffers
-// whose capacity matches no size class (or that were handed out while
-// pooling was off) are left to the garbage collector.
+// whose capacity matches no size class are left to the garbage collector.
 func FreeBuf(b []byte) {
-	if cap(b) == 0 || !pooling.Load() {
+	if cap(b) == 0 {
 		return
 	}
 	// Only capacities that exactly match a class are recycled: a buffer we
@@ -124,22 +106,18 @@ func FreeBuf(b []byte) {
 	}
 }
 
-// GetMessage returns an empty Message envelope, pool-recycled when pooling
-// is enabled. The caller owns it until it is handed to the wire or freed.
+// GetMessage returns an empty, pool-recycled Message envelope. The caller
+// owns it until it is handed to the wire or freed.
 func GetMessage() *Message {
-	if pooling.Load() {
-		if v := msgPool.Get(); v != nil {
-			mPoolHitMsg.Inc()
-			m := v.(*Message)
-			m.pflags = flagPooledEnv
-			return m
-		}
+	m, _ := msgPool.Get().(*Message)
+	if m != nil {
+		mPoolHitMsg.Inc()
+	} else {
 		mPoolMissMsg.Inc()
-		m := new(Message)
-		m.pflags = flagPooledEnv
-		return m
+		m = new(Message)
 	}
-	return new(Message)
+	m.pflags = flagPooledEnv
+	return m
 }
 
 // FreeMessage releases a message at the end of its life: the pooled payload

@@ -26,9 +26,6 @@ func TestBufPoolSizing(t *testing.T) {
 }
 
 func TestBufPoolRecycles(t *testing.T) {
-	if !PoolingEnabled() {
-		t.Skip("pooling disabled")
-	}
 	// A freed class-sized buffer must be reusable at full class capacity.
 	b := GetBuf(100)
 	if cap(b) != 256 {
@@ -104,23 +101,20 @@ func TestSendInvalidDestReleasesPooledData(t *testing.T) {
 }
 
 // TestPoolConcurrency is the table-driven race test for the pools: many
-// goroutines get, fill, verify and free buffers and messages while the
-// pooling toggle flips.
+// goroutines get, fill, verify and free buffers and messages.
 func TestPoolConcurrency(t *testing.T) {
 	cases := []struct {
 		name    string
 		workers int
 		iters   int
 		sizes   []int
-		toggle  bool
 	}{
-		{"small-buffers", 8, 2000, []int{1, 64, 256}, false},
-		{"eager-sizes", 8, 1000, []int{1 << 10, 16 << 10, 64 << 10}, false},
-		{"mixed-with-toggle", 8, 1000, []int{64, 4 << 10, 300 << 10}, true},
+		{"small-buffers", 8, 2000, []int{1, 64, 256}},
+		{"eager-sizes", 8, 1000, []int{1 << 10, 16 << 10, 64 << 10}},
+		{"mixed-with-unpooled-size", 8, 1000, []int{64, 4 << 10, 300 << 10}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer SetPooling(true)
 			var wg sync.WaitGroup
 			for w := 0; w < tc.workers; w++ {
 				wg.Add(1)
@@ -147,9 +141,6 @@ func TestPoolConcurrency(t *testing.T) {
 							}
 						}
 						FreeMessage(m)
-						if tc.toggle && i%64 == 0 {
-							SetPooling(i%128 == 0)
-						}
 					}
 				}(w)
 			}
@@ -269,34 +260,31 @@ func TestAckBatchRoundTrip(t *testing.T) {
 }
 
 // BenchmarkSendDrain measures the raw transport path — pooled envelope
-// copy, sharded inject, drain — with pooling on and off.
+// copy, sharded inject, drain. The sub-benchmark names keep the "pooled/"
+// prefix of the BENCH_PR4–PR10 rows they continue (the "unpooled" rows
+// there are the retired ablation).
 //
 //	go test ./internal/transport -bench SendDrain -benchmem
 func BenchmarkSendDrain(b *testing.B) {
-	for _, mode := range []string{"pooled", "unpooled"} {
-		for _, size := range []int{64, 4 << 10} {
-			b.Run(fmt.Sprintf("%s/%dB", mode, size), func(b *testing.B) {
-				old := PoolingEnabled()
-				SetPooling(mode == "pooled")
-				defer SetPooling(old)
-				nw := NewNetwork(2, nil)
-				defer nw.Close()
-				src, dst := nw.Endpoint(0), nw.Endpoint(1)
-				payload := GetBuf(size)
-				FreeBuf(payload)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var m Message
-					m.Dst = 1
-					m.Kind = KindEager
-					m.SetPooledData(GetBuf(size))
-					src.Send(&m)
-					for _, got := range dst.Drain() {
-						FreeMessage(got)
-					}
+	for _, size := range []int{64, 4 << 10} {
+		b.Run(fmt.Sprintf("pooled/%dB", size), func(b *testing.B) {
+			nw := NewNetwork(2, nil)
+			defer nw.Close()
+			src, dst := nw.Endpoint(0), nw.Endpoint(1)
+			payload := GetBuf(size)
+			FreeBuf(payload)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var m Message
+				m.Dst = 1
+				m.Kind = KindEager
+				m.SetPooledData(GetBuf(size))
+				src.Send(&m)
+				for _, got := range dst.Drain() {
+					FreeMessage(got)
 				}
-			})
-		}
+			}
+		})
 	}
 }

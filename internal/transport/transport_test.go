@@ -328,79 +328,6 @@ func TestCodecRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
-func TestTCPWireRoundTrip(t *testing.T) {
-	nw := NewNetwork(3, nil)
-	tw, err := NewTCPWire(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tw.Close()
-	a, c := nw.Endpoint(0), nw.Endpoint(2)
-	const n = 100
-	for i := 0; i < n; i++ {
-		data := []byte(fmt.Sprintf("msg-%d", i))
-		if err := a.Send(&Message{Dst: 2, Kind: KindEager, Seq: uint64(i), Data: data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []*Message
-	deadline := time.Now().Add(5 * time.Second)
-	for len(got) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout: received %d/%d", len(got), n)
-		}
-		c.WaitActivity(100 * time.Millisecond)
-		got = append(got, c.Drain()...)
-	}
-	for i, m := range got {
-		if m.Seq != uint64(i) {
-			t.Fatalf("TCP wire reordered: pos %d seq %d", i, m.Seq)
-		}
-		if want := fmt.Sprintf("msg-%d", i); string(m.Data) != want {
-			t.Fatalf("payload mismatch at %d: %q", i, m.Data)
-		}
-	}
-}
-
-func TestTCPWireConcurrentSenders(t *testing.T) {
-	nw := NewNetwork(4, nil)
-	tw, err := NewTCPWire(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tw.Close()
-	const per = 200
-	var wg sync.WaitGroup
-	for src := 0; src < 3; src++ {
-		wg.Add(1)
-		go func(src int) {
-			defer wg.Done()
-			ep := nw.Endpoint(ProcID(src))
-			for i := 0; i < per; i++ {
-				ep.Send(&Message{Dst: 3, Kind: KindEager, Seq: uint64(i)})
-			}
-		}(src)
-	}
-	wg.Wait()
-	recv := nw.Endpoint(3)
-	next := map[ProcID]uint64{}
-	total := 0
-	deadline := time.Now().Add(10 * time.Second)
-	for total < 3*per {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout: %d/%d", total, 3*per)
-		}
-		recv.WaitActivity(100 * time.Millisecond)
-		for _, m := range recv.Drain() {
-			if m.Seq != next[m.Src] {
-				t.Fatalf("out of order from %d: %d want %d", m.Src, m.Seq, next[m.Src])
-			}
-			next[m.Src]++
-			total++
-		}
-	}
-}
-
 func TestDrainPreservesOrderWithMixedDelays(t *testing.T) {
 	nw := NewNetwork(2, &DelayModel{Latency: time.Millisecond})
 	defer nw.Close()
