@@ -143,10 +143,16 @@
 //
 // # Fast path
 //
-// Five mechanisms keep the message path hardware-bound rather than
+// Six mechanisms keep the message path hardware-bound rather than
 // allocation-, syscall- and ack-bound: transport buffer/envelope pooling
 // with explicit ownership hand-off (see internal/transport/pool.go for
-// the ownership rules); receiver-side ack coalescing in the replication protocol
+// the ownership rules); the deferred ack gate (internal/core/retention.go:
+// where Algorithm 1 completes a send request on its own acks, an eager
+// send #k to a destination completes on the acks of send #k−1 to it, so a
+// sender rarely parks for an ack — a rendezvous send keeps its own-ack
+// gate, a payload is still retained until every alive replica of the
+// destination rank confirmed it, and the worlds drift by at most one
+// message per destination); receiver-side ack coalescing in the replication protocol
 // (core.Options.NoAckCoalesce restores one discrete ack per message and
 // replica; see internal/core/acks.go for the flush triggers); the
 // batch-first wire API (staged frames flushed as net.Buffers vectored

@@ -186,14 +186,24 @@ func TestMasterWorkerBlockingSendsDeadlockUnderSDR(t *testing.T) {
 	// yet sent, and vice versa. The run cannot finish; the watchdog must
 	// fire. This is the concrete failure mode that restricts SDR-MPI to
 	// send-deterministic applications.
+	//
+	// A send completes on its predecessor's acks, so the masters must
+	// diverge by two hand-outs to one worker: each world has its own fast
+	// workers (25x faster than the slow ones), whose master runs two tasks
+	// ahead on them while the other world's master has handed out one.
 	if testing.Short() {
 		t.Skip("deadlock demonstration needs the full watchdog wait")
 	}
 	app := func(env *Env) (any, error) {
-		rep := env.Rep
+		slow := (env.Rank+env.Rep)%2 == 1
 		return apps.MasterWorker(env.World, apps.MWParams{
 			Tasks: 12, PerWorkerQuota: 4, Work: 200, BlockingSends: true,
-			ExtraDelay: func(task int) int { return ((task + rep*2) % 3) * 400 },
+			ExtraDelay: func(int) int {
+				if slow {
+					return 5000
+				}
+				return 0
+			},
 		}), nil
 	}
 	rep := Run(Config{Ranks: 4, Protocol: SDR, Timeout: 3 * time.Second}, app)

@@ -75,7 +75,11 @@ func TestCheckpointWriterUniqueness(t *testing.T) {
 		if err := env.Checkpoint(1, state); err != nil {
 			return nil, err
 		}
+		// Leaving a barrier with every send acknowledged means the other
+		// world's ranks received what this rank's twin sent them after its
+		// Checkpoint: the writer has written.
 		c.Barrier()
+		env.Replicated().Quiesce()
 		// Every replica (writer or not) verifies the stored file against
 		// its own state — the redundant-execution output comparison.
 		store, err := ckpt.NewStore(dir)

@@ -9,6 +9,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -337,12 +338,20 @@ func (e *Env) Checkpoint(step int, data []byte) error {
 		// The broadcast happens ONLY after both files are durable — until
 		// then senders keep everything, so a capture or save failure just
 		// leaves this wave replay-ineligible (and the logs longer), never
-		// unsafe.
-		if state, err := e.proto.CaptureReplayState(e.World.CollSeq()); err == nil {
+		// unsafe. A finished Send may still await its own acks: collect
+		// them first, or the capture refuses the wave.
+		e.proto.Quiesce()
+		state, err := e.proto.CaptureReplayState(e.World.CollSeq())
+		switch {
+		case err == nil:
 			if err := e.store.SaveLog(e.Rank, step, state); err != nil {
 				return err
 			}
 			e.proto.BroadcastLogTruncate()
+		case !errors.Is(err, core.ErrReplayBuffered):
+			ev := obs.Ev(obs.StageReplay, "wave not replay-eligible: "+err.Error())
+			ev.Rank, ev.Rep, ev.Wave = e.Rank, e.Rep, step
+			obs.DefaultTrace.Emit(ev)
 		}
 	}
 	if write {
@@ -1089,7 +1098,9 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 			panic("cluster: recovery scheduled at a step with no snapshot function")
 		}
 		// §3.4: fork, revive, notify — in this order, with no sends in
-		// between on the substitute.
+		// between on the substitute. The fork wants an empty retention
+		// table, which finished sends no longer imply.
+		e.proto.Quiesce()
 		cs := e.proto.ForkFor(dead)
 		appState := snapshot()
 		rs.nw.Revive(dead)

@@ -341,14 +341,17 @@ func TestAckOnWaitDeadlock(t *testing.T) {
 	// the *application* level (MPI_Wait), the Irecv–Send–Wait exchange
 	// deadlocks: both ranks block in MPI_Send waiting for an ack that
 	// the peer can only send from a Wait it never reaches. Acknowledging
-	// on irecvComplete (the default) avoids this.
+	// on irecvComplete (the default) avoids this. The exchange sends twice:
+	// an eager send waits for its predecessor's acks, so it is the second
+	// Send that can only return once the first was acknowledged.
 	crossApp := func(env *Env) (any, error) {
 		c := env.World
 		other := 1 - c.Rank()
-		in := make([]byte, 8)
-		rr := c.Irecv(other, 0, in)
+		in := [2][]byte{make([]byte, 8), make([]byte, 8)}
+		rr := []*mpi.Request{c.Irecv(other, 0, in[0]), c.Irecv(other, 0, in[1])}
 		c.Send(other, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-		rr.Wait()
+		c.Send(other, 0, []byte{8, 7, 6, 5, 4, 3, 2, 1})
+		mpi.Waitall(rr...)
 		return "ok", nil
 	}
 

@@ -23,7 +23,9 @@ import (
 //   - an outbound application message to q is about to be sent (the ack
 //     batch rides just ahead of it on the same FIFO channel),
 //   - the batch reaches AckBatchMax records,
-//   - engine progress finds the batch older than AckFlushDelay, or
+//   - engine progress finds the batch older than AckFlushDelay (the age
+//     runs from the first unforced progress pass that sees the batch, so
+//     queueing an ack never reads the clock), or
 //   - the process is about to block in WaitUntil (force flush — this is
 //     the liveness rule: a process never sleeps on acks it still owes,
 //     so a peer's ack-gated MPI_Wait always unblocks).
@@ -34,18 +36,26 @@ import (
 // flushes first so the paper's FIFO argument — acknowledgements sent
 // before the recovery notification concern messages contained in the fork
 // state — is preserved verbatim.
+//
+// On the sender's side an acknowledgement clears the acker's bit on the
+// retained entry (retention.go). What a send request waits for departs from
+// the letter of Algorithm 1 by one message per destination — an eager send
+// completes on its predecessor's acks, not its own — and is described
+// there; the acks themselves, and the rule that a payload is kept until
+// every alive replica of the destination rank confirmed it, are unchanged.
 
 // ackQueue accumulates the acknowledgements owed to one destination.
 type ackQueue struct {
-	recs  []transport.AckRec
-	since time.Time // queue time of the oldest pending record
+	recs   []transport.AckRec
+	since  time.Time // when an unforced flush pass first saw the batch; zero until then
+	listed bool      // the destination is in Replicated.ackDirty
 }
 
 // initCoalescing configures the coalescing state (called from
 // NewReplicated for non-mirror modes unless disabled).
 func (p *Replicated) initCoalescing() {
 	p.coalesce = true
-	p.ackPend = make(map[transport.ProcID]*ackQueue)
+	p.ackPend = make([]ackQueue, p.layout.Procs())
 	p.ackMax = p.opts.AckBatchMax
 	if p.ackMax <= 0 {
 		p.ackMax = DefaultAckBatchMax
@@ -60,52 +70,52 @@ func (p *Replicated) initCoalescing() {
 // queueAck records one acknowledgement owed to q, flushing if the batch
 // is full.
 func (p *Replicated) queueAck(q transport.ProcID, ctx uint32, seq uint64) {
-	aq := p.ackPend[q]
-	if aq == nil {
-		aq = &ackQueue{}
-		p.ackPend[q] = aq
-	}
-	if len(aq.recs) == 0 {
-		aq.since = time.Now()
-	}
+	aq := &p.ackPend[q]
 	aq.recs = append(aq.recs, transport.AckRec{Ctx: ctx, Seq: seq})
 	if len(aq.recs) >= p.ackMax {
 		p.flushAcksTo(q, aq)
+		return
+	}
+	if !aq.listed {
+		aq.listed = true
+		p.ackDirty = append(p.ackDirty, q)
 	}
 }
 
 // flushAcks ships pending batches: all of them when forced (about to
-// block), otherwise only those older than the flush delay. Installed as
-// the engine's OnFlush hook.
+// block), otherwise only those an earlier unforced pass stamped at least
+// the flush delay ago. Installed as the engine's OnFlush hook.
 func (p *Replicated) flushAcks(force bool) {
-	if len(p.ackPend) == 0 {
+	if len(p.ackDirty) == 0 {
 		return
 	}
 	var now time.Time
-	for q, aq := range p.ackPend {
-		if len(aq.recs) == 0 {
-			continue
-		}
-		if !force {
+	keep := p.ackDirty[:0]
+	for _, q := range p.ackDirty {
+		aq := &p.ackPend[q]
+		if len(aq.recs) > 0 && !force {
 			if now.IsZero() {
 				now = time.Now()
 			}
+			if aq.since.IsZero() {
+				aq.since = now
+			}
 			if now.Sub(aq.since) < p.ackDelay {
+				keep = append(keep, q)
 				continue
 			}
 		}
 		p.flushAcksTo(q, aq)
+		aq.listed = false
 	}
+	p.ackDirty = keep
 }
 
 // flushPendingTo flushes the batch owed to q, if any — the piggyback
 // trigger, called just before an outbound application message to q.
 func (p *Replicated) flushPendingTo(q transport.ProcID) {
-	if !p.coalesce {
-		return
-	}
-	if aq := p.ackPend[q]; aq != nil && len(aq.recs) > 0 {
-		p.flushAcksTo(q, aq)
+	if p.coalesce {
+		p.flushAcksTo(q, &p.ackPend[q])
 	}
 }
 
@@ -138,10 +148,10 @@ func (p *Replicated) flushAcksTo(q transport.ProcID, aq *ackQueue) {
 // dropAcksFor discards the batch owed to a failed process: the discrete
 // acks would have fallen off the wire anyway (fail-stop).
 func (p *Replicated) dropAcksFor(dead transport.ProcID) {
-	if !p.coalesce {
-		return
+	if p.coalesce {
+		aq := &p.ackPend[dead]
+		aq.recs, aq.since = aq.recs[:0], time.Time{}
 	}
-	delete(p.ackPend, dead)
 }
 
 // sendAckNow emits one discrete acknowledgement in the legacy format:
@@ -175,58 +185,28 @@ func (p *Replicated) onAck(m *transport.Message) {
 }
 
 // applyAck marks one expected acknowledgement from src as received and
-// releases the retention entry once all have arrived (completing the
-// gated send request). The retention key's rank is the acker's own rank —
-// derived from its physical ID, identical across the discrete and batched
-// formats.
+// releases the retention entry once all have arrived (opening the gates
+// that wait on it). The slot's rank is the acker's own rank — derived from
+// its physical ID, identical across the discrete and batched formats.
 func (p *Replicated) applyAck(ctx uint32, seq uint64, src transport.ProcID) {
-	ackerRank := p.layout.RankOf(src)
-	key := retKey{ctx, ackerRank, seq}
-	entry, ok := p.retain[key]
-	if !ok {
-		// Distinguish an *early* ack (our replica has not yet posted
-		// the acknowledged send: seq at or beyond our counter) from a
-		// *late* one (entry already completed or converted after a
-		// failure). Early acks are remembered and consumed by Isend.
-		if seq >= p.sendSeq.peek(ctx, ackerRank) {
-			ea := p.earlyAcks[key]
-			if ea == nil {
-				ea = make(map[transport.ProcID]bool)
-				p.earlyAcks[key] = ea
+	ackerRank, rep := p.layout.RankOf(src), p.layout.RepOf(src)
+	sc := p.sendSeq.at(ctx)
+	slot := &sc.ret[ackerRank]
+	var prev *sendEntry
+	for e := slot.head; e != nil && e.seq <= seq; prev, e = e, e.next {
+		if e.seq == seq {
+			if e.needed&(1<<rep) != 0 {
+				p.ackEntry(slot, prev, e, rep)
 			}
-			ea[src] = true
+			return
 		}
-		return
 	}
-	delete(entry.needed, src)
-	if len(entry.needed) == 0 {
-		p.dropRetain(key, entry)
-	}
-}
-
-// dropEarlyAck discards a recorded early ack from q for key, reporting
-// whether one existed. Early acks are consumed when the send is posted
-// with q as an expected acker, and dropped as moot when q is instead a
-// direct destination (a take-over converted it) or has died.
-func (p *Replicated) dropEarlyAck(key retKey, q transport.ProcID) bool {
-	ea := p.earlyAcks[key]
-	if ea == nil || !ea[q] {
-		return false
-	}
-	delete(ea, q)
-	if len(ea) == 0 {
-		delete(p.earlyAcks, key)
-	}
-	return true
-}
-
-// dropRetain releases a retention entry, recycling a pooled payload.
-func (p *Replicated) dropRetain(key retKey, entry *sendEntry) {
-	delete(p.retain, key)
-	if entry.pooled {
-		transport.FreeBuf(entry.data)
-		entry.data = nil
-		entry.pooled = false
+	// No entry: the ack is *early* (our replica has not yet posted the
+	// acknowledged send: seq at or beyond our counter) or *late* (entry
+	// already completed or converted after a failure). Early acks are
+	// remembered and consumed by Isend; late ones are dropped.
+	if seq >= sc.next[ackerRank] {
+		slot.noteEarly(seq, rep)
 	}
 }
 

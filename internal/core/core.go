@@ -12,9 +12,14 @@
 // Protocol summary (Algorithm 1): replica k of rank i sends application
 // messages only to replica k of rank j (parallel protocol). Every receiver
 // replica acknowledges each received message, on the irecvComplete event,
-// to all *other* alive replicas of the source rank; a sender completes a
-// send request only after collecting those acks, and retains the payload
-// until then. When a replica fails, a deterministically elected substitute
+// to all *other* alive replicas of the source rank; a sender retains the
+// payload until it has collected those acks. Where Algorithm 1 also
+// completes the send request only then, this implementation completes an
+// eager send #k to a destination once send #k−1 to it is acknowledged (a
+// rendezvous send, whose payload is the user's buffer, still waits for its
+// own acks): a sender rarely parks for an ack, and the two worlds drift by
+// at most one message per destination — see retention.go. When a replica
+// fails, a deterministically elected substitute
 // re-sends the retained messages the dead replica's world had not yet
 // acknowledged and emits that world's subsequent messages on its behalf.
 // Send-determinism guarantees the substitute's message sequence is the one
@@ -249,31 +254,17 @@ type seqKey struct {
 	rank int
 }
 
-// retKey indexes the retention buffer.
+// retKey names one logical message: (context, peer logical rank, sequence
+// number). The SDC detector pairs payload hashes by it.
 type retKey struct {
 	ctx     uint32
 	dstRank int
 	seq     uint64
 }
 
-// sendEntry is one retained application message (Algorithm 1's sendReq
-// bookkeeping): the payload plus the set of replica processes whose acks
-// are still outstanding. For eager-sized sends the payload is a pooled
-// copy (pooled=true), recycled when the entry is released; rendezvous
-// entries alias the application buffer, which MPI semantics freeze until
-// the ack-gated Wait completes.
-type sendEntry struct {
-	ctx     uint32
-	tag     int
-	dstRank int
-	seq     uint64
-	data    []byte
-	pooled  bool
-	meta    [4]int64
-	needed  map[transport.ProcID]bool
-}
-
-func (e *sendEntry) key() retKey { return retKey{e.ctx, e.dstRank, e.seq} }
+// maxDegree bounds the replication degree: a retention entry tracks the
+// replicas still to acknowledge it in one machine word.
+const maxDegree = 64
 
 // Debug enables protocol event tracing to stdout (used only by debugging
 // sessions; never set in committed tests).

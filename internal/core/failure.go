@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -51,24 +50,16 @@ func (p *Replicated) onFailure(dead transport.ProcID) {
 		// Acks batched for the dead process would have fallen off the
 		// wire; drop them.
 		p.dropAcksFor(dead)
-		// Stop expecting acks from the dead process (line 33).
-		for key, entry := range p.retain {
-			if entry.needed[dead] {
-				delete(entry.needed, dead)
-				if len(entry.needed) == 0 {
-					p.dropRetain(key, entry)
-				}
-			}
-		}
-		// Early acks recorded FROM the dead process can never be
-		// consumed — Isend checks them only for alive destinations — so
-		// without this sweep the records stay reachable forever.
-		for key, ea := range p.earlyAcks {
-			if ea[dead] {
-				delete(ea, dead)
-				if len(ea) == 0 {
-					delete(p.earlyAcks, key)
-				}
+		// Stop expecting acks from the dead process (line 33) — which opens
+		// any gate that was waiting on them — and forget the early acks it
+		// sent: Isend consumes those only for alive destinations, so they
+		// would stay reachable forever.
+		for _, sc := range p.sendSeq.ctxs {
+			slot := &sc.ret[deadRank]
+			p.ackSlot(slot, deadRep, nil)
+			for i := len(slot.early) - 1; i >= 0; i-- {
+				slot.early[i].reps &^= 1 << deadRep
+				slot.dropEmptyEarly(i)
 			}
 		}
 
@@ -141,37 +132,23 @@ func (p *Replicated) takeOver(deadRep int) {
 	}
 }
 
-// resendUnackedTo re-sends, in sequence order, every retained message for
-// dstRank whose ack from q is outstanding (line 24–25), and converts q
-// from an expected acker into a direct destination for those entries: once
-// the payload has been handed to q directly, its ack is no longer the
-// deletion criterion.
+// resendUnackedTo re-sends, in (ctx, sequence) order, every retained
+// message for dstRank whose ack from q is outstanding (line 24–25), and
+// converts q from an expected acker into a direct destination for those
+// entries: once the payload has been handed to q directly, its ack is no
+// longer the deletion criterion.
 func (p *Replicated) resendUnackedTo(dstRank int, q transport.ProcID) {
-	var entries []*sendEntry
-	for _, e := range p.retain {
-		if e.dstRank == dstRank && e.needed[q] {
-			entries = append(entries, e)
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].ctx != entries[j].ctx {
-			return entries[i].ctx < entries[j].ctx
-		}
-		return entries[i].seq < entries[j].seq
-	})
-	for _, e := range entries {
-		if Debug {
-			println("proc", int(p.proc.ID()), "RESEND to", int(q), "ctx", int(e.ctx), "tag", e.tag, "dstRank", e.dstRank, "seq", int(e.seq))
-		}
-		// Copy the payload: rendezvous entries alias the application
-		// buffer, which becomes writable the moment this entry converts
-		// (the owner's Wait unblocks), while the re-send's own
-		// rendezvous transfer may still be pending.
-		p.eng.Isend(q, e.ctx, e.tag, append([]byte(nil), e.data...), e.seq, e.meta)
-		delete(e.needed, q)
-		if len(e.needed) == 0 {
-			p.dropRetain(e.key(), e)
-		}
+	for _, sc := range p.sendSeq.sortedCtxs() {
+		p.ackSlot(&sc.ret[dstRank], p.layout.RepOf(q), func(e *sendEntry) {
+			if Debug {
+				println("proc", int(p.proc.ID()), "RESEND to", int(q), "ctx", int(e.ctx), "tag", e.tag, "dstRank", e.dstRank, "seq", int(e.seq))
+			}
+			// Copy the payload: rendezvous entries alias the application
+			// buffer, which becomes writable the moment this entry converts
+			// (the owner's Wait unblocks), while the re-send's own
+			// rendezvous transfer may still be pending.
+			p.eng.Isend(q, e.ctx, e.tag, append([]byte(nil), e.data...), e.seq, e.meta)
+		})
 	}
 }
 

@@ -37,6 +37,10 @@ type pendingWC struct {
 	pr  *mpi.PReq
 }
 
+// GateOpen implements mpi.Gate: a follower's wildcard completes once the
+// decided receive was posted and has completed.
+func (pw *pendingWC) GateOpen(uint64, bool) bool { return pw.pr != nil && pw.pr.Done() }
+
 func (s *leaderState) init() {
 	s.decisions = make(map[uint64]int)
 	s.waiting = make(map[uint64]*pendingWC)
@@ -69,9 +73,7 @@ func (p *Replicated) irecvLeaderWildcard(c *mpi.Comm, ctx uint32, tag int, buf [
 
 	// Follower: delay posting until the leader's decision arrives.
 	pw := &pendingWC{c: c, ctx: ctx, tag: tag, buf: buf}
-	pw.req = mpi.NewRequest(c, false, nil, func() bool {
-		return pw.pr != nil && pw.pr.Done()
-	})
+	pw.req = mpi.NewRequest(c, false, nil, pw)
 	if srcRank, ok := p.wc.decisions[idx]; ok {
 		delete(p.wc.decisions, idx)
 		p.postDecided(pw, srcRank)

@@ -26,6 +26,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -259,16 +260,22 @@ type replayState struct {
 	unexpected []*transport.Message // admitted into the engine, unclaimed
 }
 
+// ErrReplayBuffered is CaptureReplayState's error for a wave taken while a
+// rendezvous message is buffered: expected under load, and only costs the
+// wave its replay eligibility.
+var ErrReplayBuffered = errors.New("core: replay capture with buffered rendezvous message")
+
 // CaptureReplayState serializes this process's replay state; collSeq is
 // the world communicator's collective-call counter, which must resume
 // with the protocol counters (a relaunched barrier must tag its rounds
 // where the survivors expect them). It fails — and the wave is simply not
 // replay-eligible — when the state is not capturable: outstanding
-// retained sends, or buffered rendezvous traffic whose payload lives on
-// the sender.
+// retained sends (the caller quiesces first, so these are requests the
+// application has not waited for), or buffered rendezvous traffic whose
+// payload lives on the sender.
 func (p *Replicated) CaptureReplayState(collSeq uint64) ([]byte, error) {
-	if len(p.retain) != 0 {
-		return nil, fmt.Errorf("core: replay capture with %d retained sends", len(p.retain))
+	if p.retained != 0 {
+		return nil, fmt.Errorf("core: replay capture with %d retained sends", p.retained)
 	}
 	st := replayState{collSeq: collSeq}
 	p.sendSeq.forEach(func(ctx uint32, rank int, next uint64) {
@@ -283,7 +290,7 @@ func (p *Replicated) CaptureReplayState(collSeq uint64) ([]byte, error) {
 	st.unexpected = p.eng.UnexpectedMessages()
 	for _, m := range append(append([]*transport.Message(nil), st.pending...), st.unexpected...) {
 		if m.Kind != transport.KindEager {
-			return nil, fmt.Errorf("core: replay capture with buffered %v message", m.Kind)
+			return nil, fmt.Errorf("%w (%v)", ErrReplayBuffered, m.Kind)
 		}
 	}
 	return encodeReplayState(st), nil

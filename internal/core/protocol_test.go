@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -71,6 +72,17 @@ func miniWorldLayout(t *testing.T, layout Layout, mode Mode, opts Options,
 	return protos
 }
 
+// earlyTotal counts the early-ack records across every retention slot.
+func (p *Replicated) earlyTotal() int {
+	n := 0
+	for _, sc := range p.sendSeq.ctxs {
+		for i := range sc.ret {
+			n += len(sc.ret[i].early)
+		}
+	}
+	return n
+}
+
 func TestSequencerStateDrainsAfterRun(t *testing.T) {
 	protos := miniWorld(t, 2, 2, ModeParallel, Options{}, func(c *mpi.Comm, p *Replicated) {
 		buf := make([]byte, 8)
@@ -84,15 +96,13 @@ func TestSequencerStateDrainsAfterRun(t *testing.T) {
 			}
 		}
 		c.Barrier()
-		for i := 0; i < 50; i++ {
-			c.Proc().Engine().Progress()
-		}
+		p.Quiesce()
 	})
 	for id, p := range protos {
 		if got := p.stashTotal(); got != 0 {
 			t.Errorf("proc %d: %d stashed messages after quiescence", id, got)
 		}
-		if got := len(p.earlyAcks); got != 0 {
+		if got := p.earlyTotal(); got != 0 {
 			t.Errorf("proc %d: %d dangling early-ack records", id, got)
 		}
 		if got := p.RetainedCount(); got != 0 {
@@ -255,9 +265,7 @@ func TestDegreeAwareWorldRunsAndDrains(t *testing.T) {
 			}
 		}
 		c.Barrier()
-		for i := 0; i < 50; i++ {
-			c.Proc().Engine().Progress()
-		}
+		p.Quiesce()
 	})
 	if len(protos) != 5 {
 		t.Fatalf("ran %d processes, want 5", len(protos))
@@ -266,7 +274,7 @@ func TestDegreeAwareWorldRunsAndDrains(t *testing.T) {
 		if got := p.RetainedCount(); got != 0 {
 			t.Errorf("proc %d: %d retained entries after quiescence", id, got)
 		}
-		if got := len(p.earlyAcks); got != 0 {
+		if got := p.earlyTotal(); got != 0 {
 			t.Errorf("proc %d: %d dangling early-ack records", id, got)
 		}
 		if p.SDCDetected() != 0 {
@@ -299,13 +307,13 @@ func TestEarlyAcksSweptWhenAckerDies(t *testing.T) {
 	// logical send this replica has not posted yet.
 	acker := layout.Phys(1, 1)
 	p.applyAck(2, 0, acker)
-	if len(p.earlyAcks) != 1 {
-		t.Fatalf("early ack not recorded: %d entries", len(p.earlyAcks))
+	if p.earlyTotal() != 1 {
+		t.Fatalf("early ack not recorded: %d entries", p.earlyTotal())
 	}
 	// The acker dies before this replica posts the send: without the
 	// sweep the record would stay reachable forever.
 	p.onFailure(acker)
-	if got := len(p.earlyAcks); got != 0 {
+	if got := p.earlyTotal(); got != 0 {
 		t.Errorf("earlyAcks = %d entries after the acker died, want 0", got)
 	}
 }
@@ -326,15 +334,15 @@ func TestEarlyAckDroppedWhenAckerBecomesDirectDestination(t *testing.T) {
 	world := mpi.NewWorld(proc, p, 2)
 
 	p.applyAck(world.CtxP2P(), 0, layout.Phys(1, 1))
-	if len(p.earlyAcks) != 1 {
-		t.Fatalf("early ack not recorded: %d entries", len(p.earlyAcks))
+	if p.earlyTotal() != 1 {
+		t.Fatalf("early ack not recorded: %d entries", p.earlyTotal())
 	}
 	p.onFailure(layout.Phys(1, 0)) // my world-1 peer dies; I take over
 	if !p.inDests(1, layout.Phys(1, 1)) {
 		t.Fatal("take-over did not convert the acker into a direct destination")
 	}
 	world.Isend(1, 7, []byte{1})
-	if got := len(p.earlyAcks); got != 0 {
+	if got := p.earlyTotal(); got != 0 {
 		t.Errorf("earlyAcks = %d entries after the direct send, want 0", got)
 	}
 }
@@ -351,13 +359,11 @@ func TestEarlyAcksPartiallySweptKeepsSurvivors(t *testing.T) {
 	p.applyAck(2, 0, layout.Phys(1, 1))
 	p.applyAck(2, 0, layout.Phys(2, 1))
 	p.onFailure(layout.Phys(1, 1))
-	if len(p.earlyAcks) != 1 {
-		t.Fatalf("earlyAcks = %d entries, want 1 (survivor's record kept)", len(p.earlyAcks))
+	if p.earlyTotal() != 1 {
+		t.Fatalf("earlyAcks = %d entries, want 1 (survivor's record kept)", p.earlyTotal())
 	}
-	for _, ea := range p.earlyAcks {
-		if !ea[layout.Phys(2, 1)] || len(ea) != 1 {
-			t.Errorf("surviving record wrong: %v", ea)
-		}
+	if ea := p.sendSeq.at(2).ret[1].early[0]; ea.seq != 0 || ea.reps != 1<<2 {
+		t.Errorf("surviving record wrong: %+v", ea)
 	}
 }
 
@@ -374,8 +380,13 @@ func TestSDCHashPairingBothOrders(t *testing.T) {
 			}
 		}
 		c.Barrier()
-		for i := 0; i < 50; i++ {
+		p.Quiesce()
+		// The other world may trail this one by a message per destination,
+		// and its hashes with it: progress until every reception is paired.
+		deadline := time.Now().Add(5 * time.Second)
+		for len(p.sdcLocal)+len(p.sdcRemote) > 0 && time.Now().Before(deadline) {
 			c.Proc().Engine().Progress()
+			runtime.Gosched()
 		}
 	})
 	for id, p := range protos {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/detect"
 	"repro/internal/obs"
@@ -31,9 +30,9 @@ type CloneState struct {
 
 // ForkFor snapshots this (substitute) process's protocol state for the
 // replica being recovered. It must be called at a quiescent point: every
-// send and receive request completed, which implies an empty retention
-// buffer. It must be followed by BroadcastRecovered before any further
-// application send.
+// send and receive request completed and, since a completed eager send may
+// still await its own acks, Quiesce called. It must be followed by
+// BroadcastRecovered before any further application send.
 func (p *Replicated) ForkFor(revived transport.ProcID) *CloneState {
 	if p.layout.Degree(p.myRank) != 2 {
 		panic("core: recovery requires replication degree 2 (paper §3.4)")
@@ -41,8 +40,8 @@ func (p *Replicated) ForkFor(revived transport.ProcID) *CloneState {
 	if p.layout.RankOf(revived) != p.myRank {
 		panic("core: only the substitute (same rank) can fork a replacement")
 	}
-	if len(p.retain) != 0 {
-		panic(fmt.Sprintf("core: fork at non-quiescent point: %d retained sends", len(p.retain)))
+	if p.retained != 0 {
+		panic(fmt.Sprintf("core: fork at non-quiescent point: %d retained sends", p.retained))
 	}
 	cs := &CloneState{
 		Revived:  revived,
@@ -132,9 +131,6 @@ func (p *Replicated) onRecovered(q transport.ProcID) {
 	if qRank == p.myRank {
 		// A replica of my own rank is back: it handles its own sends
 		// again; if I was substituting for its world, stop duplicating.
-		if p.substitute[qRep] != qRep && p.substitute[qRep] != p.myRep {
-			// Someone else was substituting; just record the handback.
-		}
 		p.substitute[qRep] = qRep
 		if qRep != p.myRep {
 			for j := 0; j < p.layout.N; j++ {
@@ -170,26 +166,19 @@ func (p *Replicated) onRecovered(q transport.ProcID) {
 }
 
 // replayRetained re-sends every retained entry destined to dstRank to the
-// recovered process q, in sequence order, leaving the entries' expected
-// ack sets unchanged (they still await the substitute world's acks).
+// recovered process q, in (ctx, sequence) order, leaving the entries'
+// expected ack sets unchanged (they still await the substitute world's
+// acks).
 func (p *Replicated) replayRetained(dstRank int, q transport.ProcID) {
-	var entries []*sendEntry
-	for _, e := range p.retain {
-		if e.dstRank == dstRank {
-			entries = append(entries, e)
+	n := 0
+	for _, sc := range p.sendSeq.sortedCtxs() {
+		for e := sc.ret[dstRank].head; e != nil; e = e.next {
+			// Copied for the same aliasing reason as resendUnackedTo: the
+			// entry may complete (freeing the app buffer) while the replay's
+			// rendezvous transfer is still in flight.
+			p.eng.Isend(q, e.ctx, e.tag, append([]byte(nil), e.data...), e.seq, e.meta)
+			n++
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].ctx != entries[j].ctx {
-			return entries[i].ctx < entries[j].ctx
-		}
-		return entries[i].seq < entries[j].seq
-	})
-	for _, e := range entries {
-		// Copied for the same aliasing reason as resendUnackedTo: the
-		// entry may complete (freeing the app buffer) while the replay's
-		// rendezvous transfer is still in flight.
-		p.eng.Isend(q, e.ctx, e.tag, append([]byte(nil), e.data...), e.seq, e.meta)
-	}
-	mReplayedMsgs.Add(uint64(len(entries)))
+	mReplayedMsgs.Add(uint64(n))
 }

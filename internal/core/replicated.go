@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/detect"
@@ -28,15 +29,12 @@ type Replicated struct {
 	substitute    []int                // rep → rep emitting on its behalf (my rank's replica set)
 	alive         []bool               // local consistent failure view
 
-	// Sender state: per-(ctx, dstRank) next sequence number (dense, see
-	// sequencer.go), and the retention buffer of unacknowledged messages.
-	// earlyAcks holds acks that arrived before this replica posted the
-	// corresponding send — replicas may diverge temporarily (§3.1), so the
-	// other world's receiver can complete (and acknowledge) a logical
-	// message before this world has emitted its own copy.
-	sendSeq   *seqTable
-	retain    map[retKey]*sendEntry
-	earlyAcks map[retKey]map[transport.ProcID]bool
+	// Sender state: per-(ctx, dstRank) next sequence number and retention
+	// slot (dense, see sequencer.go and retention.go). retained counts the
+	// unacknowledged entries across all slots; freeEntries recycles them.
+	sendSeq     *seqTable
+	retained    int
+	freeEntries *sendEntry
 
 	// Receiver state: per-(ctx, srcRank) next expected sequence, plus
 	// out-of-order arrivals held back in per-rank rings for in-order
@@ -62,9 +60,11 @@ type Replicated struct {
 	msgLog   map[int][]*logEntry
 
 	// Ack-coalescing state (see acks.go): per-destination batches of
-	// acknowledgements not yet on the wire.
+	// acknowledgements not yet on the wire, indexed by physical process,
+	// and the destinations whose batch is non-empty.
 	coalesce bool
-	ackPend  map[transport.ProcID]*ackQueue
+	ackPend  []ackQueue
+	ackDirty []transport.ProcID
 	ackMax   int
 	ackDelay time.Duration
 
@@ -82,6 +82,9 @@ type Replicated struct {
 // world with prior failures only in recovery scenarios; normally all are
 // alive).
 func NewReplicated(proc *mpi.Proc, layout Layout, mode Mode, det *detect.Service, opts Options) *Replicated {
+	if layout.R > maxDegree {
+		panic(fmt.Sprintf("core: replication degree %d exceeds %d", layout.R, maxDegree))
+	}
 	p := &Replicated{
 		proc:      proc,
 		eng:       proc.Engine(),
@@ -91,9 +94,6 @@ func NewReplicated(proc *mpi.Proc, layout Layout, mode Mode, det *detect.Service
 		myRank:    layout.RankOf(proc.ID()),
 		myRep:     layout.RepOf(proc.ID()),
 		sendSeq:   newSeqTable(layout.N, false),
-		retain:    make(map[retKey]*sendEntry),
-		earlyAcks: make(map[retKey]map[transport.ProcID]bool),
-
 		recvSeq:   newSeqTable(layout.N, true),
 		sdcRemote: make(map[retKey][]int64),
 		sdcLocal:  make(map[retKey]uint64),
@@ -183,9 +183,19 @@ func (p *Replicated) Layout() Layout { return p.layout }
 // Rep returns this process's replica (world) index.
 func (p *Replicated) Rep() int { return p.myRep }
 
-// RetainedCount reports the current retention-buffer depth (tests and the
-// harness use it to assert message-deletion safety).
-func (p *Replicated) RetainedCount() int { return len(p.retain) }
+// RetainedCount reports how many sent messages are still unacknowledged
+// (tests and the harness use it to assert message-deletion safety).
+func (p *Replicated) RetainedCount() int { return p.retained }
+
+// Quiesce pumps progress until every sent message is acknowledged. A
+// finished Send no longer implies that — its own acks may still be on
+// their way — so the points that need an empty retention table (the
+// recovery fork, the replay-state capture) ask for it.
+func (p *Replicated) Quiesce() {
+	if p.retained != 0 {
+		p.eng.WaitUntil(func() bool { return p.retained == 0 })
+	}
+}
 
 // SDCDetected reports how many hash mismatches the SDC detector saw.
 func (p *Replicated) SDCDetected() int { return p.sdcCount }
@@ -204,10 +214,11 @@ func (p *Replicated) AliveView(q transport.ProcID) bool { return p.alive[int(q)]
 // Isend implements mpi.Protocol. It transmits the payload to the
 // destinations in physicalDests[dstRank] and, in parallel modes, records a
 // retention entry expecting an ack from every other alive replica of the
-// destination rank (lines 4–9 of Algorithm 1).
+// destination rank (lines 4–9 of Algorithm 1). It never blocks: what the
+// returned request waits for is described in retention.go.
 func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data []byte) *mpi.Request {
 	dstRank := int(c.BaseRank(to))
-	seq := p.sendSeq.take(ctx, dstRank)
+	seq, slot := p.sendSeq.take(ctx, dstRank)
 	mAppMsgs.Inc()
 
 	if p.opts.Corrupt != nil {
@@ -234,8 +245,7 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 		return p.isendMirror(c, ctx, dstRank, tag, data, seq, meta)
 	}
 
-	entry := &sendEntry{ctx: ctx, tag: tag, dstRank: dstRank, seq: seq, meta: meta,
-		needed: make(map[transport.ProcID]bool)}
+	var needed uint64
 	var preqs []*mpi.PReq
 	for rep := 0; rep < p.layout.Degree(dstRank); rep++ {
 		q := p.layout.Phys(rep, dstRank)
@@ -244,20 +254,18 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 			// A stale early ack from q is moot once q is a direct
 			// destination (a take-over converted it while the ack was in
 			// flight): drop it, or the record lingers forever.
-			p.dropEarlyAck(entry.key(), q)
+			slot.takeEarly(seq, rep)
 			if p.alive[int(q)] {
 				// Piggyback trigger: acks owed to q ride just ahead of
 				// this message on the same FIFO channel.
 				p.flushPendingTo(q)
-				pr := p.eng.Isend(q, ctx, tag, data, seq, meta)
-				pr.User = entry
-				preqs = append(preqs, pr)
+				preqs = append(preqs, p.eng.Isend(q, ctx, tag, data, seq, meta))
 			}
 		case p.alive[int(q)]:
 			// Line 9: expect an ack instead of sending directly —
 			// unless it already arrived (the other world ran ahead).
-			if !p.dropEarlyAck(entry.key(), q) {
-				entry.needed[q] = true
+			if !slot.takeEarly(seq, rep) {
+				needed |= 1 << rep
 			}
 			if p.opts.SDC {
 				p.sendHash(q, ctx, tag, seq, meta, data)
@@ -265,22 +273,20 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 		}
 	}
 
-	// Retain the payload until all acks arrive. Eager-sized payloads are
-	// copied into a pooled buffer, recycled when the entry is released;
-	// rendezvous payloads alias the application buffer, which MPI
-	// semantics freeze until Wait — and Wait is gated on the acks.
-	if len(entry.needed) > 0 {
-		if len(data) <= p.eng.EagerLimit {
-			entry.data = transport.GetBuf(len(data))
-			copy(entry.data, data)
-			entry.pooled = true
-		} else {
-			entry.data = data
-		}
-		p.retain[entry.key()] = entry
+	// An eager send is gated on the slot's earlier entries, a rendezvous
+	// send on its own; with neither to wait for the request is ungated.
+	own := len(data) > p.eng.EagerLimit
+	gated := needed != 0
+	if !own {
+		gated = slot.head != nil
 	}
-	gate := func() bool { return len(entry.needed) == 0 }
-	return mpi.NewRequest(c, true, preqs, gate)
+	if needed != 0 {
+		p.retainSend(slot, ctx, tag, dstRank, seq, meta, data, needed)
+	}
+	if !gated {
+		return mpi.NewRequest(c, true, preqs, nil)
+	}
+	return mpi.NewGatedSend(c, preqs, slot, seq, own)
 }
 
 // isendMirror is the MR-MPI baseline: transmit to every alive replica of

@@ -117,11 +117,13 @@ func (st *seqStash) collect(out []*transport.Message) []*transport.Message {
 }
 
 // seqCtx is the dense per-rank block for one context: the next sequence
-// counters and (receive side only) the stash rings.
+// counters plus, on the receive side, the stash rings and, on the send
+// side, the retention slots (retention.go).
 type seqCtx struct {
 	ctx   uint32
 	next  []uint64
 	stash []seqStash // nil on send-side tables
+	ret   []retSlot  // nil on receive-side tables
 }
 
 // seqTable maps sparse context IDs onto dense per-rank blocks. The zero
@@ -151,32 +153,21 @@ func (t *seqTable) at(ctx uint32) *seqCtx {
 	c := &seqCtx{ctx: ctx, next: make([]uint64, t.n)}
 	if t.stashed {
 		c.stash = make([]seqStash, t.n)
+	} else {
+		c.ret = make([]retSlot, t.n)
 	}
 	t.ctxs = append(t.ctxs, c)
 	t.last = c
 	return c
 }
 
-// peek reads a counter without materializing the context block.
-func (t *seqTable) peek(ctx uint32, rank int) uint64 {
-	if c := t.last; c != nil && c.ctx == ctx {
-		return c.next[rank]
-	}
-	for _, c := range t.ctxs {
-		if c.ctx == ctx {
-			t.last = c
-			return c.next[rank]
-		}
-	}
-	return 0
-}
-
-// take returns the current counter and post-increments it (the send path).
-func (t *seqTable) take(ctx uint32, rank int) uint64 {
+// take returns the current counter, post-incremented, and the rank's
+// retention slot (the send path).
+func (t *seqTable) take(ctx uint32, rank int) (uint64, *retSlot) {
 	c := t.at(ctx)
 	v := c.next[rank]
 	c.next[rank] = v + 1
-	return v
+	return v, &c.ret[rank]
 }
 
 // sortedCtxs returns the context blocks in ascending ctx order (iteration

@@ -43,8 +43,8 @@ type PReq struct {
 	sink      bool // duplicate-RTS sink: completion is not an event
 	status    PStatus
 
-	// User is protocol-private attachment (e.g. the retention entry a
-	// send belongs to).
+	// User is protocol-private attachment (the leader baseline marks its
+	// wildcard receives with it).
 	User any
 }
 
@@ -526,7 +526,8 @@ func (e *Engine) Progress() bool {
 // work (coalesced acks): a process never sleeps on, and never returns to
 // the application holding, acknowledgements it still owes. This is the
 // liveness half of coalescing; batching happens within one progress
-// round, where bursts actually arrive together.
+// round, where bursts actually arrive together. cond is opaque, so the wait
+// is ack-interested: an arriving acknowledgement wakes it.
 func (e *Engine) WaitUntil(cond func() bool) {
 	for {
 		e.Progress()
@@ -542,7 +543,7 @@ func (e *Engine) WaitUntil(cond func() bool) {
 		if done {
 			return
 		}
-		if !e.ep.WaitActivity(0) {
+		if !e.ep.WaitActivityAcks(0) {
 			Crash(e.ep.ID())
 		}
 	}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/transport"
 )
@@ -183,5 +184,14 @@ func TestSeedUnexpected(t *testing.T) {
 	}
 	if got := a.UnexpectedMessages(); len(got) != 0 {
 		t.Fatalf("unexpected queue should be empty, has %d", len(got))
+	}
+}
+
+func TestRequestFitsAllocationClass(t *testing.T) {
+	// One Request is allocated per point-to-point operation, under every
+	// protocol: growing it past 128 bytes moves it to the 144-byte class
+	// and shows up in Native's per-message time.
+	if n := unsafe.Sizeof(Request{}); n > 128 {
+		t.Errorf("Request is %d bytes, want at most 128", n)
 	}
 }

@@ -16,12 +16,12 @@ type nbcMachine struct {
 	step    func() bool // starts/continues rounds; true when fully done
 }
 
-// ready reports whether the machine (and thus the NBC request) is done;
-// it advances the schedule as a side effect. It keeps stepping while the
+// GateOpen implements Gate: it reports whether the machine (and thus the
+// NBC request) is done; it advances the schedule as a side effect. It keeps stepping while the
 // schedule can make progress: a stage consisting only of eager sends
 // completes instantly, and stopping there would strand the machine until
 // some unrelated message happened to wake the waiter.
-func (m *nbcMachine) ready() bool {
+func (m *nbcMachine) GateOpen(uint64, bool) bool {
 	for {
 		for _, r := range m.pending {
 			if r != nil && !r.ready() {
@@ -38,7 +38,7 @@ func (m *nbcMachine) ready() bool {
 
 // nbcRequest wraps a machine into an application Request.
 func (c *Comm) nbcRequest(m *nbcMachine) *Request {
-	return NewRequest(c, true, nil, m.ready)
+	return NewRequest(c, true, nil, m)
 }
 
 // Ibarrier starts a non-blocking barrier (dissemination rounds).

@@ -1,6 +1,32 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
+
+// Gate is a protocol's completion gate: a request with one completes when
+// its PML requests have and the gate is open. It is an interface rather
+// than a closure so that gating a send allocates nothing — the request
+// carries the two arguments. SDR-MPI's retention slot implements it (§3.2:
+// a send request completes once the acks it depends on have been
+// collected); gates that need no arguments ignore them.
+type Gate interface {
+	// GateOpen reports whether the request built with (seq, own) may
+	// complete. For a retention slot, seq numbers the send and own selects
+	// the strict form — seq itself must be acknowledged — which rendezvous
+	// sends need because their payload is the user's buffer.
+	GateOpen(seq uint64, own bool) bool
+}
+
+// ackYieldRounds is how many times a waiter on a closed ack gate hands its
+// P over before it parks. The ack is produced by a runnable goroutine one
+// hop away, so a few yields usually collect it without a park/unpark round
+// trip, which would also migrate this process to another P. The count
+// stays small because each round is a pass through the scheduler, which a
+// saturated host with the acker a socket hop away pays for and gets
+// nothing back (the sweep behind 8 is in CHANGES.md, PR 16).
+const ackYieldRounds = 8
 
 // Request is an application-level request, the object MPI_Isend/MPI_Irecv
 // return. A protocol composes it from one or more PML requests plus an
@@ -10,13 +36,18 @@ import "fmt"
 type Request struct {
 	eng  *Engine
 	comm *Comm
-	send bool
 
 	preqs []*PReq
 	// inline backs preqs for the common one- and two-channel requests so
 	// composing a request costs no slice allocation on the hot path.
 	inline [2]*PReq
-	gate   func() bool
+
+	// gate, when set, also gates completion, on (gateSeq, gateOwn). A gate
+	// may depend on acknowledgements, so waiting on a gated request is
+	// ack-interested; ackGate marks the gates that depend on nothing else,
+	// whose waiters yield before they park.
+	gate    Gate
+	gateSeq uint64
 
 	// OnWaitEnter is invoked when the application first waits on the
 	// request (used by the ack-on-wait ablation).
@@ -26,7 +57,12 @@ type Request struct {
 	// level", as opposed to the PML-level irecvComplete event).
 	OnFinish func(*Request)
 
+	// The flags sit together so the struct stays within the 128-byte
+	// allocation class (one is allocated per point-to-point operation).
+	send     bool
 	finished bool
+	gateOwn  bool
+	ackGate  bool
 	status   Status
 }
 
@@ -49,7 +85,7 @@ func (r *Request) PStatuses() []PStatus {
 // NewRequest assembles an application request; protocols call this. Small
 // PML request sets are copied into inline storage, so the caller's slice
 // does not escape.
-func NewRequest(c *Comm, send bool, preqs []*PReq, gate func() bool) *Request {
+func NewRequest(c *Comm, send bool, preqs []*PReq, gate Gate) *Request {
 	r := &Request{eng: c.proc.Engine(), comm: c, send: send, gate: gate}
 	if len(preqs) <= len(r.inline) {
 		r.preqs = append(r.inline[:0], preqs...)
@@ -61,22 +97,38 @@ func NewRequest(c *Comm, send bool, preqs []*PReq, gate func() bool) *Request {
 
 // NewRequest1 assembles a single-channel request without any slice
 // traffic — the common case for every point-to-point operation.
-func NewRequest1(c *Comm, send bool, pr *PReq, gate func() bool) *Request {
+func NewRequest1(c *Comm, send bool, pr *PReq, gate Gate) *Request {
 	r := &Request{eng: c.proc.Engine(), comm: c, send: send, gate: gate}
 	r.inline[0] = pr
 	r.preqs = r.inline[:1]
 	return r
 }
 
-// ready reports whether every underlying PML request is complete and the
-// protocol gate (if any) is satisfied.
-func (r *Request) ready() bool {
+// NewGatedSend assembles a send request whose completion also waits for
+// the acknowledgements g.GateOpen(seq, own) stands for.
+func NewGatedSend(c *Comm, preqs []*PReq, g Gate, seq uint64, own bool) *Request {
+	r := NewRequest(c, true, preqs, g)
+	r.gateSeq, r.gateOwn, r.ackGate = seq, own, true
+	return r
+}
+
+// sent reports whether every underlying PML request is complete.
+func (r *Request) sent() bool {
 	for _, p := range r.preqs {
 		if !p.done {
 			return false
 		}
 	}
-	return r.gate == nil || r.gate()
+	return true
+}
+
+// ready reports whether every underlying PML request is complete and the
+// protocol gate (if any) is satisfied.
+func (r *Request) ready() bool {
+	if !r.sent() {
+		return false
+	}
+	return r.gate == nil || r.gate.GateOpen(r.gateSeq, r.gateOwn)
 }
 
 // finish computes the application status after completion. OnFinish runs
@@ -121,6 +173,7 @@ func (r *Request) Wait() Status {
 		r.OnWaitEnter = nil
 	}
 	e := r.eng
+	yields := 0
 	for {
 		e.Progress()
 		done := r.ready()
@@ -133,7 +186,19 @@ func (r *Request) Wait() Status {
 		if done {
 			break
 		}
-		if !e.ep.WaitActivity(0) {
+		if r.ackGate && yields < ackYieldRounds && r.sent() {
+			// Only the ack gate is closed: yield before parking.
+			yields++
+			runtime.Gosched()
+			continue
+		}
+		alive := false
+		if r.gate != nil {
+			alive = e.ep.WaitActivityAcks(0)
+		} else {
+			alive = e.ep.WaitActivity(0)
+		}
+		if !alive {
 			Crash(e.ep.ID())
 		}
 	}

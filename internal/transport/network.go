@@ -297,8 +297,14 @@ type Endpoint struct {
 	shards    []qshard
 	shardMask uint
 	dead      atomic.Bool
-	nq       atomic.Int64 // queued messages across all shards
-	sleepers atomic.Int32 // receivers blocked in WaitActivity
+	wakeups   uint32       // guarded by mu; times a blocked receiver resumed, a timed wait's polls included (Wakeups); sits in dead's padding
+	nq        atomic.Int64 // queued messages across all shards; counted under the shard lock
+	sleepers  atomic.Int32 // receivers blocked in WaitActivity or WaitActivityAcks
+	// ackSleepers counts the blocked receivers that declared an interest
+	// in acknowledgements (WaitActivityAcks). A KindAck arrival wakes only
+	// those: a process parked in a plain receive cannot act on an ack, so
+	// waking it buys a context switch and nothing else.
+	ackSleepers atomic.Int32
 
 	// mu/cond only coordinate blocking receivers with (rare) wakeups; the
 	// delivery hot path never takes mu when nobody sleeps.
@@ -440,12 +446,34 @@ func (ep *Endpoint) injectAt(m *Message, at time.Time) {
 		return
 	}
 	sh.q = append(sh.q, queued{m: m, deliverAt: at})
-	sh.mu.Unlock()
+	// Counted under the shard lock, so Drain never removes a message that
+	// is not in nq yet. Counting after the unlock let Drain subtract first
+	// and leave nq at zero with a later message queued; that was harmless
+	// only while every injector woke the receiver, which acks no longer do.
 	ep.nq.Add(1)
-	if ep.sleepers.Load() > 0 {
+	// Read before the unlock: past it m may already belong to the receiver.
+	waiters := &ep.sleepers
+	if m.Kind == KindAck {
+		waiters = &ep.ackSleepers
+	}
+	sh.mu.Unlock()
+	if waiters.Load() > 0 {
 		ep.wake()
 	}
 }
+
+// Wakeups reports how many times a blocked receiver resumed. The receiver
+// counts, under the lock it wakes up holding; the injectors' path carries no
+// bookkeeping for it.
+func (ep *Endpoint) Wakeups() uint32 {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.wakeups
+}
+
+// Parked reports whether a receiver is blocked in WaitActivity or
+// WaitActivityAcks right now (tests pair it with Wakeups).
+func (ep *Endpoint) Parked() bool { return ep.sleepers.Load() > 0 }
 
 // wake broadcasts to blocked receivers. Taking mu orders the broadcast
 // against a receiver that is between registering as a sleeper and calling
@@ -527,8 +555,21 @@ func (ep *Endpoint) Drain() []*Message {
 
 // WaitActivity blocks until at least one message is deliverable, the
 // process is killed, or the timeout elapses. It returns false if the
-// process was killed. A zero timeout means wait indefinitely.
+// process was killed. A zero timeout means wait indefinitely. Once blocked,
+// an arriving acknowledgement does not end the wait (it is delivered with
+// the next message that does): callers whose progress depends on acks use
+// WaitActivityAcks.
 func (ep *Endpoint) WaitActivity(timeout time.Duration) bool {
+	return ep.waitActivity(timeout, false)
+}
+
+// WaitActivityAcks is WaitActivity for a caller waiting on an ack gate: an
+// arriving KindAck wakes it like any other message.
+func (ep *Endpoint) WaitActivityAcks(timeout time.Duration) bool {
+	return ep.waitActivity(timeout, true)
+}
+
+func (ep *Endpoint) waitActivity(timeout time.Duration, acks bool) bool {
 	deadline := time.Time{}
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -566,13 +607,17 @@ func (ep *Endpoint) WaitActivity(timeout time.Duration) bool {
 		// message before our re-check observes it.
 		ep.mu.Lock()
 		ep.sleepers.Add(1)
-		if ep.nq.Load() > 0 || ep.dead.Load() {
-			ep.sleepers.Add(-1)
-			ep.mu.Unlock()
-			continue
+		if acks {
+			ep.ackSleepers.Add(1)
 		}
-		// sdr:holdblock-ok condition wait: Wait releases mu while parked; the timed path must sleep to poll
-		waitWithTimeout(ep.cond, &ep.mu, deadline)
+		if ep.nq.Load() == 0 && !ep.dead.Load() {
+			// sdr:holdblock-ok condition wait: Wait releases mu while parked; the timed path must sleep to poll
+			waitWithTimeout(ep.cond, &ep.mu, deadline)
+			ep.wakeups++
+		}
+		if acks {
+			ep.ackSleepers.Add(-1)
+		}
 		ep.sleepers.Add(-1)
 		ep.mu.Unlock()
 	}
