@@ -143,10 +143,17 @@
 //
 // # Fast path
 //
-// Six mechanisms keep the message path hardware-bound rather than
-// allocation-, syscall- and ack-bound: transport buffer/envelope pooling
-// with explicit ownership hand-off (see internal/transport/pool.go for
-// the ownership rules); the deferred ack gate (internal/core/retention.go:
+// Seven mechanisms keep the message path hardware-bound rather than
+// allocation-, syscall-, copy- and ack-bound: transport buffer/envelope
+// pooling with explicit ownership hand-off (see internal/transport/pool.go
+// for the ownership rules); zero-copy rendezvous on the socket wire — the
+// engine posts the receive buffer as the exchange's landing buffer before
+// its CTS leaves and the wire's frame reader reads the payload from the
+// socket straight into it, the sender lends the application buffer to the
+// wire for the one vectored write (Endpoint.SendLent), and the reader
+// stages only small frames, in a small buffer (internal/transport/
+// landing.go, codec.go; wires and paths that cannot do either fall back
+// to one pooled copy through the same calls); the deferred ack gate (internal/core/retention.go:
 // where Algorithm 1 completes a send request on its own acks, an eager
 // send #k to a destination completes on the acks of send #k−1 to it, so a
 // sender rarely parks for an ack — a rendezvous send keeps its own-ack

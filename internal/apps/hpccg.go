@@ -43,11 +43,15 @@ func HPCCG(c *mpi.Comm, p HPCCGParams) Result {
 
 	loBuf := make([]byte, plane*8)
 	hiBuf := make([]byte, plane*8)
+	// One send buffer serves both faces: Send is blocking, so the buffer is
+	// free again when it returns.
+	sendBuf := make([]byte, plane*8)
+	reqs := make([]*mpi.Request, 0, 2)
 
 	iters := 0
 	for it := 0; it < p.Iters; it++ {
 		// Halo exchange with ANY_SOURCE receptions (direction by tag).
-		var reqs []*mpi.Request
+		reqs = reqs[:0]
 		if rank > 0 {
 			reqs = append(reqs, c.Irecv(mpi.AnySource, tagDown, loBuf))
 		}
@@ -55,19 +59,19 @@ func HPCCG(c *mpi.Comm, p HPCCGParams) Result {
 			reqs = append(reqs, c.Irecv(mpi.AnySource, tagUp, hiBuf))
 		}
 		if rank > 0 {
-			c.Send(mpi.Rank(rank-1), tagUp, mpi.Float64Bytes(pv[:plane]))
+			c.Send(mpi.Rank(rank-1), tagUp, mpi.PutFloat64s(sendBuf, pv[:plane]))
 		}
 		if rank < size-1 {
-			c.Send(mpi.Rank(rank+1), tagDown, mpi.Float64Bytes(pv[vol-plane:]))
+			c.Send(mpi.Rank(rank+1), tagDown, mpi.PutFloat64s(sendBuf, pv[vol-plane:]))
 		}
 		mpi.Waitall(reqs...)
 		if rank > 0 {
-			copy(haloLo, mpi.BytesFloat64(loBuf))
+			mpi.GetFloat64s(haloLo, loBuf)
 		} else {
 			zero(haloLo)
 		}
 		if rank < size-1 {
-			copy(haloHi, mpi.BytesFloat64(hiBuf))
+			mpi.GetFloat64s(haloHi, hiBuf)
 		} else {
 			zero(haloHi)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -457,5 +459,120 @@ func TestDistributedSurvivesSingleReplicaKill(t *testing.T) {
 	}
 	if killed != 1 {
 		t.Errorf("killed = %d, want exactly the scheduled victim", killed)
+	}
+}
+
+// TestDistributedRestartLoadsRestoreFileBeforeHello pins ROADMAP known bug
+// (d): a restarted epoch's fast workers commit wave w+1 and prune wave w
+// while a slow one has said hello but not yet read w. The test is the
+// registry: it starts two real workers on committed wave 6, and — with
+// both hellos in hand, before either worker gets the world table — does
+// what the fast half of an epoch does next: commits wave 9 and prunes.
+// A worker that loads after the rendezvous finds its file gone and exits;
+// one that loaded before its hello computes the fault-free answer.
+func TestDistributedRestartLoadsRestoreFileBeforeHello(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real worker processes")
+	}
+	const steps, wave = 12, 6
+	dir := t.TempDir()
+	store, err := ckpt.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := binary.LittleEndian.AppendUint64(nil, wantPingPong(wave))
+	commit := func(step int) {
+		t.Helper()
+		for rank := 0; rank < 2; rank++ {
+			if err := store.Save(rank, step, state, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := store.Commit(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(wave)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	layout, err := core.NewLayout(2, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DistConfig{
+		Ranks: 2, Replication: 1, Protocol: Native, CheckpointDir: dir,
+		WorkerCmd: []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
+	}
+	var logBuf bytes.Buffer
+	sink := &syncWriter{w: &logBuf}
+	logs := func() string {
+		sink.mu.Lock()
+		defer sink.mu.Unlock()
+		return logBuf.String()
+	}
+	exits := make(chan procExit, 2)
+	for proc := 0; proc < 2; proc++ {
+		w, err := spawnWorker(cfg, ln.Addr().String(), layout, proc, nil, wave, 1, sink, exits, -1, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.cmd.Process.Kill()
+	}
+
+	workers := make([]*fakeWorker, 2) // the registry's end of each control connection
+	addrs := make([]string, 2)
+	for range workers {
+		ln.(*net.TCPListener).SetDeadline(time.Now().Add(30 * time.Second))
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatalf("worker never dialed the registry: %v\n%s", err, logs())
+		}
+		defer c.Close()
+		w := &fakeWorker{c: c, enc: json.NewEncoder(c), dec: json.NewDecoder(c)}
+		hello := w.recv(t)
+		if hello.Op != opHello {
+			t.Fatalf("first message %q, want hello", hello.Op)
+		}
+		workers[hello.Proc], addrs[hello.Proc] = w, hello.Addr
+	}
+
+	commit(wave + 3)
+	if err := store.Prune(wave + 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load(0, wave); err == nil {
+		t.Fatal("the restart wave survived the prune: the test exercises nothing")
+	}
+
+	for _, w := range workers {
+		w.send(t, ctlMsg{Op: opWorld, Addrs: addrs})
+	}
+	for proc, w := range workers {
+		for {
+			var m ctlMsg
+			w.c.SetReadDeadline(time.Now().Add(30 * time.Second))
+			if err := w.dec.Decode(&m); err != nil {
+				t.Fatalf("worker %d left without a result: %v\n%s", proc, err, logs())
+			}
+			if m.Op != opDone {
+				continue // pings, checkpoint notes
+			}
+			if m.Err != "" || m.Checksum != float64(wantPingPong(steps)) {
+				t.Errorf("worker %d: checksum %v err %q, fault-free run computes %v", proc, m.Checksum, m.Err, wantPingPong(steps))
+			}
+			break
+		}
+	}
+	for _, w := range workers {
+		w.send(t, ctlMsg{Op: opShutdown})
+	}
+	for range workers {
+		if e := <-exits; e.code != 0 {
+			t.Errorf("worker %d exited %d\n%s", e.proc, e.code, logs())
+		}
 	}
 }

@@ -218,6 +218,27 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	defer nw.Close()
 	defer pw.Close()
 
+	// A rollback restart reads its restore file BEFORE the hello below. The
+	// registry prunes wave w as soon as the epoch commits w+1, and the epoch
+	// cannot take a step until every worker has said hello — so a worker
+	// that has its bytes in hand by then can be as slow to start as it
+	// likes. Loading after the rendezvous let the fast workers commit and
+	// prune under a slow one ("rollback restore wave 6: no such file").
+	var store *ckpt.Store
+	if cfg.CheckpointDir != "" {
+		if store, err = ckpt.NewStore(cfg.CheckpointDir); err != nil {
+			return fail(err)
+		}
+	}
+	var restored []byte
+	restoredStep := -1
+	if cfg.ReplayWave < 0 && cfg.RestartWave >= 0 && store != nil {
+		if restored, err = store.Load(rank, cfg.RestartWave); err != nil {
+			return fail(fmt.Errorf("rollback restore wave %d: %w", cfg.RestartWave, err))
+		}
+		restoredStep = cfg.RestartWave
+	}
+
 	// Rendezvous: register our listener, wait for the world table. A
 	// worker that dies before the rendezvous completes makes the
 	// coordinator broadcast `dead` to the already-joined workers, so the
@@ -323,13 +344,6 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 		}
 	}()
 
-	var store *ckpt.Store
-	if cfg.CheckpointDir != "" {
-		if store, err = ckpt.NewStore(cfg.CheckpointDir); err != nil {
-			return fail(err)
-		}
-	}
-
 	ws := &workerState{cfg: cfg, cc: cc, kills: make(map[int]bool)}
 	for _, s := range cfg.KillSteps {
 		ws.kills[s] = true
@@ -343,10 +357,9 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	logDests := logRankVector(cfg, layout)
 
 	proc := mpi.NewProc(nw, cfg.Proc)
-	env := &Env{Rank: rank, Rep: rep, h: ws, restoredStep: -1, store: store,
+	env := &Env{Rank: rank, Rep: rep, h: ws, restored: restored, restoredStep: restoredStep, store: store,
 		logSelf: logDests != nil && logDests[rank]}
-	switch {
-	case cfg.ReplayWave >= 0:
+	if cfg.ReplayWave >= 0 {
 		// Localized-replay relaunch: this worker alone rolls back, to its
 		// own newest checkpoint wave; the protocol state is restored below
 		// once the replicated layer exists.
@@ -360,13 +373,6 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 		}
 		env.restored = b
 		env.restoredStep = cfg.ReplayWave
-	case cfg.RestartWave >= 0 && store != nil:
-		b, err := store.Load(rank, cfg.RestartWave)
-		if err != nil {
-			return fail(fmt.Errorf("rollback restore wave %d: %w", cfg.RestartWave, err))
-		}
-		env.restored = b
-		env.restoredStep = cfg.RestartWave
 	}
 	var protocol mpi.Protocol
 	var replayCollSeq uint64

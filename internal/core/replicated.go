@@ -398,7 +398,11 @@ func (p *Replicated) onArrive(m *transport.Message) bool {
 // onArrive). Duplicate rendezvous RTSes still need their handshake
 // completed, or the redundant sender's request would never finish.
 func (p *Replicated) discardDuplicate(m *transport.Message) {
-	if m.Kind == transport.KindRTS {
+	// A dead sender's RTS needs no answer, and must not get one: it can
+	// arrive AFTER its substitute's re-send was matched (the two travel on
+	// different channels), and rebinding the receive to it would move a
+	// live handshake onto a process that will never ship the payload.
+	if m.Kind == transport.KindRTS && p.alive[int(m.Src)] {
 		// If the original handshake broke (sender died between RTS and
 		// payload), resume it with this copy; otherwise complete the
 		// redundant transfer into a sink. Either way the envelope is

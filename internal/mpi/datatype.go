@@ -44,6 +44,24 @@ func BytesFloat64(b []byte) []float64 {
 	return out
 }
 
+// PutFloat64s encodes xs into dst, which must hold 8*len(xs) bytes, and
+// returns the encoded prefix: Float64Bytes into a buffer the caller reuses.
+func PutFloat64s(dst []byte, xs []float64) []byte {
+	dst = dst[:8*len(xs)]
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
+	return dst
+}
+
+// GetFloat64s decodes b into dst, which must hold len(b)/8 values:
+// BytesFloat64 without the fresh slice.
+func GetFloat64s(dst []float64, b []byte) {
+	for i := range dst[:len(b)/8] {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
 // Int64Bytes encodes an int64 slice.
 func Int64Bytes(xs []int64) []byte {
 	out := make([]byte, 8*len(xs))

@@ -161,7 +161,8 @@ func (e *Engine) checkCrash() {
 // once — ownership of the copy transfers to the transport and ultimately
 // to the receiving engine, which recycles it after delivery. Larger
 // payloads use rendezvous and complete when the data has been shipped
-// after a CTS.
+// after a CTS: the caller's buffer is lent to the wire for that one call
+// and must not change until the request completes.
 func (e *Engine) Isend(dst transport.ProcID, ctx uint32, tag int, data []byte, seq uint64, meta [4]int64) *PReq {
 	e.checkCrash()
 	r := &PReq{send: true, ctx: ctx, tag: tag, dst: dst, seq: seq, meta: meta}
@@ -255,28 +256,42 @@ func (e *Engine) RebindRTS(m *transport.Message) bool {
 		}
 		if r.status.Ctx == m.Ctx && r.status.Seq == m.Seq &&
 			r.status.Meta[MetaSrcRank] == m.Meta[MetaSrcRank] {
+			// The receive buffer moves from the broken exchange to the new
+			// one. Withdrawing waits out a reader still writing the old
+			// sender's bytes, so the two never write the buffer at once.
 			delete(e.rdvRecv, xid)
+			e.ep.WithdrawLanding(xid)
 			r.status.SrcPhys = m.Src
 			r.status.Meta = m.Meta
-			e.rdvRecv[m.XID] = r
-			e.ep.Send(&transport.Message{Dst: m.Src, Kind: transport.KindCTS, Ctx: m.Ctx, XID: m.XID})
+			e.clearToSend(r, m)
 			return true
 		}
 	}
 	return false
 }
 
-// SinkRTS completes a duplicate rendezvous handshake into a throwaway
-// buffer. Replication protocols call it when the sequencer discards a
-// duplicate RTS (mirror mode's redundant copies, or a substitute's re-send
-// racing the in-flight original): the duplicate sender still needs a CTS
-// to complete its request, and the redundant payload transfer is exactly
-// the bandwidth cost the mirror protocol pays.
+// SinkRTS completes a duplicate rendezvous handshake into nothing.
+// Replication protocols call it when the sequencer discards a duplicate RTS
+// (mirror mode's redundant copies, or a substitute's re-send racing the
+// in-flight original): the duplicate sender still needs a CTS to complete
+// its request, and the redundant payload transfer is exactly the bandwidth
+// cost the mirror protocol pays. The sink has no buffer: its zero-length
+// landing makes the socket reader skip the payload in the stream, and a
+// payload that arrives pooled is simply released.
 func (e *Engine) SinkRTS(m *transport.Message) {
-	r := &PReq{ctx: m.Ctx, tag: m.Tag, buf: make([]byte, int(m.Meta[MetaLen]))}
+	r := &PReq{ctx: m.Ctx, tag: m.Tag, sink: true}
 	r.status = PStatus{SrcPhys: m.Src, Ctx: m.Ctx, Tag: m.Tag, Count: int(m.Meta[MetaLen]), Seq: m.Seq, Meta: m.Meta}
-	r.sink = true
+	e.clearToSend(r, m)
+}
+
+// clearToSend answers RTS m on behalf of receive r. The receive buffer is
+// posted as the exchange's landing buffer BEFORE the CTS leaves, so it is
+// in place whenever the payload arrives: over a socket the wire reads the
+// payload straight into it and delivers a landed envelope (see handle);
+// on any other path the registration costs nothing or is withdrawn there.
+func (e *Engine) clearToSend(r *PReq, m *transport.Message) {
 	e.rdvRecv[m.XID] = r
+	e.ep.PostLanding(m.XID, r.buf)
 	e.ep.Send(&transport.Message{Dst: m.Src, Kind: transport.KindCTS, Ctx: m.Ctx, XID: m.XID})
 }
 
@@ -395,11 +410,11 @@ func (e *Engine) InjectMatchBatch(ms []*transport.Message) {
 }
 
 // deliver completes the match of message m with posted receive req: eager
-// payloads complete immediately (match + irecvComplete); an RTS triggers
-// the CTS reply and completion is deferred to the Data arrival. deliver is
-// the terminal consumption point for m: once the payload is copied into
-// the receive buffer (or the CTS is on its way), the message's pooled
-// storage is recycled.
+// payloads complete immediately (match + irecvComplete); an RTS posts the
+// receive buffer for landing, triggers the CTS reply, and completion is
+// deferred to the Data arrival. deliver is the terminal consumption point
+// for m: once the payload is copied into the receive buffer (or the CTS is
+// on its way), the message's pooled storage is recycled.
 func (e *Engine) deliver(req *PReq, m *transport.Message) {
 	if DebugEngine {
 		println(dbgUS(), "proc", int(e.ep.ID()), "DELIVER kind", int(m.Kind), "seq", int(m.Seq), "tag", m.Tag)
@@ -410,8 +425,7 @@ func (e *Engine) deliver(req *PReq, m *transport.Message) {
 		if e.OnMatch != nil {
 			e.OnMatch(req, m)
 		}
-		e.rdvRecv[m.XID] = req
-		e.ep.Send(&transport.Message{Dst: m.Src, Kind: transport.KindCTS, Ctx: m.Ctx, XID: m.XID})
+		e.clearToSend(req, m)
 		transport.FreeMessage(m)
 		return
 	}
@@ -433,6 +447,12 @@ func (e *Engine) deliver(req *PReq, m *transport.Message) {
 // kinds (ack/hash/ctl/CTS) the hooks consume the message by value, so its
 // storage is recycled as soon as they return; application messages
 // (eager/RTS/Data) live until deliver or an owning protocol releases them.
+//
+// A rendezvous payload crosses user space without a copy when both ends sit
+// on the socket wire: on CTS the sender lends the application buffer to the
+// wire, and the Data frame lands in the receive buffer posted by
+// clearToSend. Either half degrades on its own to one pooled copy — inside
+// SendLent, or in the Data arm below — where the wire cannot do it.
 func (e *Engine) handle(m *transport.Message) {
 	switch m.Kind {
 	case transport.KindAck:
@@ -457,19 +477,17 @@ func (e *Engine) handle(m *transport.Message) {
 		}
 		if r, ok := e.rdvSend[m.XID]; ok {
 			delete(e.rdvSend, m.XID)
-			// Ship a copy: completing the request frees the caller's
-			// buffer for reuse (MPI_Wait semantics), so the bytes on
-			// the wire must be owned by the transport, exactly as a
-			// NIC's send completion implies the buffer has been read.
-			// The copy is pooled; the receiving engine recycles it.
-			cp := transport.GetBuf(len(r.data))
-			copy(cp, r.data)
-			var dm transport.Message
-			dm.Dst = m.Src
-			dm.Kind = transport.KindData
-			dm.Ctx, dm.Tag, dm.Seq, dm.XID, dm.Meta = r.ctx, r.tag, r.seq, m.XID, r.meta
-			dm.SetPooledData(cp)
-			e.ep.Send(&dm)
+			// Lend the caller's buffer: completing the request frees it
+			// for reuse (MPI_Wait semantics), and SendLent returns only
+			// once the transport holds no reference to it — the bytes
+			// went through the pair's vectored write, or into a pooled
+			// copy where delivery outlives the call — exactly as a NIC's
+			// send completion implies the buffer has been read.
+			e.ep.SendLent(&transport.Message{
+				Dst: m.Src, Kind: transport.KindData,
+				Ctx: r.ctx, Tag: r.tag, Seq: r.seq, XID: m.XID, Meta: r.meta,
+				Data: r.data,
+			})
 			r.done = true
 		}
 		transport.FreeMessage(m)
@@ -480,11 +498,19 @@ func (e *Engine) handle(m *transport.Message) {
 		}
 		if r, ok := e.rdvRecv[m.XID]; ok {
 			delete(e.rdvRecv, m.XID)
-			if m.Len() > len(r.buf) {
+			n, landed := m.Landed()
+			if !landed {
+				// The frame came a way that cannot land (ring, in-process
+				// wire, delayed delivery): copy, and take back the
+				// registration no reader will claim. A sink copies nothing.
+				n = m.Len()
+				copy(r.buf, m.Data)
+				e.ep.WithdrawLanding(m.XID)
+			}
+			if n > len(r.buf) {
 				r.truncated = true
 			}
-			copy(r.buf, m.Data)
-			r.status.Count = m.Len()
+			r.status.Count = n
 			r.done = true
 			if e.OnRecvComplete != nil && !r.sink {
 				e.OnRecvComplete(r)

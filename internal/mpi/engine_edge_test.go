@@ -195,3 +195,17 @@ func TestRequestFitsAllocationClass(t *testing.T) {
 		t.Errorf("Request is %d bytes, want at most 128", n)
 	}
 }
+
+func TestMessageAndEndpointFitAllocationClasses(t *testing.T) {
+	// A Message is allocated per frame on a pool miss and an Endpoint per
+	// process per network — n² of them in a worker mesh. The landed length
+	// rides in Message's padding, and the landing table hangs off the wire
+	// rather than the endpoint, to keep both where they were: PR 16
+	// measured +0.3 % alloc_B_per_msg on wire-ring-128 for 16 bytes more.
+	if n := unsafe.Sizeof(transport.Message{}); n > 128 {
+		t.Errorf("transport.Message is %d bytes, want at most 128", n)
+	}
+	if n := unsafe.Sizeof(transport.Endpoint{}); n > 160 {
+		t.Errorf("transport.Endpoint is %d bytes, want at most 160", n)
+	}
+}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -36,42 +35,6 @@ func putMessageHeader(hdr []byte, m *Message) {
 	le.PutUint32(hdr[80:], uint32(len(m.Data)))
 }
 
-// encodeMessage writes m to w in the fixed wire format.
-func encodeMessage(w *bufio.Writer, m *Message) error {
-	var hdr [wireHeaderLen]byte
-	putMessageHeader(hdr[:], m)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(m.Data) > 0 {
-		if _, err := w.Write(m.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeMessage reads one message in the fixed wire format, allocating a
-// plain (unpooled) Message. Tests and one-shot decoders use it; the TCP
-// read loop uses decodeMessagePooled.
-func decodeMessage(r *bufio.Reader) (*Message, error) {
-	return decodeMessageInto(r, new(Message), false)
-}
-
-// decodeMessagePooled reads one message into pooled storage: the envelope
-// comes from the message pool and the payload from the buffer pools. The
-// final consumer releases both with FreeMessage. On error nothing pooled
-// is retained.
-func decodeMessagePooled(r *bufio.Reader) (*Message, error) {
-	m := GetMessage()
-	out, err := decodeMessageInto(r, m, true)
-	if err != nil {
-		FreeMessage(m)
-		return nil, err
-	}
-	return out, nil
-}
-
 // parseMessageHeader decodes the fixed wire envelope from hdr into m,
 // preserving m's pool-ownership flags, and returns the payload length. A
 // length above maxWirePayload fails closed (corrupt or hostile stream).
@@ -95,27 +58,140 @@ func parseMessageHeader(hdr []byte, m *Message) (int, error) {
 	return int(n), nil
 }
 
-// decodeMessageInto reads one message in the fixed wire format into m,
-// preserving m's pool-ownership flags. With pooledData it draws the
-// payload from the buffer pools.
-func decodeMessageInto(r *bufio.Reader, m *Message, pooledData bool) (*Message, error) {
-	var hdr [wireHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// Sizes of the inbound frame reader. Both are constants of the design, not
+// knobs: the staging buffer only has to hold a batch of envelopes and eager
+// frames, and it is also the bound on how much of a rendezvous payload a
+// reader parked in read(2) can swallow before it has seen the header —
+// bytes that then reach the landing buffer by copy after all. PR 19's
+// sweep over both socket workloads picked the value (CHANGES.md).
+const (
+	// stagingSize is the per-connection staging buffer.
+	stagingSize = 32 << 10
+	// directReadMin is the shortest payload remainder read from the
+	// connection straight into its destination; a shorter one is cheaper
+	// to fetch through staging, where the same read(2) also pulls in the
+	// frames behind it.
+	directReadMin = 4 << 10
+)
+
+// frameReader decodes one inbound connection's frames — the socket read
+// loop's only decoder (the ring scanner has its own resumable one over the
+// same header parser). Small frames are staged in a small buffer, many per
+// read(2); every payload byte the header's read did not already pull in
+// moves from the connection directly into its destination, which is the
+// posted landing buffer when the frame is a rendezvous payload with a
+// registration (see landing.go) and a pooled buffer otherwise.
+type frameReader struct {
+	c     io.Reader
+	lands *landingTable // nil: nothing lands
+	buf   []byte        // staging; buf[r:w] is read but not consumed
+	r, w  int
+}
+
+func newFrameReader(c io.Reader, lands *landingTable) *frameReader {
+	return &frameReader{c: c, lands: lands, buf: make([]byte, stagingSize)}
+}
+
+// fill makes at least n ≤ stagingSize unconsumed bytes available in
+// staging. It fails with io.EOF only on a frame boundary of an empty
+// stream; a stream that ends inside the n bytes is io.ErrUnexpectedEOF.
+func (fr *frameReader) fill(n int) error {
+	have := fr.w - fr.r
+	if have >= n {
+		return nil
+	}
+	// Callers consume whole payloads before asking for more, so what is
+	// left over here is at most a partial header: moving it is cheap.
+	if fr.r > 0 {
+		copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.r, fr.w = 0, have
+	}
+	k, err := io.ReadAtLeast(fr.c, fr.buf[have:], n-have)
+	fr.w += k
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// read moves the next len(dst) stream bytes into dst: what staging holds
+// first, then the remainder — straight from the connection when it is long
+// enough to be worth a read(2) of its own.
+func (fr *frameReader) read(dst []byte) error {
+	n := copy(dst, fr.buf[fr.r:fr.w])
+	fr.r += n
+	dst = dst[n:]
+	if len(dst) == 0 {
+		return nil
+	}
+	if len(dst) >= directReadMin {
+		_, err := io.ReadFull(fr.c, dst)
+		return err
+	}
+	if err := fr.fill(len(dst)); err != nil {
+		return err
+	}
+	fr.r += copy(dst, fr.buf[fr.r:fr.w])
+	return nil
+}
+
+// discard drops the next n stream bytes.
+func (fr *frameReader) discard(n int) error {
+	for n > 0 {
+		if err := fr.fill(1); err != nil {
+			return err
+		}
+		k := min(n, fr.w-fr.r)
+		fr.r += k
+		n -= k
+	}
+	return nil
+}
+
+// next decodes one frame into a pooled envelope. Its payload is pooled too
+// unless it landed (Message.Landed), in which case Data stays nil. The
+// final consumer releases the message with FreeMessage; on error nothing
+// pooled is retained and no landing claim is left behind.
+func (fr *frameReader) next() (*Message, error) {
+	if err := fr.fill(wireHeaderLen); err != nil {
 		return nil, err
 	}
-	n, err := parseMessageHeader(hdr[:], m)
+	m := GetMessage()
+	n, err := parseMessageHeader(fr.buf[fr.r:fr.r+wireHeaderLen], m)
+	fr.r += wireHeaderLen
+	if err == nil && n > 0 {
+		if err = fr.payload(m, n); err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended inside the frame
+		}
+	}
 	if err != nil {
+		FreeMessage(m)
 		return nil, err
-	}
-	if n > 0 {
-		if pooledData {
-			m.SetPooledData(GetBuf(n))
-		} else {
-			m.Data = make([]byte, n)
-		}
-		if _, err := io.ReadFull(r, m.Data); err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
+}
+
+// payload reads m's n payload bytes into the landing buffer posted for the
+// exchange, or into a pooled buffer when there is none.
+func (fr *frameReader) payload(m *Message, n int) error {
+	if m.Kind == KindData {
+		if buf, ok := fr.lands.claim(m.Dst, m.XID); ok {
+			// Never past len(buf): the excess of a truncated receive is
+			// dropped from the stream, the sender's length is reported.
+			fit := min(n, len(buf))
+			err := fr.read(buf[:fit])
+			if err == nil {
+				err = fr.discard(n - fit)
+			}
+			fr.lands.release(m.Dst, m.XID, err == nil)
+			if err == nil {
+				m.pflags |= flagLanded
+				m.landed = uint32(n)
+				mLandedFrames.Inc()
+			}
+			return err
+		}
+	}
+	m.SetPooledData(GetBuf(n))
+	return fr.read(m.Data)
 }

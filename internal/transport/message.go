@@ -22,6 +22,17 @@
 // ordered-pair FIFO holds across flush boundaries. See batch.go for the
 // staging/ownership mechanics, peer.go for the socket wire, and ring.go for
 // the colocated shared-memory rings negotiated at rendezvous.
+//
+// Two payload states exist besides "owned by the message" so that a
+// rendezvous payload crosses user space without a copy on the socket wire.
+// A LENT payload (Endpoint.SendLent) is the application's own buffer: the
+// wire writes it out — behind whatever the link already holds, in the same
+// vectored write — before the call returns, and keeps no reference to it; a
+// wire that cannot consume it synchronously takes a pooled copy inside that
+// call. A LANDED frame (Message.Landed) is one whose payload the socket
+// reader wrote straight into the receive buffer posted for its exchange
+// (Endpoint.PostLanding, landing.go): only the envelope is delivered, Data
+// is nil, and the sender's length rides beside the flags.
 package transport
 
 import "fmt"
@@ -117,8 +128,12 @@ type Message struct {
 
 	// pflags records pool ownership (see pool.go): whether the envelope
 	// and/or the payload were handed out by a pool and must be returned
-	// by FreeMessage. Never serialized; zero for plain literals.
+	// by FreeMessage — and whether the payload landed. Never serialized;
+	// zero for plain literals.
 	pflags uint8
+	// landed is the payload length of a landed frame (flagLanded). It sits
+	// in the padding behind pflags: Message stays in its 128-byte class.
+	landed uint32
 }
 
 // TransportSeq returns the per-ordered-pair FIFO sequence number assigned
@@ -128,3 +143,11 @@ func (m *Message) TransportSeq() uint64 { return m.tseq }
 
 // Len returns the payload length in bytes.
 func (m *Message) Len() int { return len(m.Data) }
+
+// Landed reports whether the wire read this frame's payload straight into
+// the landing buffer posted for its exchange, and if so how many bytes the
+// sender shipped — which is more than the buffer holds when the receive was
+// truncated. A landed frame carries no Data.
+func (m *Message) Landed() (n int, ok bool) {
+	return int(m.landed), m.pflags&flagLanded != 0
+}

@@ -18,6 +18,11 @@ var (
 		"peer-wire bytes by direction", []string{"dir"}, []string{"in"})
 	mBytesOut = obs.Default.CounterWith("sdr_transport_bytes_total",
 		"peer-wire bytes by direction", []string{"dir"}, []string{"out"})
+	// Rendezvous payloads the socket reader wrote straight into the posted
+	// receive buffer; their bytes count in bytes_total{dir="in"} like any
+	// other frame's.
+	mLandedFrames = obs.Default.Counter("sdr_transport_landed_frames_total",
+		"rendezvous payload frames read from the socket into the posted receive buffer")
 	mRedials = obs.Default.Counter("sdr_transport_redials_total",
 		"peer connections dropped mid-write and redialed")
 

@@ -70,10 +70,21 @@ func (s StatsSnapshot) TotalMsgs() uint64 {
 // FIFO: implementations must preserve per ordered-pair FIFO across flush
 // boundaries — staging order is emission order, and a batch never
 // overtakes an earlier batch for the same pair.
+//
+// Rendezvous payloads have a zero-copy form on a wire that moves bytes
+// itself: DeliverLent on the sending side, the landing table it hands the
+// network on the receiving side (landing.go). The in-process wire moves no
+// bytes — it copies a lent payload like any other and has no table.
 type Wire interface {
 	// Deliver stages m toward its destination. It must preserve per
 	// ordered-pair FIFO ordering and must not block indefinitely.
 	Deliver(m *Message) error
+	// DeliverLent is Deliver for a message whose payload is only lent:
+	// m.Data is the caller's buffer, and when the call returns the wire
+	// holds no reference to it — the frame was written out behind whatever
+	// the pair had staged, or dropped. A wire (or a path: self-sends) that
+	// cannot consume the payload synchronously takes a pooled copy.
+	DeliverLent(m *Message) error
 	// Flush emits frames staged by source endpoint src (NoProc = every
 	// source this wire serves): all of them when force is true, only
 	// batches older than the age threshold otherwise. The engine calls
@@ -91,6 +102,7 @@ type Network struct {
 	n     int
 	delay *DelayModel
 	wire  Wire
+	lands *landingTable // the socket wire's landing buffers; nil when nothing can land
 	eps   []*Endpoint
 	stats Stats
 
@@ -197,8 +209,10 @@ func (nw *Network) Revive(p ProcID) {
 	ep := nw.eps[int(p)]
 	// Clear first, then flip alive: injections observe the dead flag, so
 	// everything cleared here predates the kill and nothing injected after
-	// the flip is lost.
+	// the flip is lost. The dead incarnation's landing buffers go with its
+	// queues: no payload may land in a receive nobody waits for.
 	ep.clearQueues()
+	nw.lands.drop(p)
 	ep.dead.Store(false)
 	ep.wake()
 	nw.notify(p, true)
@@ -238,6 +252,13 @@ func (w inprocWire) Deliver(m *Message) error {
 	dst := w.nw.eps[int(m.Dst)]
 	dst.inject(m)
 	return nil
+}
+
+// DeliverLent copies: the message sits in the destination queue long after
+// the lending call returned.
+func (w inprocWire) DeliverLent(m *Message) error {
+	m.ownData()
+	return w.Deliver(m)
 }
 
 // Flush is a no-op: in-process delivery is immediate, nothing stages.
@@ -362,7 +383,30 @@ func (ep *Endpoint) shardOf(src ProcID) int {
 // payload transfers with the send: if m.Data was attached with
 // SetPooledData, the transport (and ultimately the final consumer) releases
 // it, and the caller must not touch the buffer after Send returns.
-func (ep *Endpoint) Send(m *Message) error {
+func (ep *Endpoint) Send(m *Message) error { return ep.send(m, false) }
+
+// SendLent is Send for a payload the caller only lends: m.Data is the
+// application's buffer, and when SendLent returns the transport holds no
+// reference to it, so the caller may hand it back to the application. On
+// the socket wire the bytes go out in the pair's next vectored write,
+// issued before the call returns, behind every frame already staged for
+// the destination; everywhere the frame would outlive the call (in-process
+// wire, delayed delivery, self-sends) it carries a pooled copy instead.
+func (ep *Endpoint) SendLent(m *Message) error { return ep.send(m, true) }
+
+// PostLanding registers buf as the landing buffer of the rendezvous
+// exchange xid this process is about to clear to send: a KindData frame of
+// that exchange arriving over a socket is read straight into buf, up to
+// len(buf), and delivered as a landed envelope (see landing.go). On a
+// network whose wire cannot land it does nothing, and keeps nothing.
+func (ep *Endpoint) PostLanding(xid uint64, buf []byte) { ep.nw.lands.post(ep.id, xid, buf) }
+
+// WithdrawLanding takes xid's registration back, if it is still posted —
+// the payload came another way, or the exchange is being rebound — and
+// returns only when no socket reader is writing the buffer.
+func (ep *Endpoint) WithdrawLanding(xid uint64) { ep.nw.lands.withdraw(ep.id, xid) }
+
+func (ep *Endpoint) send(m *Message, lent bool) error {
 	if m.Dst < 0 || int(m.Dst) >= ep.nw.n {
 		// The send fails before ownership transfers; release a pooled
 		// payload so erroneous sends do not leak it.
@@ -417,7 +461,13 @@ func (ep *Endpoint) Send(m *Message) error {
 	m.pflags &^= flagPooledData // ownership moved to q
 
 	if !deliverAt.IsZero() {
+		if lent {
+			q.ownData() // queued until its simulated arrival
+		}
 		return ep.nw.deliverDelayed(q, deliverAt)
+	}
+	if lent {
+		return ep.nw.wire.DeliverLent(q)
 	}
 	return ep.nw.wire.Deliver(q)
 }

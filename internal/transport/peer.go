@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
 	"path/filepath"
@@ -100,7 +98,9 @@ type RingConfig struct {
 //     information, it only stops burning dial budgets once told. Every
 //     drop is counted on sdr_transport_dropped_total with its reason;
 //   - an inbound frame addressed to a process this wire does not host is
-//     freed and skipped, never injected into a foreign queue.
+//     freed and skipped, never injected into a foreign queue;
+//   - a rendezvous payload crosses user space without a copy: lent on the
+//     way out (DeliverLent), landed on the way in (landing.go).
 type PeerWire struct {
 	nw *Network
 	ln net.Listener
@@ -109,6 +109,7 @@ type PeerWire struct {
 	// outbound side. Sized at construction, never resized.
 	lo, hi ProcID
 	srcs   []source
+	lands  *landingTable // the hosted processes' posted receive buffers, shared with nw
 
 	mu      sync.Mutex            // sdr:lockrank peer
 	addrs   []string              // guarded by mu; proc → listener address ("" = unknown)
@@ -151,6 +152,7 @@ func newPeerWire(nw *Network, lo, hi ProcID, ln net.Listener) *PeerWire {
 		lo:      lo,
 		hi:      hi,
 		srcs:    make([]source, hi-lo),
+		lands:   newLandingTable(lo, hi),
 		addrs:   make([]string, nw.Size()),
 		inbound: make(map[net.Conn]struct{}),
 		done:    make(chan struct{}),
@@ -163,6 +165,7 @@ func newPeerWire(nw *Network, lo, hi ProcID, ln net.Listener) *PeerWire {
 	pw.wg.Add(1)
 	go pw.flushLoop()
 	nw.installWire(pw)
+	nw.lands = pw.lands
 	return pw
 }
 
@@ -431,7 +434,11 @@ func (pw *PeerWire) ringScanLoop() {
 // addressed to. A misrouted frame — this listener serves only the
 // processes it hosts — is dropped rather than corrupting a foreign queue.
 func (pw *PeerWire) receive(m *Message) {
-	mBytesIn.Add(uint64(wireHeaderLen + len(m.Data)))
+	n, landed := m.Landed()
+	if !landed {
+		n = len(m.Data)
+	}
+	mBytesIn.Add(uint64(wireHeaderLen + n))
 	if !pw.hosts(m.Dst) {
 		FreeMessage(m)
 		return
@@ -456,15 +463,14 @@ func (pw *PeerWire) readLoop(c net.Conn) {
 		delete(pw.inbound, c)
 		pw.mu.Unlock()
 	}()
-	r := bufio.NewReaderSize(c, 256<<10)
+	fr := newFrameReader(c, pw.lands)
 	// The dialer first sends an 8-byte (src,dst) preamble; it only keeps
 	// the handshake explicit.
-	var pre [8]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	if err := fr.discard(8); err != nil {
 		return
 	}
 	for {
-		m, err := decodeMessagePooled(r)
+		m, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -478,12 +484,25 @@ func (pw *PeerWire) readLoop(c net.Conn) {
 // reason "dead"). The batch that fills past a threshold is flushed inline.
 // No wire-wide lock is taken, and a link belongs to one source: hosted
 // processes sharing the wire never contend here.
-func (pw *PeerWire) Deliver(m *Message) error {
+func (pw *PeerWire) Deliver(m *Message) error { return pw.deliver(m, false) }
+
+// DeliverLent implements Wire: the frame is staged behind whatever the link
+// already holds and the batch is flushed before the link lock is released,
+// so staging order is still emission order and the caller's buffer has been
+// through the vectored write (or the ring push) — or the frame has been
+// dropped, which releases the envelope and leaves the unpooled payload
+// alone — by the time the call returns.
+func (pw *PeerWire) DeliverLent(m *Message) error { return pw.deliver(m, true) }
+
+func (pw *PeerWire) deliver(m *Message, lent bool) error {
 	if !pw.hosts(m.Src) || int(m.Dst) >= pw.nw.n {
 		dropFrames([]*Message{m}, mDroppedUnreachable)
 		return nil
 	}
 	if m.Src == m.Dst {
+		if lent {
+			m.ownData() // queued, not written: it outlives the call
+		}
 		pw.nw.eps[int(m.Dst)].inject(m)
 		return nil
 	}
@@ -506,7 +525,7 @@ func (pw *PeerWire) Deliver(m *Message) error {
 	}
 	full := l.stageLocked(m)
 	s.staged.Add(1)
-	if full {
+	if full || lent {
 		pw.flushBatchLocked(m.Src, m.Dst, l)
 	}
 	l.mu.Unlock()
@@ -634,6 +653,11 @@ func (pw *PeerWire) flushTCP(src, dst ProcID, l *link, frames []*Message) {
 		bufs, total := tc.scratch.build(frames)
 		// sdr:holdblock-ok per-pair FIFO: the conn lock must cover the vectored write so flushes never interleave
 		_, err = bufs.WriteTo(tc.c)
+		if err != nil {
+			// A failed write leaves its unwritten segments in the scratch;
+			// none may outlive this flush, one can be a lent payload.
+			clear(tc.scratch.bufs)
+		}
 		tc.mu.Unlock()
 		if err == nil {
 			mFlushes.Inc()

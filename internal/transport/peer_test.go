@@ -139,10 +139,10 @@ func TestPeerWireRejectsMisroutedFrame(t *testing.T) {
 	if _, err := w.Write(pre[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := encodeMessage(w, &Message{Src: 0, Dst: 0, Kind: KindEager, Tag: 5}); err != nil {
+	if _, err := w.Write(encodeToBytes(&Message{Src: 0, Dst: 0, Kind: KindEager, Tag: 5})); err != nil {
 		t.Fatal(err)
 	}
-	if err := encodeMessage(w, &Message{Src: 0, Dst: 1, Kind: KindEager, Tag: 6}); err != nil {
+	if _, err := w.Write(encodeToBytes(&Message{Src: 0, Dst: 1, Kind: KindEager, Tag: 6})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -22,11 +22,18 @@ import (
 //     consumer that Drains it.
 //   - A payload attached with SetPooledData travels with the message; it is
 //     released together with the envelope.
-//   - The final consumer — the PML engine after copying an eager or
-//     rendezvous payload into the receive buffer, a protocol discarding a
-//     duplicate, the transport dropping traffic to a dead process — calls
-//     FreeMessage exactly once. Holding any reference after FreeMessage is
-//     a use-after-free.
+//   - A LENT payload (Endpoint.SendLent) never becomes the message's: it is
+//     not flagged pooled, so no release path hands it to FreeBuf, and the
+//     wire is done with it — written out, or dropped with the frame — when
+//     the lending call returns. Only the envelope is recycled.
+//   - A LANDED frame (Message.Landed) has no payload to release: the reader
+//     wrote the bytes into the receiver's own buffer and delivers the
+//     envelope alone.
+//   - The final consumer — the PML engine after copying an eager payload
+//     (or a rendezvous payload that could not land) into the receive
+//     buffer, a protocol discarding a duplicate, the transport dropping
+//     traffic to a dead process — calls FreeMessage exactly once. Holding
+//     any reference after FreeMessage is a use-after-free.
 //   - FreeMessage is a no-op on messages that did not come from the pools
 //     (tests and services build bare Message literals; they are garbage
 //     collected as before). When in doubt, not freeing is always safe: the
@@ -39,6 +46,7 @@ import (
 const (
 	flagPooledEnv  uint8 = 1 << iota // envelope came from msgPool
 	flagPooledData                   // Data came from a buffer pool
+	flagLanded                       // payload was read into a posted landing buffer; Data is nil
 )
 
 // msgPool recycles Message envelopes. No New hook: a nil Get is the
@@ -149,6 +157,14 @@ func (m *Message) SetPooledData(b []byte) {
 	if b != nil {
 		m.pflags |= flagPooledData
 	}
+}
+
+// ownData replaces a lent payload by a pooled copy the message owns, for
+// the paths on which the frame outlives the lending call.
+func (m *Message) ownData() {
+	cp := GetBuf(len(m.Data))
+	copy(cp, m.Data)
+	m.SetPooledData(cp)
 }
 
 // PooledData reports whether the payload is pool-owned (test hook).

@@ -1,11 +1,8 @@
 package transport
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -272,19 +269,14 @@ func TestCodecRoundTrip(t *testing.T) {
 		Data: []byte("payload bytes"),
 		tseq: 77,
 	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := encodeMessage(w, m); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	got, err := decodeMessage(bufio.NewReader(&buf))
+	got, err := decodeOne(encodeToBytes(m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, got) {
+	if !messagesEqual(m, got) {
 		t.Fatalf("roundtrip mismatch:\n in: %+v\nout: %+v", m, got)
 	}
+	FreeMessage(got)
 }
 
 func TestCodecRoundTripProperty(t *testing.T) {
@@ -294,20 +286,12 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			Ctx: ctx, Tag: int(tag), Seq: seq, XID: xid, Meta: meta,
 			Data: data, tseq: seq ^ xid,
 		}
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := encodeMessage(w, m); err != nil {
-			return false
-		}
-		w.Flush()
-		got, err := decodeMessage(bufio.NewReader(&buf))
+		got, err := decodeOne(encodeToBytes(m), nil)
 		if err != nil {
 			return false
 		}
-		if len(m.Data) == 0 {
-			m.Data, got.Data = nil, nil
-		}
-		return reflect.DeepEqual(m, got)
+		defer FreeMessage(got)
+		return messagesEqual(m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -315,15 +299,10 @@ func TestCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestCodecRejectsOversizedPayload(t *testing.T) {
-	m := &Message{Dst: 1, Data: []byte("x")}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	encodeMessage(w, m)
-	w.Flush()
-	raw := buf.Bytes()
+	raw := encodeToBytes(&Message{Dst: 1, Data: []byte("x")})
 	// Corrupt the length field (offset 80) to an enormous value.
 	raw[80], raw[81], raw[82], raw[83] = 0xff, 0xff, 0xff, 0xff
-	if _, err := decodeMessage(bufio.NewReader(bytes.NewReader(raw))); err == nil {
+	if _, err := decodeOne(raw, nil); err == nil {
 		t.Fatal("expected error for oversized payload")
 	}
 }

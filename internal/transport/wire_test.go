@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -130,7 +131,18 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i, m := range recvN(t, w.ep(2), n) {
+		// ...and one rendezvous payload that lands: its bytes reach the
+		// receiver without ever being a frame's Data, and count all the same.
+		landing := make([]byte, 100<<10)
+		w.ep(2).PostLanding(1, landing)
+		if err := w.ep(0).SendLent(&Message{Dst: 2, Kind: KindData, XID: 1, Data: bytes.Repeat([]byte{7}, len(landing))}); err != nil {
+			t.Fatal(err)
+		}
+		got := recvN(t, w.ep(2), n+1)
+		if size, landed := got[n].Landed(); !landed || size != len(landing) || landing[len(landing)-1] != 7 {
+			t.Fatalf("rendezvous payload did not land: %d, %v", size, landed)
+		}
+		for i, m := range got[:n] {
 			if m.Src != 0 || m.Seq != uint64(i) {
 				t.Fatalf("wire reordered: pos %d src %d seq %d", i, m.Src, m.Seq)
 			}
