@@ -53,7 +53,11 @@
 // newest checkpoint + replay state while the survivors park and re-send
 // from their logs; send-determinism makes the relaunch's regenerated
 // messages identical, so the sequencer dedup absorbs every overlap and
-// no survivor ever rolls back. A missing or corrupt replay state fails
+// no survivor ever rolls back. The relaunch's recovery notification
+// carries its restored receive frontier: a sender replica in a world that
+// lags behind counts the sends below it as acknowledged, since the
+// relaunch will not consume — hence not acknowledge — them a second time.
+// A missing or corrupt replay state fails
 // closed into rung 3 — the codec never lets garbage reach the
 // application. (3) Global rollback: the loss of ALL replicas of a
 // non-logging rank raises the typed mpi.ReplicationExhausted signal
@@ -61,8 +65,10 @@
 // epoch down and — when Config.CheckpointDir is set — restarts every
 // process from the latest committed checkpoint wave (internal/ckpt
 // stamps a wave with a coordinated-commit marker only after every rank's
-// writer replica has saved, so a half-written wave is never chosen) and
-// re-executes to a fault-free-identical result. The ablation-ckpt
+// writer replica has saved, so a half-written wave is never chosen, and
+// seals every checkpoint and replay-state file with a CRC-32C footer that
+// is checked before a restart is seeded from it) and re-executes to a
+// fault-free-identical result. The ablation-ckpt
 // experiment quantifies the checkpoint-interval vs. re-executed-work
 // trade-off, ablation-recovery compares rungs 2 and 3 on the same kill
 // schedule; cmd/faultdemo -exhaust and -replay narrate the scenarios.

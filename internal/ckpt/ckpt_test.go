@@ -2,6 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -139,6 +142,46 @@ func TestLatestCommonRequiresCommitMarker(t *testing.T) {
 	}
 }
 
+// TestRestartLineAtScale is the coordinator's rollback decision at the
+// largest world the launchers run: 256 ranks, three committed waves, one
+// rank's file missing from the newest. The restart line is the wave below
+// it, and the rank-local pairing sees its own files only.
+func TestRestartLineAtScale(t *testing.T) {
+	const ranks, missing = 256, 171
+	s := newTestStore(t)
+	for _, st := range []int{100, 200, 300} {
+		for rank := 0; rank < ranks; rank++ {
+			if st == 300 && rank == missing {
+				continue
+			}
+			if err := s.Save(rank, st, []byte{byte(rank)}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Commit(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if latest, err := s.LatestCommon(ranks); err != nil || latest != 200 {
+		t.Fatalf("LatestCommon(%d) = %d, %v; want 200", ranks, latest, err)
+	}
+	// The ranks below the gap do share wave 300.
+	if latest, err := s.LatestCommon(missing); err != nil || latest != 300 {
+		t.Fatalf("LatestCommon(%d) = %d, %v; want 300", missing, latest, err)
+	}
+	for _, st := range []int{200, 300} {
+		if err := s.SaveLog(missing, st, []byte("replay state")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := s.LatestLog(missing); err != nil || st != 200 {
+		t.Fatalf("LatestLog(%d) = %d, %v; want 200 (wave 300 has no checkpoint)", missing, st, err)
+	}
+	if st, err := s.LatestLog(missing - 1); err != nil || st != -1 {
+		t.Fatalf("LatestLog(%d) = %d, %v; want -1 (another rank's logs)", missing-1, st, err)
+	}
+}
+
 func TestCommitIdempotentAndPrune(t *testing.T) {
 	s := newTestStore(t)
 	for _, st := range []int{1, 3, 5} {
@@ -263,22 +306,30 @@ func TestLoadFailureModes(t *testing.T) {
 	cases := []struct {
 		name    string
 		damage  func(t *testing.T, s *Store, path string)
-		loadErr bool // Load(0, 0) must fail
-		scanned bool // Steps(0) still lists step 0
+		loadErr bool  // Load(0, 0) must fail
+		wantErr error // and, when set, with this typed error
+		scanned bool  // Steps(0) still lists step 0
 	}{
 		{
 			name: "payload bit flip",
 			damage: func(t *testing.T, s *Store, path string) {
 				flipByte(t, path, 0)
 			},
-			loadErr: true, scanned: true,
+			loadErr: true, wantErr: ErrCorrupt, scanned: true,
 		},
 		{
 			name: "footer bit flip",
 			damage: func(t *testing.T, s *Store, path string) {
 				flipByte(t, path, len(payload))
 			},
-			loadErr: true, scanned: true,
+			loadErr: true, wantErr: ErrCorrupt, scanned: true,
+		},
+		{
+			name: "format tag bit flip",
+			damage: func(t *testing.T, s *Store, path string) {
+				flipByte(t, path, len(payload)+4)
+			},
+			loadErr: true, wantErr: ErrFormat, scanned: true,
 		},
 		{
 			name: "truncated below footer",
@@ -287,7 +338,7 @@ func TestLoadFailureModes(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			loadErr: true, scanned: true,
+			loadErr: true, wantErr: ErrFormat, scanned: true,
 		},
 		{
 			name: "truncated to empty",
@@ -296,13 +347,13 @@ func TestLoadFailureModes(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			loadErr: true, scanned: true,
+			loadErr: true, wantErr: ErrFormat, scanned: true,
 		},
 		{
 			name: "payload shortened but footer-sized",
 			damage: func(t *testing.T, s *Store, path string) {
 				// Drop one payload byte: length stays above the footer
-				// minimum, so only the hash catches it.
+				// minimum, so only the checksum catches it.
 				raw, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -311,7 +362,22 @@ func TestLoadFailureModes(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			loadErr: true, scanned: true,
+			loadErr: true, wantErr: ErrCorrupt, scanned: true,
+		},
+		{
+			name: "legacy FNV-64a footer",
+			damage: func(t *testing.T, s *Store, path string) {
+				// What a build before the CRC-32C footer wrote: payload
+				// followed by fnv64a(payload), little-endian. It must
+				// fail closed, never load as data.
+				h := fnv.New64a()
+				h.Write([]byte(payload))
+				legacy := binary.LittleEndian.AppendUint64([]byte(payload), h.Sum64())
+				if err := os.WriteFile(path, legacy, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			loadErr: true, wantErr: ErrFormat, scanned: true,
 		},
 		{
 			name: "partial rename: writer crashed before rename",
@@ -336,8 +402,12 @@ func TestLoadFailureModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.damage(t, s, filepath.Join(s.Dir(), "ckpt-r0000-s00000000.bin"))
-			if _, err := s.Load(0, 0); (err != nil) != tc.loadErr {
+			_, err := s.Load(0, 0)
+			if (err != nil) != tc.loadErr {
 				t.Fatalf("Load err = %v, want error %v", err, tc.loadErr)
+			}
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Load err = %v, want %v", err, tc.wantErr)
 			}
 			steps, err := s.Steps(0)
 			if err != nil {

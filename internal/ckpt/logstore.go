@@ -46,7 +46,7 @@ func (s *Store) LoadLog(rank, step int) ([]byte, error) {
 // LogSteps lists the steps with a persisted replay state for a rank,
 // ascending.
 func (s *Store) LogSteps(rank int) ([]int, error) {
-	return s.stepsWithPrefix(fmt.Sprintf("mlog-r%04d-s", rank))
+	return s.stepsOf(kindLog, rank)
 }
 
 // PruneLogs removes EVERY per-rank replay-state file, regardless of step.
@@ -79,25 +79,25 @@ func (s *Store) PruneLogs() error {
 // and a replay-state file — the only wave a localized replay may restart
 // from — or -1 when none exists.
 func (s *Store) LatestLog(rank int) (int, error) {
-	logSteps, err := s.LogSteps(rank)
+	const hasCkpt, hasLog = 1, 2
+	have := map[int]int{}
+	err := s.scan(func(k fileKind, r, step int) {
+		switch {
+		case r != rank:
+		case k == kindCkpt:
+			have[step] |= hasCkpt
+		case k == kindLog:
+			have[step] |= hasLog
+		}
+	})
 	if err != nil {
 		return -1, err
 	}
-	if len(logSteps) == 0 {
-		return -1, nil
-	}
-	ckptSteps, err := s.Steps(rank)
-	if err != nil {
-		return -1, err
-	}
-	have := make(map[int]bool, len(ckptSteps))
-	for _, st := range ckptSteps {
-		have[st] = true
-	}
-	for i := len(logSteps) - 1; i >= 0; i-- {
-		if have[logSteps[i]] {
-			return logSteps[i], nil
+	best := -1
+	for st, got := range have {
+		if st > best && got == hasCkpt|hasLog {
+			best = st
 		}
 	}
-	return -1, nil
+	return best, nil
 }

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,8 +35,8 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	// Damage must be detected, like a checkpoint's.
 	flipByte(t, filepath.Join(s.Dir(), "mlog-r0001-s00000004.bin"), 2)
-	if _, err := s.LoadLog(1, 4); err == nil {
-		t.Fatal("corrupt mlog loaded without error")
+	if _, err := s.LoadLog(1, 4); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt mlog: LoadLog err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -573,7 +573,7 @@ type runState struct {
 
 	mu         sync.Mutex                           // sdr:lockrank runstate
 	recovered  map[int]bool                         // guarded by mu; recovery event index → done
-	ckptSaved  map[int]map[int]bool                 // guarded by mu; step → set of ranks whose writer saved
+	waves      waveTally                            // guarded by mu; writer saves per checkpoint wave
 	reports    []ProcReport                         // guarded by mu
 	recorders  map[transport.ProcID]*trace.Recorder // guarded by mu
 	wg         sync.WaitGroup
@@ -603,13 +603,7 @@ func (rs *runState) epochIndex() int { return rs.epoch }
 // every rank has, the wave is committed and superseded waves are pruned.
 func (rs *runState) noteCkpt(rank, step int) error {
 	rs.mu.Lock()
-	saved := rs.ckptSaved[step]
-	if saved == nil {
-		saved = make(map[int]bool)
-		rs.ckptSaved[step] = saved
-	}
-	saved[rank] = true
-	complete := len(saved) == rs.cfg.Ranks
+	complete := rs.waves.note(rank, step)
 	rs.mu.Unlock()
 	if !complete {
 		return nil
@@ -845,7 +839,7 @@ func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fir
 		restartWave: restartWave,
 		epoch:       epoch,
 		recovered:   make(map[int]bool),
-		ckptSaved:   make(map[int]map[int]bool),
+		waves:       waveTally{ranks: cfg.Ranks},
 		reports:     make([]ProcReport, layout.Procs()),
 		recorders:   make(map[transport.ProcID]*trace.Recorder),
 		logRanks:    logRankVector(cfg, layout),

@@ -15,8 +15,8 @@ import (
 // `every` steps, and resumes from Env.Restored()/RestoredStep() after any
 // restart — the app shape the localized-replay rung requires. counter (if
 // non-nil) tallies every executed step across all processes and epochs,
-// measuring re-executed work.
-func replayRing(steps, every int, counter *atomic.Int64) AppFunc {
+// measuring re-executed work; beforeStep hooks run ahead of every step.
+func replayRing(steps, every int, counter *atomic.Int64, beforeStep ...func(env *Env, step int)) AppFunc {
 	return func(env *Env) (any, error) {
 		c := env.World
 		n := c.Size()
@@ -30,6 +30,9 @@ func replayRing(steps, every int, counter *atomic.Int64) AppFunc {
 		sbuf := make([]byte, 8)
 		rbuf := make([]byte, 8)
 		for i := start; i < steps; i++ {
+			for _, f := range beforeStep {
+				f(env, i)
+			}
 			env.Step(i, nil)
 			if counter != nil {
 				counter.Add(1)
@@ -267,5 +270,58 @@ func TestRecoveryModeValidation(t *testing.T) {
 	}
 	if err := Run(Config{Ranks: 2, Protocol: SDR, RecoveryMode: "bogus"}, app).FirstError(); err == nil {
 		t.Error("unknown recovery mode accepted")
+	}
+}
+
+// TestLocalizedReplayWithLaggingWorld relaunches a logging rank while the
+// other world is most of a checkpoint window behind. After rank 3 lost a
+// replica nothing in world 0's ring waits for an acknowledgement (rank 1 is
+// unreplicated, rank 3's survivor serves both worlds), so world 0 runs up
+// to a window ahead of world 1 — here world 1 is slowed on purpose. Rank 1
+// consumes world 0's messages, checkpoints, dies and comes back from that
+// checkpoint: every message below its restored receive frontier is one it
+// will never consume, hence never acknowledge, again. World 1's senders
+// post those sends only afterwards; they must not wait for acknowledgements
+// from the relaunched process (they used to, forever).
+func TestLocalizedReplayWithLaggingWorld(t *testing.T) {
+	const (
+		ranks = 4
+		steps = 60
+		every = 10
+	)
+	lagWorld1 := func(env *Env, step int) {
+		if env.Rep == 1 {
+			time.Sleep(300 * time.Microsecond)
+		}
+	}
+	cfg := Config{
+		Ranks: ranks, Protocol: SDR, UnreplicatedRanks: []int{1},
+		RecoveryMode: RecoveryLog, Timeout: 20 * time.Second,
+	}
+	cfg.CheckpointDir = t.TempDir()
+	free := Run(cfg, replayRing(steps, every, nil))
+	if err := free.FirstError(); err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Failures = []FailureEvent{
+		{Rank: 3, Rep: 1, AtStep: 3},  // substitution: world 0's ring stops waiting for acks
+		{Rank: 1, Rep: 0, AtStep: 41}, // one step past the wave-40 checkpoint
+	}
+	rep := Run(cfg, replayRing(steps, every, nil, lagWorld1))
+	if rep.TimedOut {
+		t.Fatal("run hung: a sender waits for acknowledgements the relaunched rank will never send")
+	}
+	if err := rep.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Restarts != 0 || rep.Replays != 1 || rep.ReplayWave != 40 {
+		t.Fatalf("restarts = %d, replays = %d from wave %d; want 0, 1, 40", rep.Restarts, rep.Replays, rep.ReplayWave)
+	}
+	for _, p := range rep.Procs {
+		if !p.Crashed && p.Result != free.ResultOf(p.Rank, p.Rep) {
+			t.Errorf("rank %d rep %d: sum %v, fault-free %v", p.Rank, p.Rep, p.Result, free.ResultOf(p.Rank, p.Rep))
+		}
 	}
 }

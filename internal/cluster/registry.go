@@ -145,14 +145,14 @@ type registry struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	mu     sync.Mutex           // sdr:lockrank regmu
-	open   map[net.Conn]bool    // guarded by mu; every accepted conn, registered or not
-	conns  []*regConn           // guarded by mu; indexed by proc; nil until hello
-	addrs  []string             // guarded by mu
-	hosts  []string             // guarded by mu; per-proc host identities (hello's host field)
-	joined int                  // guarded by mu
-	saved  map[int]map[int]bool // guarded by mu; step → ranks whose writer saved
-	closed bool                 // guarded by mu
+	mu     sync.Mutex        // sdr:lockrank regmu
+	open   map[net.Conn]bool // guarded by mu; every accepted conn, registered or not
+	conns  []*regConn        // guarded by mu; indexed by proc; nil until hello
+	addrs  []string          // guarded by mu
+	hosts  []string          // guarded by mu; per-proc host identities (hello's host field)
+	joined int               // guarded by mu
+	waves  waveTally         // guarded by mu; writer saves per checkpoint wave
+	closed bool              // guarded by mu
 
 	// lastSeen[proc] is the unix-nano stamp of the worker's last decoded
 	// control message. Atomic, not mu-guarded: every serve goroutine
@@ -214,7 +214,7 @@ func newRegistry(procs, ranks int, store *ckpt.Store, rejoinTimeout time.Duratio
 		hosts:         make([]string, procs),
 		obsAddrs:      make([]string, procs),
 		lastSeen:      make([]atomic.Int64, procs),
-		saved:         make(map[int]map[int]bool),
+		waves:         waveTally{ranks: ranks},
 		reviveWaits:   make(map[int]*reviveWait),
 		rejoinTimeout: rejoinTimeout,
 	}
@@ -424,20 +424,14 @@ func (r *registry) rejoinFlow(proc int, rc *regConn, addr string) {
 	_ = rc.send(ctlMsg{Op: opWorld, Addrs: world, Hosts: hosts})
 }
 
-// noteCkpt mirrors runState.noteCkpt across process boundaries: count
+// noteCkpt mirrors runState.noteCkpt across process boundaries: tally
 // writer saves per wave, commit and prune once every rank reported.
 func (r *registry) noteCkpt(rank, step int) {
 	if r.store == nil || rank < 0 || rank >= r.ranks {
 		return
 	}
 	r.mu.Lock()
-	saved := r.saved[step]
-	if saved == nil {
-		saved = make(map[int]bool)
-		r.saved[step] = saved
-	}
-	saved[rank] = true
-	complete := len(saved) == r.ranks
+	complete := r.waves.note(rank, step)
 	r.mu.Unlock()
 	if !complete {
 		return

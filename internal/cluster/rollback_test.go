@@ -13,7 +13,7 @@ import (
 // rollbackApp is a ping-pong accumulator that resumes from the launcher-
 // seeded checkpoint (Env.Restored / Env.RestoredStep) instead of scanning
 // the store itself — the restart path the rollback subsystem provides.
-func rollbackApp(steps, every int) AppFunc {
+func rollbackApp(steps, every int, beforeStep ...func(env *Env, step int)) AppFunc {
 	return func(env *Env) (any, error) {
 		c := env.World
 		start := 0
@@ -24,6 +24,9 @@ func rollbackApp(steps, every int) AppFunc {
 		}
 		buf := make([]byte, 8)
 		for i := start; i < steps; i++ {
+			for _, f := range beforeStep {
+				f(env, i)
+			}
 			env.Step(i, nil)
 			if c.Rank() == 1 {
 				binary.LittleEndian.PutUint64(buf, uint64(i))
@@ -100,15 +103,27 @@ func TestMirrorExhaustionRollsBack(t *testing.T) {
 	// The escalation must fire for every protocol, mirror included: the
 	// mirror baseline has no substitution machinery, so rank loss would
 	// otherwise hang until the watchdog instead of climbing the ladder.
-	const steps, every = 10, 2
+	const steps, every, failAt = 10, 2, 6
+	// Mirror couples a rank's replicas through nothing: rank 0's non-writer
+	// replica alone can serve rank 1 all the way to the kill step, before
+	// rank 0's writer has saved a single wave. Hold the victims there until
+	// a wave is committed, or there is nothing to roll back to.
+	awaitWave := func(env *Env, step int) {
+		for step == failAt && env.Rank == 1 && env.Epoch() == 0 {
+			if wave, err := env.LatestCheckpoint(); err != nil || wave >= 0 {
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
 	rep := Run(Config{
 		Ranks: 2, Protocol: Mirror, Timeout: 20 * time.Second,
 		CheckpointDir: t.TempDir(),
 		Failures: []FailureEvent{
-			{Rank: 1, Rep: 0, AtStep: 6},
-			{Rank: 1, Rep: 1, AtStep: 6},
+			{Rank: 1, Rep: 0, AtStep: failAt},
+			{Rank: 1, Rep: 1, AtStep: failAt},
 		},
-	}, rollbackApp(steps, every))
+	}, rollbackApp(steps, every, awaitWave))
 	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
@@ -181,7 +182,15 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	if err != nil {
 		return fail(fmt.Errorf("dial registry %s: %w", cfg.Registry, err))
 	}
-	defer conn.Close()
+	// leaving marks the close below as RunWorker's own: the control-plane
+	// reader must not mistake it for a lost coordinator and exit with its
+	// code ahead of the one RunWorker is returning (an exhaustion reported
+	// as a plain death never rolls back).
+	var leaving atomic.Bool
+	defer func() {
+		leaving.Store(true)
+		conn.Close()
+	}()
 	cc := &ctlClient{enc: json.NewEncoder(conn)}
 	dec := json.NewDecoder(conn)
 
@@ -313,6 +322,9 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 		for {
 			var m ctlMsg
 			if err := dec.Decode(&m); err != nil {
+				if leaving.Load() {
+					return
+				}
 				os.Exit(1)
 			}
 			switch m.Op {

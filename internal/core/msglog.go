@@ -184,11 +184,7 @@ func DecodeSeqRecs(b []byte) ([]SeqRec, error) {
 // then senders keep everything, so a crash between checkpoint and
 // broadcast only costs extra (deduplicated) re-sends.
 func (p *Replicated) BroadcastLogTruncate() {
-	var recs []SeqRec
-	p.recvSeq.forEach(func(ctx uint32, rank int, next uint64) {
-		recs = append(recs, SeqRec{Ctx: ctx, Rank: rank, Next: next})
-	})
-	payload := EncodeSeqRecs(nil, recs)
+	payload := p.recvFrontier()
 	for i := 0; i < p.layout.Procs(); i++ {
 		q := transport.ProcID(i)
 		if q == p.proc.ID() || !p.alive[int(q)] {
@@ -202,6 +198,16 @@ func (p *Replicated) BroadcastLogTruncate() {
 			Data: payload,
 		})
 	}
+}
+
+// recvFrontier encodes this process's delivery frontier: one record per
+// (context, source rank) it has admitted messages from.
+func (p *Replicated) recvFrontier() []byte {
+	var recs []SeqRec
+	p.recvSeq.forEach(func(ctx uint32, rank int, next uint64) {
+		recs = append(recs, SeqRec{Ctx: ctx, Rank: rank, Next: next})
+	})
+	return EncodeSeqRecs(nil, recs)
 }
 
 // onLogTruncate applies a receiver's checkpoint acknowledgement: log

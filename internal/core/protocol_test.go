@@ -399,3 +399,49 @@ func TestSDCHashPairingBothOrders(t *testing.T) {
 		}
 	}
 }
+
+func TestRecoveredFrontierAcknowledgesUnpostedSends(t *testing.T) {
+	// Rank 1 is unreplicated and message-logged; this process is rank 0's
+	// replica 1, which never sends to it directly and expects its ack for
+	// every message instead. The other world ran ahead: rank 1 consumed
+	// messages 0..4, checkpointed, died and came back from that checkpoint
+	// while this replica had posted only message 0. Messages 1..4 are below
+	// the relaunch's receive frontier — it will never acknowledge them —
+	// so posting them must expect nothing; message 5 is consumed by the new
+	// incarnation and waits for its ack as usual.
+	layout, err := NewLayout(2, 2, []int{2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := transport.NewNetwork(layout.Procs(), nil)
+	defer nw.Close()
+	det := detect.NewService(nw)
+	proc := mpi.NewProc(nw, layout.Phys(1, 0))
+	p := NewReplicated(proc, layout, ModeParallel, det, Options{LogDests: []bool{false, true}})
+	world := mpi.NewWorld(proc, p, 2)
+	logged := layout.Phys(0, 1)
+
+	world.Isend(1, 7, []byte{0})
+	if p.RetainedCount() != 1 {
+		t.Fatalf("retained = %d after the first send, want 1", p.RetainedCount())
+	}
+	p.applyAck(world.CtxP2P(), 2, logged) // an early ack the failure sweeps
+	p.onFailure(logged)
+	if p.RetainedCount() != 0 || p.earlyTotal() != 0 {
+		t.Fatalf("after the failure: retained = %d, early = %d, want 0, 0", p.RetainedCount(), p.earlyTotal())
+	}
+	p.onRecovered(logged, EncodeSeqRecs(nil, []SeqRec{{Ctx: world.CtxP2P(), Rank: 0, Next: 5}}))
+	for seq := 1; seq < 5; seq++ {
+		world.Isend(1, 7, []byte{byte(seq)})
+		if p.RetainedCount() != 0 {
+			t.Fatalf("send #%d, below the relaunch's frontier, waits for an ack", seq)
+		}
+	}
+	if got := p.earlyTotal(); got != 0 {
+		t.Errorf("%d early-ack records left once the sends below the frontier are posted", got)
+	}
+	world.Isend(1, 7, []byte{5})
+	if p.RetainedCount() != 1 {
+		t.Errorf("retained = %d after send #5, want 1 (the relaunch consumes and acknowledges it)", p.RetainedCount())
+	}
+}

@@ -67,6 +67,12 @@ func (p *Replicated) ForkFor(revived transport.ProcID) *CloneState {
 // through in-band FIFO control messages. The network endpoint must already
 // be revived. The substitute's own bookkeeping is updated as if it had
 // received the notification.
+//
+// The notification carries the revived process's receive frontier — this
+// process's own: the fork state copies it, a relaunched logging rank has
+// just restored it. Everything below the frontier is a message the revived
+// process will never consume, hence never acknowledge, again (see
+// ackBelowFrontier).
 func (p *Replicated) BroadcastRecovered(revived transport.ProcID) {
 	// Flush coalesced acks first: every acknowledgement this process
 	// emitted logically before the fork must precede the notification on
@@ -74,6 +80,7 @@ func (p *Replicated) BroadcastRecovered(revived transport.ProcID) {
 	if p.coalesce {
 		p.flushAcks(true)
 	}
+	frontier := p.recvFrontier()
 	for i := 0; i < p.layout.Procs(); i++ {
 		q := transport.ProcID(i)
 		if q == p.proc.ID() || q == revived || !p.alive[int(q)] {
@@ -84,9 +91,10 @@ func (p *Replicated) BroadcastRecovered(revived transport.ProcID) {
 			Kind: transport.KindCtl,
 			Tag:  detect.TagRecovered,
 			Meta: [4]int64{int64(revived)},
+			Data: frontier,
 		})
 	}
-	p.onRecovered(revived)
+	p.onRecovered(revived, nil)
 }
 
 // Restore installs the forked state on the freshly constructed protocol
@@ -111,11 +119,12 @@ func (p *Replicated) Restore(cs *CloneState) {
 	p.alive[int(p.proc.ID())] = true
 }
 
-// onRecovered processes the recovery notification for process q. FIFO
-// ordering w.r.t. the substitute's prior acknowledgements is what makes
-// the retained-entry replay exactly the set of messages the fork state
-// does not contain.
-func (p *Replicated) onRecovered(q transport.ProcID) {
+// onRecovered processes the recovery notification for process q, whose
+// encoded receive frontier it carries (nil on the announcer's own call).
+// FIFO ordering w.r.t. the substitute's prior acknowledgements is what
+// makes the retained-entry replay exactly the set of messages the fork
+// state does not contain.
+func (p *Replicated) onRecovered(q transport.ProcID, frontier []byte) {
 	if q == p.proc.ID() {
 		return
 	}
@@ -141,6 +150,7 @@ func (p *Replicated) onRecovered(q transport.ProcID) {
 		}
 		return
 	}
+	p.ackBelowFrontier(q, frontier)
 
 	if qRep < len(p.substitute) && p.substitute[qRep] == p.myRep {
 		// q lives in a world I emit into — my own (myRep == qRep), or one
@@ -163,6 +173,37 @@ func (p *Replicated) onRecovered(q transport.ProcID) {
 	// Processes in other worlds resume acknowledging to q automatically
 	// now that alive[q] holds, and only for messages completed after
 	// this notification — the paper's FIFO argument.
+}
+
+// ackBelowFrontier counts every send of this rank to q's rank that lies
+// below q's announced receive frontier and is not posted yet as
+// acknowledged by q. q holds those messages already: its restored state
+// consumed them — no reception completes for them again, so no ack is sent
+// — or buffers them, and their ack, when it comes, is a duplicate. And
+// onFailure made this process forget the acks q's previous incarnation did
+// send ahead of the send. The worlds may be a
+// whole checkpoint window apart (nothing gates a ring whose destination
+// ranks are down to one replica), so such sends are many, and each would
+// wait for its ack forever. They get the early-ack record Isend consumes.
+// Sends posted earlier need nothing: q's failure notification, always
+// processed before this one, cleared what they expected of q, and none
+// posted while q was down expects anything. A frontier that does not decode
+// is ignored, like a truncation ack's.
+func (p *Replicated) ackBelowFrontier(q transport.ProcID, frontier []byte) {
+	recs, err := DecodeSeqRecs(frontier)
+	if err != nil {
+		return
+	}
+	qRank, qRep := p.layout.RankOf(q), p.layout.RepOf(q)
+	for _, r := range recs {
+		if r.Rank != p.myRank {
+			continue
+		}
+		sc := p.sendSeq.at(r.Ctx)
+		for seq := sc.next[qRank]; seq < r.Next; seq++ {
+			sc.ret[qRank].noteEarly(seq, qRep)
+		}
+	}
 }
 
 // replayRetained re-sends every retained entry destined to dstRank to the

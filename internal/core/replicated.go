@@ -467,7 +467,7 @@ func (p *Replicated) onCtl(m *transport.Message) {
 	case detect.TagFailure:
 		p.onFailure(transport.ProcID(m.Meta[0]))
 	case detect.TagRecovered:
-		p.onRecovered(transport.ProcID(m.Meta[0]))
+		p.onRecovered(transport.ProcID(m.Meta[0]), m.Data)
 	case detect.TagDecision:
 		p.onDecision(m)
 	case detect.TagLogTruncate:
