@@ -53,15 +53,10 @@ var (
 	mFlushFrames = obs.Default.Counter("sdr_transport_flush_frames_total",
 		"frames emitted across all batch flushes")
 
-	// Inbound-path scaling gauges: the shard count endpoints were built
-	// with (sized from the world, see shardCountFor) and the current
-	// occupancy of the sharded inbound queues. Occupancy is refreshed from
-	// the endpoint's existing atomic counter at Drain time — one store per
-	// drain sweep, never per message.
+	// Inbound-path scaling gauge: the shard count endpoints were built with
+	// (sized from the world, see shardCountFor).
 	gQueueShards = obs.Default.Gauge("sdr_transport_queue_shards",
 		"inbound queue shards per endpoint (next power of two over the peer count, capped)")
-	gInqDepth = obs.Default.Gauge("sdr_transport_inq_depth",
-		"messages waiting in the endpoint's sharded inbound queues")
 
 	// Colocated ring transport traffic (frames that bypassed loopback TCP).
 	mRingFramesOut = obs.Default.CounterWith("sdr_transport_ring_frames_total",
@@ -70,4 +65,18 @@ var (
 	mRingFramesIn = obs.Default.CounterWith("sdr_transport_ring_frames_total",
 		"frames moved over colocated shared-memory rings, by direction",
 		[]string{"dir"}, []string{"in"})
+
+	// The ring scanner's doorbell. A scanner blocked on its bell makes one
+	// pass per bell or backstop period, so passes/frames says what a frame
+	// costs to find; full waits count the producer-side stalls that still
+	// sleep-poll (ringBackoff), the evidence for or against giving producers
+	// a bell of their own.
+	mRingParks = obs.Default.Counter("sdr_transport_ring_parks_total",
+		"times a ring scanner blocked on its doorbell")
+	mRingBells = obs.Default.Counter("sdr_transport_ring_bells_total",
+		"doorbell bytes written by ring producers")
+	mRingScanPasses = obs.Default.Counter("sdr_transport_ring_scan_passes_total",
+		"poll passes a ring scanner made over its inbound rings")
+	mRingFullWaits = obs.Default.Counter("sdr_transport_ring_full_waits_total",
+		"times a ring producer found its ring full and had to wait for the consumer")
 )

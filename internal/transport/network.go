@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -278,13 +279,17 @@ type queued struct {
 // same shard. The count is sized from the world at endpoint construction —
 // the next power of two covering the peer count — so 8 ranks get the old 8
 // shards while a 256-rank world no longer funnels 32 sources through each
-// lock. The floor keeps small worlds at the tuned PR 8 geometry; the cap
-// bounds per-endpoint footprint (wirescale builds hundreds of endpoints in
-// one process) — above it, sources wrap around shards evenly.
+// lock. The floor keeps small worlds at the tuned PR 8 geometry; the cap is
+// the width of the endpoint's ready mask (one bit per shard in one atomic
+// word) and bounds per-endpoint footprint (a worker mesh builds n² endpoints
+// in one process) — above it, sources wrap around shards evenly.
 const (
 	minQueueShards = 8
 	maxQueueShards = 64
 )
+
+// Endpoint.ready has one bit per shard; this fails to compile past 64.
+const _ = uint(64 - maxQueueShards)
 
 // shardCountFor returns the shard count for a world of n processes: the
 // next power of two ≥ n, clamped to [minQueueShards, maxQueueShards].
@@ -318,9 +323,14 @@ type Endpoint struct {
 	shards    []qshard
 	shardMask uint
 	dead      atomic.Bool
-	wakeups   uint32       // guarded by mu; times a blocked receiver resumed, a timed wait's polls included (Wakeups); sits in dead's padding
-	nq        atomic.Int64 // queued messages across all shards; counted under the shard lock
-	sleepers  atomic.Int32 // receivers blocked in WaitActivity or WaitActivityAcks
+	wakeups   uint32 // guarded by mu; times a blocked receiver resumed, by an arrival, a kill or its deadline (Wakeups); sits in dead's padding
+	// ready says where the queued messages are: bit i is set exactly while
+	// shard i is non-empty. Both transitions happen under shard i's lock —
+	// injectAt sets the bit after its append, emptied clears it for whoever
+	// leaves the shard empty — so the receiver locks only shards that hold
+	// something, and ready == 0 is "nothing queued" with no counter beside it.
+	ready    atomic.Uint64
+	sleepers atomic.Int32 // receivers blocked in WaitActivity or WaitActivityAcks
 	// ackSleepers counts the blocked receivers that declared an interest
 	// in acknowledgements (WaitActivityAcks). A KindAck arrival wakes only
 	// those: a process parked in a plain receive cannot act on an ack, so
@@ -328,20 +338,29 @@ type Endpoint struct {
 	ackSleepers atomic.Int32
 
 	// mu/cond only coordinate blocking receivers with (rare) wakeups; the
-	// delivery hot path never takes mu when nobody sleeps.
-	mu   sync.Mutex // sdr:lockrank epwake
-	cond *sync.Cond
+	// delivery hot path never takes mu when nobody sleeps. timer is what
+	// ends a timed wait: one per endpoint, created by the first timed wait
+	// and re-armed by the later ones, its callback is wake.
+	mu    sync.Mutex // sdr:lockrank epwake
+	cond  *sync.Cond
+	timer *time.Timer // guarded by mu
 
 	// drainBuf backs the slice returned by Drain; owned by the receiving
 	// goroutine and reused across calls.
 	drainBuf []*Message
 
-	// sender-side link serialization state: for each destination, when
-	// the previous transfer finishes occupying the link.
-	sendMu   sync.Mutex           // sdr:lockrank epsend
-	linkFree map[ProcID]time.Time // guarded by sendMu
-	tseq     map[ProcID]uint64    // guarded by sendMu
-	lastOut  time.Time            // guarded by sendMu; end of this process's previous send overhead
+	// Sender side. tseq is allocated by the first send and clock only on a
+	// network with a delay model: a worker mesh holds n² endpoints of which
+	// n ever send, none of them delayed.
+	sendMu sync.Mutex        // sdr:lockrank epsend
+	tseq   map[ProcID]uint64 // guarded by sendMu
+	clock  *linkClock        // guarded by sendMu; nil without a delay model
+}
+
+// linkClock is the delay model's sender-side serialization state.
+type linkClock struct {
+	linkFree map[ProcID]time.Time // per destination: when the previous transfer stops occupying the link
+	lastOut  time.Time            // end of this process's previous send overhead
 }
 
 func newEndpoint(id ProcID, nw *Network) *Endpoint {
@@ -351,8 +370,9 @@ func newEndpoint(id ProcID, nw *Network) *Endpoint {
 		nw:        nw,
 		shards:    make([]qshard, shards),
 		shardMask: uint(shards - 1),
-		linkFree:  make(map[ProcID]time.Time),
-		tseq:      make(map[ProcID]uint64),
+	}
+	if nw.delay != nil {
+		ep.clock = &linkClock{linkFree: make(map[ProcID]time.Time)}
 	}
 	ep.cond = sync.NewCond(&ep.mu)
 	gQueueShards.Set(int64(shards))
@@ -424,26 +444,29 @@ func (ep *Endpoint) send(m *Message, lent bool) error {
 	st.Bytes[m.Kind].Add(uint64(len(m.Data)))
 
 	ep.sendMu.Lock()
+	if ep.tseq == nil {
+		ep.tseq = make(map[ProcID]uint64)
+	}
 	m.tseq = ep.tseq[m.Dst]
 	ep.tseq[m.Dst] = m.tseq + 1
 
 	var deliverAt time.Time
-	if d := ep.nw.delay; d != nil {
+	if d, c := ep.nw.delay, ep.clock; d != nil {
 		now := time.Now()
 		// Consecutive sends from one process serialize on its CPU.
 		start := now
-		if ep.lastOut.After(start) {
-			start = ep.lastOut
+		if c.lastOut.After(start) {
+			start = c.lastOut
 		}
 		ready := start.Add(d.SendOverhead)
-		ep.lastOut = ready
+		c.lastOut = ready
 		// The link to this destination serializes payload transfer.
-		free := ep.linkFree[m.Dst]
+		free := c.linkFree[m.Dst]
 		if ready.After(free) {
 			free = ready
 		}
 		free = free.Add(d.transferTime(len(m.Data)))
-		ep.linkFree[m.Dst] = free
+		c.linkFree[m.Dst] = free
 		deliverAt = free.Add(d.Latency)
 		ep.sendMu.Unlock()
 		// The sender's CPU is busy until the overhead is paid.
@@ -482,7 +505,8 @@ func (nw *Network) deliverDelayed(m *Message, at time.Time) error {
 func (ep *Endpoint) inject(m *Message) { ep.injectAt(m, time.Time{}) }
 
 func (ep *Endpoint) injectAt(m *Message, at time.Time) {
-	sh := &ep.shards[ep.shardOf(m.Src)]
+	i := ep.shardOf(m.Src)
+	sh := &ep.shards[i]
 	sh.mu.Lock()
 	// The dead check happens under the shard lock, and Kill passes a
 	// lock barrier over every shard after setting the flag: an append
@@ -496,11 +520,12 @@ func (ep *Endpoint) injectAt(m *Message, at time.Time) {
 		return
 	}
 	sh.q = append(sh.q, queued{m: m, deliverAt: at})
-	// Counted under the shard lock, so Drain never removes a message that
-	// is not in nq yet. Counting after the unlock let Drain subtract first
-	// and leave nq at zero with a later message queued; that was harmless
-	// only while every injector woke the receiver, which acks no longer do.
-	ep.nq.Add(1)
+	// The one place a ready bit is set, under the shard lock: were it set
+	// after the unlock, Drain could empty the shard and clear the bit first,
+	// and this late set would leave it up over an empty shard for good.
+	if len(sh.q) == 1 {
+		ep.ready.Or(1 << i)
+	}
 	// Read before the unlock: past it m may already belong to the receiver.
 	waiters := &ep.sleepers
 	if m.Kind == KindAck {
@@ -535,9 +560,12 @@ func (ep *Endpoint) wake() {
 	ep.mu.Unlock()
 }
 
+// emptied records that shard i was just left empty: the one place a ready
+// bit is cleared. Caller holds shard i's lock.
+func (ep *Endpoint) emptied(i int) { ep.ready.And(^(uint64(1) << i)) }
+
 // clearQueues removes (and releases) everything queued, for Revive.
 func (ep *Endpoint) clearQueues() {
-	removed := 0
 	for i := range ep.shards {
 		sh := &ep.shards[i]
 		sh.mu.Lock()
@@ -545,11 +573,10 @@ func (ep *Endpoint) clearQueues() {
 			FreeMessage(sh.q[j].m)
 			sh.q[j] = queued{}
 		}
-		removed += len(sh.q)
 		sh.q = sh.q[:0]
+		ep.emptied(i)
 		sh.mu.Unlock()
 	}
-	ep.nq.Add(int64(-removed))
 }
 
 // Drain removes and returns all inbound messages whose simulated arrival
@@ -560,21 +587,16 @@ func (ep *Endpoint) clearQueues() {
 // the returned messages transfers to the caller, which releases each with
 // FreeMessage once consumed.
 func (ep *Endpoint) Drain() []*Message {
-	n := ep.nq.Load()
-	gInqDepth.Set(n)
-	if n == 0 {
+	ready := ep.ready.Load()
+	if ready == 0 {
 		return nil
 	}
 	out := ep.drainBuf[:0]
 	var now time.Time
-	removed := 0
-	for i := range ep.shards {
+	for ; ready != 0; ready &= ready - 1 {
+		i := bits.TrailingZeros64(ready)
 		sh := &ep.shards[i]
 		sh.mu.Lock()
-		if len(sh.q) == 0 {
-			sh.mu.Unlock()
-			continue
-		}
 		keep := sh.q[:0]
 		for _, q := range sh.q {
 			if !q.deliverAt.IsZero() {
@@ -587,15 +609,16 @@ func (ep *Endpoint) Drain() []*Message {
 				}
 			}
 			out = append(out, q.m)
-			removed++
 		}
 		for j := len(keep); j < len(sh.q); j++ {
 			sh.q[j] = queued{} // unpin handed-off messages
 		}
 		sh.q = keep
+		if len(keep) == 0 {
+			ep.emptied(i) // a shard keeping arrivals not yet due keeps its bit
+		}
 		sh.mu.Unlock()
 	}
-	ep.nq.Add(int64(-removed))
 	ep.drainBuf = out
 	if len(out) == 0 {
 		return nil
@@ -628,13 +651,14 @@ func (ep *Endpoint) waitActivity(timeout time.Duration, acks bool) bool {
 		if ep.dead.Load() {
 			return false
 		}
-		if ep.nq.Load() > 0 {
-			ready, earliest := ep.scanArrivals()
+		if mask := ep.ready.Load(); mask != 0 {
+			ready, earliest := ep.scanArrivals(mask)
 			if ready {
 				return true
 			}
 			if earliest.IsZero() {
-				// Counter raced ahead of a visible message; retry.
+				// Revive emptied the shards between the load and the scan;
+				// the mask is exact, so the retry reads them as empty.
 				continue
 			}
 			// Only delayed arrivals are queued: sleep (off the locks)
@@ -652,18 +676,33 @@ func (ep *Endpoint) waitActivity(timeout time.Duration, acks bool) bool {
 			return true
 		}
 		// Nothing queued: block. Register as a sleeper before re-checking
-		// the counter so a concurrent injector either sees the sleeper and
-		// broadcasts (under mu, ordered with our Wait) or published its
-		// message before our re-check observes it.
+		// the mask so a concurrent injector either sees the sleeper and
+		// broadcasts (under mu, ordered with our Wait) or set its shard's
+		// bit before our re-check reads the mask. A timed wait parks on the
+		// same condition, so an arrival ends it like any other; the timer's
+		// broadcast only stands in for the arrival that did not come.
 		ep.mu.Lock()
 		ep.sleepers.Add(1)
 		if acks {
 			ep.ackSleepers.Add(1)
 		}
-		if ep.nq.Load() == 0 && !ep.dead.Load() {
-			// sdr:holdblock-ok condition wait: Wait releases mu while parked; the timed path must sleep to poll
-			waitWithTimeout(ep.cond, &ep.mu, deadline)
+		if ep.ready.Load() == 0 && !ep.dead.Load() {
+			// The timer's callback is wake, which takes mu: it cannot
+			// broadcast before Wait has released it. One left over from an
+			// earlier wait is a spurious wake-up the loop absorbs.
+			if !deadline.IsZero() {
+				if d := time.Until(deadline); ep.timer == nil {
+					ep.timer = time.AfterFunc(d, ep.wake)
+				} else {
+					ep.timer.Reset(d)
+				}
+			}
+			// sdr:holdblock-ok condition wait: Wait releases mu while parked
+			ep.cond.Wait()
 			ep.wakeups++
+			if !deadline.IsZero() {
+				ep.timer.Stop()
+			}
 		}
 		if acks {
 			ep.ackSleepers.Add(-1)
@@ -673,12 +712,13 @@ func (ep *Endpoint) waitActivity(timeout time.Duration, acks bool) bool {
 	}
 }
 
-// scanArrivals reports whether any queued message is deliverable now and,
-// if not, the earliest future arrival time among the delayed ones.
-func (ep *Endpoint) scanArrivals() (ready bool, earliest time.Time) {
+// scanArrivals reports whether any message queued in the shards of mask is
+// deliverable now and, if not, the earliest future arrival time among the
+// delayed ones.
+func (ep *Endpoint) scanArrivals(mask uint64) (ready bool, earliest time.Time) {
 	var now time.Time
-	for i := range ep.shards {
-		sh := &ep.shards[i]
+	for ; mask != 0; mask &= mask - 1 {
+		sh := &ep.shards[bits.TrailingZeros64(mask)]
 		sh.mu.Lock()
 		for _, q := range sh.q {
 			if q.deliverAt.IsZero() {
@@ -699,17 +739,4 @@ func (ep *Endpoint) scanArrivals() (ready bool, earliest time.Time) {
 		sh.mu.Unlock()
 	}
 	return false, earliest
-}
-
-// waitWithTimeout waits on cond if no deadline is set; with a deadline it
-// degrades to a short polling sleep (timed condition waits are only used on
-// watchdog paths, where 100 us granularity is ample).
-func waitWithTimeout(cond *sync.Cond, mu *sync.Mutex, deadline time.Time) {
-	if deadline.IsZero() {
-		cond.Wait()
-		return
-	}
-	mu.Unlock()
-	time.Sleep(100 * time.Microsecond)
-	mu.Lock()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"net"
 	"path/filepath"
@@ -117,6 +118,7 @@ type PeerWire struct {
 	ringCfg RingConfig            // guarded by mu
 
 	readers  atomic.Pointer[[]*ringReader]
+	bell     *bell // the ring scanner's doorbell; set by the first SetRingPeers, before the scanner starts
 	scanOnce sync.Once
 
 	done      chan struct{}
@@ -125,20 +127,45 @@ type PeerWire struct {
 }
 
 // source is one hosted process's outbound side: a link per destination,
-// and the count of frames staged across them, so an engine-driven Flush is
-// a cheap no-op while this process — whatever its neighbours on the wire
-// are doing — has nothing pending.
+// the count of frames staged across them — so an engine-driven Flush is a
+// cheap no-op while this process, whatever its neighbours on the wire are
+// doing, has nothing pending — and which links hold them, so a Flush with
+// something pending locks those links and no others.
 type source struct {
 	staged atomic.Int64
-	links  []link
+	// dirty has one bit per link (word dst/64, bit dst%64), set exactly
+	// while the link holds staged frames. Both transitions happen under
+	// that link's mu: stageLocked sets the bit with the first frame of a
+	// batch, takeLocked clears it with the batch.
+	dirty []atomic.Uint64
+	links []link
 }
 
-// takeLocked empties l, one of s's links, and takes its frames off s's
-// staged count. Caller holds l.mu (see link.takeLocked for the aliasing
-// rule on the returned slice).
-func (s *source) takeLocked(l *link) []*Message {
-	frames := l.takeLocked()
-	s.staged.Add(int64(-len(frames)))
+func newSource(n int) source {
+	return source{dirty: make([]atomic.Uint64, (n+63)/64), links: make([]link, n)}
+}
+
+// stageLocked stages m on the link to dst and reports whether the batch is
+// now due for an inline flush. The one place a dirty bit is set. Caller
+// holds the link's mu.
+func (s *source) stageLocked(dst ProcID, m *Message) bool {
+	l := &s.links[dst]
+	if len(l.frames) == 0 {
+		s.dirty[dst>>6].Or(1 << (dst & 63))
+	}
+	s.staged.Add(1)
+	return l.stageLocked(m)
+}
+
+// takeLocked empties the link to dst and takes its frames off s's staged
+// count. The one place a dirty bit is cleared. Caller holds the link's mu
+// (see link.takeLocked for the aliasing rule on the returned slice).
+func (s *source) takeLocked(dst ProcID) []*Message {
+	frames := s.links[dst].takeLocked()
+	if len(frames) > 0 {
+		s.dirty[dst>>6].And(^(uint64(1) << (dst & 63)))
+		s.staged.Add(int64(-len(frames)))
+	}
 	return frames
 }
 
@@ -158,7 +185,7 @@ func newPeerWire(nw *Network, lo, hi ProcID, ln net.Listener) *PeerWire {
 		done:    make(chan struct{}),
 	}
 	for i := range pw.srcs {
-		pw.srcs[i].links = make([]link, nw.Size())
+		pw.srcs[i] = newSource(nw.Size())
 	}
 	pw.wg.Add(1)
 	go pw.acceptLoop()
@@ -239,13 +266,26 @@ func (pw *PeerWire) SetPeers(addrs []string) {
 // inbound rings. Must be called alongside SetPeers, before remote traffic
 // flows; peers already declared dead stay banned, and processes hosted by
 // this very wire are never ring peers. A no-op when the platform has no
-// ring support or cfg.Dir is empty.
+// ring support (or cannot give the scanner a doorbell) or cfg.Dir is empty.
+//
+// The doorbell is named after the wire's first hosted process and created
+// here, before any inbound ring is attached, hence before a parked word can
+// be up for a producer to find. Producers look for the bell of the process
+// they address, so a wire hosting several processes hears only those of the
+// first; the others' frames are found at the scanner's backstop.
 func (pw *PeerWire) SetRingPeers(cfg RingConfig, colocated []bool) {
 	if !ringSupported() || cfg.Dir == "" {
 		return
 	}
 	if cfg.Bytes <= 0 {
 		cfg.Bytes = DefaultRingBytes
+	}
+	if pw.bell == nil {
+		bell, err := newBell(bellPath(cfg.Dir, pw.lo))
+		if err != nil {
+			return
+		}
+		pw.bell = bell
 	}
 	pw.mu.Lock()
 	pw.ringCfg = cfg
@@ -285,6 +325,11 @@ func ringPath(dir string, src, dst ProcID) string {
 	return filepath.Join(dir, fmt.Sprintf("ring-%d-%d", src, dst))
 }
 
+// bellPath names the doorbell of the scanner that consumes dst's rings.
+func bellPath(dir string, dst ProcID) string {
+	return filepath.Join(dir, fmt.Sprintf("bell-%d", dst))
+}
+
 // MarkDead records that peer p has failed (control-plane notification):
 // its cached connections are dropped, its rings (if any) are permanently
 // banned — the SPSC stream cannot survive an incarnation change, a
@@ -308,7 +353,7 @@ func (pw *PeerWire) MarkDead(p ProcID) {
 		// array, so it must be fully consumed before a concurrent Deliver can
 		// stage into the same slots.
 		l.mu.Lock()
-		dropFrames(s.takeLocked(l), mDroppedDead)
+		dropFrames(s.takeLocked(p), mDroppedDead)
 		l.mu.Unlock()
 	}
 }
@@ -387,46 +432,61 @@ func (pw *PeerWire) flushLoop() {
 }
 
 // ringScanLoop multiplexes every inbound ring through one goroutine: a
-// non-blocking poll pass over all readers, with backoff while every ring
-// is idle. One goroutine (not one per ring) keeps 64-rank colocated
-// worlds at one scanner per process.
+// non-blocking poll pass over all readers, and a block on the wire's
+// doorbell while every ring is idle. One goroutine (not one per ring) keeps
+// 64-rank colocated worlds at one scanner per process.
 //
-// The idle backoff parks almost immediately (no Gosched spin phase,
-// unlike the producer's ringBackoff): the scanner covers every inbound
-// ring at once, so a hot spin here burns a core whenever ANY peer is
-// quiet — and a process hosting many wires (the in-process scaling
-// bench) would melt under one spinner per wire. A 20µs nap per idle pass
-// is far below the loopback TCP round trip the ring replaces.
+// An idle scanner gives up the processor almost at once — ringSpinPasses
+// passes a Gosched apart, no spin phase like the producer's ringBackoff: it
+// covers every inbound ring at once, so spinning here burns a core whenever
+// ANY peer is quiet, and a process hosting many wires (the in-process mesh)
+// would melt under one spinner per wire. It then raises the parked word of
+// every ring, makes the pass that catches whatever was published before a
+// word went up, and blocks in the netpoller until a producer rings (see
+// bell_unix.go for why not a futex and not a timer). While it keeps finding
+// nothing — a stale bell, the backstop — the words stay up and it makes one
+// pass per wake-up; the first frame takes them down again, so that producers
+// stop paying a write per publish for a consumer that is already awake.
 func (pw *PeerWire) ringScanLoop() {
 	defer pw.wg.Done()
-	idle := 0
+	idle, parked := 0, false
 	for {
 		select {
 		case <-pw.done:
 			return
 		default:
 		}
+		rs := *pw.readers.Load()
 		progressed := false
-		if rs := pw.readers.Load(); rs != nil {
-			for _, rr := range *rs {
-				if rr.poll(pw.ringInject) {
-					progressed = true
-				}
+		for _, rr := range rs {
+			if rr.poll(pw.ringInject) {
+				progressed = true
 			}
 		}
-		if progressed {
-			idle = 0
-			continue
-		}
-		idle++
+		mRingScanPasses.Inc()
 		switch {
-		case idle < 2:
+		case progressed:
+			if parked {
+				setParked(rs, 0)
+			}
+			idle, parked = 0, false
+		case parked:
+			mRingParks.Inc()
+			pw.bell.wait()
+		case idle < ringSpinPasses:
+			idle++
 			runtime.Gosched()
-		case idle < 512:
-			time.Sleep(20 * time.Microsecond)
 		default:
-			time.Sleep(time.Millisecond)
+			setParked(rs, 1)
+			parked = true
 		}
+	}
+}
+
+// setParked raises (1) or lowers (0) the parked word of every inbound ring.
+func setParked(rs []*ringReader, v uint32) {
+	for _, rr := range rs {
+		rr.pipe.hdr.parked.Store(v)
 	}
 }
 
@@ -523,9 +583,7 @@ func (pw *PeerWire) deliver(m *Message, lent bool) error {
 		return nil
 	default:
 	}
-	full := l.stageLocked(m)
-	s.staged.Add(1)
-	if full || lent {
+	if s.stageLocked(m.Dst, m) || lent {
 		pw.flushBatchLocked(m.Src, m.Dst, l)
 	}
 	l.mu.Unlock()
@@ -534,7 +592,9 @@ func (pw *PeerWire) deliver(m *Message, lent bool) error {
 
 // Flush implements Wire: emit the batches staged by hosted process src
 // (NoProc = every hosted process) — all when force is true, only aged ones
-// otherwise. Only src's own links are walked, and not even those while it
+// otherwise. Only src's links that hold frames are visited (a frame staged
+// after a word of the bitmap was read waits for the next flush, as one
+// staged behind the old all-links walk did), and nothing at all while src
 // has nothing staged. Delivery failures never surface as errors here; they
 // are fail-stop drops, counted by reason.
 func (pw *PeerWire) Flush(src ProcID, force bool) error {
@@ -550,13 +610,16 @@ func (pw *PeerWire) Flush(src ProcID, force bool) error {
 		if s.staged.Load() == 0 {
 			continue
 		}
-		for dst := range s.links {
-			l := &s.links[dst]
-			l.mu.Lock()
-			if l.dueLocked(force) {
-				pw.flushBatchLocked(p, ProcID(dst), l)
+		for w := range s.dirty {
+			for word := s.dirty[w].Load(); word != 0; word &= word - 1 {
+				dst := ProcID(w<<6 | bits.TrailingZeros64(word))
+				l := &s.links[dst]
+				l.mu.Lock()
+				if l.dueLocked(force) {
+					pw.flushBatchLocked(p, dst, l)
+				}
+				l.mu.Unlock()
 			}
-			l.mu.Unlock()
 		}
 	}
 	return nil
@@ -567,7 +630,7 @@ func (pw *PeerWire) Flush(src ProcID, force bool) error {
 // on the cached connection. Caller holds l.mu — the per-pair serialization
 // that makes staging order the emission order.
 func (pw *PeerWire) flushBatchLocked(src, dst ProcID, l *link) {
-	frames := pw.srcs[src-pw.lo].takeLocked(l)
+	frames := pw.srcs[src-pw.lo].takeLocked(dst)
 	if len(frames) == 0 {
 		return
 	}
@@ -601,10 +664,11 @@ func (pw *PeerWire) flushBatchLocked(src, dst ProcID, l *link) {
 // loop until the control plane declares the peer dead.
 //
 // Caller holds l.mu, which is also what keeps Close from unmapping the
-// ring under these writes: Close unmaps each link's ring under that
-// link's lock, after closing done — so a flush that saw done open
-// finishes its writes first (a write parked on a full ring aborts on
-// done), and one that sees it closed never reaches here.
+// ring — and closing the doorbell descriptor — under these writes: Close
+// releases each link's ring under that link's lock, after closing done —
+// so a flush that saw done open finishes its writes first (a write parked
+// on a full ring aborts on done), and one that sees it closed never
+// reaches here.
 func (pw *PeerWire) flushRingLocked(src, dst ProcID, l *link, frames []*Message) bool {
 	if l.wr == nil {
 		pw.mu.Lock()
@@ -615,6 +679,7 @@ func (pw *PeerWire) flushRingLocked(src, dst ProcID, l *link, frames []*Message)
 			l.ring.Store(false)
 			return false
 		}
+		pipe.bell = newBellRinger(bellPath(cfg.Dir, dst))
 		l.wr = &ringWriter{pipe: pipe, done: pw.done}
 	}
 	total := 0
@@ -742,6 +807,9 @@ func (pw *PeerWire) Close() error {
 			c.Close()
 		}
 		pw.mu.Unlock()
+		if pw.bell != nil {
+			pw.bell.close() // a scanner blocked on it wakes up to find done closed
+		}
 		pw.wg.Wait()
 		// Frames staged between the final flush and the done signal have
 		// no emitter left (flushLoop has exited): drop and free them rather
@@ -754,7 +822,7 @@ func (pw *PeerWire) Close() error {
 			for dst := range s.links {
 				l := &s.links[dst]
 				l.mu.Lock()
-				dropFrames(s.takeLocked(l), mDroppedClosed)
+				dropFrames(s.takeLocked(ProcID(dst)), mDroppedClosed)
 				if l.wr != nil {
 					l.wr.pipe.close()
 					l.wr = nil

@@ -10,7 +10,7 @@ import (
 // twoPeerWorld builds two networks — each modelling one worker OS process
 // of a 2-proc world — connected by peer wires, with the rendezvous table
 // exchanged the way the registry would.
-func twoPeerWorld(t *testing.T) (nw0, nw1 *Network, pw0, pw1 *PeerWire) {
+func twoPeerWorld(t testing.TB) (nw0, nw1 *Network, pw0, pw1 *PeerWire) {
 	t.Helper()
 	nw0 = NewNetwork(2, nil)
 	nw1 = NewNetwork(2, nil)

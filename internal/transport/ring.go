@@ -20,6 +20,14 @@ import (
 // (already serialized by the batch lock); the consumer is the wire's single
 // ring-scan goroutine — so the SPSC discipline holds by construction.
 //
+// An idle consumer does not poll: it raises the parked word in the header of
+// each of its inbound rings, polls them once more, and blocks on its
+// doorbell — a FIFO beside the ring files, bell-<dst>, see bell_unix.go. A
+// producer that publishes into a ring whose word it finds up takes it down
+// (CAS 1→0, so one publish pays) and writes one byte to the FIFO. Raise then
+// poll on one side, publish then look on the other: whichever comes second
+// sees the first, so a frame is never left behind a blocked consumer.
+//
 // Failure model: rings never survive an incarnation change. A worker
 // relaunched mid-epoch (localized replay) starts with rings disabled, and
 // survivors permanently ban the pair once the control plane declares the
@@ -27,7 +35,14 @@ import (
 // fresh epoch (fresh ring directory) may reuse. A producer stalled on a
 // full ring whose consumer stopped draining treats the frames as fallen
 // off the wire after a bounded wait, exactly like the bounded dial budget
-// on the TCP path.
+// on the TCP path. The doorbell adds no failure of its own, because the
+// bell is a hint and the consumer's read deadline (ringBellBackstop) the
+// guarantee: a word left up by a dead consumer costs its producers one
+// failed write each (EPIPE, ignored) before the ban or the stall timeout
+// takes the pair; a bell that cannot be rung (the FIFO will not open, or
+// holds 64 KiB of unread bells) or that is lost (a producer killed between
+// its CAS and its write) costs the frame behind it the backstop in latency,
+// never the frame.
 const (
 	// ringMagic marks an initialized ring file ("SDRRING1").
 	ringMagic = uint64(0x53445252494e4731)
@@ -38,7 +53,16 @@ const (
 	// ringStallTimeout bounds how long a producer waits on a full ring
 	// that is not draining before dropping the batch (fail-stop).
 	ringStallTimeout = 2 * time.Second
+	// ringSpinPasses is how many empty poll passes, a Gosched apart, the
+	// scanner makes before it raises the parked words.
+	ringSpinPasses = 2
 )
+
+// ringBellBackstop is the read deadline of a scanner blocked on its doorbell:
+// the longest a frame whose bell was lost waits. A variable only so tests can
+// stretch it (to prove the bell woke the scanner) or shrink it; nothing else
+// writes it.
+var ringBellBackstop = 10 * time.Millisecond
 
 // ringHdr is the control header at offset 0 of a mapped ring file. The
 // cursors are free-running byte counts; tail-head is the committed-unread
@@ -46,20 +70,22 @@ const (
 // tail store publishes the producer's data copy (release), the head store
 // publishes consumption.
 type ringHdr struct {
-	magic atomic.Uint64
-	rcap  atomic.Uint64
-	tail  atomic.Uint64 // producer cursor: total bytes written
-	head  atomic.Uint64 // consumer cursor: total bytes read
-	_     [ringHdrSize - 32]byte
+	magic  atomic.Uint64
+	rcap   atomic.Uint64
+	tail   atomic.Uint64 // producer cursor: total bytes written
+	head   atomic.Uint64 // consumer cursor: total bytes read
+	parked atomic.Uint32 // 1 = the consumer is blocked (or about to block) on its doorbell
+	_      [ringHdrSize - 36]byte
 }
 
-// ringPipe is one mapped SPSC byte pipe.
+// ringPipe is one mapped SPSC byte pipe. The mapping outlives the descriptor
+// it was made from, which is closed as soon as the file is mapped.
 type ringPipe struct {
-	f    *os.File
 	mem  []byte
 	hdr  *ringHdr
 	data []byte
 	size uint64
+	bell *bellRinger // producer side: the consumer's doorbell; nil on the consumer side
 }
 
 // openRing creates or attaches the ring file at path with the given data
@@ -79,8 +105,8 @@ func openRing(path string, size int) (*ringPipe, error) {
 		return nil, fmt.Errorf("transport: ring truncate: %w", err)
 	}
 	mem, err := mapFile(f, total)
+	f.Close()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	hdr := (*ringHdr)(unsafe.Pointer(&mem[0]))
@@ -88,10 +114,9 @@ func openRing(path string, size int) (*ringPipe, error) {
 	hdr.magic.CompareAndSwap(0, ringMagic)
 	if hdr.magic.Load() != ringMagic || hdr.rcap.Load() != uint64(size) {
 		unmapFile(mem)
-		f.Close()
 		return nil, fmt.Errorf("transport: ring %s header mismatch", path)
 	}
-	return &ringPipe{f: f, mem: mem, hdr: hdr, data: mem[ringHdrSize:total], size: uint64(size)}, nil
+	return &ringPipe{mem: mem, hdr: hdr, data: mem[ringHdrSize:total], size: uint64(size)}, nil
 }
 
 func (r *ringPipe) close() {
@@ -99,11 +124,12 @@ func (r *ringPipe) close() {
 		return
 	}
 	unmapFile(r.mem)
-	r.f.Close()
+	r.bell.close()
 }
 
-// ringBackoff is the shared idle policy: spin briefly, then sleep with
-// growing granularity so idle rings cost microwatts, not cores.
+// ringBackoff is the idle policy of a producer waiting on a full ring: spin
+// briefly, then sleep with growing granularity so a stalled ring costs
+// microwatts, not a core.
 func ringBackoff(idle *int) {
 	*idle++
 	switch {
@@ -124,9 +150,11 @@ var errRingClosed = fmt.Errorf("transport: ring closed mid-write")
 
 // write copies p into the ring, blocking (bounded) while it is full.
 // Frames larger than the ring capacity stream through in chunks as the
-// consumer drains. A close on done (nil = never) aborts the wait
-// immediately so a closing wire is not held hostage by a full ring.
-// Single producer only.
+// consumer drains — which is why the bell is rung after every publish that
+// finds the parked word up, not once per frame or batch: the chunk just
+// published is what a blocked consumer must drain before the next one fits.
+// A close on done (nil = never) aborts the wait immediately so a closing
+// wire is not held hostage by a full ring. Single producer only.
 func (r *ringPipe) write(p []byte, done <-chan struct{}) error {
 	idle := 0
 	var stall time.Time
@@ -142,6 +170,7 @@ func (r *ringPipe) write(p []byte, done <-chan struct{}) error {
 			}
 			if stall.IsZero() {
 				stall = time.Now()
+				mRingFullWaits.Inc()
 			} else if time.Since(stall) > ringStallTimeout {
 				return errRingStall
 			}
@@ -162,6 +191,9 @@ func (r *ringPipe) write(p []byte, done <-chan struct{}) error {
 		copy(r.data[off:off+k], p[:k])
 		copy(r.data[0:n-k], p[k:n])
 		r.hdr.tail.Store(tail + n) // publishes the copy above
+		if r.hdr.parked.Load() != 0 && r.hdr.parked.CompareAndSwap(1, 0) {
+			r.bell.ring()
+		}
 		p = p[n:]
 	}
 	return nil

@@ -13,15 +13,7 @@ import (
 // one test process), rings living under a test-scoped directory.
 func ringWorld(t *testing.T) (nw0, nw1 *Network, pw0, pw1 *PeerWire) {
 	t.Helper()
-	if !ringSupported() {
-		t.Skip("no mmap ring support on this platform")
-	}
-	nw0, nw1, pw0, pw1 = twoPeerWorld(t)
-	cfg := RingConfig{Dir: t.TempDir()}
-	colocated := []bool{true, true}
-	pw0.SetRingPeers(cfg, colocated)
-	pw1.SetRingPeers(cfg, colocated)
-	return
+	return bellWorld(t, ringBellBackstop, 0)
 }
 
 func TestRingPipeRoundTrip(t *testing.T) {
