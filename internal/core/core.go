@@ -17,8 +17,11 @@
 // completes the send request only then, this implementation completes an
 // eager send #k to a destination once send #k−1 to it is acknowledged (a
 // rendezvous send, whose payload is the user's buffer, still waits for its
-// own acks): a sender rarely parks for an ack, and the two worlds drift by
-// at most one message per destination — see retention.go. When a replica
+// own acks): a sender rarely parks for an ack, and while both replicas of
+// every rank are alive the two worlds drift by at most one message per
+// destination — see retention.go. After a substitution, sends into the
+// survivor's world are not gated at all, and without CheckpointDir nothing
+// bounds the drift (ROADMAP item 4). When a replica
 // fails, a deterministically elected substitute
 // re-sends the retained messages the dead replica's world had not yet
 // acknowledged and emits that world's subsequent messages on its behalf.

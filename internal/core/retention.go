@@ -20,15 +20,20 @@ import "repro/internal/transport"
 //
 // The invariants kept: a payload is retained until every alive replica of
 // the destination rank confirmed it, and after a blocking Send returns at
-// most one message per destination is unconfirmed — the two worlds drift
-// by at most one message per destination, which is what lets a substitute
-// take over before its rank's second replica can run ahead of a failure.
+// most one message per destination is unconfirmed. While both replicas of
+// every rank are alive, the two worlds therefore drift by at most one
+// message per destination, which is what lets a substitute take over before
+// its rank's second replica can run ahead of a failure. That bound ends at
+// the first substitution: sends into the survivor's world wait for no ack,
+// one world can run a checkpoint window ahead (613 steps against 800 have
+// been seen), and without CheckpointDir nothing bounds it — early below
+// then grows with the drift (ROADMAP item 4).
 //
-// Because of that bound the bookkeeping is a slot per (ctx, destination
-// rank) in the send-side seqTable: a short seq-ordered chain of entries,
-// each with a bitmask of the replicas still to acknowledge, plus the acks
-// that arrived before this replica posted the send they confirm. Entries
-// are recycled through a per-process free list.
+// Because of the fault-free bound the bookkeeping is a slot per (ctx,
+// destination rank) in the send-side seqTable: a short seq-ordered chain of
+// entries, each with a bitmask of the replicas still to acknowledge, plus
+// the acks that arrived before this replica posted the send they confirm.
+// Entries are recycled through a per-process free list.
 
 // sendEntry is one retained application message (Algorithm 1's sendReq
 // bookkeeping). For eager-sized sends the payload is a pooled copy

@@ -184,3 +184,33 @@ func TestRunStatsJSONAndBlock(t *testing.T) {
 		t.Fatalf("block:\n%s", buf.String())
 	}
 }
+
+func TestTraceBoundKeepsNewestEvents(t *testing.T) {
+	tr := NewTrace()
+	const emitted = 10000
+	for i := 0; i < emitted; i++ {
+		tr.Emit(Ev(StageDetect, ""))
+	}
+	events := tr.Events()
+	if len(events) != traceCap || tr.Len() != traceCap {
+		t.Fatalf("retained %d events (Len %d), want %d", len(events), tr.Len(), traceCap)
+	}
+	if first := events[0].Seq; first != emitted-traceCap+1 {
+		t.Fatalf("oldest retained Seq %d, want %d", first, emitted-traceCap+1)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Seq != events[i-1].Seq+1 || events[i].Clock <= events[i-1].Clock {
+			t.Fatalf("retained events not contiguous at %d: %+v then %+v", i, events[i-1], events[i])
+		}
+	}
+	var buf bytes.Buffer
+	tr.Render(&buf)
+	if want := "(5904 earlier events dropped)"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("render does not say %q:\n%.200s", want, buf.String())
+	}
+	tr.Reset()
+	tr.Emit(Ev(StageMatch, ""))
+	if ev := tr.Events(); len(ev) != 1 || ev[0].Seq != 1 {
+		t.Fatalf("after Reset: %+v", ev)
+	}
+}

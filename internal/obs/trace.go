@@ -64,12 +64,18 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Trace is a thread-safe, append-only event log.
+// traceCap is how many events a Trace retains: the newest ones, so that a
+// long-lived process (a benchmark's ladder of repetitions) emitting into
+// DefaultTrace holds a bounded log.
+const traceCap = 4096
+
+// Trace is a thread-safe event log that retains the newest traceCap events.
 type Trace struct {
-	mu     sync.Mutex // sdr:lockrank obstrace
-	clock  trace.LClock
-	events []Event   // guarded by mu
-	start  time.Time // guarded by mu
+	mu      sync.Mutex // sdr:lockrank obstrace
+	clock   trace.LClock
+	events  []Event   // guarded by mu; a ring once full: event Seq s sits at (s-1) % traceCap
+	emitted int       // guarded by mu; events recorded since the last Reset, the newest one's Seq
+	start   time.Time // guarded by mu
 	// OnEvent, when set (before any Emit), observes every event as it is
 	// recorded — distributed workers print their events to stdout so the
 	// coordinator's line-prefixed sink carries them.
@@ -93,8 +99,13 @@ func (t *Trace) Emit(ev Event) {
 	if t.start.IsZero() {
 		t.start = ev.Wall
 	}
-	ev.Seq = len(t.events) + 1
-	t.events = append(t.events, ev)
+	t.emitted++
+	ev.Seq = t.emitted
+	if len(t.events) < traceCap {
+		t.events = append(t.events, ev)
+	} else {
+		t.events[(ev.Seq-1)%traceCap] = ev
+	}
 	cb := t.OnEvent
 	t.mu.Unlock()
 	if cb != nil {
@@ -107,14 +118,24 @@ func Ev(stage Stage, detail string) Event {
 	return Event{Stage: stage, Proc: -1, Rank: -1, Rep: -1, Step: -1, Wave: -1, Detail: detail}
 }
 
-// Events returns a copy of the recorded events.
+// Events returns a copy of the retained events, oldest first.
 func (t *Trace) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	return t.retainedLocked()
 }
 
-// Len reports how many events were recorded.
+// retainedLocked copies the retained events out of the ring in Seq order.
+// Caller holds mu.
+func (t *Trace) retainedLocked() []Event {
+	if len(t.events) == 0 {
+		return nil
+	}
+	k := t.emitted % len(t.events) // the oldest: 0 until the ring is full
+	return append(append([]Event(nil), t.events[k:]...), t.events[:k]...)
+}
+
+// Len reports how many events are retained.
 func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -126,6 +147,7 @@ func (t *Trace) Len() int {
 func (t *Trace) Reset() {
 	t.mu.Lock()
 	t.events = nil
+	t.emitted = 0
 	t.start = time.Time{}
 	t.mu.Unlock()
 }
@@ -158,14 +180,19 @@ func (ev Event) Format(since time.Time) string {
 	return b.String()
 }
 
-// Render writes the whole chain, one numbered line per event, collapsing
+// Render writes the retained chain, one numbered line per event, collapsing
 // adjacent duplicates (N processes observing the same failure each emit a
-// detect — the chain reads better as one line with a count).
+// detect — the chain reads better as one line with a count). A first line
+// says how many earlier events the bound dropped, if any.
 func (t *Trace) Render(w io.Writer) {
 	t.mu.Lock()
-	events := append([]Event(nil), t.events...)
+	events := t.retainedLocked()
+	dropped := t.emitted - len(t.events)
 	start := t.start
 	t.mu.Unlock()
+	if dropped > 0 {
+		fmt.Fprintf(w, "  (%d earlier events dropped)\n", dropped)
+	}
 	type group struct {
 		ev    Event
 		count int

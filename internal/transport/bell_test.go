@@ -130,22 +130,15 @@ func TestRingFullWaitIsCounted(t *testing.T) {
 	// A producer that finds its ring full still sleep-polls for space
 	// (ringBackoff); sdr_transport_ring_full_waits_total is how often, one
 	// count per stall however long it lasts.
-	if !ringSupported() {
-		t.Skip("no mmap ring support on this platform")
-	}
-	w, err := openRing(filepath.Join(t.TempDir(), "ring-0-1"), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.close()
+	w, rr := ringPair(t, 1024)
 	full := mRingFullWaits.Value()
 	wrote := make(chan error, 1)
-	go func() { wrote <- w.write(make([]byte, 1536), nil) }()
-	for w.hdr.tail.Load() < 1024 {
+	go func() { wrote <- w.push(make([]byte, 1536), nil) }()
+	for w.hdr.tail.Load() < 1024 { // published before the producer waits
 		runtime.Gosched()
 	}
 	time.Sleep(5 * time.Millisecond) // the producer is in its stall by now
-	if n := w.readAvail(make([]byte, 1024)); n != 1024 {
+	if n := readPass(rr.pipe, make([]byte, 1024)); n != 1024 {
 		t.Fatalf("read %d bytes from a full 1 KiB ring", n)
 	}
 	if err := <-wrote; err != nil {

@@ -53,10 +53,10 @@ var (
 	mFlushFrames = obs.Default.Counter("sdr_transport_flush_frames_total",
 		"frames emitted across all batch flushes")
 
-	// Inbound-path scaling gauge: the shard count endpoints were built with
-	// (sized from the world, see shardCountFor).
+	// Inbound-path scaling gauge: the shard count the last network built
+	// gave the endpoints it hosts (sized from the world, see shardCountFor).
 	gQueueShards = obs.Default.Gauge("sdr_transport_queue_shards",
-		"inbound queue shards per endpoint (next power of two over the peer count, capped)")
+		"inbound queue shards per hosted endpoint (next power of two over the peer count, capped)")
 
 	// Colocated ring transport traffic (frames that bypassed loopback TCP).
 	mRingFramesOut = obs.Default.CounterWith("sdr_transport_ring_frames_total",

@@ -114,12 +114,27 @@ type Network struct {
 
 // NewNetwork creates a network of n endpoints with the given delay model
 // (nil for none) using the in-process wire.
-func NewNetwork(n int, delay *DelayModel) *Network {
+func NewNetwork(n int, delay *DelayModel) *Network { return newNetwork(n, delay, 0, ProcID(n)) }
+
+// newNetwork builds a network whose processes [lo, hi) are hosted here and
+// get world-sized inbound queues. Every other endpoint is the same type with
+// one shard: a wire hosting [lo, hi) injects only into its own processes, so
+// the others are only ever killed, revived and asked whether they are alive.
+// Hosting is fixed here, never reshaped by a wire installed later.
+func newNetwork(n int, delay *DelayModel, lo, hi ProcID) *Network {
 	nw := &Network{n: n, delay: delay}
 	nw.wire = inprocWire{nw}
 	nw.eps = make([]*Endpoint, n)
+	shards := shardCountFor(n)
 	for i := range nw.eps {
-		nw.eps[i] = newEndpoint(ProcID(i), nw)
+		s := 1
+		if p := ProcID(i); p >= lo && p < hi {
+			s = shards
+		}
+		nw.eps[i] = newEndpoint(ProcID(i), nw, s)
+	}
+	if lo < hi {
+		gQueueShards.Set(int64(shards))
 	}
 	return nw
 }
@@ -276,13 +291,14 @@ type queued struct {
 // Inbound queue shard sizing. Senders hash by source process, so with many
 // ranks concurrent deliveries no longer serialize on one lock; per-
 // ordered-pair FIFO is preserved because one source always lands in the
-// same shard. The count is sized from the world at endpoint construction —
-// the next power of two covering the peer count — so 8 ranks get the old 8
-// shards while a 256-rank world no longer funnels 32 sources through each
-// lock. The floor keeps small worlds at the tuned PR 8 geometry; the cap is
-// the width of the endpoint's ready mask (one bit per shard in one atomic
-// word) and bounds per-endpoint footprint (a worker mesh builds n² endpoints
-// in one process) — above it, sources wrap around shards evenly.
+// same shard. A hosted endpoint's count is sized from the world at
+// construction — the next power of two covering the peer count — so 8 ranks
+// get the old 8 shards while a 256-rank world no longer funnels 32 sources
+// through each lock. The floor keeps small worlds at the tuned eight-shard
+// geometry; the cap is the width of the endpoint's ready mask (one bit per
+// shard in one atomic word) — above it, sources wrap around shards evenly.
+// An endpoint its network does not host has one shard (see newNetwork), so a
+// worker's network costs n small endpoints plus one world-sized one.
 const (
 	minQueueShards = 8
 	maxQueueShards = 64
@@ -318,8 +334,9 @@ type Endpoint struct {
 
 	// Inbound path: per-source shards plus atomic coordination state, so
 	// delivery does not serialize every sender on one endpoint lock. The
-	// shard slice is sized from the world at construction (shardCountFor)
-	// and never resized, so shardMask needs no synchronization.
+	// shard slice is sized at construction (shardCountFor, or one for an
+	// endpoint the network does not host) and never resized, so shardMask
+	// needs no synchronization.
 	shards    []qshard
 	shardMask uint
 	dead      atomic.Bool
@@ -363,8 +380,7 @@ type linkClock struct {
 	lastOut  time.Time            // end of this process's previous send overhead
 }
 
-func newEndpoint(id ProcID, nw *Network) *Endpoint {
-	shards := shardCountFor(nw.n)
+func newEndpoint(id ProcID, nw *Network, shards int) *Endpoint {
 	ep := &Endpoint{
 		id:        id,
 		nw:        nw,
@@ -375,7 +391,6 @@ func newEndpoint(id ProcID, nw *Network) *Endpoint {
 		ep.clock = &linkClock{linkFree: make(map[ProcID]time.Time)}
 	}
 	ep.cond = sync.NewCond(&ep.mu)
-	gQueueShards.Set(int64(shards))
 	return ep
 }
 
@@ -387,7 +402,7 @@ func (ep *Endpoint) ID() ProcID { return ep.id }
 func (ep *Endpoint) Crashed() bool { return ep.dead.Load() }
 
 // shardOf maps a source process to its inbound shard, masking with this
-// endpoint's world-sized shard count. Src may be NoProc (-1) for
+// endpoint's shard count. Src may be NoProc (-1) for
 // service-injected messages.
 func (ep *Endpoint) shardOf(src ProcID) int {
 	return int(uint(int(src)+1) & ep.shardMask)

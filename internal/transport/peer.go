@@ -214,9 +214,10 @@ func NewPeerWire(nw *Network, self ProcID, listenAddr string) (*PeerWire, error)
 
 // NewPeerNetwork builds a full-size network whose only live endpoint is
 // self, wired to its peers through a PeerWire injected at construction —
-// what the distributed worker runs on.
+// what the distributed worker runs on. Only self's endpoint gets an inbound
+// queue sized for the world; the others have one shard (see newNetwork).
 func NewPeerNetwork(n int, self ProcID, listenAddr string) (*Network, *PeerWire, error) {
-	nw := NewNetwork(n, nil)
+	nw := newNetwork(n, nil, self, self+1)
 	pw, err := NewPeerWire(nw, self, listenAddr)
 	if err != nil {
 		return nil, nil, err
@@ -653,7 +654,8 @@ func (pw *PeerWire) flushBatchLocked(src, dst ProcID, l *link) {
 	pw.flushTCP(src, dst, l, frames)
 }
 
-// flushRingLocked pushes a batch through the pair's shared-memory ring. It
+// flushRingLocked pushes a batch through the pair's shared-memory ring and
+// publishes it with one tail store (more only if it has to wait for room). It
 // reports false — leaving the frames for the TCP path — only when the
 // ring could not be opened at all (nothing was ever written to it, so
 // switching transports preserves FIFO). After the first successful open, a
@@ -692,6 +694,9 @@ func (pw *PeerWire) flushRingLocked(src, dst ProcID, l *link, frames []*Message)
 		}
 		total += wireHeaderLen + len(m.Data)
 	}
+	// One tail store for the batch, a failed one included: frames[:i] arrive
+	// as they would have frame by frame, the torn rest is behind a ban.
+	l.wr.pipe.publish()
 	if len(frames) > 0 {
 		mFlushes.Inc()
 		mFlushFrames.Add(uint64(len(frames)))

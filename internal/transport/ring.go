@@ -20,6 +20,15 @@ import (
 // (already serialized by the batch lock); the consumer is the wire's single
 // ring-scan goroutine — so the SPSC discipline holds by construction.
 //
+// Each side publishes its cursor once per unit of work, not per copy: the
+// producer copies a whole flush and stores tail once (and before any wait on
+// a full ring, so a frame larger than the free space still streams), the
+// consumer loads tail once per poll pass and stores head once when the pass
+// ends. Each keeps the other's cursor as last loaded and re-reads it only
+// when that view runs out. tail sits alone on its cache line; head shares
+// one with the parked word, which the producer writes only to wake the
+// consumer.
+//
 // An idle consumer does not poll: it raises the parked word in the header of
 // each of its inbound rings, polls them once more, and blocks on its
 // doorbell — a FIFO beside the ring files, bell-<dst>, see bell_unix.go. A
@@ -32,7 +41,12 @@ import (
 // relaunched mid-epoch (localized replay) starts with rings disabled, and
 // survivors permanently ban the pair once the control plane declares the
 // peer dead — a producer killed mid-frame leaves a torn stream that only a
-// fresh epoch (fresh ring directory) may reuse. A producer stalled on a
+// fresh epoch (fresh ring directory) may reuse. A producer killed mid-batch
+// leaves its copied-but-unpublished bytes past tail, where nobody reads
+// them: the consumer sees whole earlier batches (and any chunk published
+// before a wait), never a batch's unpublished rest. A push that fails
+// (stall, shutdown) publishes what it copied, bans the pair and drops the
+// frames it did not finish. A producer stalled on a
 // full ring whose consumer stopped draining treats the frames as fallen
 // off the wire after a bounded wait, exactly like the bounded dial budget
 // on the TCP path. The doorbell adds no failure of its own, because the
@@ -44,10 +58,11 @@ import (
 // its CAS and its write) costs the frame behind it the backstop in latency,
 // never the frame.
 const (
-	// ringMagic marks an initialized ring file ("SDRRING1").
-	ringMagic = uint64(0x53445252494e4731)
-	// ringHdrSize is the mapped control header (one cache line).
-	ringHdrSize = 64
+	// ringMagic marks an initialized ring file ("SDRRING2"); a file in an
+	// older header layout fails the check instead of being misread.
+	ringMagic = uint64(0x53445252494e4732)
+	// ringHdrSize is the mapped control header: three cache lines.
+	ringHdrSize = 192
 	// DefaultRingBytes is the default per-ordered-pair ring capacity.
 	DefaultRingBytes = 256 << 10
 	// ringStallTimeout bounds how long a producer waits on a full ring
@@ -67,25 +82,40 @@ var ringBellBackstop = 10 * time.Millisecond
 // ringHdr is the control header at offset 0 of a mapped ring file. The
 // cursors are free-running byte counts; tail-head is the committed-unread
 // span. Both sides share the mapping, so every access is atomic: the
-// tail store publishes the producer's data copy (release), the head store
-// publishes consumption.
+// tail store publishes the producer's data copies (release), the head store
+// publishes consumption. Each cursor has its own cache line, so a store of
+// one does not take the other's line from the side polling it.
 type ringHdr struct {
 	magic  atomic.Uint64
 	rcap   atomic.Uint64
-	tail   atomic.Uint64 // producer cursor: total bytes written
-	head   atomic.Uint64 // consumer cursor: total bytes read
+	_      [48]byte
+	tail   atomic.Uint64 // producer cursor: total bytes published
+	_      [56]byte
+	head   atomic.Uint64 // consumer cursor: total bytes consumed
 	parked atomic.Uint32 // 1 = the consumer is blocked (or about to block) on its doorbell
-	_      [ringHdrSize - 36]byte
+	_      [52]byte
 }
+
+// The header is exactly ringHdrSize, and tail and head sit on different
+// 64-byte lines; either fails to compile otherwise.
+const (
+	_ = uint(ringHdrSize - unsafe.Sizeof(ringHdr{}))
+	_ = uint(unsafe.Sizeof(ringHdr{}) - ringHdrSize)
+	_ = uint(unsafe.Offsetof(ringHdr{}.head)/64 - unsafe.Offsetof(ringHdr{}.tail)/64 - 1)
+)
 
 // ringPipe is one mapped SPSC byte pipe. The mapping outlives the descriptor
 // it was made from, which is closed as soon as the file is mapped.
+//
+// tail and head are this side's private view of the cursors: its own, ahead
+// of the header's until published, and the other side's as last loaded.
 type ringPipe struct {
-	mem  []byte
-	hdr  *ringHdr
-	data []byte
-	size uint64
-	bell *bellRinger // producer side: the consumer's doorbell; nil on the consumer side
+	mem        []byte
+	hdr        *ringHdr
+	data       []byte
+	size       uint64
+	tail, head uint64
+	bell       *bellRinger // producer side: the consumer's doorbell; nil on the consumer side
 }
 
 // openRing creates or attaches the ring file at path with the given data
@@ -116,7 +146,8 @@ func openRing(path string, size int) (*ringPipe, error) {
 		unmapFile(mem)
 		return nil, fmt.Errorf("transport: ring %s header mismatch", path)
 	}
-	return &ringPipe{mem: mem, hdr: hdr, data: mem[ringHdrSize:total], size: uint64(size)}, nil
+	return &ringPipe{mem: mem, hdr: hdr, data: mem[ringHdrSize:total], size: uint64(size),
+		tail: hdr.tail.Load(), head: hdr.head.Load()}, nil
 }
 
 func (r *ringPipe) close() {
@@ -148,21 +179,23 @@ var errRingStall = fmt.Errorf("transport: ring stalled beyond %v", ringStallTime
 // errRingClosed reports a producer interrupted by its wire shutting down.
 var errRingClosed = fmt.Errorf("transport: ring closed mid-write")
 
-// write copies p into the ring, blocking (bounded) while it is full.
-// Frames larger than the ring capacity stream through in chunks as the
-// consumer drains — which is why the bell is rung after every publish that
-// finds the parked word up, not once per frame or batch: the chunk just
-// published is what a blocked consumer must drain before the next one fits.
-// A close on done (nil = never) aborts the wait immediately so a closing
-// wire is not held hostage by a full ring. Single producer only.
-func (r *ringPipe) write(p []byte, done <-chan struct{}) error {
+// push copies p into the ring behind what the batch copied so far, without
+// publishing it, and blocks (bounded) while the ring is full. Before every
+// wait it publishes: a frame larger than the free space streams through in
+// chunks as the consumer drains, and the chunk just published — with the
+// bell rung if the consumer is parked — is what must drain before the next
+// one fits. A close on done (nil = never) aborts the wait immediately so a
+// closing wire is not held hostage by a full ring. Single producer only.
+func (r *ringPipe) push(p []byte, done <-chan struct{}) error {
 	idle := 0
 	var stall time.Time
 	for len(p) > 0 {
-		head := r.hdr.head.Load()
-		tail := r.hdr.tail.Load()
-		free := r.size - (tail - head)
+		if r.tail-r.head == r.size {
+			r.head = r.hdr.head.Load()
+		}
+		free := r.size - (r.tail - r.head)
 		if free == 0 {
+			r.publish()
 			select {
 			case <-done:
 				return errRingClosed
@@ -179,71 +212,63 @@ func (r *ringPipe) write(p []byte, done <-chan struct{}) error {
 		}
 		stall = time.Time{}
 		idle = 0
-		n := uint64(len(p))
-		if n > free {
-			n = free
-		}
-		off := tail % r.size
-		k := n
-		if k > r.size-off {
-			k = r.size - off
-		}
+		n := min(uint64(len(p)), free)
+		off := r.tail % r.size
+		k := min(n, r.size-off)
 		copy(r.data[off:off+k], p[:k])
 		copy(r.data[0:n-k], p[k:n])
-		r.hdr.tail.Store(tail + n) // publishes the copy above
-		if r.hdr.parked.Load() != 0 && r.hdr.parked.CompareAndSwap(1, 0) {
-			r.bell.ring()
-		}
+		r.tail += n
 		p = p[n:]
 	}
 	return nil
 }
 
-// readAvail copies up to len(p) committed bytes out of the ring without
-// blocking and returns how many were read (0 = ring empty). Single
-// consumer only.
+// publish makes everything push copied visible to the consumer with one tail
+// store, and rings the doorbell if that store found the consumer parked.
+func (r *ringPipe) publish() {
+	if r.hdr.tail.Load() == r.tail {
+		return
+	}
+	r.hdr.tail.Store(r.tail) // publishes the copies behind it
+	if r.hdr.parked.Load() != 0 && r.hdr.parked.CompareAndSwap(1, 0) {
+		r.bell.ring()
+	}
+}
+
+// readAvail copies up to len(p) bytes of those published as of the pass's
+// tail load out of the ring and returns how many were read (0 = none left).
+// It moves the private head only; the pass stores it. Single consumer only.
 func (r *ringPipe) readAvail(p []byte) int {
-	tail := r.hdr.tail.Load()
-	head := r.hdr.head.Load()
-	avail := tail - head
-	if avail == 0 {
+	n := min(uint64(len(p)), r.tail-r.head)
+	if n == 0 {
 		return 0
 	}
-	n := uint64(len(p))
-	if n > avail {
-		n = avail
-	}
-	off := head % r.size
-	k := n
-	if k > r.size-off {
-		k = r.size - off
-	}
+	off := r.head % r.size
+	k := min(n, r.size-off)
 	copy(p[:k], r.data[off:off+k])
 	copy(p[k:n], r.data[0:n-k])
-	r.hdr.head.Store(head + n) // publishes consumption to the producer
+	r.head += n
 	return int(n)
 }
 
 // ringWriter is the producer side of one ordered pair: frames staged for
 // the pair are pushed through it at flush time, in staging order (the
-// batch lock serializes flushes, preserving SPSC and FIFO). done is the
-// owning wire's shutdown signal; a write parked on a full ring aborts
-// when it closes.
+// batch lock serializes flushes, preserving SPSC and FIFO), and published
+// once the batch is in. done is the owning wire's shutdown signal; a push
+// parked on a full ring aborts when it closes.
 type ringWriter struct {
 	pipe *ringPipe
 	done <-chan struct{}
 	hdr  [wireHeaderLen]byte
 }
 
+// writeFrame copies one frame into the ring; the caller publishes.
 func (w *ringWriter) writeFrame(m *Message) error {
 	putMessageHeader(w.hdr[:], m)
-	if err := w.pipe.write(w.hdr[:], w.done); err != nil {
+	if err := w.pipe.push(w.hdr[:], w.done); err != nil {
 		return err
 	}
-	if len(m.Data) > 0 {
-		return w.pipe.write(m.Data, w.done)
-	}
-	return nil
+	return w.pipe.push(m.Data, w.done)
 }
 
 // ringReader is the consumer side of one inbound ring: a resumable frame
@@ -271,23 +296,34 @@ func newRingReader(path string, size int, src ProcID) (*ringReader, error) {
 	return &ringReader{pipe: pipe, src: src}, nil
 }
 
-// poll consumes every complete byte of progress currently available,
-// handing finished frames to sink (which takes ownership). It reports
-// whether any bytes moved. A corrupt header fails closed: the reader is
-// poisoned and the pair's remaining traffic is the control plane's
-// problem, exactly like a TCP stream that stopped decoding.
+// poll consumes every byte published when it starts, handing finished
+// frames to sink (which takes ownership), and then publishes the
+// consumption with one head store. It reports whether any bytes moved. A
+// corrupt header fails closed: the reader is poisoned and the pair's
+// remaining traffic is the control plane's problem, exactly like a TCP
+// stream that stopped decoding.
 func (rr *ringReader) poll(sink func(*Message)) bool {
 	if rr.bad {
 		return false
 	}
-	progressed := false
+	r := rr.pipe
+	if r.tail = r.hdr.tail.Load(); r.tail == r.head {
+		return false
+	}
+	rr.consume(sink)
+	r.hdr.head.Store(r.head) // on every path out of consume, the poisoning one included
+	return true
+}
+
+// consume decodes the published bytes poll's pass loaded; partial frames
+// carry over to the next pass.
+func (rr *ringReader) consume(sink func(*Message)) {
 	for {
 		if rr.m == nil {
 			n := rr.pipe.readAvail(rr.hdr[rr.hgot:])
 			if n == 0 {
-				return progressed
+				return
 			}
-			progressed = true
 			rr.hgot += n
 			if rr.hgot < wireHeaderLen {
 				continue
@@ -298,7 +334,7 @@ func (rr *ringReader) poll(sink func(*Message)) bool {
 			if err != nil {
 				FreeMessage(m)
 				rr.bad = true
-				return progressed
+				return
 			}
 			if need > 0 {
 				m.SetPooledData(GetBuf(need))
@@ -313,9 +349,8 @@ func (rr *ringReader) poll(sink func(*Message)) bool {
 		}
 		n := rr.pipe.readAvail(rr.m.Data[rr.fill:rr.need])
 		if n == 0 {
-			return progressed
+			return
 		}
-		progressed = true
 		rr.fill += n
 	}
 }

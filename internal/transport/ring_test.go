@@ -2,8 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -37,6 +41,7 @@ func TestRingPipeRoundTrip(t *testing.T) {
 	if err := wr.writeFrame(&Message{Src: 0, Dst: 1, Kind: KindEager, Tag: 3, Data: want}); err != nil {
 		t.Fatal(err)
 	}
+	w.publish()
 
 	var got *Message
 	deadline := time.Now().Add(2 * time.Second)
@@ -79,7 +84,9 @@ func TestRingStreamsFrameLargerThanCapacity(t *testing.T) {
 	wr := &ringWriter{pipe: w}
 	writeDone := make(chan error, 1)
 	go func() {
-		writeDone <- wr.writeFrame(&Message{Src: 0, Dst: 1, Kind: KindEager, Data: want})
+		err := wr.writeFrame(&Message{Src: 0, Dst: 1, Kind: KindEager, Data: want})
+		w.publish()
+		writeDone <- err
 	}()
 
 	var got *Message
@@ -120,7 +127,7 @@ func TestRingProducerStallIsBounded(t *testing.T) {
 	defer w.close()
 
 	start := time.Now()
-	err = w.write(make([]byte, 4096), nil) // no consumer: must give up
+	err = w.push(make([]byte, 4096), nil) // no consumer: must give up
 	if err == nil {
 		t.Fatal("write into an undrained full ring succeeded")
 	}
@@ -194,4 +201,190 @@ func TestPeerWireRingBannedAfterDeath(t *testing.T) {
 	if delta := mRingFramesOut.Value() - ringOut0; delta != 0 {
 		t.Fatalf("%d frames took the banned ring path after death", delta)
 	}
+}
+
+// readPass reads up to len(p) bytes through consumer pipe r the way one poll
+// pass does: one tail load, then one head store.
+func readPass(r *ringPipe, p []byte) int {
+	r.tail = r.hdr.tail.Load()
+	n := r.readAvail(p)
+	r.hdr.head.Store(r.head)
+	return n
+}
+
+// ringPair opens both ends of one ring file of the given capacity.
+func ringPair(t testing.TB, capBytes int) (*ringPipe, *ringReader) {
+	t.Helper()
+	if !ringSupported() {
+		t.Skip("no mmap ring support on this platform")
+	}
+	path := filepath.Join(t.TempDir(), "ring-0-1")
+	w, err := openRing(path, capBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.close)
+	rr, err := newRingReader(path, capBytes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rr.close)
+	return w, rr
+}
+
+func TestRingPublishOncePerBatch(t *testing.T) {
+	// A batch is invisible until its one tail store, then visible whole.
+	w, rr := ringPair(t, 4096)
+	wr := &ringWriter{pipe: w}
+	const k = 8
+	for i := 0; i < k; i++ {
+		if err := wr.writeFrame(&Message{Src: 0, Dst: 1, Kind: KindEager, Tag: i, Data: make([]byte, 64)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tags []int
+	sink := func(m *Message) { tags = append(tags, m.Tag); FreeMessage(m) }
+	if rr.poll(sink) || len(tags) != 0 || w.hdr.tail.Load() != 0 {
+		t.Fatalf("consumer saw %d frames (tail %d) before the publish", len(tags), w.hdr.tail.Load())
+	}
+	w.publish()
+	if want := uint64(k * (wireHeaderLen + 64)); w.hdr.tail.Load() != want {
+		t.Fatalf("published tail %d, want %d", w.hdr.tail.Load(), want)
+	}
+	if !rr.poll(sink) {
+		t.Fatal("consumer saw nothing after the publish")
+	}
+	if got := fmt.Sprint(tags); got != "[0 1 2 3 4 5 6 7]" {
+		t.Fatalf("frames after the publish %s, want all %d in order", got, k)
+	}
+	if w.hdr.head.Load() != w.hdr.tail.Load() {
+		t.Fatalf("consumer stored head %d, want %d", w.hdr.head.Load(), w.hdr.tail.Load())
+	}
+}
+
+func TestRingFailedPushPublishesWhatItCopied(t *testing.T) {
+	// A push that fails mid-batch (here: the wire shut down while the ring
+	// is full) still delivers the frames before the failing one, drops the
+	// rest and bans the pair.
+	const capBytes = 1024
+	w, rr := ringPair(t, capBytes)
+	done := make(chan struct{})
+	close(done)
+	l := &link{wr: &ringWriter{pipe: w, done: done}}
+	l.ring.Store(true)
+	const total = 20
+	frames := make([]*Message, total)
+	for i := range frames {
+		m := GetMessage()
+		m.Src, m.Dst, m.Kind, m.Tag, m.Data = 0, 1, KindEager, i, make([]byte, 64)
+		frames[i] = m
+	}
+	fit := capBytes / (wireHeaderLen + 64)
+	dropped := mDroppedWrite.Value()
+	l.mu.Lock()
+	if !(&PeerWire{}).flushRingLocked(0, 1, l, frames) {
+		t.Fatal("flush fell back to TCP on an open ring")
+	}
+	l.mu.Unlock()
+	if l.ring.Load() {
+		t.Fatal("a failed push left the pair on the ring")
+	}
+	if got := mDroppedWrite.Value() - dropped; got != total-uint64(fit) {
+		t.Fatalf("%d frames dropped, want %d", got, total-fit)
+	}
+	var tags []int
+	rr.poll(func(m *Message) { tags = append(tags, m.Tag); FreeMessage(m) })
+	if len(tags) != fit {
+		t.Fatalf("consumer got %d frames, want the %d that fit", len(tags), fit)
+	}
+	for i, tag := range tags {
+		if tag != i {
+			t.Fatalf("frames out of order: %v", tags)
+		}
+	}
+}
+
+func TestRingRefusesOldHeaderLayout(t *testing.T) {
+	// A ring file written in the one-line header layout ("SDRRING1") must
+	// fail the header check, not be read with its cursors misplaced.
+	if !ringSupported() {
+		t.Skip("no mmap ring support on this platform")
+	}
+	path := filepath.Join(t.TempDir(), "ring-0-1")
+	old := make([]byte, 64+4096)
+	binary.LittleEndian.PutUint64(old[0:], 0x53445252494e4731)
+	binary.LittleEndian.PutUint64(old[8:], 4096)
+	if err := os.WriteFile(path, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := openRing(path, 4096); err == nil {
+		r.close()
+		t.Fatal("a ring file with the old magic was accepted")
+	}
+}
+
+func TestPublishWakesParkedScannerForBatch(t *testing.T) {
+	// With the backstop a minute away, only a bell can get a batch to a
+	// blocked scanner within a second, and a batch is one publish: at most
+	// one bell per flush.
+	nw0, nw1, pw0, pw1 := bellWorld(t, time.Minute, 0)
+	waitScannerParked(t, pw1)
+	bells, flushes := mRingBells.Value(), mFlushes.Value()
+	start := time.Now()
+	const k = 8
+	for i := 0; i < k; i++ {
+		nw0.Endpoint(0).Send(&Message{Dst: 1, Kind: KindEager, Tag: i, Data: make([]byte, 64)})
+	}
+	_ = pw0.Flush(0, true)
+	for got := 0; got < k; {
+		if time.Since(start) > time.Second {
+			t.Fatalf("%d of %d frames reached a parked scanner within a second", got, k)
+		}
+		for _, m := range nw1.Endpoint(1).Drain() {
+			if m.Tag != got {
+				t.Fatalf("frame %d arrived as %d", got, m.Tag)
+			}
+			got++
+			FreeMessage(m)
+		}
+		nw1.Endpoint(1).WaitActivity(5 * time.Millisecond)
+	}
+	b, f := mRingBells.Value()-bells, mFlushes.Value()-flushes
+	if b == 0 || b > f {
+		t.Fatalf("%d bells for %d flushes, want between 1 and one per flush", b, f)
+	}
+}
+
+// BenchmarkRingBatch is the ring alone: one producer goroutine pushing
+// flushes of 8 × 64 B frames, one consumer goroutine polling them out.
+//
+//	go test ./internal/transport -run '^$' -bench RingBatch -benchtime 20000x
+func BenchmarkRingBatch(b *testing.B) {
+	const perFlush = 8
+	w, rr := ringPair(b, DefaultRingBytes)
+	wr := &ringWriter{pipe: w}
+	m := &Message{Src: 0, Dst: 1, Kind: KindEager, Data: make([]byte, 64)}
+	want := b.N * perFlush
+	got := make(chan int)
+	b.ResetTimer()
+	go func() {
+		n := 0
+		sink := func(m *Message) { n++; FreeMessage(m) }
+		for n < want {
+			if !rr.poll(sink) {
+				runtime.Gosched()
+			}
+		}
+		got <- n
+	}()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < perFlush; j++ {
+			if err := wr.writeFrame(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		w.publish()
+	}
+	<-got
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(want), "ns/frame")
 }
