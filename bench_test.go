@@ -301,36 +301,6 @@ func BenchmarkSDCDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkWireScale tracks the batch-first transport's scaling curve
-// (ISSUE 8, extended to 256 ranks by ISSUE 10): the windowed neighbor
-// exchange on an in-process PeerWire mesh, ranks × mode, with the batching
-// density (frames/flush), the payload moved per flush syscall, and the
-// flush cost per application message reported alongside the timing. The
-// full ranks × degree × size sweep is `go run ./cmd/sdrbench -exp
-// wirescale`.
-func BenchmarkWireScale(b *testing.B) {
-	for _, n := range []int{8, 32, 64, 128, 256} {
-		for _, mode := range []string{"tcp", "ring"} {
-			b.Run(fmt.Sprintf("ranks=%d/%s", n, mode), func(b *testing.B) {
-				var row bench.WireScaleRow
-				for i := 0; i < b.N; i++ {
-					var err error
-					row, err = bench.RunWireScale(bench.WireScaleConfig{
-						Ranks: n, Degree: 2, Size: 1024, Window: 8, Iters: 5, Mode: mode,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(row.FramesPerFlush(), "frames/flush")
-				b.ReportMetric(row.BytesPerFlush(), "bytes/syscall")
-				b.ReportMetric(row.FlushesPerMsg(), "flushes/msg")
-				b.ReportMetric(row.MsgsPerSec(), "msgs/sec")
-			})
-		}
-	}
-}
-
 func benchStepApp(steps int) cluster.AppFunc {
 	return func(env *cluster.Env) (any, error) {
 		c := env.World

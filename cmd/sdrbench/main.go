@@ -17,7 +17,6 @@
 //	sdrbench -exp determinism     # send-determinism verdicts (§2.1 taxonomy)
 //	sdrbench -exp partial         # partial replication sweep (§5 outlook)
 //	sdrbench -exp sdc             # redMPI-style corruption detection
-//	sdrbench -exp wirescale       # batch-first wire scaling: ranks × degree × size
 //	sdrbench -exp all             # everything
 //
 // -ranks and -scale grow the workloads toward the paper's class-D feel.
@@ -33,7 +32,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1, table1-ext, table2, fig2, fig3, fig4, fig7a, fig7b, ablation-mirror, ablation-leader, ablation-degree, ablation-eager, ablation-coalesce, ablation-ckpt, ablation-recovery, determinism, partial, sdc, wirescale, all)")
+	exp := flag.String("exp", "all", "experiment id (table1, table1-ext, table2, fig2, fig3, fig4, fig7a, fig7b, ablation-mirror, ablation-leader, ablation-degree, ablation-eager, ablation-coalesce, ablation-ckpt, ablation-recovery, determinism, partial, sdc, all)")
 	ranks := flag.Int("ranks", 8, "logical ranks for table experiments")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	reps := flag.Int("reps", 3, "repetitions per measurement (median reported)")
@@ -157,14 +156,6 @@ func main() {
 			if n == 0 {
 				return fmt.Errorf("corruption went undetected")
 			}
-		case "wirescale":
-			rows, err := bench.WireScaleCurve(
-				[]int{8, 32, 64, 128, 256}, []int{2, 4}, []int{64, 4096},
-				[]string{"tcp", "ring"}, 8, 5**scale)
-			if err != nil {
-				return err
-			}
-			bench.RenderWireScale(os.Stdout, rows)
 		default:
 			return fmt.Errorf("unknown experiment %q", id)
 		}
@@ -175,7 +166,7 @@ func main() {
 	if *exp == "all" {
 		ids = []string{"fig2", "fig3", "fig4", "fig7a", "fig7b", "table1", "table1-ext", "table2",
 			"ablation-mirror", "ablation-leader", "ablation-degree", "ablation-eager",
-			"ablation-coalesce", "ablation-ckpt", "ablation-recovery", "determinism", "partial", "sdc", "wirescale"}
+			"ablation-coalesce", "ablation-ckpt", "ablation-recovery", "determinism", "partial", "sdc"}
 	}
 	for _, id := range ids {
 		if err := run(id); err != nil {

@@ -50,7 +50,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // The app-selection side of the worker env contract (cluster.EnvApp,
@@ -349,7 +348,7 @@ func main() {
 	if *traceSends && proto != cluster.Native {
 		fmt.Println("send-determinism verdicts:")
 		for rank := 0; rank < *ranks; rank++ {
-			var recs []*trace.Recorder
+			var recs []*cluster.Recorder
 			for _, p := range rep.Procs {
 				if p.Rank == rank {
 					if rc := rep.Recorders[p.Proc]; rc != nil {
@@ -357,7 +356,7 @@ func main() {
 					}
 				}
 			}
-			if err := trace.CheckSendDeterminism(recs...); err != nil {
+			if err := cluster.CheckSendDeterminism(recs...); err != nil {
 				fmt.Printf("  rank %d: VIOLATION — %v\n", rank, err)
 			} else {
 				fmt.Printf("  rank %d: ok (%d replicas compared)\n", rank, len(recs))

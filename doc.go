@@ -177,12 +177,13 @@
 // (internal/core/sequencer.go) — and inbound queue shards sized to the
 // world (next power of two ≥ peer count, clamped to [8, 64]) so 256
 // senders don't contend on the 8 shards an 8-rank default assumed
-// (internal/transport/network.go). The wirescale experiment and
-// BenchmarkSequencer track the result as a committed 8–256-rank curve
-// (BENCH_PR10.json).
+// (internal/transport/network.go). BENCH_PR10.json records the 8–256-rank
+// curve that change was measured on; the benchmark/ yardstick's
+// wire-ring-128 workload tracks the wire at scale today.
 //
 // Entry points: cmd/sdrbench regenerates the paper's artifacts by
 // experiment id, cmd/netpipe runs the ping-pong sweep, cmd/faultdemo
-// narrates crash + substitution, and examples/ holds small applications.
-// See README.md for the full tour.
+// narrates crash + substitution, examples/ holds small applications, and
+// `go run ./benchmark` is the end-to-end yardstick a change is measured
+// against. See README.md for the full tour.
 package repro

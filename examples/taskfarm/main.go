@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -60,13 +59,13 @@ func main() {
 	// Compare each rank's replicas.
 	fmt.Println("\nsend-determinism verdicts:")
 	for rank := 0; rank < 4; rank++ {
-		var recs []*trace.Recorder
+		var recs []*cluster.Recorder
 		for _, p := range report.Procs {
 			if p.Rank == rank {
 				recs = append(recs, report.Recorders[p.Proc])
 			}
 		}
-		if err := trace.CheckSendDeterminism(recs...); err != nil {
+		if err := cluster.CheckSendDeterminism(recs...); err != nil {
 			fmt.Printf("  rank %d: VIOLATION — %v\n", rank, err)
 		} else {
 			fmt.Printf("  rank %d: send-deterministic\n", rank)

@@ -51,7 +51,7 @@ type MWParams struct {
 // task — depends on message arrival order. The aggregate checksum is still
 // deterministic (a commutative sum), which is exactly what makes the
 // violation invisible to output checks and detectable only by the
-// send-determinism checker in internal/trace.
+// send-determinism checker (cluster.CheckSendDeterminism).
 func MasterWorker(c *mpi.Comm, p MWParams) Result {
 	size := c.Size()
 	if size == 1 {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 // Extended evaluation beyond the paper's Tables 1–2: three more NAS
@@ -173,7 +172,7 @@ func RunDeterminismCheck(s Scale) ([]DeterminismRow, error) {
 		}
 		row := DeterminismRow{Name: cd.name, SendDeterministic: true, ChecksumsAgree: true}
 		for rank := 0; rank < 4; rank++ {
-			var recs []*trace.Recorder
+			var recs []*cluster.Recorder
 			var sums []float64
 			for _, p := range rep.Procs {
 				if p.Rank != rank {
@@ -182,7 +181,7 @@ func RunDeterminismCheck(s Scale) ([]DeterminismRow, error) {
 				recs = append(recs, rep.Recorders[p.Proc])
 				sums = append(sums, p.Result.(apps.Result).Checksum)
 			}
-			if err := trace.CheckSendDeterminism(recs...); err != nil {
+			if err := cluster.CheckSendDeterminism(recs...); err != nil {
 				row.SendDeterministic = false
 				if row.Detail == "" {
 					row.Detail = fmt.Sprintf("rank %d: %v", rank, err)

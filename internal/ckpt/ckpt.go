@@ -9,7 +9,7 @@
 // This package implements that storage side: per-rank, per-step checkpoint
 // files written atomically by the designated writer replica only (the
 // lowest-index alive one), each closed by an 8-byte footer — the CRC-32C
-// (Castagnoli) of the payload and a format tag, see seal — that is checked
+// (Castagnoli) of the payload and a format tag, see Seal — that is checked
 // on every load, a coordinated-commit marker per wave so a half-written wave
 // is never chosen for restart, and a Latest scan plus GC of superseded waves.
 //
@@ -71,12 +71,14 @@ func (s *Store) Save(rank, step int, data []byte, write bool) error {
 	return nil
 }
 
-// The footer that closes every checkpoint and message-log file: the
-// payload's CRC-32C, little-endian, then footerTag. There is one format
-// and no reader for any other: a directory written by a build with a
-// different footer fails closed as ErrFormat.
+// The footer that closes every checkpoint and message-log file, and every
+// frame core's message-log codecs encode: the payload's CRC-32C,
+// little-endian, then footerTag. There is one format and no reader for any
+// other: bytes written by a build with a different footer fail closed as
+// ErrFormat.
 const (
-	footerLen = 8
+	// FooterLen is how many bytes Seal appends to a payload.
+	FooterLen = 8
 	// footerTag reads "C32C" on disk. It tells "not one of our footers" (a
 	// truncated file, a file from an older build) apart from "our footer,
 	// damaged payload".
@@ -86,36 +88,36 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
-	// ErrFormat reports a file whose last 8 bytes are not a footer this
+	// ErrFormat reports bytes whose last FooterLen are not a footer this
 	// build writes.
-	ErrFormat = errors.New("not a footer this build writes — truncated, or written by an older build; remove the directory")
-	// ErrCorrupt reports a file whose footer is well-formed and whose
+	ErrFormat = errors.New("not a footer this build writes — truncated, or written by an older build")
+	// ErrCorrupt reports bytes whose footer is well-formed and whose
 	// payload does not match its checksum.
 	ErrCorrupt = errors.New("checksum mismatch")
 )
 
-// seal computes the footer for payload. With open it is the only code that
+// Seal computes the footer for payload. With Open it is the only code that
 // knows the footer's layout.
-func seal(payload []byte) [footerLen]byte {
-	var footer [footerLen]byte
+func Seal(payload []byte) [FooterLen]byte {
+	var footer [FooterLen]byte
 	binary.LittleEndian.PutUint32(footer[:4], crc32.Checksum(payload, castagnoli))
 	binary.LittleEndian.PutUint32(footer[4:], footerTag)
 	return footer
 }
 
-// open checks the footer that closes raw and returns the payload in front
-// of it: ErrFormat when the footer is not one seal writes, ErrCorrupt when
-// the payload fails its checksum, both naming the file as what.
-func open(raw []byte, what string) ([]byte, error) {
-	if len(raw) < footerLen {
-		return nil, fmt.Errorf("ckpt: %s: %w", what, ErrFormat)
+// Open checks the footer that closes raw and returns the payload in front
+// of it: ErrFormat when the footer is not one Seal writes, ErrCorrupt when
+// the payload fails its checksum. Callers wrap either with what they read.
+func Open(raw []byte) ([]byte, error) {
+	if len(raw) < FooterLen {
+		return nil, ErrFormat
 	}
-	payload, footer := raw[:len(raw)-footerLen], raw[len(raw)-footerLen:]
+	payload, footer := raw[:len(raw)-FooterLen], raw[len(raw)-FooterLen:]
 	if binary.LittleEndian.Uint32(footer[4:]) != footerTag {
-		return nil, fmt.Errorf("ckpt: %s: %w", what, ErrFormat)
+		return nil, ErrFormat
 	}
 	if binary.LittleEndian.Uint32(footer[:4]) != crc32.Checksum(payload, castagnoli) {
-		return nil, fmt.Errorf("ckpt: %s: %w", what, ErrCorrupt)
+		return nil, ErrCorrupt
 	}
 	return payload, nil
 }
@@ -124,7 +126,7 @@ func open(raw []byte, what string) ([]byte, error) {
 // rename, so a crash mid-write never corrupts a previous file under the
 // same name. Shared by checkpoint and message-log writes.
 func (s *Store) writeAtomic(path string, data []byte) error {
-	footer := seal(data)
+	footer := Seal(data)
 
 	tmp, err := os.CreateTemp(s.dir, "ckpt-tmp-*")
 	if err != nil {
@@ -152,14 +154,18 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// readVerified reads a sealed file and hands its payload on only once open
-// has accepted the footer.
+// readVerified reads a sealed file and hands its payload on only once Open
+// has accepted the footer; an error names the file as what.
 func readVerified(path, what string) ([]byte, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return open(raw, what)
+	payload, err := Open(raw)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %s: %w", what, err)
+	}
+	return payload, nil
 }
 
 // Load reads and verifies one rank's checkpoint at a step.

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// sealed returns payload with the footer seal computes for it appended: the
+// sealed returns payload with the footer Seal computes for it appended: the
 // bytes of a file the store wrote.
 func sealed(payload []byte) []byte {
-	footer := seal(payload)
+	footer := Seal(payload)
 	return append(append([]byte(nil), payload...), footer[:]...)
 }
 

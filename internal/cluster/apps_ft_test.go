@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/trace"
 )
 
 // The workload fault-tolerance matrix: the extended NAS proxies must
@@ -162,7 +161,7 @@ func TestMasterWorkerViolatesSendDeterminism(t *testing.T) {
 		t.Fatalf("master checksums diverged: %v vs %v", m0.Checksum, m1.Checksum)
 	}
 	// Send sequence of the two master replicas: must be flagged.
-	var r0, r1 *trace.Recorder
+	var r0, r1 *Recorder
 	for _, p := range rep.Procs {
 		if p.Rank == 0 && p.Rep == 0 {
 			r0 = rep.Recorders[p.Proc]
@@ -174,7 +173,7 @@ func TestMasterWorkerViolatesSendDeterminism(t *testing.T) {
 	if r0 == nil || r1 == nil {
 		t.Fatal("recorders missing")
 	}
-	if err := trace.CheckSendDeterminism(r0, r1); err == nil {
+	if err := CheckSendDeterminism(r0, r1); err == nil {
 		t.Error("send-determinism checker did not flag the master-worker assignment divergence")
 	}
 }
@@ -228,7 +227,7 @@ func TestHPCCGPassesSendDeterminismCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < 4; rank++ {
-		var recs []*trace.Recorder
+		var recs []*Recorder
 		for _, p := range rep.Procs {
 			if p.Rank == rank {
 				recs = append(recs, rep.Recorders[p.Proc])
@@ -237,7 +236,7 @@ func TestHPCCGPassesSendDeterminismCheck(t *testing.T) {
 		if len(recs) != 2 || recs[0] == nil || recs[1] == nil {
 			t.Fatalf("rank %d: recorders missing", rank)
 		}
-		if err := trace.CheckSendDeterminism(recs...); err != nil {
+		if err := CheckSendDeterminism(recs...); err != nil {
 			t.Errorf("rank %d flagged as non-send-deterministic: %v", rank, err)
 		}
 	}

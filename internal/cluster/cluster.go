@@ -20,7 +20,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -471,7 +470,7 @@ type Report struct {
 	Procs   []ProcReport
 	Stats   transport.StatsSnapshot
 	// Recorders maps physical proc → send recorder (TraceSends runs).
-	Recorders map[transport.ProcID]*trace.Recorder
+	Recorders map[transport.ProcID]*Recorder
 	// SDCDetected sums hash mismatches across replicas (SDC runs).
 	SDCDetected int
 	TimedOut    bool
@@ -571,11 +570,11 @@ type runState struct {
 	restartWave int
 	epoch       int
 
-	mu         sync.Mutex                           // sdr:lockrank runstate
-	recovered  map[int]bool                         // guarded by mu; recovery event index → done
-	waves      waveTally                            // guarded by mu; writer saves per checkpoint wave
-	reports    []ProcReport                         // guarded by mu
-	recorders  map[transport.ProcID]*trace.Recorder // guarded by mu
+	mu         sync.Mutex                     // sdr:lockrank runstate
+	recovered  map[int]bool                   // guarded by mu; recovery event index → done
+	waves      waveTally                      // guarded by mu; writer saves per checkpoint wave
+	reports    []ProcReport                   // guarded by mu
+	recorders  map[transport.ProcID]*Recorder // guarded by mu
 	wg         sync.WaitGroup
 	sdcTotal   int       // guarded by mu
 	cloneStart time.Time // guarded by mu
@@ -841,7 +840,7 @@ func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fir
 		recovered:   make(map[int]bool),
 		waves:       waveTally{ranks: cfg.Ranks},
 		reports:     make([]ProcReport, layout.Procs()),
-		recorders:   make(map[transport.ProcID]*trace.Recorder),
+		recorders:   make(map[transport.ProcID]*Recorder),
 		logRanks:    logRankVector(cfg, layout),
 		replayWave:  -1,
 	}
@@ -976,7 +975,7 @@ func (rs *runState) runProc(id transport.ProcID, cloneState *core.CloneState, re
 			LogDests:      rs.logRanks,
 		}
 		if rs.cfg.TraceSends {
-			rec := trace.NewRecorder(rs.cfg.KeepEvents)
+			rec := NewRecorder(rs.cfg.KeepEvents)
 			rs.mu.Lock()
 			rs.recorders[id] = rec
 			rs.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/mpi"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -245,7 +244,7 @@ func TestSendDeterminismAcrossReplicas(t *testing.T) {
 		if r0 == nil || r1 == nil {
 			t.Fatalf("missing recorders for rank %d", rank)
 		}
-		if err := trace.CheckSendDeterminism(r0, r1); err != nil {
+		if err := CheckSendDeterminism(r0, r1); err != nil {
 			t.Errorf("rank %d: %v", rank, err)
 		}
 	}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/mpi"
 )
 
-// Crash coverage for the extended MPI surface: each facility must survive
-// a replica failure mid-run with native-identical results on every
+// Crash coverage for the MPI facilities above point-to-point: each must
+// survive a replica failure mid-run with native-identical results on every
 // survivor.
 
 // runWithCrash executes app natively (reference) and under SDR with the
@@ -41,124 +41,6 @@ func runWithCrash(t *testing.T, ranks int, fail FailureEvent, app AppFunc) {
 	if crashed != 1 {
 		t.Errorf("crashed = %d, want 1", crashed)
 	}
-}
-
-func TestSsendSurvivesReceiverReplicaCrash(t *testing.T) {
-	// Synchronous sends force rendezvous; killing one receiver replica
-	// mid-pattern exercises CancelSendsTo plus the substitute's re-sent
-	// RTS handshakes.
-	app := func(env *Env) (any, error) {
-		c := env.World
-		sum := 0
-		buf := make([]byte, 4)
-		for i := 0; i < 10; i++ {
-			env.Step(i, nil)
-			if c.Rank() == 0 {
-				c.Ssend(1, 1, []byte{byte(i), 0, 0, 0})
-				c.Recv(1, 2, buf)
-				sum += int(buf[0])
-			} else {
-				c.Recv(0, 1, buf)
-				c.Ssend(0, 2, []byte{buf[0] + 1, 0, 0, 0})
-				sum += int(buf[0])
-			}
-		}
-		return sum, nil
-	}
-	runWithCrash(t, 2, FailureEvent{Rank: 1, Rep: 0, AtStep: 4}, app)
-}
-
-func TestNeighborCollectivesSurviveCrash(t *testing.T) {
-	app := func(env *Env) (any, error) {
-		c := env.World
-		cart := c.CartCreate([]int{2, 2}, []bool{true, true})
-		acc := uint64(0)
-		for step := 0; step < 8; step++ {
-			env.Step(step, nil)
-			mine := []byte{byte(int(cart.Rank())*16 + step)}
-			got := cart.NeighborAllgather(mine)
-			for _, b := range got {
-				acc = acc*31 + uint64(b)
-			}
-		}
-		return acc, nil
-	}
-	runWithCrash(t, 4, FailureEvent{Rank: 2, Rep: 1, AtStep: 3}, app)
-}
-
-func TestIntercommSurvivesCrash(t *testing.T) {
-	app := func(env *Env) (any, error) {
-		c := env.World
-		ga := mpi.NewGroup([]mpi.Rank{0, 1})
-		gb := mpi.NewGroup([]mpi.Rank{2, 3})
-		ic := c.IntercommCreate(ga, gb)
-		acc := uint64(0)
-		buf := make([]byte, 1)
-		for step := 0; step < 8; step++ {
-			env.Step(step, nil)
-			peer := ic.LocalRank()
-			if int(c.Rank()) < 2 {
-				ic.Send(peer, 1, []byte{byte(step + int(c.Rank()))})
-				ic.Recv(peer, 2, buf)
-			} else {
-				ic.Recv(peer, 1, buf)
-				ic.Send(peer, 2, []byte{buf[0] * 2})
-			}
-			acc = acc*31 + uint64(buf[0])
-		}
-		return acc, nil
-	}
-	runWithCrash(t, 4, FailureEvent{Rank: 3, Rep: 0, AtStep: 4}, app)
-}
-
-func TestNBCSurvivesCrash(t *testing.T) {
-	// A non-blocking collective in flight while a replica dies: the
-	// round-machine's point-to-point traffic must be substituted like any
-	// other.
-	app := func(env *Env) (any, error) {
-		c := env.World
-		acc := int64(0)
-		for step := 0; step < 8; step++ {
-			env.Step(step, nil)
-			r, out := c.Iallreduce(mpi.Int64Bytes([]int64{int64(int(c.Rank()) + step)}), mpi.Int64T, mpi.OpSum)
-			r.Wait()
-			acc += mpi.Int64Value(out)
-		}
-		return acc, nil
-	}
-	runWithCrash(t, 4, FailureEvent{Rank: 0, Rep: 1, AtStep: 5}, app)
-}
-
-func TestRMASurvivesCrash(t *testing.T) {
-	// One-sided epochs across a replica failure: the fence's Alltoallv
-	// traffic and the applied puts/accumulates must be identical to the
-	// native run on every survivor.
-	app := func(env *Env) (any, error) {
-		c := env.World
-		local := mpi.Int64Bytes([]int64{int64(c.Rank())})
-		w := c.WinCreate(local)
-		for step := 0; step < 6; step++ {
-			env.Step(step, nil)
-			target := mpi.Rank((int(c.Rank()) + step) % c.Size())
-			w.Accumulate(target, 0, mpi.Int64Bytes([]int64{int64(step + 1)}), mpi.Int64T, mpi.OpSum)
-			w.Fence()
-		}
-		return mpi.Int64Value(local), nil
-	}
-	runWithCrash(t, 4, FailureEvent{Rank: 2, Rep: 0, AtStep: 3}, app)
-}
-
-func TestRMAUnderProtocols(t *testing.T) {
-	runUnderProtocols(t, 3, func(env *Env) (any, error) {
-		c := env.World
-		local := make([]byte, 8)
-		w := c.WinCreate(local)
-		w.Put((c.Rank()+1)%mpi.Rank(c.Size()), 0, []byte{byte(c.Rank() + 1)})
-		got := make([]byte, 1)
-		w.Get((c.Rank()+2)%mpi.Rank(c.Size()), 0, got)
-		w.Fence()
-		return int(local[0])*10 + int(got[0]), nil
-	})
 }
 
 func TestPersistentRingSurvivesEachCrashPosition(t *testing.T) {

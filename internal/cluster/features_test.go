@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -12,11 +11,10 @@ import (
 // The paper's central implementation claim (§4.1): because the protocol
 // intercepts communication at the point-to-point layer, every facility
 // built on top — collectives, communicators, groups, and by extension
-// everything this library added (persistent requests, send modes, derived
-// datatypes, topologies, neighborhood collectives, non-blocking
-// collectives) — is covered with no protocol-specific code. These tests
-// run each facility under every protocol and, for SDR, under a mid-run
-// replica crash.
+// everything this library added (persistent requests, derived datatypes,
+// Cartesian topologies) — is covered with no protocol-specific code. These
+// tests run each facility under every protocol and, for SDR, under a
+// mid-run replica crash.
 
 // runUnderProtocols runs app under native + all replication protocols and
 // requires identical results everywhere (comparable via fmt.Sprint).
@@ -68,49 +66,6 @@ func TestPersistentRequestsUnderReplication(t *testing.T) {
 	})
 }
 
-func TestSsendUnderReplication(t *testing.T) {
-	runUnderProtocols(t, 2, func(env *Env) (any, error) {
-		c := env.World
-		sum := 0
-		buf := make([]byte, 4)
-		for i := 0; i < 8; i++ {
-			if c.Rank() == 0 {
-				c.Ssend(1, 1, []byte{byte(i), 1, 2, 3})
-				c.Recv(1, 2, buf)
-				sum += int(buf[0])
-			} else {
-				c.Recv(0, 1, buf)
-				c.Ssend(0, 2, []byte{buf[0] * 2, 0, 0, 0})
-				sum += int(buf[0])
-			}
-		}
-		return sum, nil
-	})
-}
-
-func TestBsendUnderReplication(t *testing.T) {
-	runUnderProtocols(t, 2, func(env *Env) (any, error) {
-		c := env.World
-		if c.Rank() == 0 {
-			c.Proc().BufferAttach(1 << 16)
-			data := make([]byte, 512)
-			for i := 0; i < 5; i++ {
-				data[0] = byte(10 + i)
-				c.Bsend(1, 1, data)
-			}
-			c.Proc().BufferDetach()
-			return "sent", nil
-		}
-		sum := 0
-		buf := make([]byte, 512)
-		for i := 0; i < 5; i++ {
-			c.Recv(0, 1, buf)
-			sum += int(buf[0])
-		}
-		return sum, nil
-	})
-}
-
 func TestDerivedDatatypesUnderReplication(t *testing.T) {
 	runUnderProtocols(t, 2, func(env *Env) (any, error) {
 		c := env.World
@@ -149,52 +104,12 @@ func TestCartTopologyUnderReplication(t *testing.T) {
 		if cart == nil {
 			return "outside", nil
 		}
-		// One neighbourhood allgather plus a sub-grid reduction.
-		got := cart.NeighborAllgather([]byte{byte(cart.Rank() + 1)})
-		row := cart.CartSub([]bool{false, true})
-		rowSum := row.AllreduceInt64(int64(cart.Rank()), mpi.OpSum)
-		return fmt.Sprintf("%v/%d", got, rowSum), nil
-	})
-}
-
-func TestNonblockingCollectivesUnderReplication(t *testing.T) {
-	runUnderProtocols(t, 4, func(env *Env) (any, error) {
-		c := env.World
-		me := int(c.Rank())
-		r1, all := c.Ialltoall([]byte{byte(me), byte(me + 1), byte(me + 2), byte(me + 3)})
-		r2, red := c.Ireduce(0, mpi.Int64Bytes([]int64{int64(me)}), mpi.Int64T, mpi.OpSum)
-		r3, scan := c.Iscan(mpi.Int64Bytes([]int64{1}), mpi.Int64T, mpi.OpSum)
-		mpi.Waitall(r1, r2, r3)
-		out := fmt.Sprintf("a=%v s=%d", all, mpi.Int64Value(scan))
-		if me == 0 {
-			out += fmt.Sprintf(" r=%d", mpi.Int64Value(red))
-		}
-		return out, nil
-	})
-}
-
-func TestWaitsomeUnderReplication(t *testing.T) {
-	runUnderProtocols(t, 4, func(env *Env) (any, error) {
-		c := env.World
-		if c.Rank() == 0 {
-			bufs := make([][]byte, 3)
-			reqs := make([]*mpi.Request, 3)
-			for i := 0; i < 3; i++ {
-				bufs[i] = make([]byte, 1)
-				reqs[i] = c.Irecv(mpi.Rank(i+1), 1, bufs[i])
-			}
-			sum := 0
-			for done := 0; done < 3; {
-				idxs, _ := mpi.Waitsome(reqs)
-				for _, i := range idxs {
-					sum += int(bufs[i][0])
-					done++
-				}
-			}
-			return sum, nil
-		}
-		c.Send(0, 1, []byte{byte(c.Rank() * 10)})
-		return "sent", nil
+		// A shift along the periodic dimension plus a grid reduction.
+		src, dst := cart.CartShift(0, 1)
+		got := make([]byte, 1)
+		cart.Sendrecv(dst, 1, []byte{byte(cart.Rank() + 1)}, src, 1, got)
+		sum := cart.AllreduceInt64(int64(got[0])*int64(cart.Rank()), mpi.OpSum)
+		return fmt.Sprintf("%v/%d", cart.Coords(), sum), nil
 	})
 }
 
@@ -219,26 +134,7 @@ func TestPersistentHaloSurvivesCrash(t *testing.T) {
 		}
 		return sum, nil
 	}
-	want := Run(Config{Ranks: 4, Protocol: Native, Timeout: 30 * time.Second}, app)
-	if err := want.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	rep := Run(Config{
-		Ranks: 4, Protocol: SDR, Timeout: 30 * time.Second,
-		Failures: []FailureEvent{{Rank: 1, Rep: 0, AtStep: 4}},
-	}, app)
-	if err := rep.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rep.Procs {
-		if p.Crashed {
-			continue
-		}
-		wantRes := want.ResultOf(p.Rank, 0)
-		if p.Result != wantRes {
-			t.Errorf("rank %d rep %d: %v, want %v", p.Rank, p.Rep, p.Result, wantRes)
-		}
-	}
+	runWithCrash(t, 4, FailureEvent{Rank: 1, Rep: 0, AtStep: 4}, app)
 }
 
 func TestLayoutExchangeSurvivesCrash(t *testing.T) {
@@ -272,49 +168,7 @@ func TestLayoutExchangeSurvivesCrash(t *testing.T) {
 		}
 		return acc, nil
 	}
-	want := Run(Config{Ranks: 2, Protocol: Native, Timeout: 30 * time.Second}, app)
-	if err := want.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	rep := Run(Config{
-		Ranks: 2, Protocol: SDR, Timeout: 30 * time.Second,
-		Failures: []FailureEvent{{Rank: 0, Rep: 1, AtStep: 3}},
-	}, app)
-	if err := rep.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rep.Procs {
-		if p.Crashed {
-			continue
-		}
-		if wantRes := want.ResultOf(p.Rank, 0); p.Result != wantRes {
-			t.Errorf("rank %d rep %d: %v, want %v", p.Rank, p.Rep, p.Result, wantRes)
-		}
-	}
-}
-
-func TestIntercommUnderReplication(t *testing.T) {
-	runUnderProtocols(t, 4, func(env *Env) (any, error) {
-		c := env.World
-		ga := mpi.NewGroup([]mpi.Rank{0, 2})
-		gb := mpi.NewGroup([]mpi.Rank{1, 3})
-		ic := c.IntercommCreate(ga, gb)
-		peer := ic.LocalRank()
-		buf := make([]byte, 1)
-		var got int
-		if int(c.Rank())%2 == 0 {
-			ic.Send(peer, 7, []byte{byte(10 + ic.LocalRank())})
-			st := ic.Recv(mpi.AnySource, 8, buf)
-			got = int(buf[0])*100 + int(st.Source)
-		} else {
-			st := ic.Recv(mpi.AnySource, 7, buf)
-			got = int(buf[0])*100 + int(st.Source)
-			ic.Send(peer, 8, []byte{byte(20 + ic.LocalRank())})
-		}
-		merged := ic.Merge(int(c.Rank())%2 == 0)
-		sum := merged.AllreduceInt64(int64(got), mpi.OpSum)
-		return sum, nil
-	})
+	runWithCrash(t, 2, FailureEvent{Rank: 0, Rep: 1, AtStep: 3}, app)
 }
 
 func TestMirrorRendezvousFinalizeDrain(t *testing.T) {
@@ -344,41 +198,6 @@ func TestMirrorRendezvousFinalizeDrain(t *testing.T) {
 		for _, p := range rep.Procs {
 			if p.Rank == 1 && p.Result != 42 {
 				t.Errorf("size %d: receiver got %v", size, p.Result)
-			}
-		}
-	}
-}
-
-func TestBufferDetachDrainsAcksUnderSDR(t *testing.T) {
-	// A buffered send's hidden request is gated on replication acks;
-	// BufferDetach must pump progress until they arrive (not spin or
-	// return early).
-	rep := Run(Config{Ranks: 2, Protocol: SDR, Timeout: 30 * time.Second},
-		func(env *Env) (any, error) {
-			c := env.World
-			if c.Rank() == 0 {
-				c.Proc().BufferAttach(4096)
-				payload := bytes.Repeat([]byte{0xAB}, 1024)
-				c.Bsend(1, 1, payload)
-				n := c.Proc().BufferDetach() // must block until acked
-				return n, nil
-			}
-			buf := make([]byte, 1024)
-			c.Recv(0, 1, buf)
-			return int(buf[0]), nil
-		})
-	if err := rep.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rep.Procs {
-		switch p.Rank {
-		case 0:
-			if p.Result != 4096 {
-				t.Errorf("BufferDetach returned %v", p.Result)
-			}
-		case 1:
-			if p.Result != 0xAB {
-				t.Errorf("receiver saw %v", p.Result)
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-package trace
+package cluster
 
 import (
 	"testing"
@@ -79,18 +79,6 @@ func TestChainOrderSensitivityProperty(t *testing.T) {
 	}
 }
 
-func TestHashPayloadStability(t *testing.T) {
-	if HashPayload([]byte("abc")) != HashPayload([]byte("abc")) {
-		t.Fatal("hash unstable")
-	}
-	if HashPayload([]byte("abc")) == HashPayload([]byte("abd")) {
-		t.Fatal("hash collision on trivial change")
-	}
-	if HashPayload(nil) != HashPayload([]byte{}) {
-		t.Fatal("nil and empty should hash equal")
-	}
-}
-
 func TestEventRetentionBounded(t *testing.T) {
 	r := NewRecorder(3)
 	for i := 0; i < 10; i++ {
@@ -101,21 +89,5 @@ func TestEventRetentionBounded(t *testing.T) {
 	}
 	if r.Count() != 10 {
 		t.Fatalf("count %d", r.Count())
-	}
-}
-
-func TestLamportClock(t *testing.T) {
-	var c LClock
-	if c.Tick() != 1 || c.Tick() != 2 {
-		t.Fatal("tick sequence wrong")
-	}
-	if c.Merge(10) != 11 {
-		t.Fatal("merge should jump past remote")
-	}
-	if c.Merge(3) != 12 {
-		t.Fatal("merge with older remote should still advance")
-	}
-	if c.Now() != 12 {
-		t.Fatal("now should not advance")
 	}
 }

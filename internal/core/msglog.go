@@ -18,19 +18,20 @@ package core
 // only ever needs entries its newest checkpoint acknowledgement did not
 // cover — which is exactly what the logs still hold.
 //
-// Two record codecs live here, both length-checked and checksummed, and
-// both failing closed: a frame that does not decode cleanly is *ignored*
-// (truncation ack) or *aborts the localized replay* (replay state), in
-// which case the launcher escalates to the global-rollback rung. Garbage
-// is never delivered to the application.
+// Two record codecs live here, both length-checked and closed by the
+// checkpoint store's CRC-32C footer (ckpt.Seal), and both failing closed:
+// a frame that does not decode cleanly is *ignored* (truncation ack) or
+// *aborts the localized replay* (replay state), in which case the launcher
+// escalates to the global-rollback rung. Garbage is never delivered to the
+// application.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
+	"repro/internal/ckpt"
 	"repro/internal/detect"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -132,7 +133,7 @@ const (
 )
 
 // EncodeSeqRecs appends the frontier records to dst in the truncation-ack
-// wire format: magic, count, fixed-size records, fnv64 footer.
+// wire format: magic, count, fixed-size records, ckpt.Seal footer.
 func EncodeSeqRecs(dst []byte, recs []SeqRec) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, seqRecMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(recs)))
@@ -141,22 +142,20 @@ func EncodeSeqRecs(dst []byte, recs []SeqRec) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(r.Rank)))
 		dst = binary.LittleEndian.AppendUint64(dst, r.Next)
 	}
-	h := fnv.New64a()
-	h.Write(dst)
-	return binary.LittleEndian.AppendUint64(dst, h.Sum64())
+	footer := ckpt.Seal(dst)
+	return append(dst, footer[:]...)
 }
 
 // DecodeSeqRecs parses a truncation-ack payload, failing closed on any
-// truncation, trailing bytes, or checksum mismatch.
+// truncation, trailing bytes, or footer mismatch (ckpt.ErrFormat,
+// ckpt.ErrCorrupt).
 func DecodeSeqRecs(b []byte) ([]SeqRec, error) {
-	if len(b) < 16 {
+	if len(b) < 8+ckpt.FooterLen {
 		return nil, fmt.Errorf("core: seq-rec frame truncated (%d bytes)", len(b))
 	}
-	body, footer := b[:len(b)-8], b[len(b)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != binary.LittleEndian.Uint64(footer) {
-		return nil, fmt.Errorf("core: seq-rec frame checksum mismatch")
+	body, err := ckpt.Open(b)
+	if err != nil {
+		return nil, fmt.Errorf("core: seq-rec frame: %w", err)
 	}
 	if binary.LittleEndian.Uint32(body) != seqRecMagic {
 		return nil, fmt.Errorf("core: seq-rec frame bad magic")
@@ -333,9 +332,8 @@ func encodeReplayState(st replayState) []byte {
 	for _, m := range st.pending {
 		emit(1, m)
 	}
-	h := fnv.New64a()
-	h.Write(b)
-	return binary.LittleEndian.AppendUint64(b, h.Sum64())
+	footer := ckpt.Seal(b)
+	return append(b, footer[:]...)
 }
 
 // decodeReplayState parses an encoded replay state, failing closed on any
@@ -345,14 +343,12 @@ func decodeReplayState(b []byte) (replayState, error) {
 	fail := func(format string, args ...any) (replayState, error) {
 		return replayState{}, fmt.Errorf("core: replay state "+format, args...)
 	}
-	if len(b) < replayHeader+8 {
+	if len(b) < replayHeader+ckpt.FooterLen {
 		return fail("truncated (%d bytes)", len(b))
 	}
-	body, footer := b[:len(b)-8], b[len(b)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != binary.LittleEndian.Uint64(footer) {
-		return fail("checksum mismatch")
+	body, err := ckpt.Open(b)
+	if err != nil {
+		return fail("%w", err)
 	}
 	if binary.LittleEndian.Uint32(body) != replayMagic {
 		return fail("bad magic")

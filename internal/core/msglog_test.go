@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/detect"
 	"repro/internal/mpi"
 	"repro/internal/transport"
@@ -119,6 +123,46 @@ func TestReplayStateRoundTrip(t *testing.T) {
 		bad[off] ^= 0x01
 		if err := ValidateReplayState(bad); err == nil {
 			t.Fatalf("bit flip at %d validated — garbage would reach the application", off)
+		}
+	}
+}
+
+// TestMsglogFramesFooter covers both codecs' CRC-32C footer: every single
+// bit flip of an encoded frame fails closed with a typed ckpt error, and a
+// frame closed by the FNV-64a footer older builds wrote is refused as a
+// format error, never decoded.
+func TestMsglogFramesFooter(t *testing.T) {
+	frames := []struct {
+		name   string
+		enc    []byte
+		decode func([]byte) error
+	}{
+		{"seq-rec", EncodeSeqRecs(nil, []SeqRec{{Ctx: 2, Rank: 1, Next: 9}, {Ctx: 3, Rank: 0, Next: 1 << 33}}),
+			func(b []byte) error { _, err := DecodeSeqRecs(b); return err }},
+		{"replay-state", encodeReplayState(replayState{collSeq: 5,
+			send: []SeqRec{{Ctx: 1, Rank: 0, Next: 2}},
+			unexpected: []*transport.Message{{Kind: transport.KindEager, Ctx: 1,
+				Tag: 5, Seq: 1, Src: 2, Data: []byte{1, 2, 3}}}}),
+			ValidateReplayState},
+	}
+	for _, f := range frames {
+		if err := f.decode(f.enc); err != nil {
+			t.Fatalf("%s: intact frame: %v", f.name, err)
+		}
+		for bit := 0; bit < 8*len(f.enc); bit++ {
+			bad := append([]byte(nil), f.enc...)
+			bad[bit/8] ^= 1 << (bit % 8)
+			err := f.decode(bad)
+			if !errors.Is(err, ckpt.ErrCorrupt) && !errors.Is(err, ckpt.ErrFormat) {
+				t.Fatalf("%s: flipping bit %d gave %v, want a footer error", f.name, bit, err)
+			}
+		}
+		body := f.enc[:len(f.enc)-ckpt.FooterLen]
+		h := fnv.New64a()
+		h.Write(body)
+		legacy := binary.LittleEndian.AppendUint64(append([]byte(nil), body...), h.Sum64())
+		if err := f.decode(legacy); !errors.Is(err, ckpt.ErrFormat) {
+			t.Fatalf("%s: legacy FNV-64a footer gave %v, want ckpt.ErrFormat", f.name, err)
 		}
 	}
 }

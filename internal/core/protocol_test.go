@@ -367,6 +367,19 @@ func TestEarlyAcksPartiallySweptKeepsSurvivors(t *testing.T) {
 	}
 }
 
+// TestHashPayloadGolden pins the SDC payload hash to CRC-32C: 0xE3069283
+// is the check value every CRC-32C catalogue lists for "123456789". A fixed
+// function of the bytes is what lets replicas in different OS processes
+// compare hashes.
+func TestHashPayloadGolden(t *testing.T) {
+	if got := HashPayload([]byte("123456789")); got != 0xe3069283 {
+		t.Fatalf("HashPayload(\"123456789\") = %#x, want 0xe3069283", got)
+	}
+	if HashPayload(nil) != HashPayload([]byte{}) {
+		t.Fatal("nil and empty payloads hash differently")
+	}
+}
+
 func TestSDCHashPairingBothOrders(t *testing.T) {
 	// Hash-before-payload and payload-before-hash must both pair up.
 	opts := Options{SDC: true}

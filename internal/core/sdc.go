@@ -1,8 +1,9 @@
 package core
 
 import (
+	"hash/crc32"
+
 	"repro/internal/mpi"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -15,10 +16,22 @@ import (
 // per application message, and — the paper's closing point — it inherits
 // the leaderless ANY_SOURCE handling.
 
+// castagnoli is the CRC-32C table; hash/crc32 runs it on the SSE4.2 /
+// ARMv8 CRC instructions.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// HashPayload is the payload hash the replicas of a sender compare (and
+// the send recorder chains): CRC-32C, zero-extended. It is a pure function
+// of the bytes, so replicas in different OS processes agree — which rules
+// out a per-process seeded hash such as hash/maphash.
+func HashPayload(data []byte) uint64 {
+	return uint64(crc32.Checksum(data, castagnoli))
+}
+
 // sendHash ships the payload hash of an outgoing message to a replica of
 // the destination rank that does not receive the payload from us.
 func (p *Replicated) sendHash(q transport.ProcID, ctx uint32, tag int, seq uint64, meta [4]int64, data []byte) {
-	h := trace.HashPayload(data)
+	h := HashPayload(data)
 	p.eng.Endpoint().Send(&transport.Message{
 		Dst:  q,
 		Kind: transport.KindHash,
@@ -49,7 +62,7 @@ func (p *Replicated) recordLocalHash(ps mpi.PStatus, pr *mpi.PReq) {
 	if n > len(buf) {
 		n = len(buf)
 	}
-	h := trace.HashPayload(buf[:n])
+	h := HashPayload(buf[:n])
 	key := retKey{ps.Ctx, int(ps.Meta[mpi.MetaSrcRank]), ps.Seq}
 	if remotes, ok := p.sdcRemote[key]; ok {
 		for _, r := range remotes {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/detect"
@@ -10,13 +9,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Sequencer microbenchmark (ISSUE 10): the dense per-rank tables and
-// seq-indexed stash rings against the seed's map-keyed sequencer, at the
-// source-rank counts the 128–256-rank curve cares about. Both
-// implementations run against the same matching engine and the same
-// pre-built arrival schedules; one op is one full round of
+// Sequencer microbenchmark: the dense per-rank tables and seq-indexed
+// stash rings at 64–256 source ranks, against a real matching engine and
+// pre-built arrival schedules. One op is one full round of
 // sources × seqWindow arrivals, with the engine drained off the clock
-// between rounds.
+// between rounds. (BENCH_PR10.json records the comparison against the
+// seed's map-keyed sequencer.)
 //
 //	order=inorder      every arrival is the expected next seq — the pure
 //	                   lookup/advance fast path
@@ -73,71 +71,6 @@ func stampRound(ms []*transport.Message, sources int, base uint64, adversarial b
 	}
 }
 
-// mapSequencer is the seed's sequencer, verbatim: map-keyed per-(ctx,
-// rank) counters and sort.Search-maintained pending slices, one
-// InjectMatch per released message. It is the ns/op baseline the dense
-// tables are measured against.
-type mapSequencer struct {
-	eng      *mpi.Engine
-	recvNext map[seqKey]uint64
-	pending  map[seqKey][]*transport.Message
-}
-
-func newMapSequencer(eng *mpi.Engine) *mapSequencer {
-	return &mapSequencer{
-		eng:      eng,
-		recvNext: make(map[seqKey]uint64),
-		pending:  make(map[seqKey][]*transport.Message),
-	}
-}
-
-func (s *mapSequencer) onArrive(m *transport.Message) bool {
-	srcRank := int(m.Meta[mpi.MetaSrcRank])
-	key := seqKey{m.Ctx, srcRank}
-	next := s.recvNext[key]
-	switch {
-	case m.Seq < next:
-		transport.FreeMessage(m)
-		return false
-	case m.Seq > next:
-		s.stash(key, m)
-		return false
-	}
-	s.recvNext[key] = next + 1
-	s.eng.InjectMatch(m)
-	s.flush(key)
-	return false
-}
-
-func (s *mapSequencer) stash(key seqKey, m *transport.Message) {
-	q := s.pending[key]
-	i := sort.Search(len(q), func(i int) bool { return q[i].Seq >= m.Seq })
-	if i < len(q) && q[i].Seq == m.Seq {
-		transport.FreeMessage(m)
-		return
-	}
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = m
-	s.pending[key] = q
-}
-
-func (s *mapSequencer) flush(key seqKey) {
-	q := s.pending[key]
-	for len(q) > 0 && q[0].Seq == s.recvNext[key] {
-		m := q[0]
-		q[0] = nil
-		q = q[1:]
-		s.recvNext[key] = m.Seq + 1
-		s.eng.InjectMatch(m)
-	}
-	if len(q) == 0 {
-		delete(s.pending, key)
-	} else {
-		s.pending[key] = q
-	}
-}
-
 func benchSequencer(b *testing.B, sources int, adversarial bool, arrive func(*transport.Message) bool, eng *mpi.Engine) {
 	ms := seqBenchSchedule(sources)
 	b.ReportAllocs()
@@ -162,14 +95,9 @@ func BenchmarkSequencer(b *testing.B) {
 	for _, sources := range []int{64, 128, 256} {
 		for _, order := range []string{"inorder", "adversarial"} {
 			adversarial := order == "adversarial"
-			b.Run(fmt.Sprintf("sources=%d/order=%s/impl=dense", sources, order), func(b *testing.B) {
+			b.Run(fmt.Sprintf("sources=%d/order=%s", sources, order), func(b *testing.B) {
 				p, eng := seqBenchHarness(b, sources)
 				benchSequencer(b, sources, adversarial, p.onArrive, eng)
-			})
-			b.Run(fmt.Sprintf("sources=%d/order=%s/impl=map", sources, order), func(b *testing.B) {
-				_, eng := seqBenchHarness(b, sources)
-				s := newMapSequencer(eng)
-				benchSequencer(b, sources, adversarial, s.onArrive, eng)
 			})
 		}
 	}

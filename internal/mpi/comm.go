@@ -34,10 +34,8 @@ type Comm struct {
 	childIdx uint32 // counter for deriving child contexts
 	collSeq  uint64 // per-collective-call sequence for tag isolation
 
-	name    string
 	errh    Errhandler
 	lastErr *Error
-	attrs   map[int]any
 }
 
 // worldCtxP2P/worldCtxColl are the contexts of a base world communicator.
@@ -235,7 +233,6 @@ func (c *Comm) Dup() *Comm {
 	p2p, coll := c.childCtx()
 	child := newComm(c.proc, c.protocol, NewGroup(c.group.ranks), c.BaseRank(c.rank), p2p, coll)
 	child.errh = c.errh
-	c.copyAttrsTo(child)
 	return child
 }
 

@@ -10,7 +10,6 @@ const (
 	ErrCount           // MPI_ERR_COUNT: bad buffer size
 	ErrType            // MPI_ERR_TYPE: malformed derived datatype
 	ErrTruncate        // MPI_ERR_TRUNCATE: message longer than receive buffer
-	ErrBuffer          // MPI_ERR_BUFFER: buffered send without room
 	ErrComm            // MPI_ERR_COMM: operation on an invalid communicator
 	ErrTopology        // MPI_ERR_TOPOLOGY: bad topology specification
 	ErrRequest         // MPI_ERR_REQUEST: misuse of a (persistent) request
@@ -25,7 +24,6 @@ var errClassNames = [...]string{
 	ErrCount:    "MPI_ERR_COUNT",
 	ErrType:     "MPI_ERR_TYPE",
 	ErrTruncate: "MPI_ERR_TRUNCATE",
-	ErrBuffer:   "MPI_ERR_BUFFER",
 	ErrComm:     "MPI_ERR_COMM",
 	ErrTopology: "MPI_ERR_TOPOLOGY",
 	ErrRequest:  "MPI_ERR_REQUEST",

@@ -113,56 +113,6 @@ func TestAnySourceAndAnyTagStillValid(t *testing.T) {
 	})
 }
 
-func TestCommAttributes(t *testing.T) {
-	runNative(t, 1, func(c *Comm) {
-		inherited := KeyvalCreate(KeyvalDupFn)
-		private := KeyvalCreate(nil)
-		counted := KeyvalCreate(func(v any) (any, bool) { return v.(int) + 1, true })
-
-		c.SetAttr(inherited, "shared")
-		c.SetAttr(private, "local")
-		c.SetAttr(counted, 10)
-
-		if v, ok := c.Attr(inherited); !ok || v != "shared" {
-			t.Errorf("Attr = %v %v", v, ok)
-		}
-		if _, ok := c.Attr(9999); ok {
-			t.Error("unknown key found")
-		}
-
-		d := c.Dup()
-		if v, ok := d.Attr(inherited); !ok || v != "shared" {
-			t.Error("DupFn attribute not inherited")
-		}
-		if _, ok := d.Attr(private); ok {
-			t.Error("nil-copy attribute leaked through Dup")
-		}
-		if v, ok := d.Attr(counted); !ok || v != 11 {
-			t.Errorf("copy-fn attribute = %v, want 11", v)
-		}
-
-		c.DeleteAttr(inherited)
-		if _, ok := c.Attr(inherited); ok {
-			t.Error("DeleteAttr did not delete")
-		}
-		if _, ok := d.Attr(inherited); !ok {
-			t.Error("delete on parent leaked into dup")
-		}
-	})
-}
-
-func TestCommName(t *testing.T) {
-	runNative(t, 1, func(c *Comm) {
-		if c.Name() != "" {
-			t.Errorf("fresh name = %q", c.Name())
-		}
-		c.SetName("halo-exchange")
-		if c.Name() != "halo-exchange" {
-			t.Errorf("name = %q", c.Name())
-		}
-	})
-}
-
 func TestProcNullPointToPoint(t *testing.T) {
 	runNative(t, 1, func(c *Comm) {
 		c.Send(ProcNull, 1, []byte{1})

@@ -188,44 +188,6 @@ func TestAllgathervMatchesModel(t *testing.T) {
 	}
 }
 
-func TestNonblockingMatchBlockingModel(t *testing.T) {
-	// For random inputs, each non-blocking collective must equal its
-	// blocking counterpart bit-for-bit.
-	prop := func(nRaw, elemsRaw uint8, seed int64) bool {
-		n := int(nRaw%5) + 1
-		elems := int(elemsRaw%4) + 1
-		inputs := refInputs(n, elems, seed)
-		ok := true
-		runNative(t, n, func(c *Comm) {
-			me := int(c.Rank())
-			wire := Float64Bytes(inputs[me])
-
-			r1, nbAll := c.Iallreduce(wire, Float64, OpSum)
-			r1.Wait()
-			if !bytes.Equal(nbAll, c.Allreduce(wire, Float64, OpSum)) {
-				ok = false
-			}
-
-			r2, nbGather := c.Igather(0, wire)
-			r2.Wait()
-			blocking := c.Gather(0, wire)
-			if me == 0 && !bytes.Equal(nbGather, blocking) {
-				ok = false
-			}
-
-			r3, nbScan := c.Iscan(wire, Float64, OpSum)
-			r3.Wait()
-			if !bytes.Equal(nbScan, c.Scan(wire, Float64, OpSum)) {
-				ok = false
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSendrecvReplace(t *testing.T) {
 	runNative(t, 3, func(c *Comm) {
 		n := c.Size()

@@ -5,8 +5,7 @@ import "repro/internal/transport"
 // Proc is a physical process's handle on the MPI stack: its engine plus
 // identity. One Proc exists per process goroutine.
 type Proc struct {
-	eng   *Engine
-	bsend *bsendPool // attached buffer for buffered-mode sends
+	eng *Engine
 }
 
 // NewProc attaches a process to the network and builds its PML engine.

@@ -132,8 +132,8 @@ func (r *Request) ready() bool {
 }
 
 // finish computes the application status after completion. OnFinish runs
-// last, with the status already in place, so hooks may post-process it
-// (the inter-communicator's source translation relies on this).
+// last, with the status already in place, so hooks may read or
+// post-process it; IrecvLayout chains its unpack after any earlier hook.
 func (r *Request) finish() Status {
 	if r.finished {
 		return r.status

@@ -2,11 +2,11 @@ package mpi
 
 import "sort"
 
-// Process topologies: cartesian grids (MPI_Cart_create and friends) and
-// arbitrary neighbour graphs (MPI_Graph_create). Topologies are views over
-// a communicator — they add coordinate arithmetic and neighbour queries;
-// all communication still routes through the underlying Comm, so the
-// replication protocols cover topology traffic with no extra work.
+// Process topologies: cartesian grids (MPI_Cart_create and friends). A
+// topology is a view over a communicator — it adds coordinate arithmetic
+// and neighbour queries; all communication still routes through the
+// underlying Comm, so the replication protocols cover topology traffic with
+// no extra work.
 
 // DimsCreate factors nnodes into ndims balanced dimensions, largest first
 // (MPI_Dims_create with all dimensions free). Fixed dimensions can be
@@ -122,15 +122,6 @@ func (c *Comm) CartCreate(dims []int, periods []bool) *CartComm {
 	}
 }
 
-// Ndims returns the number of grid dimensions (MPI_Cartdim_get).
-func (t *CartComm) Ndims() int { return len(t.dims) }
-
-// Dims returns (a copy of) the grid dimensions (MPI_Cart_get).
-func (t *CartComm) Dims() []int { return append([]int(nil), t.dims...) }
-
-// Periods returns (a copy of) the per-dimension periodicity.
-func (t *CartComm) Periods() []bool { return append([]bool(nil), t.periods...) }
-
 // CartRank translates coordinates to a rank (MPI_Cart_rank). Coordinates
 // outside a periodic dimension wrap; outside a non-periodic dimension they
 // yield ProcNull.
@@ -187,110 +178,4 @@ func (t *CartComm) CartShift(dim, disp int) (src, dst Rank) {
 	up[dim] += disp
 	down[dim] -= disp
 	return t.CartRank(down), t.CartRank(up)
-}
-
-// CartSub slices the grid into sub-grids keeping the dimensions where
-// remain[d] is true (MPI_Cart_sub). Collective; every process gets the
-// sub-topology containing it.
-func (t *CartComm) CartSub(remain []bool) *CartComm {
-	if len(remain) != len(t.dims) {
-		t.raise(ErrTopology, "CartSub: %d remain flags for %d dims", len(remain), len(t.dims))
-		return nil
-	}
-	coords := t.Coords()
-	// Color = the dropped coordinates; key = position within the kept ones.
-	color, key := 0, 0
-	var subDims []int
-	var subPeriods []bool
-	for d := range t.dims {
-		if remain[d] {
-			key = key*t.dims[d] + coords[d]
-			subDims = append(subDims, t.dims[d])
-			subPeriods = append(subPeriods, t.periods[d])
-		} else {
-			color = color*t.dims[d] + coords[d]
-		}
-	}
-	sub := t.Split(color, key)
-	return &CartComm{Comm: sub, dims: subDims, periods: subPeriods}
-}
-
-// NeighborRanks returns the 2*ndims shift-by-one neighbours in dimension
-// order (down then up per dimension), ProcNull where off-grid — the
-// neighbour list MPI_Neighbor_alltoall would use on a cartesian topology.
-func (t *CartComm) NeighborRanks() []Rank {
-	out := make([]Rank, 0, 2*len(t.dims))
-	for d := range t.dims {
-		src, dst := t.CartShift(d, 1)
-		out = append(out, src, dst)
-	}
-	return out
-}
-
-// GraphComm is a communicator with an arbitrary neighbour-graph topology
-// (MPI_Graph_create).
-type GraphComm struct {
-	*Comm
-	index []int // cumulative neighbour counts, as in MPI_Graph_create
-	edges []Rank
-}
-
-// GraphCreate attaches a graph topology to the communicator. index[i] is
-// the cumulative neighbour count through node i; edges lists neighbours
-// node by node — the exact MPI_Graph_create encoding. Collective; the
-// graph must cover exactly the communicator's size.
-func (c *Comm) GraphCreate(index []int, edges []Rank) *GraphComm {
-	if len(index) != c.Size() {
-		c.raise(ErrTopology, "GraphCreate: graph of %d nodes on communicator of size %d", len(index), c.Size())
-		return nil
-	}
-	prev := 0
-	for i, x := range index {
-		if x < prev {
-			c.raise(ErrTopology, "GraphCreate: index not monotonic at node %d", i)
-			return nil
-		}
-		prev = x
-	}
-	if prev != len(edges) {
-		c.raise(ErrTopology, "GraphCreate: index covers %d edges, %d given", prev, len(edges))
-		return nil
-	}
-	for _, e := range edges {
-		if e < 0 || int(e) >= c.Size() {
-			c.raise(ErrTopology, "GraphCreate: edge to rank %d outside communicator", e)
-			return nil
-		}
-	}
-	// Fresh contexts so topology traffic cannot cross with the parent's.
-	sub := c.Dup()
-	return &GraphComm{
-		Comm:  sub,
-		index: append([]int(nil), index...),
-		edges: append([]Rank(nil), edges...),
-	}
-}
-
-// NeighborCount returns rank r's neighbour count (MPI_Graph_neighbors_count).
-func (g *GraphComm) NeighborCount(r Rank) int {
-	lo, hi := g.neighborRange(r)
-	return hi - lo
-}
-
-// Neighbors returns rank r's neighbour list (MPI_Graph_neighbors).
-func (g *GraphComm) Neighbors(r Rank) []Rank {
-	lo, hi := g.neighborRange(r)
-	return append([]Rank(nil), g.edges[lo:hi]...)
-}
-
-func (g *GraphComm) neighborRange(r Rank) (int, int) {
-	if r < 0 || int(r) >= len(g.index) {
-		g.raise(ErrRank, "graph neighbours of rank %d outside topology", r)
-		return 0, 0
-	}
-	lo := 0
-	if r > 0 {
-		lo = g.index[r-1]
-	}
-	return lo, g.index[r]
 }

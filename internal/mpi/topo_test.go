@@ -76,8 +76,8 @@ func TestCartRankCoordsRoundtrip(t *testing.T) {
 		if cart == nil {
 			t.Fatalf("rank %d: unexpectedly outside the grid", c.Rank())
 		}
-		if cart.Ndims() != 2 {
-			t.Errorf("Ndims = %d", cart.Ndims())
+		if n := len(cart.Coords()); n != 2 {
+			t.Errorf("%d coordinates, want 2", n)
 		}
 		for r := 0; r < cart.Size(); r++ {
 			coords := cart.CartCoords(Rank(r))
@@ -175,32 +175,6 @@ func TestCartCreateExcess(t *testing.T) {
 	})
 }
 
-func TestCartSub(t *testing.T) {
-	runNative(t, 6, func(c *Comm) {
-		cart := c.CartCreate([]int{3, 2}, []bool{false, true})
-		coords := cart.Coords()
-		// Keep dim 1: rows become independent 1D periodic sub-grids.
-		row := cart.CartSub([]bool{false, true})
-		if row == nil {
-			t.Fatal("CartSub returned nil")
-		}
-		if row.Size() != 2 || row.Ndims() != 1 {
-			t.Errorf("row grid: size %d ndims %d", row.Size(), row.Ndims())
-		}
-		if !row.Periods()[0] {
-			t.Error("row grid lost periodicity")
-		}
-		if got := row.Coords()[0]; got != coords[1] {
-			t.Errorf("row coord = %d, want %d", got, coords[1])
-		}
-		// Members of one row must share exactly the same original row.
-		rowID := row.AllreduceInt64(int64(coords[0]), OpMax)
-		if int(rowID) != coords[0] {
-			t.Errorf("row contains mixed rows: max %d, mine %d", rowID, coords[0])
-		}
-	})
-}
-
 func TestCartErrors(t *testing.T) {
 	runNative(t, 4, func(c *Comm) {
 		c.SetErrhandler(ErrorsReturn)
@@ -215,65 +189,6 @@ func TestCartErrors(t *testing.T) {
 		}
 		if e := c.LastError(); e == nil || e.Class != ErrTopology {
 			t.Errorf("error = %v, want MPI_ERR_TOPOLOGY", e)
-		}
-	})
-}
-
-func TestGraphTopology(t *testing.T) {
-	// The 4-node example graph from the MPI standard: 0-1, 0-3, 1-0,
-	// 2-3, 3-0, 3-2.
-	runNative(t, 4, func(c *Comm) {
-		index := []int{2, 3, 4, 6}
-		edges := []Rank{1, 3, 0, 3, 0, 2}
-		g := c.GraphCreate(index, edges)
-		if g == nil {
-			t.Fatal("GraphCreate returned nil")
-		}
-		wantN := [][]Rank{{1, 3}, {0}, {3}, {0, 2}}
-		for r := 0; r < 4; r++ {
-			if got := g.NeighborCount(Rank(r)); got != len(wantN[r]) {
-				t.Errorf("rank %d: %d neighbours, want %d", r, got, len(wantN[r]))
-			}
-			nb := g.Neighbors(Rank(r))
-			for i, w := range wantN[r] {
-				if nb[i] != w {
-					t.Errorf("rank %d neighbours = %v, want %v", r, nb, wantN[r])
-					break
-				}
-			}
-		}
-		// Exchange along graph edges: send my rank to each neighbour,
-		// collect from each in-neighbour (the graph is symmetric here).
-		mine := []byte{byte(g.Rank())}
-		var reqs []*Request
-		bufs := make([][]byte, g.NeighborCount(g.Rank()))
-		for i, nb := range g.Neighbors(g.Rank()) {
-			bufs[i] = make([]byte, 1)
-			reqs = append(reqs, g.Irecv(nb, 4, bufs[i]), g.Isend(nb, 4, mine))
-		}
-		Waitall(reqs...)
-		for i, nb := range g.Neighbors(g.Rank()) {
-			if bufs[i][0] != byte(nb) {
-				t.Errorf("from neighbour %d got %d", nb, bufs[i][0])
-			}
-		}
-	})
-}
-
-func TestGraphCreateErrors(t *testing.T) {
-	runNative(t, 2, func(c *Comm) {
-		c.SetErrhandler(ErrorsReturn)
-		if g := c.GraphCreate([]int{1}, []Rank{0}); g != nil {
-			t.Error("undersized graph accepted")
-		}
-		if e := c.LastError(); e == nil || e.Class != ErrTopology {
-			t.Errorf("error = %v", e)
-		}
-		if g := c.GraphCreate([]int{1, 2}, []Rank{1, 5}); g != nil {
-			t.Error("out-of-range edge accepted")
-		}
-		if e := c.LastError(); e == nil || e.Class != ErrTopology {
-			t.Errorf("error = %v", e)
 		}
 	})
 }

@@ -1,8 +1,8 @@
 // Package obs is the observability layer: process-local counter/gauge
 // registries with Prometheus text exposition, a loopback /healthz +
 // /metrics HTTP server every distributed worker runs, and a span-style
-// recovery-ladder trace (building on internal/trace's Lamport clock) that
-// makes one failure legible end to end — detect → park → substitute /
+// recovery-ladder trace (Lamport-stamped events) that makes one failure
+// legible end to end — detect → park → substitute /
 // replay / rollback → MATCH.
 //
 // Everything is stdlib-only. The protocol layers record into the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -212,5 +213,38 @@ func TestTraceBoundKeepsNewestEvents(t *testing.T) {
 	tr.Emit(Ev(StageMatch, ""))
 	if ev := tr.Events(); len(ev) != 1 || ev[0].Seq != 1 {
 		t.Fatalf("after Reset: %+v", ev)
+	}
+}
+
+// TestTraceClockFollowsSeq emits from many goroutines at once: every event's
+// Lamport time must rise with its Seq, which holds only if the clock ticks
+// under the same lock that assigns Seq. Reset keeps the clock running.
+func TestTraceClockFollowsSeq(t *testing.T) {
+	tr := NewTrace()
+	const emitters, each = 8, 500
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.Emit(Ev(StageDetect, ""))
+			}
+		}()
+	}
+	wg.Wait()
+	events := tr.Events()
+	if len(events) != emitters*each {
+		t.Fatalf("retained %d events, want %d", len(events), emitters*each)
+	}
+	for i, ev := range events {
+		if ev.Seq != i+1 || ev.Clock != uint64(i+1) {
+			t.Fatalf("event %d has Seq %d and Clock %d; both should be %d", i, ev.Seq, ev.Clock, i+1)
+		}
+	}
+	tr.Reset()
+	tr.Emit(Ev(StageMatch, ""))
+	if ev := tr.Events(); ev[0].Seq != 1 || ev[0].Clock != emitters*each+1 {
+		t.Fatalf("after Reset: Seq %d Clock %d, want 1 and %d", ev[0].Seq, ev[0].Clock, emitters*each+1)
 	}
 }

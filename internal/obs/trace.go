@@ -6,13 +6,12 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // The recovery-ladder trace: span-style structured events that make one
 // failure legible end to end. Each event is stamped with a Lamport time
-// (internal/trace.LClock) and a wall clock; the ordering contract is that
+// (the trace's own clock, ticked once per event) and a wall clock; the
+// ordering contract is that
 // a failure's chain reads
 //
 //	park → kill → detect → substitute | replay | rollback → recovered → match
@@ -52,7 +51,7 @@ const (
 // applicable" (0 is a valid proc/rank/step).
 type Event struct {
 	Seq   int       `json:"seq"`   // emission order within this trace
-	Clock uint64    `json:"clock"` // Lamport time (trace.LClock)
+	Clock uint64    `json:"clock"` // Lamport time: ticks with every Emit, never rewound
 	Wall  time.Time `json:"wall"`
 	Stage Stage     `json:"stage"`
 	Proc  int       `json:"proc"` // physical process, -1 if n/a
@@ -72,10 +71,10 @@ const traceCap = 4096
 // Trace is a thread-safe event log that retains the newest traceCap events.
 type Trace struct {
 	mu      sync.Mutex // sdr:lockrank obstrace
-	clock   trace.LClock
-	events  []Event   // guarded by mu; a ring once full: event Seq s sits at (s-1) % traceCap
-	emitted int       // guarded by mu; events recorded since the last Reset, the newest one's Seq
-	start   time.Time // guarded by mu
+	clock   uint64     // guarded by mu; Lamport time of the newest event, kept across Reset
+	events  []Event    // guarded by mu; a ring once full: event Seq s sits at (s-1) % traceCap
+	emitted int        // guarded by mu; events recorded since the last Reset, the newest one's Seq
+	start   time.Time  // guarded by mu
 	// OnEvent, when set (before any Emit), observes every event as it is
 	// recorded — distributed workers print their events to stdout so the
 	// coordinator's line-prefixed sink carries them.
@@ -93,9 +92,10 @@ var DefaultTrace = NewTrace()
 // and whichever subject fields apply (use -1 for the rest — the Ev helper
 // does this).
 func (t *Trace) Emit(ev Event) {
-	ev.Clock = t.clock.Tick()
 	ev.Wall = time.Now()
 	t.mu.Lock()
+	t.clock++
+	ev.Clock = t.clock
 	if t.start.IsZero() {
 		t.start = ev.Wall
 	}

@@ -11,9 +11,9 @@ import (
 // file descriptor limit to cover budget descriptors, returning the
 // effective soft limit. Both consumers of large fd budgets sit on this
 // package's sockets: the distributed coordinator (pipes plus registry
-// connections for every spawned worker) and the in-process wirescale mesh
-// (one listener plus peer connections per simulated rank), so the raiser
-// lives here where both can reach it.
+// connections for every spawned worker) and the benchmark's in-process
+// ring mesh (one listener, peer connections and ring files per simulated
+// rank), so the raiser lives here where both can reach it.
 //
 // The soft limit is lifted toward the hard limit when short; a hard limit
 // below the budget is reported as an error naming both numbers, so a
