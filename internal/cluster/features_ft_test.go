@@ -43,6 +43,24 @@ func runWithCrash(t *testing.T, ranks int, fail FailureEvent, app AppFunc) {
 	}
 }
 
+func TestNBCSurvivesCrash(t *testing.T) {
+	// A non-blocking collective in flight while a replica dies: the
+	// round-machine's point-to-point traffic must be substituted like any
+	// other.
+	app := func(env *Env) (any, error) {
+		c := env.World
+		acc := int64(0)
+		for step := 0; step < 8; step++ {
+			env.Step(step, nil)
+			r, out := c.Iallreduce(mpi.Int64Bytes([]int64{int64(int(c.Rank()) + step)}), mpi.Int64T, mpi.OpSum)
+			r.Wait()
+			acc += mpi.Int64Value(out)
+		}
+		return acc, nil
+	}
+	runWithCrash(t, 4, FailureEvent{Rank: 0, Rep: 1, AtStep: 5}, app)
+}
+
 func TestPersistentRingSurvivesEachCrashPosition(t *testing.T) {
 	// Persistent-request ring; sweep the crash position across steps.
 	mk := func() AppFunc {

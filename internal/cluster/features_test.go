@@ -113,6 +113,47 @@ func TestCartTopologyUnderReplication(t *testing.T) {
 	})
 }
 
+func TestNonblockingCollectivesUnderReplication(t *testing.T) {
+	runUnderProtocols(t, 4, func(env *Env) (any, error) {
+		c := env.World
+		me := int(c.Rank())
+		r1, all := c.Iallgather([]byte{byte(me), byte(me + 1)})
+		r2, sum := c.Iallreduce(mpi.Int64Bytes([]int64{int64(me)}), mpi.Int64T, mpi.OpSum)
+		b := make([]byte, 2)
+		if me == 0 {
+			copy(b, []byte{7, 9})
+		}
+		r3 := c.Ibcast(0, b)
+		mpi.Waitall(r1, r2, r3)
+		return fmt.Sprintf("a=%v s=%d b=%v", all, mpi.Int64Value(sum), b), nil
+	})
+}
+
+func TestWaitsomeUnderReplication(t *testing.T) {
+	runUnderProtocols(t, 4, func(env *Env) (any, error) {
+		c := env.World
+		if c.Rank() == 0 {
+			bufs := make([][]byte, 3)
+			reqs := make([]*mpi.Request, 3)
+			for i := 0; i < 3; i++ {
+				bufs[i] = make([]byte, 1)
+				reqs[i] = c.Irecv(mpi.Rank(i+1), 1, bufs[i])
+			}
+			sum := 0
+			for done := 0; done < 3; {
+				idxs, _ := mpi.Waitsome(reqs)
+				for _, i := range idxs {
+					sum += int(bufs[i][0])
+					done++
+				}
+			}
+			return sum, nil
+		}
+		c.Send(0, 1, []byte{byte(c.Rank() * 10)})
+		return "sent", nil
+	})
+}
+
 func TestPersistentHaloSurvivesCrash(t *testing.T) {
 	// The cartstencil pattern — persistent receives + layout sends on a
 	// cart topology — with a replica crash mid-run under SDR.

@@ -188,6 +188,45 @@ func TestAllgathervMatchesModel(t *testing.T) {
 	}
 }
 
+func TestNonblockingMatchBlockingModel(t *testing.T) {
+	// For random inputs, each non-blocking collective must equal its
+	// blocking counterpart bit-for-bit.
+	prop := func(nRaw, elemsRaw uint8, seed int64) bool {
+		n := int(nRaw%5) + 1
+		elems := int(elemsRaw%4) + 1
+		inputs := refInputs(n, elems, seed)
+		ok := true
+		runNative(t, n, func(c *Comm) {
+			me := int(c.Rank())
+			wire := Float64Bytes(inputs[me])
+
+			r1, nbAll := c.Iallreduce(wire, Float64, OpSum)
+			r1.Wait()
+			if !bytes.Equal(nbAll, c.Allreduce(wire, Float64, OpSum)) {
+				ok = false
+			}
+
+			r2, nbGather := c.Iallgather(wire)
+			r2.Wait()
+			if !bytes.Equal(nbGather, c.Allgather(wire)) {
+				ok = false
+			}
+
+			nbBcast := append([]byte(nil), wire...)
+			c.Ibcast(0, nbBcast).Wait()
+			blocking := append([]byte(nil), wire...)
+			c.Bcast(0, blocking)
+			if !bytes.Equal(nbBcast, blocking) {
+				ok = false
+			}
+		})
+		return ok
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSendrecvReplace(t *testing.T) {
 	runNative(t, 3, func(c *Comm) {
 		n := c.Size()
