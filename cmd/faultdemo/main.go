@@ -300,15 +300,17 @@ func runDistDemo(w io.Writer, steps, every, failAt int) error {
 	fmt.Fprintf(w, "launching 4 worker processes (2 ranks x 2 replicas); checkpoints every %d steps\n", every)
 	fmt.Fprintf(w, "SIGKILL scheduled for BOTH replicas of rank 1 at step %d\n", failAt)
 	rep := cluster.RunDistributed(cluster.DistConfig{
-		Ranks:       2,
-		Replication: 2,
-		Protocol:    cluster.SDR,
-		Failures: []cluster.FailureEvent{
-			{Rank: 1, Rep: 0, AtStep: failAt},
-			{Rank: 1, Rep: 1, AtStep: failAt},
+		Config: cluster.Config{
+			Ranks:       2,
+			Replication: 2,
+			Protocol:    cluster.SDR,
+			Failures: []cluster.FailureEvent{
+				{Rank: 1, Rep: 0, AtStep: failAt},
+				{Rank: 1, Rep: 1, AtStep: failAt},
+			},
+			CheckpointDir: dir,
+			Timeout:       time.Minute,
 		},
-		CheckpointDir: dir,
-		Timeout:       time.Minute,
 		WorkerEnv: []string{
 			fmt.Sprintf("%s=%d", envSteps, steps),
 			fmt.Sprintf("%s=%d", envEvery, every),

@@ -533,17 +533,19 @@ func runDistributed(o distOpts) int {
 	}
 
 	rep := cluster.RunDistributed(cluster.DistConfig{
-		Ranks:             o.ranks,
-		Replication:       o.r,
-		Protocol:          o.proto,
-		Failures:          o.kills,
-		UnreplicatedRanks: o.unreplicated,
-		Degrees:           o.degrees,
-		CheckpointDir:     ckptDir,
-		RecoveryMode:      o.recovery,
-		Timeout:           o.timeout,
-		NoRing:            o.noRing,
-		HealthTimeout:     o.health,
+		Config: cluster.Config{
+			Ranks:             o.ranks,
+			Replication:       o.r,
+			Protocol:          o.proto,
+			Failures:          o.kills,
+			UnreplicatedRanks: o.unreplicated,
+			Degrees:           o.degrees,
+			CheckpointDir:     ckptDir,
+			RecoveryMode:      o.recovery,
+			Timeout:           o.timeout,
+		},
+		NoRing:        o.noRing,
+		HealthTimeout: o.health,
 		WorkerEnv: []string{
 			cluster.EnvApp + "=" + o.app,
 			fmt.Sprintf("%s=%d", cluster.EnvScale, o.scale),

@@ -84,10 +84,10 @@
 // world is served by its lowest replica through the same substitution
 // bookkeeping that absorbs failures, set up at construction — no phantom
 // processes exist at any layer. Config.UnreplicatedRanks/Degrees select
-// it in-process, the same DistConfig fields (and sdrun -unreplicated /
-// -degrees) select it distributed, where exactly Σ degrees worker OS
-// processes are spawned and SDR_DIST_DEGREES ships the vector to each
-// worker. The failure ladder shortens accordingly: an unreplicated
+// it in-process, and the same Config fields (DistConfig embeds Config;
+// sdrun -unreplicated / -degrees) select it distributed, where exactly
+// Σ degrees worker OS processes are spawned and SDR_DIST_DEGREES ships
+// the vector to each worker. The failure ladder shortens accordingly: an unreplicated
 // rank's death has no substitution rung and escalates straight to the
 // rollback restart (faultdemo -partial narrates it) — unless the log
 // recovery mode is armed, in which case the localized-replay rung

@@ -11,6 +11,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,7 +131,7 @@ type Config struct {
 	Recoveries []RecoveryEvent
 
 	// CheckpointDir, when set, gives every process access to a shared
-	// checkpoint store (Env.Checkpoint / Env.LoadCheckpoint): the
+	// checkpoint store (Env.Checkpoint / Env.Restored): the
 	// paper's combined replication + application-level checkpointing
 	// configuration (§1, §4.1). Writes follow redundant-execution I/O
 	// rules: only the designated writer replica touches the file. The
@@ -152,39 +153,31 @@ type Config struct {
 	Timeout time.Duration
 }
 
-// recoveryLog reports whether the localized-replay rung is armed.
-func (c Config) recoveryLog() bool { return c.RecoveryMode == RecoveryLog }
-
-// validateRecovery rejects unusable recovery configurations.
+// validateRecovery rejects unusable recovery configurations: the log mode
+// needs the SDR protocol (the replay argument rests on send-determinism
+// and the ack/sequencer machinery) and a checkpoint store (the replay
+// state rides the checkpoint waves).
 func (c Config) validateRecovery() error {
-	return validateRecoveryMode(c.RecoveryMode, c.Protocol, c.CheckpointDir)
-}
-
-// validateRecoveryMode is the shared rule both launchers enforce: the log
-// mode needs the SDR protocol (the replay argument rests on
-// send-determinism and the ack/sequencer machinery) and a checkpoint
-// store (the replay state rides the checkpoint waves).
-func validateRecoveryMode(mode RecoveryMode, proto Protocol, ckptDir string) error {
-	switch mode {
+	switch c.RecoveryMode {
 	case "", RecoveryRollback:
 		return nil
 	case RecoveryLog:
-		if proto != SDR {
-			return fmt.Errorf("cluster: RecoveryMode log requires the sdr protocol (got %q)", proto)
+		if c.Protocol != SDR {
+			return fmt.Errorf("cluster: RecoveryMode log requires the sdr protocol (got %q)", c.Protocol)
 		}
-		if ckptDir == "" {
+		if c.CheckpointDir == "" {
 			return fmt.Errorf("cluster: RecoveryMode log requires a CheckpointDir (the replay state rides the checkpoint waves)")
 		}
 		return nil
 	default:
-		return fmt.Errorf("cluster: unknown RecoveryMode %q (want log or rollback)", mode)
+		return fmt.Errorf("cluster: unknown RecoveryMode %q (want log or rollback)", c.RecoveryMode)
 	}
 }
 
-// logRankVector marks the logical ranks running with sender-based message
+// logRanks marks the logical ranks running with sender-based message
 // logging: every degree-1 rank when the log mode is armed, nil otherwise.
-func logRankVector(cfg interface{ recoveryLog() bool }, l core.Layout) []bool {
-	if !cfg.recoveryLog() {
+func (c Config) logRanks(l core.Layout) []bool {
+	if c.RecoveryMode != RecoveryLog {
 		return nil
 	}
 	logged := make([]bool, l.N)
@@ -226,6 +219,39 @@ func (c Config) layout() (core.Layout, error) {
 		return core.Layout{}, err
 	}
 	return core.NewLayout(c.Ranks, c.replication(), degrees)
+}
+
+// InProcessOnlyError names a Config field that RunDistributed cannot
+// honour: it only means something to processes sharing one address space
+// (a simulated wire, the in-process ablations, the send recorders, or a
+// §3.4 fork).
+type InProcessOnlyError struct{ Field string }
+
+func (e *InProcessOnlyError) Error() string {
+	return fmt.Sprintf("cluster: Config.%s is in-process only; RunDistributed cannot honour it", e.Field)
+}
+
+// inProcessOnly reports the first in-process-only field that is set.
+func (c Config) inProcessOnly() error {
+	for _, f := range []string{"Delay", "UseTCP", "EagerLimit", "AckOnWait", "SDC", "NoAckCoalesce",
+		"Corrupt", "CorruptRank", "CorruptRep", "CorruptSeq", "TraceSends", "KeepEvents", "Recoveries"} {
+		if !reflect.ValueOf(c).FieldByName(f).IsZero() {
+			return &InProcessOnlyError{Field: f}
+		}
+	}
+	return nil
+}
+
+// coreMode maps a protocol name to the replication scheme.
+func (p Protocol) coreMode() core.Mode {
+	switch p {
+	case Mirror:
+		return core.ModeMirror
+	case Leader:
+		return core.ModeLeader
+	default:
+		return core.ModeParallel
+	}
 }
 
 // validateSchedule rejects failure/recovery events that target replicas
@@ -284,22 +310,6 @@ func degreeVector(ranks, r int, degrees, unreplicated []int) ([]int, error) {
 	return out, nil
 }
 
-// harness is the launcher-side surface an Env talks back to. Two
-// implementations exist: runState (the in-process goroutine launcher) and
-// workerState (the distributed worker runtime, which forwards these calls
-// to the coordinator over the registry control plane).
-type harness interface {
-	// noteCkpt records that rank's writer completed its save for step;
-	// the harness commits the wave once every rank has.
-	noteCkpt(rank, step int) error
-	// numRanks returns the logical world size.
-	numRanks() int
-	// epochIndex returns the restart epoch (0 for the first execution).
-	epochIndex() int
-	// stepHook realizes the failure/recovery schedule at a step boundary.
-	stepHook(e *Env, step int, snapshot func() []byte)
-}
-
 // Env is what the application function receives: its world communicator
 // plus identity and harness hooks.
 type Env struct {
@@ -313,6 +323,7 @@ type Env struct {
 	restoredStep int // checkpoint wave of a rollback restart, -1 otherwise
 	store        *ckpt.Store
 	logSelf      bool // this rank persists replay state with each checkpoint
+	ranks, epoch int  // logical world size; rollback restarts before this epoch
 }
 
 // Checkpoint saves the application state for this process's rank at a
@@ -365,21 +376,13 @@ func (e *Env) Checkpoint(step int, data []byte) error {
 // Config.CheckpointDir is set).
 func (e *Env) CanCheckpoint() bool { return e.store != nil }
 
-// LoadCheckpoint reads this rank's checkpoint at a step.
-func (e *Env) LoadCheckpoint(step int) ([]byte, error) {
-	if e.store == nil {
-		return nil, fmt.Errorf("cluster: no CheckpointDir configured")
-	}
-	return e.store.Load(e.Rank, step)
-}
-
 // LatestCheckpoint returns the newest step checkpointed by all ranks, or
 // -1 (the coordinated restart line).
 func (e *Env) LatestCheckpoint() (int, error) {
 	if e.store == nil {
 		return -1, fmt.Errorf("cluster: no CheckpointDir configured")
 	}
-	return e.store.LatestCommon(e.h.numRanks())
+	return e.store.LatestCommon(e.ranks)
 }
 
 // isWriter reports whether this replica is its rank's designated I/O
@@ -430,7 +433,7 @@ func (e *Env) RestoredStep() int { return e.restoredStep }
 
 // Epoch returns the restart epoch: 0 for the first execution, incremented
 // by every full rollback restart.
-func (e *Env) Epoch() int { return e.h.epochIndex() }
+func (e *Env) Epoch() int { return e.epoch }
 
 // Replicated exposes the protocol layer for inspection (nil under Native).
 func (e *Env) Replicated() *core.Replicated { return e.proto }
@@ -441,12 +444,7 @@ func (e *Env) Replicated() *core.Replicated { return e.proto }
 // application state at this boundary and may be nil when no recovery is
 // scheduled here). Step must be called at quiescent points: all requests
 // completed.
-func (e *Env) Step(step int, snapshot func() []byte) {
-	if e.h == nil {
-		return
-	}
-	e.h.stepHook(e, step, snapshot)
-}
+func (e *Env) Step(step int, snapshot func() []byte) { e.h.stepHook(e, step, snapshot) }
 
 // ProcReport describes one physical process's outcome. Under partial
 // replication only the replicas the degree vector names exist — the
@@ -462,33 +460,17 @@ type ProcReport struct {
 }
 
 // Report aggregates a run. After a rollback restart, Procs/Stats/Recorders
-// describe the final epoch (the one that ran to completion) while Elapsed
-// accumulates across epochs — the restart cost is part of the run.
+// describe the final epoch (the one that ran to completion) while the
+// embedded Tally accounts for every epoch.
 type Report struct {
-	Config  Config
-	Elapsed time.Duration
-	Procs   []ProcReport
-	Stats   transport.StatsSnapshot
+	Tally
+	Config Config
+	Procs  []ProcReport
+	Stats  transport.StatsSnapshot
 	// Recorders maps physical proc → send recorder (TraceSends runs).
 	Recorders map[transport.ProcID]*Recorder
 	// SDCDetected sums hash mismatches across replicas (SDC runs).
 	SDCDetected int
-	TimedOut    bool
-
-	// Restarts counts completed full rollback-restart cycles; RestartWave
-	// is the checkpoint step the last rollback resumed from (-1 if none).
-	Restarts    int
-	RestartWave int
-	// Replays counts localized replays: logging-enabled ranks relaunched
-	// alone from their own checkpoint while the survivors kept their
-	// state. ReplayWave is the wave the last such relaunch resumed from
-	// (-1 if none).
-	Replays    int
-	ReplayWave int
-	// ExhaustErr is set when replication was exhausted and rollback was
-	// impossible (no store, no committed wave, or the restart budget ran
-	// out).
-	ExhaustErr error
 }
 
 // FirstError returns the first non-crash error, if any.
@@ -528,21 +510,13 @@ type AppFunc func(env *Env) (any, error)
 // shared across restart epochs: an injected crash is a physical event that
 // happened once — rolling the application back does not resurrect it — so
 // a restarted epoch must not re-kill the same replicas and loop forever.
-type firedSet struct {
-	mu sync.Mutex   // sdr:lockrank fired
-	m  map[int]bool // guarded by mu
-}
+type firedSet struct{ m sync.Map }
 
 // fire marks event i as realized, reporting whether this call was the one
 // that fired it.
 func (f *firedSet) fire(i int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.m[i] {
-		return false
-	}
-	f.m[i] = true
-	return true
+	_, done := f.m.LoadOrStore(i, true)
+	return !done
 }
 
 // runState is the shared coordination state of one run epoch.
@@ -553,8 +527,11 @@ type runState struct {
 	det    *detect.Service
 	app    AppFunc
 
-	store *ckpt.Store
-	fired *firedSet
+	commitLine // the checkpoint store and its wave tally
+	fired      *firedSet
+	// seed is the rollback this epoch resumes from: every replica of rank
+	// starts from seed.states[rank] (nil on the first epoch).
+	seed epochSeed
 
 	// logRanks marks the ranks under sender-based message logging (nil
 	// unless Config.RecoveryMode is log and the layout has degree-1
@@ -563,23 +540,15 @@ type runState struct {
 	logRanks []bool
 	timedOut atomic.Bool
 
-	// Rollback seeding: restart[rank] is the checkpoint every replica of
-	// rank resumes from in this epoch; restartWave is its step (-1 on the
-	// first epoch). epoch counts restarts.
-	restart     [][]byte
-	restartWave int
-	epoch       int
+	recovered firedSet // recovery events performed this epoch
 
 	mu         sync.Mutex                     // sdr:lockrank runstate
-	recovered  map[int]bool                   // guarded by mu; recovery event index → done
-	waves      waveTally                      // guarded by mu; writer saves per checkpoint wave
 	reports    []ProcReport                   // guarded by mu
 	recorders  map[transport.ProcID]*Recorder // guarded by mu
 	wg         sync.WaitGroup
-	sdcTotal   int       // guarded by mu
-	cloneStart time.Time // guarded by mu
-	replays    int       // guarded by mu; completed localized relaunches this epoch
-	replayWave int       // guarded by mu; wave of the last localized relaunch
+	sdcTotal   int // guarded by mu
+	replays    int // guarded by mu; completed localized relaunches this epoch
+	replayWave int // guarded by mu; wave of the last localized relaunch
 
 	// exhaustedRank+1 of the first rank observed to lose its last
 	// replica; 0 while replication still holds.
@@ -587,49 +556,21 @@ type runState struct {
 
 	// spawned counts launched processes; appDone counts those whose
 	// application body has returned (or unwound). Their difference
-	// drives the finalize drain (see drain).
+	// drives the finalize drain.
 	spawned atomic.Int64
 	appDone atomic.Int64
 }
 
-// numRanks implements harness.
-func (rs *runState) numRanks() int { return rs.cfg.Ranks }
-
-// epochIndex implements harness.
-func (rs *runState) epochIndex() int { return rs.epoch }
-
-// noteCkpt records that rank's writer completed its save for step; when
-// every rank has, the wave is committed and superseded waves are pruned.
-func (rs *runState) noteCkpt(rank, step int) error {
-	rs.mu.Lock()
-	complete := rs.waves.note(rank, step)
-	rs.mu.Unlock()
-	if !complete {
-		return nil
-	}
-	if err := rs.store.Commit(step); err != nil {
-		return err
-	}
-	return rs.store.Prune(step)
-}
-
 // noteExhausted records the first replication-exhaustion observation and
-// tears the epoch down: every process is killed so compute-bound survivors
-// unwind promptly, exactly like the watchdog path. Run then escalates to a
-// rollback restart (or reports the failure when no checkpoint exists).
+// tears the epoch down: every process is killed at once, so compute-bound
+// survivors unwind promptly and no twin can take a failure notification
+// for a substitution in an epoch that is already lost. Run then escalates
+// to a rollback restart (or reports the failure when no checkpoint
+// exists).
 func (rs *runState) noteExhausted(rank int) {
-	if !rs.exhausted.CompareAndSwap(0, int64(rank)+1) {
-		return
+	if rs.exhausted.CompareAndSwap(0, int64(rank)+1) {
+		rs.nw.KillAll()
 	}
-	for i := 0; i < rs.layout.Procs(); i++ {
-		rs.nw.Kill(transport.ProcID(i))
-	}
-}
-
-// exhaustedRank returns the rank that lost its last replica this epoch, or
-// -1 while replication still holds.
-func (rs *runState) exhaustedRank() int {
-	return int(rs.exhausted.Load()) - 1
 }
 
 // logEnabled reports whether rank runs under sender-based message logging.
@@ -646,13 +587,12 @@ type replaySeed struct {
 	state []byte
 }
 
-// loadReplay loads rank's newest replay-eligible wave from the store,
-// validating the replay state end to end — the shared pre-flight of both
-// launchers' localized relaunch. Only the NEWEST (checkpoint, mlog) pair
-// is ever usable: the rank's last checkpoint acknowledgement already
-// truncated the senders' logs up to it, so any failure here means the
-// localized rung is gone and the caller must fall back to a global
-// rollback.
+// loadReplay loads rank's newest replay-eligible wave from the store — the
+// coordinator-side pre-flight of both launchers' localized relaunch. Only
+// the NEWEST (checkpoint, mlog) pair is ever usable: the rank's last
+// checkpoint acknowledgement already truncated the senders' logs up to it,
+// so any failure here means the localized rung is gone and the caller must
+// fall back to a global rollback.
 func loadReplay(store *ckpt.Store, rank int) (*replaySeed, error) {
 	if store == nil {
 		return nil, fmt.Errorf("cluster: no checkpoint store for localized replay")
@@ -664,6 +604,12 @@ func loadReplay(store *ckpt.Store, rank int) (*replaySeed, error) {
 	if wave < 0 {
 		return nil, fmt.Errorf("cluster: rank %d has no replay-eligible checkpoint wave", rank)
 	}
+	return readReplay(store, rank, wave)
+}
+
+// readReplay loads rank's checkpoint and replay state of wave, validating
+// the replay state end to end.
+func readReplay(store *ckpt.Store, rank, wave int) (*replaySeed, error) {
 	app, err := store.Load(rank, wave)
 	if err != nil {
 		return nil, err
@@ -723,93 +669,21 @@ func (rs *runState) relaunchLogged(dead transport.ProcID) {
 // with Env.Restored seeded from that wave, repeating until the application
 // completes. Scheduled crashes fire at most once across epochs.
 func Run(cfg Config, app AppFunc) *Report {
-	layout, err := cfg.layout()
-	if err == nil {
-		err = validateSchedule(layout, cfg.Failures, cfg.Recoveries)
-	}
-	if err == nil {
-		err = cfg.validateRecovery()
-	}
+	rep := &Report{Config: cfg}
+	fired := &firedSet{}
+	err := ladder(cfg, &rep.Tally, obs.DefaultTrace, true, func(l core.Layout, store *ckpt.Store, seed epochSeed) epochOutcome {
+		return runOnce(rep, l, app, store, fired, seed)
+	})
 	if err != nil {
-		return &Report{Config: cfg, Procs: []ProcReport{{Err: err}}, RestartWave: -1, ReplayWave: -1}
+		rep.Procs = []ProcReport{{Err: err}}
 	}
-	var store *ckpt.Store
-	if cfg.CheckpointDir != "" {
-		store, err = ckpt.NewStore(cfg.CheckpointDir)
-		if err != nil {
-			return &Report{Config: cfg, Procs: []ProcReport{{Err: err}}, RestartWave: -1, ReplayWave: -1}
-		}
-	}
-
-	fired := &firedSet{m: make(map[int]bool)}
-	var restart [][]byte
-	restartWave := -1
-	restarts := 0
-	replays, replayWave := 0, -1
-	var total time.Duration
-	// One-shot event firing bounds the possible exhaustions, but keep an
-	// explicit budget so a misbehaving store cannot loop the launcher.
-	maxRestarts := len(cfg.Failures) + 1
-	for {
-		rep, rs := runOnce(cfg, layout, app, store, fired, restart, restartWave, restarts)
-		total += rep.Elapsed
-		rep.Elapsed = total
-		rep.Restarts = restarts
-		rep.RestartWave = restartWave
-		rs.mu.Lock()
-		replays += rs.replays
-		if rs.replays > 0 {
-			replayWave = rs.replayWave
-		}
-		rs.mu.Unlock()
-		rep.Replays = replays
-		rep.ReplayWave = replayWave
-		exRank := rs.exhaustedRank()
-		if exRank < 0 {
-			return rep
-		}
-		fail := func(err error) *Report {
-			rep.ExhaustErr = err
-			return rep
-		}
-		if store == nil {
-			return fail(fmt.Errorf("cluster: all replicas of rank %d failed and no CheckpointDir is configured for rollback", exRank))
-		}
-		if restarts >= maxRestarts {
-			return fail(fmt.Errorf("cluster: all replicas of rank %d failed; restart budget (%d) exhausted", exRank, maxRestarts))
-		}
-		wave, err := store.LatestCommon(cfg.Ranks)
-		if err != nil {
-			return fail(fmt.Errorf("cluster: all replicas of rank %d failed; checkpoint scan: %w", exRank, err))
-		}
-		if wave < 0 {
-			return fail(fmt.Errorf("cluster: all replicas of rank %d failed before any committed checkpoint wave", exRank))
-		}
-		states := make([][]byte, cfg.Ranks)
-		for rank := range states {
-			b, err := store.Load(rank, wave)
-			if err != nil {
-				return fail(fmt.Errorf("cluster: rollback to wave %d: %w", wave, err))
-			}
-			states[rank] = b
-		}
-		// Replay states are epoch-relative (sequence counters restart with
-		// the fresh processes); pre-rollback mlogs must never seed a
-		// localized relaunch in the new epoch.
-		if err := store.PruneLogs(); err != nil {
-			return fail(fmt.Errorf("cluster: rollback to wave %d: %w", wave, err))
-		}
-		restart, restartWave = states, wave
-		restarts++
-		rbe := obs.Ev(obs.StageRollback,
-			fmt.Sprintf("epoch torn down; respawning all processes from wave %d", wave))
-		rbe.Wave = wave
-		obs.DefaultTrace.Emit(rbe)
-	}
+	return rep
 }
 
-// runOnce executes one epoch: spawn, watchdog, aggregate.
-func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fired *firedSet, restart [][]byte, restartWave, epoch int) (*Report, *runState) {
+// runOnce executes one epoch — spawn, watchdog, aggregate — and fills the
+// report's per-epoch fields.
+func runOnce(rep *Report, layout core.Layout, app AppFunc, store *ckpt.Store, fired *firedSet, seed epochSeed) epochOutcome {
+	cfg := rep.Config
 	var nw *transport.Network
 	if cfg.UseTCP {
 		var tw *transport.PeerWire
@@ -824,32 +698,26 @@ func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fir
 		nw = transport.NewNetwork(layout.Procs(), cfg.Delay)
 	}
 	defer nw.Close()
-	det := detect.NewService(nw)
 
 	rs := &runState{
-		cfg:         cfg,
-		layout:      layout,
-		nw:          nw,
-		det:         det,
-		app:         app,
-		store:       store,
-		fired:       fired,
-		restart:     restart,
-		restartWave: restartWave,
-		epoch:       epoch,
-		recovered:   make(map[int]bool),
-		waves:       waveTally{ranks: cfg.Ranks},
-		reports:     make([]ProcReport, layout.Procs()),
-		recorders:   make(map[transport.ProcID]*Recorder),
-		logRanks:    logRankVector(cfg, layout),
-		replayWave:  -1,
+		cfg:        cfg,
+		layout:     layout,
+		nw:         nw,
+		det:        detect.NewService(nw),
+		app:        app,
+		commitLine: commitLine{store: store, waves: waveTally{ranks: cfg.Ranks}},
+		fired:      fired,
+		seed:       seed,
+		reports:    make([]ProcReport, layout.Procs()),
+		recorders:  make(map[transport.ProcID]*Recorder),
+		logRanks:   cfg.logRanks(layout),
+		replayWave: -1,
 	}
 
 	// Partial replication needs no special casing here: the degree-aware
 	// layout's physical-ID space is dense, so every ID names a process
 	// that really exists and the spawn loop launches exactly Σ degrees
 	// goroutines — no phantom slots, reports, or detector traffic.
-	timeout := cfg.timeout()
 	start := time.Now()
 	for i := 0; i < layout.Procs(); i++ {
 		rs.wg.Add(1)
@@ -862,43 +730,54 @@ func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fir
 		rs.wg.Wait()
 		close(done)
 	}()
-	timedOut := false
 	select {
 	case <-done:
-	case <-time.After(timeout):
-		timedOut = true
+	case <-time.After(cfg.timeout()):
 		rs.timedOut.Store(true)
-		for i := 0; i < layout.Procs(); i++ {
-			nw.Kill(transport.ProcID(i))
-		}
+		nw.KillAll()
 		<-done
 	}
 	elapsed := time.Since(start)
 
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return &Report{
-		Config:      cfg,
-		Elapsed:     elapsed,
-		Procs:       append([]ProcReport(nil), rs.reports...),
-		Stats:       nw.Stats().Snapshot(),
-		Recorders:   rs.recorders,
-		SDCDetected: rs.sdcTotal,
-		TimedOut:    timedOut,
-		RestartWave: -1,
-		ReplayWave:  -1,
-	}, rs
+	rep.Procs = append([]ProcReport(nil), rs.reports...)
+	rep.Stats = nw.Stats().Snapshot()
+	rep.Recorders = rs.recorders
+	rep.SDCDetected = rs.sdcTotal
+	exRank := int(rs.exhausted.Load()) - 1
+	return epochOutcome{elapsed: elapsed, timedOut: rs.timedOut.Load(), exhausted: exRank >= 0, rank: exRank,
+		replays: rs.replays, replayWave: rs.replayWave}
 }
 
-// runProc is one physical process's lifetime. For recovered replicas,
-// cloneState and restored carry the §3.4 fork; for a localized relaunch of
-// a logging-enabled rank, replay carries the checkpoint + replay state.
-func (rs *runState) runProc(id transport.ProcID, cloneState *core.CloneState, restored []byte, replay *replaySeed) {
+// runProc is one physical process's lifetime on the shared process body.
+// For recovered replicas, clone and restored carry the §3.4 fork; for a
+// localized relaunch of a logging-enabled rank, replay carries the
+// checkpoint + replay state.
+func (rs *runState) runProc(id transport.ProcID, clone *core.CloneState, restored []byte, replay *replaySeed) {
 	defer rs.wg.Done()
-	rank := rs.layout.RankOf(id)
-	rep := rs.layout.RepOf(id)
-	pr := ProcReport{Proc: id, Rank: rank, Rep: rep}
 	start := time.Now()
+	rank, rep := rs.layout.RankOf(id), rs.layout.RepOf(id)
+	pr := ProcReport{Proc: id, Rank: rank, Rep: rep}
+	env := &Env{Rank: rank, Rep: rep, h: rs, restored: restored, restoredStep: -1,
+		store: rs.store, ranks: rs.cfg.Ranks, epoch: rs.seed.epoch}
+	b := procBody{cfg: rs.cfg, layout: rs.layout, nw: rs.nw, det: rs.det, env: env, clone: clone}
+	switch {
+	case replay != nil:
+		// Localized relaunch: only this rank rolls back, to its own
+		// newest checkpoint wave.
+		env.restored, env.restoredStep, b.replay = replay.app, replay.wave, replay.state
+	case restored == nil && clone == nil && rs.seed.states != nil:
+		// Rollback epoch: every replica of every rank resumes from the
+		// wave the ladder selected.
+		env.restored, env.restoredStep = rs.seed.states[rank], rs.seed.wave
+	}
+	if rs.cfg.TraceSends && rs.cfg.Protocol != Native {
+		b.rec = NewRecorder(rs.cfg.KeepEvents)
+		rs.mu.Lock()
+		rs.recorders[id] = b.rec
+		rs.mu.Unlock()
+	}
 
 	doneMarked := false
 	markDone := func() {
@@ -907,147 +786,49 @@ func (rs *runState) runProc(id transport.ProcID, cloneState *core.CloneState, re
 			rs.appDone.Add(1)
 		}
 	}
-
-	defer func() {
-		pr.Elapsed = time.Since(start)
-		if r := recover(); r != nil {
-			if _, ok := mpi.ErrCrashed(r); ok {
-				pr.Crashed = true
-				if rs.logEnabled(rank) && rs.exhausted.Load() == 0 && !rs.timedOut.Load() {
-					// The middle rung: a logging-enabled rank died. Reserve
-					// the relaunch slot before this process releases its
-					// own, so the epoch's WaitGroup can never drain in
-					// between, and relaunch it alone — the survivors keep
-					// their state and replay their logs.
-					rs.wg.Add(1)
-					rs.spawned.Add(1)
-					go rs.relaunchLogged(id)
-				}
-			} else if rank, ok := mpi.ErrExhausted(r); ok {
-				// Not an application error: the recovery ladder's second
-				// rung. Record it for the launcher, which tears this
-				// epoch down and escalates to a rollback restart.
-				rs.noteExhausted(rank)
-			} else {
-				pr.Err = fmt.Errorf("panic: %v", r)
-			}
+	out := b.run(rs.app, func(res any, err error) bool {
+		pr.Result, pr.Err = res, err
+		if env.proto != nil && env.proto.SDCDetected() > 0 {
+			rs.mu.Lock()
+			rs.sdcTotal += env.proto.SDCDetected()
+			rs.mu.Unlock()
 		}
 		markDone()
-		rs.mu.Lock()
-		if cloneState != nil || replay != nil {
-			// A recovered or relaunched replica reports alongside — not
-			// instead of — its crashed predecessor.
-			rs.reports = append(rs.reports, pr)
-		} else {
-			rs.reports[int(id)] = pr
-		}
-		rs.mu.Unlock()
-	}()
-
-	proc := mpi.NewProc(rs.nw, id)
-	if rs.cfg.EagerLimit > 0 {
-		proc.Engine().EagerLimit = rs.cfg.EagerLimit
-	}
-
-	env := &Env{Rank: rank, Rep: rep, h: rs, restored: restored, restoredStep: -1,
-		store: rs.store, logSelf: rs.logEnabled(rank)}
+		return true
+	}, func() bool { return rs.appDone.Load() >= rs.spawned.Load() })
+	pr.Elapsed = time.Since(start)
 	switch {
-	case replay != nil:
-		// Localized relaunch: only this rank rolls back, to its own
-		// newest checkpoint wave.
-		env.restored = replay.app
-		env.restoredStep = replay.wave
-	case restored == nil && cloneState == nil && rs.restart != nil:
-		// Rollback epoch: every replica of every rank resumes from the
-		// wave the launcher selected.
-		env.restored = rs.restart[rank]
-		env.restoredStep = rs.restartWave
-	}
-	var protocol mpi.Protocol
-	var replayCollSeq uint64
-	if rs.cfg.Protocol == Native {
-		protocol = mpi.NewNative(proc)
-	} else {
-		opts := core.Options{
-			AckOnWait:     rs.cfg.AckOnWait,
-			SDC:           rs.cfg.SDC,
-			NoAckCoalesce: rs.cfg.NoAckCoalesce,
-			LogDests:      rs.logRanks,
+	case out.crashed:
+		pr.Crashed = true
+		if rs.logEnabled(rank) && rs.exhausted.Load() == 0 && !rs.timedOut.Load() {
+			// The middle rung: a logging-enabled rank died. Reserve the
+			// relaunch slot before this process releases its own, so the
+			// epoch's WaitGroup can never drain in between, and relaunch
+			// it alone — the survivors keep their state and replay their
+			// logs.
+			rs.wg.Add(1)
+			rs.spawned.Add(1)
+			go rs.relaunchLogged(id)
 		}
-		if rs.cfg.TraceSends {
-			rec := NewRecorder(rs.cfg.KeepEvents)
-			rs.mu.Lock()
-			rs.recorders[id] = rec
-			rs.mu.Unlock()
-			opts.SendRecorder = rec.RecordSend
-		}
-		if rs.cfg.Corrupt && rank == rs.cfg.CorruptRank && rep == rs.cfg.CorruptRep {
-			opts.Corrupt = func(dstRank int, seq uint64, data []byte) {
-				if seq == rs.cfg.CorruptSeq && len(data) > 0 {
-					data[0] ^= 0xFF
-				}
-			}
-		}
-		rp := core.NewReplicated(proc, rs.layout, rs.mode(), rs.det, opts)
-		if cloneState != nil {
-			rp.Restore(cloneState)
-		}
-		if replay != nil {
-			v, err := rp.RestoreReplayState(replay.state)
-			if err != nil {
-				// Fail closed: a replay state that validated on disk but
-				// no longer restores means the localized rung is gone.
-				rs.noteExhausted(rank)
-				return
-			}
-			replayCollSeq = v
-			// Announce the relaunch in-band; on this notification every
-			// survivor that emits into world 0 re-adds this process as a
-			// destination and replays its message log.
-			rp.BroadcastRecovered(id)
-		}
-		env.proto = rp
-		protocol = rp
-	}
-	env.World = mpi.NewWorld(proc, protocol, rs.cfg.Ranks)
-	if replay != nil {
-		env.World.SetCollSeq(replayCollSeq)
-	}
-
-	res, err := rs.app(env)
-	pr.Result = res
-	pr.Err = err
-	if env.proto != nil && env.proto.SDCDetected() > 0 {
-		rs.mu.Lock()
-		rs.sdcTotal += env.proto.SDCDetected()
-		rs.mu.Unlock()
+	case out.exhausted >= 0:
+		// Not an application error: the recovery ladder's second rung.
+		// Record it for the ladder, which tears this epoch down and
+		// escalates to a rollback restart.
+		rs.noteExhausted(out.exhausted)
+	case out.err != nil:
+		pr.Err = out.err
 	}
 	markDone()
-	rs.drain(proc)
-}
-
-// drain keeps the engine responsive after the application body returns —
-// the role MPI_Finalize's implicit synchronization plays in real MPI. A
-// peer may still need this process's cooperation to finish: most notably,
-// a mirror-protocol rendezvous duplicate arriving after this process's
-// last receive needs its CTS/sink handshake, which only engine progress
-// provides. The drain ends once every launched process has finished (or
-// crashed), or when this process itself is killed.
-func (rs *runState) drain(proc *mpi.Proc) {
-	eng := proc.Engine()
-	ep := eng.Endpoint()
-	for rs.appDone.Load() < rs.spawned.Load() {
-		if ep.Crashed() {
-			return
-		}
-		eng.Progress()
-		ep.WaitActivity(200 * time.Microsecond)
+	rs.mu.Lock()
+	if clone != nil || replay != nil {
+		// A recovered or relaunched replica reports alongside — not
+		// instead of — its crashed predecessor.
+		rs.reports = append(rs.reports, pr)
+	} else {
+		rs.reports[int(id)] = pr
 	}
-	// One final sweep for anything that raced the last counter update.
-	eng.Progress()
+	rs.mu.Unlock()
 }
-
-func (rs *runState) mode() core.Mode { return rs.cfg.Protocol.coreMode() }
 
 // stepHook realizes the failure/recovery schedule at an application step
 // boundary.
@@ -1078,13 +859,7 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 		if e.proto.AliveView(dead) {
 			continue // not dead (yet): nothing to recover
 		}
-		rs.mu.Lock()
-		already := rs.recovered[i]
-		if !already {
-			rs.recovered[i] = true
-		}
-		rs.mu.Unlock()
-		if already {
+		if !rs.recovered.fire(i) {
 			continue
 		}
 		if snapshot == nil {

@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,36 +18,15 @@ import (
 // The worker environment contract (the Env* names and their typed
 // accessors) lives in env.go.
 
-// DistConfig describes one distributed run: the same knobs as Config, but
+// DistConfig describes one distributed run: the run spec of Config,
 // executed as real OS processes (one per layout slot) under a
-// coordinator.
+// coordinator, plus what launching those processes needs. Failures
+// schedule SIGKILLs: when the victim worker reaches Step(AtStep) it
+// reports the boundary and the coordinator kills the process. Config's
+// in-process-only fields (see InProcessOnlyError) must stay unset, and
+// Timeout defaults to 2 minutes per epoch.
 type DistConfig struct {
-	Ranks       int
-	Replication int
-	Protocol    Protocol
-
-	// Failures schedules SIGKILLs: when the victim worker reaches
-	// Step(AtStep) it reports the boundary and the coordinator kills the
-	// process. Events fire at most once across restart epochs.
-	Failures []FailureEvent
-
-	// UnreplicatedRanks and Degrees select partial replication exactly
-	// as in Config: only the replicas the degree vector names are
-	// spawned as OS processes (Σ degrees workers, not r·n).
-	UnreplicatedRanks []int
-	Degrees           []int
-
-	// CheckpointDir is the shared checkpoint store — the rollback medium.
-	// Required for the second rung of the recovery ladder; without it,
-	// replication exhaustion is fatal.
-	CheckpointDir string
-
-	// RecoveryMode picks the ladder shape above substitution, exactly as
-	// in Config: RecoveryLog relaunches a dead degree-1 rank alone (a
-	// single fresh OS process restored from its own newest checkpoint +
-	// replay state, re-fed from the survivors' sender logs) instead of
-	// tearing the whole epoch down.
-	RecoveryMode RecoveryMode
+	Config
 
 	// WorkerCmd is the argv used to exec one worker (default: this
 	// binary, re-entered in worker mode via the env contract).
@@ -61,8 +38,6 @@ type DistConfig struct {
 	// worker (default os.Stderr).
 	LogSink io.Writer
 
-	// Timeout is the per-epoch watchdog (default 2 minutes).
-	Timeout time.Duration
 	// HealthTimeout kills a worker whose control connection has been
 	// silent for this long — the liveness probe backing the failure
 	// detector (default 20s; workers ping every 500ms).
@@ -72,70 +47,27 @@ type DistConfig struct {
 	// (default 10s). Tests shrink it; a timeout increments
 	// sdr_cluster_rejoin_timeouts_total.
 	RejoinTimeout time.Duration
-	// MaxRestarts bounds rollback-restart cycles (default len(Failures)+1).
-	MaxRestarts int
 
 	// NoRing disables the colocated shared-memory ring transport: every
 	// pair stays on loopback TCP. Rings are on by default — in a
-	// single-host run every pair is colocated. RingBytes overrides the
-	// per-pair ring capacity (0 = transport default).
-	NoRing    bool
-	RingBytes int
+	// single-host run every pair is colocated.
+	NoRing bool
 }
 
-func (c DistConfig) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 2 * time.Minute
+// seat is worker proc's WorkerConfig for one epoch: the run spec with
+// the layout's degree vector spelled out, and the scheduled kills that
+// have not fired yet.
+func (c DistConfig) seat(l core.Layout, proc int, fired []bool, seed epochSeed) WorkerConfig {
+	rank, rep := l.RankOf(transport.ProcID(proc)), l.RepOf(transport.ProcID(proc))
+	w := WorkerConfig{Proc: transport.ProcID(proc), RestartWave: seed.wave, Epoch: seed.epoch, ReplayWave: -1}
+	w.Ranks, w.Replication, w.Degrees = c.Ranks, l.R, l.DegreeVector()
+	w.Protocol, w.CheckpointDir, w.RecoveryMode = c.Protocol, c.CheckpointDir, c.RecoveryMode
+	for i, f := range c.Failures {
+		if !fired[i] && f.Rank == rank && f.Rep == rep {
+			w.KillSteps = append(w.KillSteps, f.AtStep)
+		}
 	}
-	return c.Timeout
-}
-
-func (c DistConfig) healthTimeout() time.Duration {
-	if c.HealthTimeout <= 0 {
-		return 20 * time.Second
-	}
-	return c.HealthTimeout
-}
-
-func (c DistConfig) replication() int {
-	if c.Protocol == Native {
-		return 1
-	}
-	if c.Replication <= 0 {
-		return 2
-	}
-	return c.Replication
-}
-
-// layout builds the (possibly degree-aware) replica layout for the run.
-func (c DistConfig) layout() (core.Layout, error) {
-	degrees, err := degreeVector(c.Ranks, c.replication(), c.Degrees, c.UnreplicatedRanks)
-	if err != nil {
-		return core.Layout{}, err
-	}
-	return core.NewLayout(c.Ranks, c.replication(), degrees)
-}
-
-// recoveryLog reports whether the localized-replay rung is armed.
-func (c DistConfig) recoveryLog() bool { return c.RecoveryMode == RecoveryLog }
-
-// validateRecovery mirrors Config.validateRecovery for distributed runs.
-func (c DistConfig) validateRecovery() error {
-	return validateRecoveryMode(c.RecoveryMode, c.Protocol, c.CheckpointDir)
-}
-
-// formatDegrees renders a layout's degree vector for the env contract:
-// comma-separated degrees, or "" for a uniform layout.
-func formatDegrees(l core.Layout) string {
-	ds := l.DegreeVector()
-	if ds == nil {
-		return ""
-	}
-	parts := make([]string, len(ds))
-	for i, d := range ds {
-		parts[i] = strconv.Itoa(d)
-	}
-	return strings.Join(parts, ",")
+	return w
 }
 
 // DistProcReport is one worker's outcome in the final epoch.
@@ -158,21 +90,11 @@ type WorkerResult struct {
 }
 
 // DistReport aggregates a distributed run. Like Report, Procs describes
-// the final epoch while Elapsed accumulates across restart epochs.
+// the final epoch while the embedded Tally accounts for every epoch.
 type DistReport struct {
-	Ranks       int
-	Replication int
-	Protocol    Protocol
+	Tally
+	Replication int // the layout's maximum replication degree
 	Procs       []DistProcReport
-	Elapsed     time.Duration
-	TimedOut    bool
-	Restarts    int
-	RestartWave int
-	// Replays counts localized relaunches (single-worker respawns under
-	// RecoveryLog); ReplayWave is the wave the last one resumed from.
-	Replays    int
-	ReplayWave int
-	ExhaustErr error
 
 	// Trace is the coordinator-side recovery-ladder event chain
 	// (park/kill/detect/replay/rollback); the workers' own events surface
@@ -201,65 +123,30 @@ func (r *DistReport) FirstError() error {
 	return nil
 }
 
-// ResultOf returns the result reported by replica rep of rank, or nil.
-func (r *DistReport) ResultOf(rank, rep int) *DistProcReport {
-	for i := range r.Procs {
-		if r.Procs[i].Rank == rank && r.Procs[i].Rep == rep {
-			return &r.Procs[i]
-		}
-	}
-	return nil
-}
-
-// coreMode maps a protocol name to the replication scheme.
-func (p Protocol) coreMode() core.Mode {
-	switch p {
-	case Mirror:
-		return core.ModeMirror
-	case Leader:
-		return core.ModeLeader
-	default:
-		return core.ModeParallel
-	}
-}
-
 // RunDistributed executes the application as real OS processes — one per
 // slot of the (possibly degree-aware) layout — and returns the aggregated
-// report. It is the cross-process generalization of
-// Run's epoch loop: the coordinator spawns workers, hands out the
-// rendezvous world through the registry, streams their output, SIGKILLs
-// scheduled victims at their reported step boundaries, broadcasts failure
-// notifications, and — when a worker reports replication exhaustion —
-// tears the epoch down and respawns everything from the latest committed
-// checkpoint wave in the shared store.
+// report. It climbs the same recovery ladder as Run: the coordinator
+// spawns workers, hands out the rendezvous world through the registry,
+// streams their output, SIGKILLs scheduled victims at their reported step
+// boundaries, broadcasts failure notifications, and — when a worker
+// reports replication exhaustion — tears the epoch down and respawns
+// everything from the latest committed checkpoint wave in the shared
+// store.
 func RunDistributed(cfg DistConfig) *DistReport {
 	rep := &DistReport{
-		Ranks:       cfg.Ranks,
+		Tally:       Tally{RestartWave: -1, ReplayWave: -1},
 		Replication: cfg.replication(),
-		Protocol:    cfg.Protocol,
-		RestartWave: -1,
-		ReplayWave:  -1,
 		Trace:       obs.NewTrace(),
 	}
-	layout, err := cfg.layout()
-	if err == nil {
-		err = validateSchedule(layout, cfg.Failures, nil)
-	}
-	if err == nil {
-		err = cfg.validateRecovery()
-	}
-	if err != nil {
+	if err := cfg.inProcessOnly(); err != nil {
 		rep.ExhaustErr = err
 		return rep
 	}
-	var store *ckpt.Store
-	if cfg.CheckpointDir != "" {
-		var err error
-		store, err = ckpt.NewStore(cfg.CheckpointDir)
-		if err != nil {
-			rep.ExhaustErr = err
-			return rep
-		}
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 2 * time.Minute
+	}
+	if cfg.HealthTimeout <= 0 {
+		cfg.HealthTimeout = 20 * time.Second
 	}
 	if len(cfg.WorkerCmd) == 0 {
 		exe, err := os.Executable()
@@ -272,84 +159,34 @@ func RunDistributed(cfg DistConfig) *DistReport {
 	if cfg.LogSink == nil {
 		cfg.LogSink = os.Stderr
 	}
-
 	fired := make([]bool, len(cfg.Failures))
-	maxRestarts := cfg.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = len(cfg.Failures) + 1
-	}
-	restartWave := -1
-	for {
-		ep := runDistEpoch(cfg, layout, store, fired, restartWave, rep.Restarts, rep.Trace)
-		rep.Elapsed += ep.elapsed
-		rep.Procs = ep.procs
-		rep.TimedOut = ep.timedOut
-		rep.RestartWave = restartWave
-		rep.Replays += ep.replays
-		rep.Workers = ep.workers
+	err := ladder(cfg.Config, &rep.Tally, rep.Trace, false, func(l core.Layout, store *ckpt.Store, seed epochSeed) epochOutcome {
+		if seed.epoch > 0 {
+			mRestarts.Inc()
+		}
+		ep := runDistEpoch(cfg, l, store, fired, seed, rep.Trace)
+		rep.Procs, rep.Workers = ep.procs, ep.workers
 		rep.EpochsSec = append(rep.EpochsSec, ep.elapsed.Seconds())
 		mEpochs.Inc()
 		gEpochMillis.Set(ep.elapsed.Milliseconds())
-		if ep.replays > 0 {
-			rep.ReplayWave = ep.replayWave
-		}
-		if ep.err != nil {
-			rep.ExhaustErr = ep.err
-			return rep
-		}
-		if !ep.exhausted || ep.timedOut {
-			return rep
-		}
-		// Replication exhausted: climb to the rollback rung.
-		if store == nil {
-			rep.ExhaustErr = fmt.Errorf("cluster: replication exhausted and no CheckpointDir is configured for rollback")
-			return rep
-		}
-		if rep.Restarts >= maxRestarts {
-			rep.ExhaustErr = fmt.Errorf("cluster: replication exhausted; restart budget (%d) spent", maxRestarts)
-			return rep
-		}
-		wave, err := store.LatestCommon(cfg.Ranks)
-		if err != nil {
-			rep.ExhaustErr = fmt.Errorf("cluster: rollback checkpoint scan: %w", err)
-			return rep
-		}
-		if wave < 0 {
-			rep.ExhaustErr = fmt.Errorf("cluster: replication exhausted before any committed checkpoint wave")
-			return rep
-		}
-		// Pre-rollback replay states are epoch-relative — drop them so a
-		// logging rank dying in the new epoch fails closed instead of
-		// restoring counters from the torn-down one.
-		if err := store.PruneLogs(); err != nil {
-			rep.ExhaustErr = fmt.Errorf("cluster: rollback to wave %d: %w", wave, err)
-			return rep
-		}
-		restartWave = wave
-		rep.Restarts++
-		mRestarts.Inc()
-		ev := obs.Ev(obs.StageRollback,
-			fmt.Sprintf("epoch torn down; respawning all workers from wave %d", wave))
-		ev.Wave = wave
-		rep.Trace.Emit(ev)
+		return ep.epochOutcome
+	})
+	if err != nil {
+		rep.ExhaustErr = err
 	}
+	return rep
 }
 
-// distEpoch is one epoch's outcome.
+// distEpoch is one epoch's outcome: the ladder's part, and the workers'
+// reports and end-of-run scrapes.
 type distEpoch struct {
-	procs      []DistProcReport
-	elapsed    time.Duration
-	exhausted  bool
-	timedOut   bool
-	replays    int
-	replayWave int
-	workers    []obs.WorkerStats
-	err        error
+	epochOutcome
+	procs   []DistProcReport
+	workers []obs.WorkerStats
 }
 
 // distWorker is the coordinator's handle on one spawned worker process.
 type distWorker struct {
-	proc      int
 	rank, rep int
 	cmd       *exec.Cmd
 }
@@ -362,19 +199,14 @@ type procExit struct {
 
 // runDistEpoch spawns one full set of workers and runs the epoch's event
 // loop until completion, exhaustion, or the watchdog.
-func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired []bool, wave, epoch int, tr *obs.Trace) distEpoch {
+func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired []bool, seed epochSeed, tr *obs.Trace) distEpoch {
 	procs := layout.Procs()
 
 	reg, err := newRegistry(procs, cfg.Ranks, store, cfg.RejoinTimeout)
 	if err != nil {
-		return distEpoch{err: err}
+		return distEpoch{epochOutcome: epochOutcome{err: err}}
 	}
 	defer reg.Close()
-	emit := func(ev obs.Event) {
-		if tr != nil {
-			tr.Emit(ev)
-		}
-	}
 
 	sink := &syncWriter{w: cfg.LogSink}
 	exitCh := make(chan procExit, 4*procs)
@@ -400,14 +232,19 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 	// presents as a half-built world instead of a clear answer.
 	fdBudget := uint64(3*procs + 64)
 	if limit, err := transport.EnsureFileLimit(fdBudget); err != nil {
-		return distEpoch{err: fmt.Errorf("cluster: fd preflight for %d workers: %w", procs, err)}
+		return distEpoch{epochOutcome: epochOutcome{err: fmt.Errorf("cluster: fd preflight for %d workers: %w", procs, err)}}
 	} else {
 		fmt.Fprintf(sink, "[coordinator] fd preflight: budget %d for %d workers, soft limit %d\n", fdBudget, procs, limit)
 	}
 
+	seat := func(p int) WorkerConfig {
+		w := cfg.seat(layout, p, fired, seed)
+		w.Registry, w.RingDir = reg.Addr(), ringDir
+		return w
+	}
 	start := time.Now()
 	for p := 0; p < procs; p++ {
-		w, err := spawnWorker(cfg, reg.Addr(), layout, p, fired, wave, epoch, sink, exitCh, -1, nil, ringDir)
+		w, err := spawnWorker(cfg, seat(p), sink, exitCh)
 		if err != nil {
 			// Abort the partial epoch: kill what already started.
 			for _, prev := range workers {
@@ -415,7 +252,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 					_ = prev.cmd.Process.Kill()
 				}
 			}
-			return distEpoch{err: fmt.Errorf("cluster: spawn worker %d: %w", p, err), elapsed: time.Since(start)}
+			return distEpoch{epochOutcome: epochOutcome{err: fmt.Errorf("cluster: spawn worker %d: %w", p, err), elapsed: time.Since(start)}}
 		}
 		workers[p] = w
 	}
@@ -424,16 +261,12 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 		dead       = make(map[int]bool)   // exited (any reason)
 		scheduled  = make(map[int]bool)   // SIGKILL sent for a fired event
 		done       = make(map[int]ctlMsg) // app results
-		exhausted  = false
-		timedOut   = false
+		out        = distEpoch{epochOutcome: epochOutcome{rank: -1, replayWave: -1}}
 		tearing    = false
 		exits      = 0
 		spawnTotal = procs // grows with localized relaunches
-		replays    = 0
-		replayWave = -1
-		epWorkers  []obs.WorkerStats
 	)
-	logRanks := logRankVector(cfg, layout)
+	logRanks := cfg.logRanks(layout)
 	maxReplays := len(cfg.Failures) + 1
 	watchdog := time.NewTimer(cfg.timeout())
 	defer watchdog.Stop()
@@ -481,7 +314,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 				ws.Scraped = true
 				ws.Metrics = m
 			}
-			epWorkers = append(epWorkers, ws)
+			out.workers = append(out.workers, ws)
 		}
 		reg.broadcast(ctlMsg{Op: opShutdown}, -1)
 	}
@@ -493,11 +326,11 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 	// rollback rung — fail closed, never garbage.
 	relaunch := func(proc int) bool {
 		rank := layout.RankOf(transport.ProcID(proc))
-		if replays >= maxReplays {
+		if out.replays >= maxReplays {
 			fmt.Fprintf(sink, "[coordinator] worker %d (rank %d): replay budget (%d) spent; global rollback\n", proc, rank, maxReplays)
 			return false
 		}
-		seedWave, err := validateDistReplay(store, rank)
+		rs, err := loadReplay(store, rank)
 		if err != nil {
 			fmt.Fprintf(sink, "[coordinator] worker %d (rank %d): localized replay unavailable (%v); global rollback\n", proc, rank, err)
 			return false
@@ -509,7 +342,9 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 			}
 		}
 		reg.forget(proc)
-		w, err := spawnWorker(cfg, reg.Addr(), layout, proc, fired, wave, epoch, sink, exitCh, seedWave, deadList, ringDir)
+		wc := seat(proc)
+		wc.ReplayWave, wc.DeadProcs = rs.wave, deadList
+		w, err := spawnWorker(cfg, wc, sink, exitCh)
 		if err != nil {
 			fmt.Fprintf(sink, "[coordinator] relaunch worker %d: %v; global rollback\n", proc, err)
 			return false
@@ -517,14 +352,14 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 		workers[proc] = w
 		dead[proc] = false
 		spawnTotal++
-		replays++
-		replayWave = seedWave
+		out.replays++
+		out.replayWave = rs.wave
 		mReplays.Inc()
 		ev := obs.Ev(obs.StageReplay,
-			fmt.Sprintf("relaunched alone from wave %d; survivors replay their logs", seedWave))
-		ev.Proc, ev.Rank, ev.Wave = proc, rank, seedWave
-		emit(ev)
-		fmt.Fprintf(sink, "[coordinator] worker %d (rank %d) relaunched alone from wave %d; survivors replay their logs\n", proc, rank, seedWave)
+			fmt.Sprintf("relaunched alone from wave %d; survivors replay their logs", rs.wave))
+		ev.Proc, ev.Rank, ev.Wave = proc, rank, rs.wave
+		tr.Emit(ev)
+		fmt.Fprintf(sink, "[coordinator] worker %d (rank %d) relaunched alone from wave %d; survivors replay their logs\n", proc, rank, rs.wave)
 		return true
 	}
 
@@ -552,7 +387,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 				w := workers[ev.proc]
 				pev := obs.Ev(obs.StagePark, "worker parked at scheduled kill boundary")
 				pev.Proc, pev.Rank, pev.Rep, pev.Step = ev.proc, w.rank, w.rep, ev.msg.Step
-				emit(pev)
+				tr.Emit(pev)
 				for i, f := range cfg.Failures {
 					if !fired[i] && f.Rank == w.rank && f.Rep == w.rep && f.AtStep == ev.msg.Step {
 						fired[i] = true
@@ -560,12 +395,12 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 						_ = w.cmd.Process.Kill()
 						kev := obs.Ev(obs.StageKill, "SIGKILL delivered")
 						kev.Proc, kev.Rank, kev.Rep, kev.Step = ev.proc, w.rank, w.rep, ev.msg.Step
-						emit(kev)
+						tr.Emit(kev)
 						break
 					}
 				}
 			case evExhausted:
-				exhausted = true
+				out.exhausted = true
 				teardown()
 			case evDone:
 				done[ev.proc] = ev.msg
@@ -586,7 +421,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 				continue
 			}
 			if ex.code == workerExitExhausted {
-				exhausted = true
+				out.exhausted = true
 				teardown()
 				continue
 			}
@@ -601,10 +436,10 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 			wk := workers[ex.proc]
 			dev := obs.Ev(obs.StageDetect, "worker process exited; failure broadcast to survivors")
 			dev.Proc, dev.Rank, dev.Rep = ex.proc, wk.rank, wk.rep
-			emit(dev)
+			tr.Emit(dev)
 			if rank := layout.RankOf(transport.ProcID(ex.proc)); logRanks != nil && logRanks[rank] {
 				if !relaunch(ex.proc) {
-					exhausted = true
+					out.exhausted = true
 					teardown()
 				}
 				continue
@@ -616,7 +451,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 			if tearing {
 				continue
 			}
-			if p, age := reg.stalest(func(p int) bool { return !dead[p] }); p >= 0 && age > cfg.healthTimeout() {
+			if p, age := reg.stalest(func(p int) bool { return !dead[p] }); p >= 0 && age > cfg.HealthTimeout {
 				// Hung worker: the liveness probe treats it as failed.
 				fmt.Fprintf(sink, "[coordinator] worker %d silent for %v; killing\n", p, age.Round(time.Second))
 				mHealthKills.Inc()
@@ -624,17 +459,17 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 				kev := obs.Ev(obs.StageKill,
 					fmt.Sprintf("liveness probe: control channel silent for %v", age.Round(time.Second)))
 				kev.Proc, kev.Rank, kev.Rep = p, w.rank, w.rep
-				emit(kev)
+				tr.Emit(kev)
 				_ = workers[p].cmd.Process.Kill()
 			}
 		case <-watchdog.C:
-			timedOut = true
+			out.timedOut = true
 			teardown()
 		}
 	}
 
-	elapsed := time.Since(start)
-	reports := make([]DistProcReport, procs)
+	out.elapsed = time.Since(start)
+	out.procs = make([]DistProcReport, procs)
 	for p := 0; p < procs; p++ {
 		w := workers[p]
 		pr := DistProcReport{Proc: transport.ProcID(p), Rank: w.rank, Rep: w.rep}
@@ -643,69 +478,24 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 			pr.Err = m.Err
 		} else if scheduled[p] {
 			pr.Crashed = true
-		} else if !timedOut && !exhausted {
+		} else if !out.timedOut && !out.exhausted {
 			pr.Err = "worker exited without a result"
 		}
-		reports[p] = pr
+		out.procs[p] = pr
 	}
-	return distEpoch{procs: reports, elapsed: elapsed, exhausted: exhausted, timedOut: timedOut,
-		replays: replays, replayWave: replayWave, workers: epWorkers}
+	return out
 }
 
-// validateDistReplay checks rank's newest (checkpoint, replay-state) pair
-// in the shared store — the same pre-flight the in-process launcher runs
-// (loadReplay) — returning the wave a localized relaunch may restore from.
-func validateDistReplay(store *ckpt.Store, rank int) (int, error) {
-	seed, err := loadReplay(store, rank)
+// spawnWorker execs one worker process with its seat encoded as the env
+// contract and its output streamed line-by-line to the sink.
+func spawnWorker(cfg DistConfig, w WorkerConfig, sink io.Writer, exitCh chan<- procExit) (*distWorker, error) {
+	l, err := w.layout()
 	if err != nil {
-		return -1, err
+		return nil, err
 	}
-	return seed.wave, nil
-}
-
-// spawnWorker execs one worker process with the env contract filled in and
-// its output streamed line-by-line to the sink. replayWave >= 0 marks a
-// localized-replay relaunch (the worker restores that wave and announces
-// itself in-band); deadProcs lists workers already dead at spawn time.
-func spawnWorker(cfg DistConfig, regAddr string, layout core.Layout, proc int, fired []bool, wave, epoch int, sink io.Writer, exitCh chan<- procExit, replayWave int, deadProcs []int, ringDir string) (*distWorker, error) {
-	rank := layout.RankOf(transport.ProcID(proc))
-	rep := layout.RepOf(transport.ProcID(proc))
-
-	// Steps at which this worker must park and await SIGKILL: its unfired
-	// scheduled failures.
-	var kills []string
-	for i, f := range cfg.Failures {
-		if !fired[i] && f.Rank == rank && f.Rep == rep {
-			kills = append(kills, strconv.Itoa(f.AtStep))
-		}
-	}
-
-	var deads []string
-	for _, p := range deadProcs {
-		deads = append(deads, strconv.Itoa(p))
-	}
+	rank, rep := l.RankOf(w.Proc), l.RepOf(w.Proc)
 	cmd := exec.Command(cfg.WorkerCmd[0], cfg.WorkerCmd[1:]...)
-	cmd.Env = append(os.Environ(), cfg.WorkerEnv...)
-	cmd.Env = append(cmd.Env,
-		EnvWorker+"=1",
-		EnvRegistry+"="+regAddr,
-		fmt.Sprintf("%s=%d", EnvProc, proc),
-		fmt.Sprintf("%s=%d", EnvRanks, cfg.Ranks),
-		fmt.Sprintf("%s=%d", EnvRepl, layout.R),
-		EnvDegrees+"="+formatDegrees(layout),
-		EnvProtocol+"="+string(cfg.Protocol),
-		EnvCkptDir+"="+cfg.CheckpointDir,
-		fmt.Sprintf("%s=%d", EnvWave, wave),
-		fmt.Sprintf("%s=%d", EnvEpoch, epoch),
-		EnvKills+"="+strings.Join(kills, ","),
-		EnvRecovery+"="+string(cfg.RecoveryMode),
-		fmt.Sprintf("%s=%d", EnvReplay, replayWave),
-		EnvDead+"="+strings.Join(deads, ","),
-		EnvRing+"="+ringDir,
-	)
-	if cfg.RingBytes > 0 {
-		cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%d", EnvRingBytes, cfg.RingBytes))
-	}
+	cmd.Env = append(append(os.Environ(), cfg.WorkerEnv...), w.environ()...)
 	prefix := fmt.Sprintf("[r%d.%d] ", rank, rep)
 	stdout := &lineWriter{w: sink, prefix: prefix}
 	stderr := &lineWriter{w: sink, prefix: prefix}
@@ -714,7 +504,6 @@ func spawnWorker(cfg DistConfig, regAddr string, layout core.Layout, proc int, f
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	w := &distWorker{proc: proc, rank: rank, rep: rep, cmd: cmd}
 	go func() {
 		_ = cmd.Wait()
 		// All pipe writes have completed once Wait returns; push out any
@@ -726,9 +515,9 @@ func spawnWorker(cfg DistConfig, regAddr string, layout core.Layout, proc int, f
 		if st := cmd.ProcessState; st != nil {
 			code = st.ExitCode()
 		}
-		exitCh <- procExit{proc: proc, code: code}
+		exitCh <- procExit{proc: int(w.Proc), code: code}
 	}()
-	return w, nil
+	return &distWorker{rank: rank, rep: rep, cmd: cmd}, nil
 }
 
 // syncWriter serializes concurrent writers onto one sink.

@@ -198,17 +198,19 @@ func TestDistributedRollbackRealProcesses(t *testing.T) {
 	}
 	const steps = 12
 	rep := RunDistributed(DistConfig{
-		Ranks:       2,
-		Replication: 2,
-		Protocol:    SDR,
-		Failures: []FailureEvent{
-			{Rank: 1, Rep: 0, AtStep: 7},
-			{Rank: 1, Rep: 1, AtStep: 7},
+		Config: Config{
+			Ranks:       2,
+			Replication: 2,
+			Protocol:    SDR,
+			Failures: []FailureEvent{
+				{Rank: 1, Rep: 0, AtStep: 7},
+				{Rank: 1, Rep: 1, AtStep: 7},
+			},
+			CheckpointDir: t.TempDir(),
+			Timeout:       60 * time.Second,
 		},
-		CheckpointDir: t.TempDir(),
-		WorkerCmd:     []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
-		LogSink:       io.Discard,
-		Timeout:       60 * time.Second,
+		WorkerCmd: []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
+		LogSink:   io.Discard,
 	})
 	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
@@ -244,17 +246,19 @@ func TestDistributedPartialReplicationSubstitution(t *testing.T) {
 	}
 	const steps = 12
 	rep := RunDistributed(DistConfig{
-		Ranks:             2,
-		Replication:       2,
-		Protocol:          SDR,
-		UnreplicatedRanks: []int{0},
-		Failures: []FailureEvent{
-			{Rank: 1, Rep: 1, AtStep: 5},
+		Config: Config{
+			Ranks:             2,
+			Replication:       2,
+			Protocol:          SDR,
+			UnreplicatedRanks: []int{0},
+			Failures: []FailureEvent{
+				{Rank: 1, Rep: 1, AtStep: 5},
+			},
+			CheckpointDir: t.TempDir(),
+			Timeout:       60 * time.Second,
 		},
-		CheckpointDir: t.TempDir(),
-		WorkerCmd:     []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
-		LogSink:       io.Discard,
-		Timeout:       60 * time.Second,
+		WorkerCmd: []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
+		LogSink:   io.Discard,
 	})
 	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
@@ -292,17 +296,19 @@ func TestDistributedPartialUnreplicatedKillRollsBack(t *testing.T) {
 	}
 	const steps = 12
 	rep := RunDistributed(DistConfig{
-		Ranks:             2,
-		Replication:       2,
-		Protocol:          SDR,
-		UnreplicatedRanks: []int{0},
-		Failures: []FailureEvent{
-			{Rank: 0, Rep: 0, AtStep: 7},
+		Config: Config{
+			Ranks:             2,
+			Replication:       2,
+			Protocol:          SDR,
+			UnreplicatedRanks: []int{0},
+			Failures: []FailureEvent{
+				{Rank: 0, Rep: 0, AtStep: 7},
+			},
+			CheckpointDir: t.TempDir(),
+			Timeout:       60 * time.Second,
 		},
-		CheckpointDir: t.TempDir(),
-		WorkerCmd:     []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
-		LogSink:       io.Discard,
-		Timeout:       60 * time.Second,
+		WorkerCmd: []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
+		LogSink:   io.Discard,
 	})
 	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
@@ -372,14 +378,16 @@ func TestDistributedHealthProbeKillsHungWorker(t *testing.T) {
 	killsBefore := mHealthKills.Value()
 	var sink bytes.Buffer
 	rep := RunDistributed(DistConfig{
-		Ranks:         2,
-		Replication:   2,
-		Protocol:      SDR,
-		CheckpointDir: t.TempDir(),
+		Config: Config{
+			Ranks:         2,
+			Replication:   2,
+			Protocol:      SDR,
+			CheckpointDir: t.TempDir(),
+			Timeout:       60 * time.Second,
+		},
 		WorkerCmd:     []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
 		WorkerEnv:     []string{fmt.Sprintf("SDR_TEST_SILENT_PROC=%d", silentProc)},
 		LogSink:       &syncWriter{w: &sink},
-		Timeout:       60 * time.Second,
 		HealthTimeout: 2 * time.Second,
 	})
 	if rep.TimedOut {
@@ -429,16 +437,18 @@ func TestDistributedSurvivesSingleReplicaKill(t *testing.T) {
 	}
 	const steps = 12
 	rep := RunDistributed(DistConfig{
-		Ranks:       2,
-		Replication: 2,
-		Protocol:    SDR,
-		Failures: []FailureEvent{
-			{Rank: 1, Rep: 1, AtStep: 5},
+		Config: Config{
+			Ranks:       2,
+			Replication: 2,
+			Protocol:    SDR,
+			Failures: []FailureEvent{
+				{Rank: 1, Rep: 1, AtStep: 5},
+			},
+			CheckpointDir: t.TempDir(),
+			Timeout:       60 * time.Second,
 		},
-		CheckpointDir: t.TempDir(),
-		WorkerCmd:     []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
-		LogSink:       io.Discard,
-		Timeout:       60 * time.Second,
+		WorkerCmd: []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
+		LogSink:   io.Discard,
 	})
 	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
@@ -504,7 +514,9 @@ func TestDistributedRestartLoadsRestoreFileBeforeHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DistConfig{
-		Ranks: 2, Replication: 1, Protocol: Native, CheckpointDir: dir,
+		Config: Config{
+			Ranks: 2, Replication: 1, Protocol: Native, CheckpointDir: dir,
+		},
 		WorkerCmd: []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
 	}
 	var logBuf bytes.Buffer
@@ -516,7 +528,9 @@ func TestDistributedRestartLoadsRestoreFileBeforeHello(t *testing.T) {
 	}
 	exits := make(chan procExit, 2)
 	for proc := 0; proc < 2; proc++ {
-		w, err := spawnWorker(cfg, ln.Addr().String(), layout, proc, nil, wave, 1, sink, exits, -1, nil, "")
+		wc := cfg.seat(layout, proc, nil, epochSeed{epoch: 1, wave: wave})
+		wc.Registry = ln.Addr().String()
+		w, err := spawnWorker(cfg, wc, sink, exits)
 		if err != nil {
 			t.Fatal(err)
 		}

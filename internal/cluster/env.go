@@ -5,6 +5,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"repro/internal/transport"
 )
 
 // This file is the SDR_* environment contract: the one place in the
@@ -70,9 +72,6 @@ const (
 	// rollback respawns workers against a fresh directory, so no torn
 	// ring stream survives an incarnation change.
 	EnvRing = "SDR_DIST_RING"
-	// EnvRingBytes overrides the per-pair ring capacity in bytes (unset
-	// means transport.DefaultRingBytes).
-	EnvRingBytes = "SDR_DIST_RING_BYTES"
 )
 
 // envKind types one contract variable for documentation and accessor
@@ -97,24 +96,23 @@ type envSpec struct {
 // rawEnv panics on names missing from it, so an undeclared read fails
 // loudly even if it slips past sdrlint.
 var envContract = map[string]envSpec{
-	EnvWorker:    {envFlag, "selects the hidden worker mode"},
-	EnvRegistry:  {envString, "rendezvous registry address host:port"},
-	EnvProc:      {envInt, "physical process ID of this worker"},
-	EnvRanks:     {envInt, "logical world size n"},
-	EnvRepl:      {envInt, "maximum replication degree r"},
-	EnvDegrees:   {envIntList, "per-rank replication degree vector"},
-	EnvProtocol:  {envString, "protocol name: native|sdr|mirror|leader"},
-	EnvCkptDir:   {envString, "shared checkpoint directory"},
-	EnvWave:      {envInt, "committed wave to restore, -1 fresh"},
-	EnvEpoch:     {envInt, "restart epoch index"},
-	EnvKills:     {envIntList, "step numbers to park at awaiting SIGKILL"},
-	EnvRecovery:  {envString, "recovery mode: rollback|log"},
-	EnvReplay:    {envIntOpt, "localized-replay restore wave, unset normally"},
-	EnvDead:      {envIntList, "procs already dead at spawn time"},
-	EnvApp:       {envString, "application name (cmd/sdrun extension)"},
-	EnvScale:     {envInt, "application scale knob (cmd/sdrun extension)"},
-	EnvRing:      {envString, "per-epoch colocated ring directory, empty disables"},
-	EnvRingBytes: {envIntOpt, "per-pair ring capacity bytes, unset = default"},
+	EnvWorker:   {envFlag, "selects the hidden worker mode"},
+	EnvRegistry: {envString, "rendezvous registry address host:port"},
+	EnvProc:     {envInt, "physical process ID of this worker"},
+	EnvRanks:    {envInt, "logical world size n"},
+	EnvRepl:     {envInt, "maximum replication degree r"},
+	EnvDegrees:  {envIntList, "per-rank replication degree vector"},
+	EnvProtocol: {envString, "protocol name: native|sdr|mirror|leader"},
+	EnvCkptDir:  {envString, "shared checkpoint directory"},
+	EnvWave:     {envInt, "committed wave to restore, -1 fresh"},
+	EnvEpoch:    {envInt, "restart epoch index"},
+	EnvKills:    {envIntList, "step numbers to park at awaiting SIGKILL"},
+	EnvRecovery: {envString, "recovery mode: rollback|log"},
+	EnvReplay:   {envIntOpt, "localized-replay restore wave, unset normally"},
+	EnvDead:     {envIntList, "procs already dead at spawn time"},
+	EnvApp:      {envString, "application name (cmd/sdrun extension)"},
+	EnvScale:    {envInt, "application scale knob (cmd/sdrun extension)"},
+	EnvRing:     {envString, "per-epoch colocated ring directory, empty disables"},
 }
 
 // rawEnv is the single chokepoint over os.Getenv for contract variables.
@@ -133,8 +131,22 @@ func EnvFlag(name string) bool { return rawEnv(name) == "1" }
 
 // EnvInt parses a required integer variable; an unset or malformed
 // value is an error naming the variable.
-func EnvInt(name string) (int, error) {
-	raw := rawEnv(name)
+func EnvInt(name string) (int, error) { return envLookup(rawEnv).num(name) }
+
+// EnvIntOr parses an optional integer variable, returning def when the
+// variable is unset (empty).
+func EnvIntOr(name string, def int) (int, error) { return envLookup(rawEnv).numOr(name, def) }
+
+// EnvInts parses an optional comma-separated integer list; unset means
+// nil.
+func EnvInts(name string) ([]int, error) { return envLookup(rawEnv).nums(name) }
+
+// envLookup reads contract variables from some source: the process
+// environment (rawEnv) for a worker, a decoded environ() list in tests.
+type envLookup func(name string) string
+
+func (get envLookup) num(name string) (int, error) {
+	raw := get(name)
 	v, err := strconv.Atoi(raw)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: bad %s=%q: %w", name, raw, err)
@@ -142,19 +154,15 @@ func EnvInt(name string) (int, error) {
 	return v, nil
 }
 
-// EnvIntOr parses an optional integer variable, returning def when the
-// variable is unset (empty).
-func EnvIntOr(name string, def int) (int, error) {
-	if rawEnv(name) == "" {
+func (get envLookup) numOr(name string, def int) (int, error) {
+	if get(name) == "" {
 		return def, nil
 	}
-	return EnvInt(name)
+	return get.num(name)
 }
 
-// EnvInts parses an optional comma-separated integer list; unset means
-// nil.
-func EnvInts(name string) ([]int, error) {
-	s := rawEnv(name)
+func (get envLookup) nums(name string) ([]int, error) {
+	s := get(name)
 	if s == "" {
 		return nil, nil
 	}
@@ -168,4 +176,98 @@ func EnvInts(name string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// environ encodes a worker's seat as the env contract: the inverse of
+// WorkerConfigFromEnv. Only the run spec's cross-process fields travel;
+// the coordinator rejects the in-process-only ones before spawning.
+func (c WorkerConfig) environ() []string {
+	itoa := strconv.Itoa
+	return []string{
+		EnvWorker + "=1",
+		EnvRegistry + "=" + c.Registry,
+		EnvProc + "=" + itoa(int(c.Proc)),
+		EnvRanks + "=" + itoa(c.Ranks),
+		EnvRepl + "=" + itoa(c.Replication),
+		EnvDegrees + "=" + joinInts(c.Degrees),
+		EnvProtocol + "=" + string(c.Protocol),
+		EnvCkptDir + "=" + c.CheckpointDir,
+		EnvWave + "=" + itoa(c.RestartWave),
+		EnvEpoch + "=" + itoa(c.Epoch),
+		EnvKills + "=" + joinInts(c.KillSteps),
+		EnvRecovery + "=" + string(c.RecoveryMode),
+		EnvReplay + "=" + itoa(c.ReplayWave),
+		EnvDead + "=" + joinInts(c.DeadProcs),
+		EnvRing + "=" + c.RingDir,
+	}
+}
+
+func joinInts(vs []int) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = strconv.Itoa(v)
+	}
+	return strings.Join(parts, ",")
+}
+
+// WorkerConfigFromEnv decodes the worker env contract through the typed
+// accessors above — the single sanctioned path to the raw environment.
+func WorkerConfigFromEnv() (WorkerConfig, error) { return decodeWorkerEnv(rawEnv) }
+
+func decodeWorkerEnv(get envLookup) (WorkerConfig, error) {
+	var cfg WorkerConfig
+	var err error
+	var v int
+	if v, err = get.num(EnvProc); err != nil {
+		return cfg, err
+	}
+	cfg.Proc = transport.ProcID(v)
+	if cfg.Ranks, err = get.num(EnvRanks); err != nil {
+		return cfg, err
+	}
+	if cfg.Replication, err = get.num(EnvRepl); err != nil {
+		return cfg, err
+	}
+	if cfg.RestartWave, err = get.num(EnvWave); err != nil {
+		return cfg, err
+	}
+	if cfg.Epoch, err = get.num(EnvEpoch); err != nil {
+		return cfg, err
+	}
+	// Validate the string-typed env values at decode time: a typo'd
+	// protocol or recovery mode must fail fast with the env var named,
+	// not silently select a default behavior deep in the stack.
+	switch p := Protocol(get(EnvProtocol)); p {
+	case Native, SDR, Mirror, Leader:
+		cfg.Protocol = p
+	default:
+		return cfg, fmt.Errorf("cluster: bad %s=%q (want native|sdr|mirror|leader)",
+			EnvProtocol, string(p))
+	}
+	cfg.Registry = get(EnvRegistry)
+	cfg.CheckpointDir = get(EnvCkptDir)
+	switch m := RecoveryMode(get(EnvRecovery)); m {
+	case "", RecoveryRollback, RecoveryLog:
+		cfg.RecoveryMode = m
+	default:
+		return cfg, fmt.Errorf("cluster: bad %s=%q (want rollback|log)",
+			EnvRecovery, string(m))
+	}
+	if cfg.ReplayWave, err = get.numOr(EnvReplay, -1); err != nil {
+		return cfg, err
+	}
+	if cfg.DeadProcs, err = get.nums(EnvDead); err != nil {
+		return cfg, err
+	}
+	if cfg.KillSteps, err = get.nums(EnvKills); err != nil {
+		return cfg, err
+	}
+	if cfg.Degrees, err = get.nums(EnvDegrees); err != nil {
+		return cfg, err
+	}
+	cfg.RingDir = get(EnvRing)
+	if cfg.Registry == "" {
+		return cfg, fmt.Errorf("cluster: %s not set", EnvRegistry)
+	}
+	return cfg, nil
 }

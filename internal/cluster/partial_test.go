@@ -95,9 +95,11 @@ func TestDistributedRejectsKillOfPrunedReplica(t *testing.T) {
 	// silently never firing would make the fault-injection run pass
 	// without injecting anything.
 	rep := RunDistributed(DistConfig{
-		Ranks: 2, Replication: 2, Protocol: SDR,
-		UnreplicatedRanks: []int{1},
-		Failures:          []FailureEvent{{Rank: 1, Rep: 1, AtStep: 2}},
+		Config: Config{
+			Ranks: 2, Replication: 2, Protocol: SDR,
+			UnreplicatedRanks: []int{1},
+			Failures:          []FailureEvent{{Rank: 1, Rep: 1, AtStep: 2}},
+		},
 	})
 	if rep.FirstError() == nil {
 		t.Fatal("kill of a pruned replica accepted")

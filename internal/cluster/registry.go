@@ -116,26 +116,33 @@ type regEvent struct {
 	msg  ctlMsg
 }
 
-// regConn is the registry's handle on one worker connection.
-type regConn struct {
-	mu  sync.Mutex    // sdr:lockrank regconn
-	c   net.Conn      // closed without mu to interrupt a blocked serve
+// ctlConn is the sending side of one control connection, safe for
+// concurrent senders: a worker's application and ping goroutines, or the
+// registry's broadcasts and rejoin handshakes.
+type ctlConn struct {
+	mu  sync.Mutex    // sdr:lockrank ctl
 	enc *json.Encoder // guarded by mu
 }
 
-func (rc *regConn) send(m ctlMsg) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+func (cc *ctlConn) send(m ctlMsg) error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
 	// sdr:holdblock-ok control-plane framing: the encoder lock is what keeps concurrent ctl messages unmixed
-	return rc.enc.Encode(m)
+	return cc.enc.Encode(m)
+}
+
+// regConn is the registry's handle on one worker connection.
+type regConn struct {
+	ctlConn
+	c net.Conn // closed without mu to interrupt a blocked serve
 }
 
 // registry is the rendezvous + control service for one distributed epoch.
 type registry struct {
-	ln    net.Listener
-	procs int
-	ranks int
-	store *ckpt.Store
+	ln         net.Listener
+	procs      int
+	ranks      int
+	commitLine // checkpoint waves, committed into the shared store
 
 	events chan regEvent
 
@@ -151,7 +158,6 @@ type registry struct {
 	addrs  []string          // guarded by mu
 	hosts  []string          // guarded by mu; per-proc host identities (hello's host field)
 	joined int               // guarded by mu
-	waves  waveTally         // guarded by mu; writer saves per checkpoint wave
 	closed bool              // guarded by mu
 
 	// lastSeen[proc] is the unix-nano stamp of the worker's last decoded
@@ -205,7 +211,7 @@ func newRegistry(procs, ranks int, store *ckpt.Store, rejoinTimeout time.Duratio
 		ln:            ln,
 		procs:         procs,
 		ranks:         ranks,
-		store:         store,
+		commitLine:    commitLine{store: store, waves: waveTally{ranks: ranks}},
 		events:        make(chan regEvent, 4*procs+16),
 		done:          make(chan struct{}),
 		open:          make(map[net.Conn]bool),
@@ -214,7 +220,6 @@ func newRegistry(procs, ranks int, store *ckpt.Store, rejoinTimeout time.Duratio
 		hosts:         make([]string, procs),
 		obsAddrs:      make([]string, procs),
 		lastSeen:      make([]atomic.Int64, procs),
-		waves:         waveTally{ranks: ranks},
 		reviveWaits:   make(map[int]*reviveWait),
 		rejoinTimeout: rejoinTimeout,
 	}
@@ -281,7 +286,7 @@ func (r *registry) serve(c net.Conn) {
 		return
 	}
 
-	rc := &regConn{c: c, enc: json.NewEncoder(c)}
+	rc := &regConn{c: c, ctlConn: ctlConn{enc: json.NewEncoder(c)}}
 	r.mu.Lock()
 	if r.conns[proc] != nil {
 		r.mu.Unlock()
@@ -359,7 +364,11 @@ func (r *registry) serve(c net.Conn) {
 			}
 			r.mu.Unlock()
 		case opCkpt:
-			r.noteCkpt(m.Rank, m.Step)
+			// Commit/prune failures are not fatal to the epoch: the wave
+			// simply stays uncommitted and rollback selects an older one.
+			if r.store != nil && m.Rank >= 0 && m.Rank < r.ranks {
+				_ = r.noteCkpt(m.Rank, m.Step)
+			}
 		case opKillMe:
 			r.emit(regEvent{kind: evKillMe, proc: proc, msg: m})
 		case opExhausted:
@@ -422,25 +431,6 @@ func (r *registry) rejoinFlow(proc int, rc *regConn, addr string) {
 	hosts := append([]string(nil), r.hosts...)
 	r.mu.Unlock()
 	_ = rc.send(ctlMsg{Op: opWorld, Addrs: world, Hosts: hosts})
-}
-
-// noteCkpt mirrors runState.noteCkpt across process boundaries: tally
-// writer saves per wave, commit and prune once every rank reported.
-func (r *registry) noteCkpt(rank, step int) {
-	if r.store == nil || rank < 0 || rank >= r.ranks {
-		return
-	}
-	r.mu.Lock()
-	complete := r.waves.note(rank, step)
-	r.mu.Unlock()
-	if !complete {
-		return
-	}
-	// Commit/prune failures are not fatal to the epoch: the wave simply
-	// stays uncommitted and rollback selects an older one.
-	if err := r.store.Commit(step); err == nil {
-		_ = r.store.Prune(step)
-	}
 }
 
 // broadcast sends m to every connected worker except `skip` (-1 = none).

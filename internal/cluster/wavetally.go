@@ -1,10 +1,38 @@
 package cluster
 
+import (
+	"sync"
+
+	"repro/internal/ckpt"
+)
+
+// commitLine stamps the coordinated-commit marker: the launcher side of
+// Env.Checkpoint, shared by runState in process and the registry across
+// processes.
+type commitLine struct {
+	store *ckpt.Store
+	mu    sync.Mutex // sdr:lockrank waves
+	waves waveTally  // guarded by mu
+}
+
+// noteCkpt records that rank's writer completed its save for step; when
+// every rank has, the wave is committed and superseded waves are pruned.
+func (c *commitLine) noteCkpt(rank, step int) error {
+	c.mu.Lock()
+	complete := c.waves.note(rank, step)
+	c.mu.Unlock()
+	if !complete {
+		return nil
+	}
+	if err := c.store.Commit(step); err != nil {
+		return err
+	}
+	return c.store.Prune(step)
+}
+
 // waveTally counts, per checkpoint wave, the ranks whose writer has saved
-// it — the bookkeeping behind the coordinated-commit marker, shared by the
-// two launchers that stamp it (runState in process, the registry across
-// processes). Not safe for concurrent use: each owner guards its tally with
-// its own mutex.
+// it — the bookkeeping behind the coordinated-commit marker. Not safe for
+// concurrent use: commitLine guards it.
 type waveTally struct {
 	ranks int
 	next  int                  // waves below it are complete or superseded

@@ -6,147 +6,56 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/detect"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
-// WorkerConfig is the env-contract side of a distributed worker: one
-// physical process of the r·n world, running in its own OS process.
+// WorkerConfig is one distributed worker's seat: the run spec the
+// coordinator forwards (Ranks, the layout's degree Replication and
+// Degrees vector, Protocol, CheckpointDir, RecoveryMode) and where this
+// physical process of the world sits in it. It travels as the env
+// contract (environ / WorkerConfigFromEnv in env.go).
 type WorkerConfig struct {
-	Proc          transport.ProcID
-	Ranks         int
-	Replication   int   // maximum replication degree
-	Degrees       []int // per-rank degree vector; nil = uniform Replication
-	Protocol      Protocol
-	Registry      string
-	CheckpointDir string
-	RestartWave   int // committed wave to restore from, -1 for fresh start
-	Epoch         int
-	KillSteps     []int // step boundaries at which to park and await SIGKILL
+	Config
+	Proc        transport.ProcID
+	Registry    string
+	RestartWave int   // committed wave to restore from, -1 for fresh start
+	Epoch       int   // rollback restarts before this epoch
+	KillSteps   []int // step boundaries at which to park and await SIGKILL
 
-	// RecoveryMode arms sender-based message logging for degree-1 ranks
-	// ("log"); ReplayWave marks this process as a localized-replay
-	// relaunch restoring that wave (-1 normally); DeadProcs lists workers
-	// already dead when this process was spawned mid-epoch.
-	RecoveryMode RecoveryMode
-	ReplayWave   int
-	DeadProcs    []int
+	// ReplayWave marks this process as a localized-replay relaunch
+	// restoring that wave (-1 normally); DeadProcs lists workers already
+	// dead when this process was spawned mid-epoch.
+	ReplayWave int
+	DeadProcs  []int
 
 	// RingDir is the coordinator-created per-epoch directory for the
 	// colocated shared-memory ring transport; empty keeps every pair on
-	// TCP. RingBytes overrides the per-pair ring capacity (0 = default).
-	RingDir   string
-	RingBytes int
+	// TCP.
+	RingDir string
 }
-
-// recoveryLog reports whether the localized-replay rung is armed.
-func (c WorkerConfig) recoveryLog() bool { return c.RecoveryMode == RecoveryLog }
 
 // DistWorkerActive reports whether this process was exec'd as a
 // distributed worker (the hidden mode commands enter before flag parsing).
 func DistWorkerActive() bool { return EnvFlag(EnvWorker) }
-
-// WorkerConfigFromEnv decodes the worker env contract through the typed
-// accessors in env.go — the single sanctioned path to the raw environment.
-func WorkerConfigFromEnv() (WorkerConfig, error) {
-	var cfg WorkerConfig
-	var err error
-	var v int
-	if v, err = EnvInt(EnvProc); err != nil {
-		return cfg, err
-	}
-	cfg.Proc = transport.ProcID(v)
-	if cfg.Ranks, err = EnvInt(EnvRanks); err != nil {
-		return cfg, err
-	}
-	if cfg.Replication, err = EnvInt(EnvRepl); err != nil {
-		return cfg, err
-	}
-	if cfg.RestartWave, err = EnvInt(EnvWave); err != nil {
-		return cfg, err
-	}
-	if cfg.Epoch, err = EnvInt(EnvEpoch); err != nil {
-		return cfg, err
-	}
-	// Validate the string-typed env values at decode time: a typo'd
-	// protocol or recovery mode must fail fast with the env var named,
-	// not silently select a default behavior deep in the stack.
-	switch p := Protocol(EnvString(EnvProtocol)); p {
-	case Native, SDR, Mirror, Leader:
-		cfg.Protocol = p
-	default:
-		return cfg, fmt.Errorf("cluster: bad %s=%q (want native|sdr|mirror|leader)",
-			EnvProtocol, string(p))
-	}
-	cfg.Registry = EnvString(EnvRegistry)
-	cfg.CheckpointDir = EnvString(EnvCkptDir)
-	switch m := RecoveryMode(EnvString(EnvRecovery)); m {
-	case "", RecoveryRollback, RecoveryLog:
-		cfg.RecoveryMode = m
-	default:
-		return cfg, fmt.Errorf("cluster: bad %s=%q (want rollback|log)",
-			EnvRecovery, string(m))
-	}
-	if cfg.ReplayWave, err = EnvIntOr(EnvReplay, -1); err != nil {
-		return cfg, err
-	}
-	if cfg.DeadProcs, err = EnvInts(EnvDead); err != nil {
-		return cfg, err
-	}
-	if cfg.KillSteps, err = EnvInts(EnvKills); err != nil {
-		return cfg, err
-	}
-	if cfg.Degrees, err = EnvInts(EnvDegrees); err != nil {
-		return cfg, err
-	}
-	cfg.RingDir = EnvString(EnvRing)
-	if cfg.RingBytes, err = EnvIntOr(EnvRingBytes, 0); err != nil {
-		return cfg, err
-	}
-	if cfg.Registry == "" {
-		return cfg, fmt.Errorf("cluster: %s not set", EnvRegistry)
-	}
-	return cfg, nil
-}
-
-// ctlClient is the worker's connection to the registry; safe for
-// concurrent senders (app goroutine, ping goroutine).
-type ctlClient struct {
-	mu  sync.Mutex    // sdr:lockrank ctl
-	enc *json.Encoder // guarded by mu
-}
-
-func (cc *ctlClient) send(m ctlMsg) error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	// sdr:holdblock-ok control-plane framing: the encoder lock is what keeps concurrent ctl messages unmixed
-	return cc.enc.Encode(m)
-}
 
 // workerState implements harness for a distributed worker: checkpoint
 // bookkeeping and the kill schedule are forwarded to / driven by the
 // coordinator over the control plane.
 type workerState struct {
 	cfg   WorkerConfig
-	cc    *ctlClient
+	cc    *ctlConn
 	kills map[int]bool
 }
 
 func (ws *workerState) noteCkpt(rank, step int) error {
 	return ws.cc.send(ctlMsg{Op: opCkpt, Rank: rank, Step: step})
 }
-
-func (ws *workerState) numRanks() int { return ws.cfg.Ranks }
-
-func (ws *workerState) epochIndex() int { return ws.cfg.Epoch }
 
 // stepHook realizes the kill schedule: at a scheduled boundary the worker
 // tells the coordinator it is parked and blocks until the SIGKILL lands —
@@ -162,16 +71,16 @@ func (ws *workerState) stepHook(e *Env, step int, snapshot func() []byte) {
 }
 
 // RunWorker is the body of the hidden worker mode: rendezvous with the
-// registry, build the per-process transport/protocol stack, run the
-// application, and participate in the epoch's drain/shutdown. It returns
-// the process exit code.
+// registry, build the per-process transport, run the shared process body,
+// and participate in the epoch's drain/shutdown. It returns the process
+// exit code.
 func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "worker %d: %v\n", cfg.Proc, err)
 		return workerExitConfig
 	}
 
-	layout, err := core.NewLayout(cfg.Ranks, cfg.Replication, cfg.Degrees)
+	layout, err := cfg.layout()
 	if err != nil {
 		return fail(err)
 	}
@@ -191,8 +100,12 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 		leaving.Store(true)
 		conn.Close()
 	}()
-	cc := &ctlClient{enc: json.NewEncoder(conn)}
+	cc := &ctlConn{enc: json.NewEncoder(conn)}
 	dec := json.NewDecoder(conn)
+	exhausted := func(rank int) int {
+		_ = cc.send(ctlMsg{Op: opExhausted, Rank: rank})
+		return workerExitExhausted
+	}
 
 	// Observability endpoint: /healthz + /metrics on a loopback port,
 	// published to the coordinator via the hello below. Failure to bind is
@@ -233,19 +146,21 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	// that has its bytes in hand by then can be as slow to start as it
 	// likes. Loading after the rendezvous let the fast workers commit and
 	// prune under a slow one ("rollback restore wave 6: no such file").
-	var store *ckpt.Store
+	ws := &workerState{cfg: cfg, cc: cc, kills: make(map[int]bool)}
+	for _, s := range cfg.KillSteps {
+		ws.kills[s] = true
+	}
+	env := &Env{Rank: rank, Rep: rep, h: ws, restoredStep: -1, ranks: cfg.Ranks, epoch: cfg.Epoch}
 	if cfg.CheckpointDir != "" {
-		if store, err = ckpt.NewStore(cfg.CheckpointDir); err != nil {
+		if env.store, err = ckpt.NewStore(cfg.CheckpointDir); err != nil {
 			return fail(err)
 		}
 	}
-	var restored []byte
-	restoredStep := -1
-	if cfg.ReplayWave < 0 && cfg.RestartWave >= 0 && store != nil {
-		if restored, err = store.Load(rank, cfg.RestartWave); err != nil {
+	if cfg.ReplayWave < 0 && cfg.RestartWave >= 0 && env.store != nil {
+		if env.restored, err = env.store.Load(rank, cfg.RestartWave); err != nil {
 			return fail(fmt.Errorf("rollback restore wave %d: %w", cfg.RestartWave, err))
 		}
-		restoredStep = cfg.RestartWave
+		env.restoredStep = cfg.RestartWave
 	}
 
 	// Rendezvous: register our listener, wait for the world table. A
@@ -256,6 +171,14 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	host := hostIdentity()
 	if err := cc.send(ctlMsg{Op: opHello, Proc: int(cfg.Proc), Addr: pw.Addr(), Obs: obsAddr, Host: host}); err != nil {
 		return fail(fmt.Errorf("hello: %w", err))
+	}
+	// revive follows a logging-enabled rank's relaunch: point the wire at
+	// its new incarnation, then acknowledge — the registry releases the
+	// joiner only after every survivor has, so its recovery broadcast
+	// cannot race this update.
+	revive := func(m ctlMsg) {
+		pw.Revive(transport.ProcID(m.Proc), m.Addr)
+		_ = cc.send(ctlMsg{Op: opReviveAck, Proc: int(cfg.Proc), For: m.Proc})
 	}
 	var pendingDead []transport.ProcID
 	var world ctlMsg
@@ -274,8 +197,7 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 			// world table will carry its new address, so updating the
 			// wire now is redundant but harmless) — the registry's
 			// serialized rejoin flow is waiting on OUR ack too.
-			pw.Revive(transport.ProcID(m.Proc), m.Addr)
-			_ = cc.send(ctlMsg{Op: opReviveAck, Proc: int(cfg.Proc), For: m.Proc})
+			revive(m)
 		case opShutdown:
 			return 0 // epoch abandoned before it began
 		}
@@ -290,7 +212,7 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 		for p, h := range world.Hosts {
 			colocated[p] = h == host && transport.ProcID(p) != cfg.Proc
 		}
-		pw.SetRingPeers(transport.RingConfig{Dir: cfg.RingDir, Bytes: cfg.RingBytes}, colocated)
+		pw.SetRingPeers(transport.RingConfig{Dir: cfg.RingDir}, colocated)
 	}
 	for _, p := range cfg.DeadProcs {
 		pendingDead = append(pendingDead, transport.ProcID(p))
@@ -331,12 +253,7 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 			case opDead:
 				noteDead(transport.ProcID(m.Proc))
 			case opRevive:
-				// A logging-enabled rank was relaunched: point the wire at
-				// its new incarnation, then acknowledge — the registry
-				// releases the joiner only after every survivor has, so
-				// its recovery broadcast cannot race this update.
-				pw.Revive(transport.ProcID(m.Proc), m.Addr)
-				_ = cc.send(ctlMsg{Op: opReviveAck, Proc: int(cfg.Proc), For: m.Proc})
+				revive(m)
 			case opShutdown:
 				close(shutdown)
 				return
@@ -356,117 +273,56 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 		}
 	}()
 
-	ws := &workerState{cfg: cfg, cc: cc, kills: make(map[int]bool)}
-	for _, s := range cfg.KillSteps {
-		ws.kills[s] = true
-	}
-
-	// Sender-based message logging: in the log recovery mode every
-	// degree-1 rank is a logging destination on every worker, and is
-	// itself responsible for persisting its replay state with each
-	// checkpoint wave. Same rule as the in-process launcher and the
-	// coordinator — logRankVector keeps the three in lockstep.
-	logDests := logRankVector(cfg, layout)
-
-	proc := mpi.NewProc(nw, cfg.Proc)
-	env := &Env{Rank: rank, Rep: rep, h: ws, restored: restored, restoredStep: restoredStep, store: store,
-		logSelf: logDests != nil && logDests[rank]}
+	b := procBody{cfg: cfg.Config, layout: layout, nw: nw, env: env}
 	if cfg.ReplayWave >= 0 {
-		// Localized-replay relaunch: this worker alone rolls back, to its
-		// own newest checkpoint wave; the protocol state is restored below
-		// once the replicated layer exists.
-		if store == nil {
+		// Localized-replay relaunch: this worker alone rolls back, to the
+		// wave the coordinator validated; a state that no longer loads
+		// fails CLOSED into the global-rollback rung.
+		if env.store == nil {
 			return fail(fmt.Errorf("localized replay without a checkpoint store"))
 		}
-		b, err := store.Load(rank, cfg.ReplayWave)
+		seed, err := readReplay(env.store, rank, cfg.ReplayWave)
 		if err != nil {
-			_ = cc.send(ctlMsg{Op: opExhausted, Rank: rank})
-			return workerExitExhausted
+			fmt.Fprintf(os.Stderr, "worker %d: replay state unusable: %v\n", cfg.Proc, err)
+			return exhausted(rank)
 		}
-		env.restored = b
-		env.restoredStep = cfg.ReplayWave
-	}
-	var protocol mpi.Protocol
-	var replayCollSeq uint64
-	if cfg.Protocol == Native {
-		protocol = mpi.NewNative(proc)
-	} else {
-		rp := core.NewReplicated(proc, layout, cfg.Protocol.coreMode(), nil, core.Options{LogDests: logDests})
-		if cfg.ReplayWave >= 0 {
-			// Restore the sequence counters and buffered messages the
-			// checkpoint captured, then announce the relaunch in-band so
-			// the survivors replay their sender logs. A state that fails
-			// to decode fails CLOSED: report exhaustion and let the
-			// coordinator take the global-rollback rung.
-			state, err := store.LoadLog(rank, cfg.ReplayWave)
-			if err == nil {
-				replayCollSeq, err = rp.RestoreReplayState(state)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "worker %d: replay state unusable: %v\n", cfg.Proc, err)
-				_ = cc.send(ctlMsg{Op: opExhausted, Rank: rank})
-				return workerExitExhausted
-			}
-			rp.BroadcastRecovered(cfg.Proc)
-		}
-		env.proto = rp
-		protocol = rp
-	}
-	env.World = mpi.NewWorld(proc, protocol, cfg.Ranks)
-	if cfg.ReplayWave >= 0 {
-		env.World.SetCollSeq(replayCollSeq)
+		env.restored, env.restoredStep, b.replay = seed.app, seed.wave, seed.state
 	}
 
-	// Run the application, catching the library's typed unwinds.
-	exhaustedRank := -1
-	res, appErr := func() (res any, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if rk, ok := mpi.ErrExhausted(r); ok {
-					exhaustedRank = rk
-				} else if _, ok := mpi.ErrCrashed(r); ok {
-					err = fmt.Errorf("worker observed its own crash flag")
-				} else {
-					err = fmt.Errorf("panic: %v", r)
-				}
-			}
-		}()
-		return app(env)
-	}()
-	if exhaustedRank >= 0 {
+	// Report the result, then drain until the coordinator's shutdown: a
+	// peer may still need this engine's cooperation (rendezvous
+	// handshakes, acks) to finish.
+	var sendErr error
+	out := b.run(app, func(res any, err error) bool {
+		m := ctlMsg{Op: opDone, Proc: int(cfg.Proc)}
+		if wr, ok := res.(WorkerResult); ok {
+			m.Checksum, m.Residual, m.Iterations = wr.Checksum, wr.Residual, wr.Iterations
+		}
+		if err != nil {
+			m.Err = err.Error()
+		}
+		sendErr = cc.send(m)
+		return sendErr == nil
+	}, func() bool {
+		select {
+		case <-shutdown:
+			return true
+		default:
+			return false
+		}
+	})
+	switch {
+	case out.exhausted >= 0:
 		// Second rung of the recovery ladder: report and exit with the
 		// exhaustion code; the coordinator tears the epoch down and
 		// respawns everyone from the latest committed wave.
-		_ = cc.send(ctlMsg{Op: opExhausted, Rank: exhaustedRank})
-		return workerExitExhausted
+		return exhausted(out.exhausted)
+	case out.crashed:
+		return fail(fmt.Errorf("worker observed its own crash flag"))
+	case out.err != nil:
+		return fail(out.err)
+	case sendErr != nil:
+		return fail(fmt.Errorf("report result: %w", sendErr))
 	}
-
-	doneMsg := ctlMsg{Op: opDone, Proc: int(cfg.Proc)}
-	if wr, ok := res.(WorkerResult); ok {
-		doneMsg.Checksum = wr.Checksum
-		doneMsg.Residual = wr.Residual
-		doneMsg.Iterations = wr.Iterations
-	}
-	if appErr != nil {
-		doneMsg.Err = appErr.Error()
-	}
-	if err := cc.send(doneMsg); err != nil {
-		return fail(fmt.Errorf("report result: %w", err))
-	}
-
-	// Drain until the coordinator's shutdown: a peer may still need this
-	// engine's cooperation (rendezvous handshakes, acks) to finish — the
-	// distributed counterpart of runState.drain.
-	eng := proc.Engine()
-	ep := eng.Endpoint()
-	for {
-		select {
-		case <-shutdown:
-			eng.Progress()
-			return 0
-		default:
-		}
-		eng.Progress()
-		ep.WaitActivity(200 * time.Microsecond)
-	}
+	return 0
 }

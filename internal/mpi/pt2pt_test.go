@@ -269,66 +269,6 @@ func TestWaitallWaitany(t *testing.T) {
 	})
 }
 
-func TestWaitsome(t *testing.T) {
-	runNative(t, 3, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			bufs := [2][]byte{make([]byte, 1), make([]byte, 1)}
-			reqs := []*Request{
-				c.Irecv(1, 1, bufs[0]),
-				c.Irecv(2, 1, bufs[1]),
-			}
-			seen := map[int]bool{}
-			for len(seen) < 2 {
-				idxs, sts := Waitsome(reqs)
-				if len(idxs) == 0 {
-					t.Fatal("Waitsome returned empty on live requests")
-				}
-				for k, i := range idxs {
-					if seen[i] {
-						t.Errorf("index %d returned twice", i)
-					}
-					seen[i] = true
-					if reqs[i] != nil {
-						t.Errorf("request %d not nil-ed", i)
-					}
-					if want := Rank(i + 1); sts[k].Source != want {
-						t.Errorf("status source %d, want %d", sts[k].Source, want)
-					}
-				}
-			}
-			// All nil now: immediate empty return.
-			if idxs, _ := Waitsome(reqs); idxs != nil {
-				t.Errorf("all-nil Waitsome returned %v", idxs)
-			}
-		default:
-			c.Send(0, 1, []byte{byte(c.Rank())})
-		}
-	})
-}
-
-func TestTestsome(t *testing.T) {
-	runNative(t, 2, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			buf := make([]byte, 1)
-			reqs := []*Request{c.Irecv(1, 1, buf)}
-			// Eventually the send arrives and Testsome reports index 0.
-			for {
-				idxs, sts := Testsome(reqs)
-				if len(idxs) == 1 {
-					if idxs[0] != 0 || sts[0].Count != 1 {
-						t.Errorf("idxs=%v sts=%v", idxs, sts)
-					}
-					break
-				}
-			}
-		case 1:
-			c.Send(0, 1, []byte{1})
-		}
-	})
-}
-
 func TestTestallTestany(t *testing.T) {
 	runNative(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {

@@ -259,57 +259,6 @@ func Waitany(reqs ...*Request) (int, Status) {
 	return idx, reqs[idx].finish()
 }
 
-// Waitsome blocks until at least one request completes and returns the
-// indices and statuses of every request that has completed
-// (MPI_Waitsome). Completed requests are nil-ed out of the caller's slice,
-// the analogue of MPI setting them to MPI_REQUEST_NULL. If every entry is
-// nil it returns empty slices immediately, as MPI returns MPI_UNDEFINED.
-func Waitsome(reqs []*Request) (idxs []int, sts []Status) {
-	var eng *Engine
-	for _, r := range reqs {
-		if r != nil {
-			eng = r.eng
-			break
-		}
-	}
-	if eng == nil {
-		return nil, nil
-	}
-	eng.WaitUntil(func() bool {
-		for _, r := range reqs {
-			if r != nil && r.ready() {
-				return true
-			}
-		}
-		return false
-	})
-	return collectSome(reqs)
-}
-
-// Testsome progresses the library once and returns the indices and
-// statuses of all currently-complete requests, nil-ing them out
-// (MPI_Testsome). It does not block.
-func Testsome(reqs []*Request) (idxs []int, sts []Status) {
-	for _, r := range reqs {
-		if r != nil {
-			r.eng.Progress()
-			break
-		}
-	}
-	return collectSome(reqs)
-}
-
-func collectSome(reqs []*Request) (idxs []int, sts []Status) {
-	for i, r := range reqs {
-		if r != nil && r.ready() {
-			idxs = append(idxs, i)
-			sts = append(sts, r.finish())
-			reqs[i] = nil
-		}
-	}
-	return idxs, sts
-}
-
 // Testall progresses once and reports whether all requests completed.
 func Testall(reqs ...*Request) bool {
 	if len(reqs) == 0 {

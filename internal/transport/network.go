@@ -199,12 +199,27 @@ func (nw *Network) notify(p ProcID, alive bool) {
 // was on the wire when the crash happened. Messages sent to p after the
 // kill are dropped. The process goroutine itself observes the kill at its
 // next library entry via Endpoint.Crashed.
-func (nw *Network) Kill(p ProcID) {
-	ep := nw.eps[int(p)]
-	ep.dead.Store(true)
-	ep.lockBarrier()
-	ep.wake()
-	nw.notify(p, false)
+func (nw *Network) Kill(p ProcID) { nw.kill(nw.eps[int(p) : int(p)+1]) }
+
+// KillAll crashes every process at once, the teardown of a lost epoch.
+func (nw *Network) KillAll() { nw.kill(nw.eps) }
+
+// kill crashes eps together: every one is marked dead before the first
+// lock barrier, wake-up or monitor callback, so the failure detector's
+// synchronous broadcast for the first victim reaches none of the others —
+// no process can take a notification (and substitute for a twin) in the
+// moment between two kills.
+func (nw *Network) kill(eps []*Endpoint) {
+	for _, ep := range eps {
+		ep.dead.Store(true)
+	}
+	for _, ep := range eps {
+		ep.lockBarrier()
+		ep.wake()
+	}
+	for _, ep := range eps {
+		nw.notify(ep.id, false)
+	}
 }
 
 // lockBarrier acquires and releases every shard lock. After it returns,
