@@ -24,12 +24,12 @@ import (
 // leaderState tracks wildcard agreement on one process.
 type leaderState struct {
 	nextIdx   uint64                // wildcard call counter, identical across replicas
+	marks     map[*mpi.PReq]uint64  // leader: posted wildcard → idx
 	decisions map[uint64]int        // follower: idx → decided source rank
 	waiting   map[uint64]*pendingWC // follower: idx → wildcard awaiting a decision
 }
 
 type pendingWC struct {
-	c   *mpi.Comm
 	ctx uint32
 	tag int
 	buf []byte
@@ -42,13 +42,10 @@ type pendingWC struct {
 func (pw *pendingWC) GateOpen(uint64, bool) bool { return pw.pr != nil && pw.pr.Done() }
 
 func (s *leaderState) init() {
+	s.marks = make(map[*mpi.PReq]uint64)
 	s.decisions = make(map[uint64]int)
 	s.waiting = make(map[uint64]*pendingWC)
 }
-
-// wcMark tags the leader's wildcard PML requests so onMatchLeader can
-// recognize them at the match event.
-type wcMark struct{ idx uint64 }
 
 // irecvLeaderWildcard handles an ANY_SOURCE receive in leader mode.
 func (p *Replicated) irecvLeaderWildcard(c *mpi.Comm, ctx uint32, tag int, buf []byte) *mpi.Request {
@@ -58,21 +55,19 @@ func (p *Replicated) irecvLeaderWildcard(c *mpi.Comm, ctx uint32, tag int, buf [
 	if p.myRep == 0 {
 		// Leader: post the wildcard; the decision is emitted at match
 		// time by onMatchLeader.
-		pred := func(src transport.ProcID) bool {
-			return c.InComm(mpi.Rank(p.layout.RankOf(src)))
-		}
-		pr := p.eng.Irecv(mpi.AnyProc, pred, ctx, tag, buf)
-		pr.User = &wcMark{idx: idx}
+		pr := p.eng.Irecv(mpi.AnyProc, mpi.AnySource, c, ctx, tag, buf)
 		if pr.Done() {
 			// Matched immediately from the unexpected queue: the match
-			// hook already fired before User was set, so emit here.
+			// hook already fired before the mark was set, so emit here.
 			p.sendDecision(idx, int(pr.PStatus().Meta[mpi.MetaSrcRank]))
+		} else {
+			p.wc.marks[pr] = idx
 		}
 		return mpi.NewRequest1(c, false, pr, nil)
 	}
 
 	// Follower: delay posting until the leader's decision arrives.
-	pw := &pendingWC{c: c, ctx: ctx, tag: tag, buf: buf}
+	pw := &pendingWC{ctx: ctx, tag: tag, buf: buf}
 	pw.req = mpi.NewRequest(c, false, nil, pw)
 	if srcRank, ok := p.wc.decisions[idx]; ok {
 		delete(p.wc.decisions, idx)
@@ -86,12 +81,12 @@ func (p *Replicated) irecvLeaderWildcard(c *mpi.Comm, ctx uint32, tag int, buf [
 // onMatchLeader fires on every PML match; for the leader's tracked
 // wildcards it broadcasts the decision to the follower replicas.
 func (p *Replicated) onMatchLeader(pr *mpi.PReq, m *transport.Message) {
-	mark, ok := pr.User.(*wcMark)
+	idx, ok := p.wc.marks[pr]
 	if !ok {
 		return
 	}
-	pr.User = nil
-	p.sendDecision(mark.idx, int(m.Meta[mpi.MetaSrcRank]))
+	delete(p.wc.marks, pr)
+	p.sendDecision(idx, int(m.Meta[mpi.MetaSrcRank]))
 }
 
 // sendDecision informs the other replicas of this rank which source the
@@ -127,9 +122,6 @@ func (p *Replicated) onDecision(m *transport.Message) {
 // postDecided posts the follower's receive restricted to the decided
 // source rank (Figure 2 left: "ANY_SOURCE = p1").
 func (p *Replicated) postDecided(pw *pendingWC, srcRank int) {
-	pred := func(src transport.ProcID) bool {
-		return p.layout.RankOf(src) == srcRank
-	}
-	pw.pr = p.eng.Irecv(mpi.AnyProc, pred, pw.ctx, pw.tag, pw.buf)
+	pw.pr = p.eng.Irecv(mpi.AnyProc, mpi.Rank(srcRank), nil, pw.ctx, pw.tag, pw.buf)
 	pw.req.Attach(pw.pr)
 }

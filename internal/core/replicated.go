@@ -71,6 +71,10 @@ type Replicated struct {
 	// Leader-mode wildcard agreement state.
 	wc leaderState
 
+	// ackOnFinish is ackReceptions bound once: every receive's
+	// Request.OnFinish in the AckOnWait ablation.
+	ackOnFinish func(*mpi.Request)
+
 	// recovering marks the window between this process's resurrection
 	// and its state restoration (clone side of §3.4).
 	failureHooks []func(dead transport.ProcID)
@@ -158,6 +162,8 @@ func NewReplicated(proc *mpi.Proc, layout Layout, mode Mode, det *detect.Service
 		p.initCoalescing()
 	}
 
+	p.ackOnFinish = p.ackReceptions
+	p.eng.RankOf = p.rankOf
 	p.eng.OnArrive = p.onArrive
 	p.eng.OnRecvComplete = p.onRecvComplete
 	p.eng.OnAck = p.onAck
@@ -246,7 +252,7 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 	}
 
 	var needed uint64
-	var preqs []*mpi.PReq
+	preqs := make([]*mpi.PReq, 0, 2)
 	for rep := 0; rep < p.layout.Degree(dstRank); rep++ {
 		q := p.layout.Phys(rep, dstRank)
 		switch {
@@ -259,7 +265,9 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 				// Piggyback trigger: acks owed to q ride just ahead of
 				// this message on the same FIFO channel.
 				p.flushPendingTo(q)
-				preqs = append(preqs, p.eng.Isend(q, ctx, tag, data, seq, meta))
+				if pr := p.eng.Isend(q, ctx, tag, data, seq, meta); pr != nil {
+					preqs = append(preqs, pr)
+				}
 			}
 		case p.alive[int(q)]:
 			// Line 9: expect an ack instead of sending directly —
@@ -292,15 +300,21 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 // isendMirror is the MR-MPI baseline: transmit to every alive replica of
 // the destination rank; no acks, no retention.
 func (p *Replicated) isendMirror(c *mpi.Comm, ctx uint32, dstRank, tag int, data []byte, seq uint64, meta [4]int64) *mpi.Request {
-	var preqs []*mpi.PReq
+	preqs := make([]*mpi.PReq, 0, 2)
 	for rep := 0; rep < p.layout.Degree(dstRank); rep++ {
 		q := p.layout.Phys(rep, dstRank)
-		if p.alive[int(q)] {
-			preqs = append(preqs, p.eng.Isend(q, ctx, tag, data, seq, meta))
+		if !p.alive[int(q)] {
+			continue
+		}
+		if pr := p.eng.Isend(q, ctx, tag, data, seq, meta); pr != nil {
+			preqs = append(preqs, pr)
 		}
 	}
 	return mpi.NewRequest(c, true, preqs, nil)
 }
+
+// rankOf is the engine's RankOf: a physical process's logical rank.
+func (p *Replicated) rankOf(q transport.ProcID) mpi.Rank { return mpi.Rank(p.layout.RankOf(q)) }
 
 // inDests reports whether q is a direct application-message destination
 // for dstRank.
@@ -320,28 +334,18 @@ func (p *Replicated) inDests(dstRank int, q transport.ProcID) bool {
 // already enforced per-rank ordering and uniqueness, so which replica
 // physically delivered it is irrelevant (and changes across a failure).
 func (p *Replicated) Irecv(c *mpi.Comm, ctx uint32, from mpi.Rank, tag int, buf []byte) *mpi.Request {
-	if from == mpi.AnySource {
-		if p.mode == ModeLeader {
-			return p.finishRecv(p.irecvLeaderWildcard(c, ctx, tag, buf))
-		}
-		pred := func(src transport.ProcID) bool {
-			return c.InComm(mpi.Rank(p.layout.RankOf(src)))
-		}
-		pr := p.eng.Irecv(mpi.AnyProc, pred, ctx, tag, buf)
-		return p.finishRecv(mpi.NewRequest1(c, false, pr, nil))
+	var r *mpi.Request
+	switch {
+	case from != mpi.AnySource:
+		pr := p.eng.Irecv(mpi.AnyProc, c.BaseRank(from), nil, ctx, tag, buf)
+		r = mpi.NewRequest1(c, false, pr, nil)
+	case p.mode == ModeLeader:
+		r = p.irecvLeaderWildcard(c, ctx, tag, buf)
+	default:
+		r = mpi.NewRequest1(c, false, p.eng.Irecv(mpi.AnyProc, mpi.AnySource, c, ctx, tag, buf), nil)
 	}
-	want := int(c.BaseRank(from))
-	pred := func(src transport.ProcID) bool {
-		return p.layout.RankOf(src) == want
-	}
-	pr := p.eng.Irecv(mpi.AnyProc, pred, ctx, tag, buf)
-	return p.finishRecv(mpi.NewRequest1(c, false, pr, nil))
-}
-
-// finishRecv installs the deferred-ack hook for the AckOnWait ablation.
-func (p *Replicated) finishRecv(r *mpi.Request) *mpi.Request {
 	if p.opts.AckOnWait && p.mode != ModeMirror {
-		r.OnFinish = p.AckForRequest()
+		r.OnFinish = p.ackOnFinish
 	}
 	return r
 }
@@ -432,7 +436,7 @@ func (p *Replicated) stashTotal() int { return p.recvSeq.stashTotal() }
 // irecvComplete event, acknowledge the message to every other alive
 // replica of the source rank. In mirror mode there are no acks. With the
 // AckOnWait ablation the ack is deferred to application-level completion
-// (attached in Irecv's Request via OnFinish — see sendAcksFor).
+// (attached in Irecv's Request via OnFinish — see ackReceptions).
 func (p *Replicated) onRecvComplete(pr *mpi.PReq) {
 	if p.mode == ModeMirror {
 		return
@@ -442,21 +446,19 @@ func (p *Replicated) onRecvComplete(pr *mpi.PReq) {
 		p.recordLocalHash(ps, pr)
 	}
 	if p.opts.AckOnWait {
-		// Ablation: do nothing now; the cluster harness arranges the
-		// ack at Wait time through the request's OnFinish hook.
+		// Ablation: do nothing now; Irecv installed ackOnFinish as
+		// the request's OnFinish hook, which acks at Wait time.
 		return
 	}
 	p.sendAcksFor(ps)
 }
 
-// AckForRequest returns a closure emitting the acks for an application
-// request's receptions; the harness installs it as Request.OnFinish in the
-// AckOnWait ablation.
-func (p *Replicated) AckForRequest() func(*mpi.Request) {
-	return func(r *mpi.Request) {
-		for _, ps := range r.PStatuses() {
-			p.sendAcksFor(ps)
-		}
+// ackReceptions emits the acks for an application request's receptions
+// (the AckOnWait ablation's completion hook, see ackOnFinish).
+func (p *Replicated) ackReceptions(r *mpi.Request) {
+	var st [2]mpi.PStatus
+	for _, ps := range r.AppendPStatuses(st[:0]) {
+		p.sendAcksFor(ps)
 	}
 }
 

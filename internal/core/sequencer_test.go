@@ -62,7 +62,7 @@ func TestSequencerReordersArrivals(t *testing.T) {
 	// Matching order must be 100, 101, 102: wildcard receives drain the
 	// unexpected queue in admission order.
 	for wantTag := 100; wantTag <= 102; wantTag++ {
-		pr := eng.Irecv(mpi.AnyProc, nil, 2, mpi.AnyTag, make([]byte, 1))
+		pr := eng.Irecv(mpi.AnyProc, mpi.AnySource, nil, 2, mpi.AnyTag, make([]byte, 1))
 		if !pr.Done() {
 			t.Fatalf("tag %d: receive did not match an admitted message", wantTag)
 		}
@@ -152,7 +152,7 @@ func TestSequencerLongGapFlush(t *testing.T) {
 		t.Fatalf("admitted %d, want 6", got)
 	}
 	for wantTag := 100; wantTag <= 105; wantTag++ {
-		pr := eng.Irecv(mpi.AnyProc, nil, 2, mpi.AnyTag, make([]byte, 1))
+		pr := eng.Irecv(mpi.AnyProc, mpi.AnySource, nil, 2, mpi.AnyTag, make([]byte, 1))
 		if got := pr.PStatus().Tag; got != wantTag {
 			t.Fatalf("flush order broken: got %d, want %d", got, wantTag)
 		}

@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/transport"
 )
@@ -22,31 +24,43 @@ func dbgUS() int { return int(time.Since(dbgStart).Microseconds()) }
 // the rendezvous protocol (RTS → match → CTS → Data).
 const DefaultEagerLimit = 64 << 10
 
-// PReq is a PML-level request: one posted receive or one in-flight send on
-// a specific physical channel. Protocols compose one or more PReqs (plus
-// their own gating, e.g. replication acks) into an application Request.
+// PReq is a PML-level request: one posted receive or one in-flight
+// rendezvous send on a specific physical channel. Protocols compose one or
+// more PReqs (plus their own gating, e.g. replication acks) into an
+// application Request. An eager send has none: it is complete when Isend
+// returns.
 type PReq struct {
+	// status is the completion status of a receive. A rendezvous send
+	// keeps the sequence number and meta of its outgoing message here.
+	status PStatus
+	// buf is a receive's buffer, or a rendezvous send's payload.
+	buf []byte
+	// comm restricts a wildcard receive to the members of a communicator
+	// (nil accepts every source).
+	comm *Comm
+	// peer is a send's destination, or a receive's physical source
+	// (AnyProc: any process whose base rank is from).
+	peer transport.ProcID
+	xid  uint64
+	tag  int
+	ctx  uint32
+	// from is the base rank a receive from AnyProc accepts (AnySource:
+	// any member of comm), mapped from the sender through Engine.RankOf.
+	from      int32
 	send      bool
-	ctx       uint32
-	tag       int
-	dst       transport.ProcID // send side
-	srcWant   transport.ProcID // recv side: specific proc or AnyProc
-	srcPred   func(transport.ProcID) bool
-	buf       []byte // recv buffer
-	data      []byte // send payload (eager: the engine's copy)
-	seq       uint64
-	meta      [4]int64
-	xid       uint64
 	done      bool
 	cancelled bool
 	truncated bool
 	sink      bool // duplicate-RTS sink: completion is not an event
-	status    PStatus
-
-	// User is protocol-private attachment (the leader baseline marks its
-	// wildcard receives with it).
-	User any
 }
+
+// One PReq is allocated per receive and per rendezvous send, and one
+// Request per point-to-point operation: these keep them within the 144-
+// and 112-byte allocation classes.
+const (
+	_ = uint(144 - unsafe.Sizeof(PReq{}))
+	_ = uint(112 - unsafe.Sizeof(Request{}))
+)
 
 // Done reports request completion at the PML level.
 func (r *PReq) Done() bool { return r.done }
@@ -61,15 +75,12 @@ func (r *PReq) Truncated() bool { return r.truncated }
 // PStatus returns the PML-level completion status.
 func (r *PReq) PStatus() PStatus { return r.status }
 
-// Dst returns the physical destination of a send request.
-func (r *PReq) Dst() transport.ProcID { return r.dst }
-
 // Buf returns the receive buffer (protocols use it for SDC hashing).
 func (r *PReq) Buf() []byte { return r.buf }
 
-// matches reports whether incoming message m can be delivered to this
-// posted receive.
-func (r *PReq) matches(m *transport.Message) bool {
+// matches reports whether incoming message m can be delivered to posted
+// receive r.
+func (e *Engine) matches(r *PReq, m *transport.Message) bool {
 	if r.send || r.done || r.cancelled {
 		return false
 	}
@@ -79,10 +90,17 @@ func (r *PReq) matches(m *transport.Message) bool {
 	if r.tag != AnyTag && r.tag != m.Tag {
 		return false
 	}
-	if r.srcWant == AnyProc {
-		return r.srcPred == nil || r.srcPred(m.Src)
+	if r.peer != AnyProc {
+		return r.peer == m.Src
 	}
-	return r.srcWant == m.Src
+	src := Rank(m.Src)
+	if e.RankOf != nil {
+		src = e.RankOf(m.Src)
+	}
+	if r.from == int32(AnySource) {
+		return r.comm == nil || r.comm.InComm(src)
+	}
+	return src == Rank(r.from)
 }
 
 // Engine is the PML: the per-process matching and progress engine. It is
@@ -125,6 +143,10 @@ type Engine struct {
 	// with force=true immediately before blocking, which is what keeps
 	// deferred acks from deadlocking a peer's ack-gated send.
 	OnFlush func(force bool)
+
+	// RankOf maps a physical process to its base rank for receives from
+	// AnyProc; nil is the identity (the native protocol's layout).
+	RankOf func(transport.ProcID) Rank
 }
 
 // NewEngine creates the PML engine for the process attached to ep.
@@ -157,15 +179,15 @@ func (e *Engine) checkCrash() {
 
 // Isend starts a PML-level send of data to physical process dst. For
 // payloads at or below EagerLimit it copies the payload into a pooled
-// buffer (so the caller's buffer is immediately reusable) and completes at
-// once — ownership of the copy transfers to the transport and ultimately
-// to the receiving engine, which recycles it after delivery. Larger
-// payloads use rendezvous and complete when the data has been shipped
-// after a CTS: the caller's buffer is lent to the wire for that one call
-// and must not change until the request completes.
+// buffer (so the caller's buffer is immediately reusable), sends it and
+// returns nil: the send is complete, and ownership of the copy transfers to
+// the transport and ultimately to the receiving engine, which recycles it
+// after delivery. Larger payloads use rendezvous and return a request that
+// completes when the data has been shipped after a CTS: the caller's buffer
+// is lent to the wire for that one call and must not change until the
+// request completes.
 func (e *Engine) Isend(dst transport.ProcID, ctx uint32, tag int, data []byte, seq uint64, meta [4]int64) *PReq {
 	e.checkCrash()
-	r := &PReq{send: true, ctx: ctx, tag: tag, dst: dst, seq: seq, meta: meta}
 	if len(data) <= e.EagerLimit {
 		cp := transport.GetBuf(len(data))
 		copy(cp, data)
@@ -175,14 +197,13 @@ func (e *Engine) Isend(dst transport.ProcID, ctx uint32, tag int, data []byte, s
 		m.Ctx, m.Tag, m.Seq, m.Meta = ctx, tag, seq, meta
 		m.SetPooledData(cp)
 		e.ep.Send(&m)
-		r.done = true
-		return r
+		return nil
 	}
 	e.nextXID++
-	r.xid = uint64(e.ep.ID()+1)<<40 | e.nextXID
-	r.data = data
 	meta[MetaLen] = int64(len(data))
-	r.meta = meta
+	r := &PReq{send: true, ctx: ctx, tag: tag, peer: dst, buf: data,
+		xid: uint64(e.ep.ID()+1)<<40 | e.nextXID}
+	r.status.Seq, r.status.Meta = seq, meta
 	e.rdvSend[r.xid] = r
 	e.ep.Send(&transport.Message{
 		Dst: dst, Kind: transport.KindRTS,
@@ -192,16 +213,16 @@ func (e *Engine) Isend(dst transport.ProcID, ctx uint32, tag int, data []byte, s
 }
 
 // Irecv posts a PML-level receive. src is a specific physical process or
-// AnyProc; with AnyProc, pred (if non-nil) filters acceptable sources —
-// protocols use it to restrict wildcard receives to the replicas they
-// currently receive from.
-func (e *Engine) Irecv(src transport.ProcID, pred func(transport.ProcID) bool, ctx uint32, tag int, buf []byte) *PReq {
+// AnyProc. From AnyProc, the receive accepts a sender whose base rank
+// (RankOf) is from, or, with from = AnySource, any sender that is a member
+// of c (nil: any sender at all).
+func (e *Engine) Irecv(src transport.ProcID, from Rank, c *Comm, ctx uint32, tag int, buf []byte) *PReq {
 	e.checkCrash()
-	r := &PReq{ctx: ctx, tag: tag, srcWant: src, srcPred: pred, buf: buf}
+	r := &PReq{ctx: ctx, tag: tag, peer: src, from: int32(from), comm: c, buf: buf}
 	// Try the unexpected queue first (in arrival order), then post.
 	for i, m := range e.unexpected {
-		if r.matches(m) {
-			e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
+		if e.matches(r, m) {
+			e.unexpected = slices.Delete(e.unexpected, i, i+1)
 			e.deliver(r, m)
 			return r
 		}
@@ -222,11 +243,8 @@ func (e *Engine) Cancel(r *PReq) {
 		delete(e.rdvSend, r.xid)
 		return
 	}
-	for i, p := range e.posted {
-		if p == r {
-			e.posted = append(e.posted[:i], e.posted[i+1:]...)
-			break
-		}
+	if i := slices.Index(e.posted, r); i >= 0 {
+		e.posted = slices.Delete(e.posted, i, i+1)
 	}
 }
 
@@ -235,7 +253,7 @@ func (e *Engine) Cancel(r *PReq) {
 // immediately and need no cancellation.
 func (e *Engine) CancelSendsTo(dst transport.ProcID) {
 	for xid, r := range e.rdvSend {
-		if r.dst == dst {
+		if r.peer == dst {
 			delete(e.rdvSend, xid)
 			r.cancelled = true
 			r.done = true
@@ -332,8 +350,8 @@ func (e *Engine) TakeUnexpected() []*transport.Message {
 func (e *Engine) RetargetRecvs(old, new transport.ProcID) {
 	changed := false
 	for _, r := range e.posted {
-		if !r.send && r.srcWant == old {
-			r.srcWant = new
+		if !r.send && r.peer == old {
+			r.peer = new
 			changed = true
 		}
 	}
@@ -348,7 +366,7 @@ func (e *Engine) rematch() {
 	for i < len(e.unexpected) {
 		m := e.unexpected[i]
 		if req := e.findPosted(m); req != nil {
-			e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
+			e.unexpected = slices.Delete(e.unexpected, i, i+1)
 			e.deliver(req, m)
 			continue
 		}
@@ -358,8 +376,8 @@ func (e *Engine) rematch() {
 
 func (e *Engine) findPosted(m *transport.Message) *PReq {
 	for i, r := range e.posted {
-		if r.matches(m) {
-			e.posted = append(e.posted[:i], e.posted[i+1:]...)
+		if e.matches(r, m) {
+			e.posted = slices.Delete(e.posted, i, i+1)
 			return r
 		}
 	}
@@ -485,8 +503,8 @@ func (e *Engine) handle(m *transport.Message) {
 			// send completion implies the buffer has been read.
 			e.ep.SendLent(&transport.Message{
 				Dst: m.Src, Kind: transport.KindData,
-				Ctx: r.ctx, Tag: r.tag, Seq: r.seq, XID: m.XID, Meta: r.meta,
-				Data: r.data,
+				Ctx: r.ctx, Tag: r.tag, Seq: r.status.Seq, XID: m.XID, Meta: r.status.Meta,
+				Data: r.buf,
 			})
 			r.done = true
 		}

@@ -18,7 +18,7 @@ func twoEngines() (*Engine, *Engine, *transport.Network) {
 func TestCancelPostedRecv(t *testing.T) {
 	a, _, nw := twoEngines()
 	defer nw.Close()
-	r := a.Irecv(1, nil, 2, 5, make([]byte, 4))
+	r := a.Irecv(1, AnySource, nil, 2, 5, make([]byte, 4))
 	if a.PostedLen() != 1 {
 		t.Fatal("not posted")
 	}
@@ -94,7 +94,7 @@ func TestRebindRTSResumesBrokenHandshake(t *testing.T) {
 	// b posts a receive; a's RTS matches it; but a "dies" before the
 	// CTS reaches it (we simply drop the CTS by never progressing a).
 	buf := make([]byte, 16)
-	req := b.Irecv(AnyProc, nil, 2, 5, buf)
+	req := b.Irecv(AnyProc, AnySource, nil, 2, 5, buf)
 	var meta [4]int64
 	meta[MetaSrcRank] = 9
 	a.Isend(1, 2, 5, []byte("payload-on-wire!"), 3, meta)
@@ -138,7 +138,7 @@ func TestRetargetRecvs(t *testing.T) {
 	a, _, nw := twoEngines()
 	defer nw.Close()
 	buf := make([]byte, 4)
-	r := a.Irecv(1, nil, 2, 5, buf)
+	r := a.Irecv(1, AnySource, nil, 2, 5, buf)
 	a.RetargetRecvs(1, 0)
 	// A message from proc 0 must now match.
 	nw.Endpoint(0).Send(&transport.Message{Dst: 0, Kind: transport.KindEager, Ctx: 2, Tag: 5, Data: []byte{9}})
@@ -162,7 +162,7 @@ func TestUnexpectedHighWater(t *testing.T) {
 		t.Fatalf("high water %d", a.UnexpectedHighWater())
 	}
 	for i := 0; i < 5; i++ {
-		a.Irecv(1, nil, 2, i, make([]byte, 1))
+		a.Irecv(1, AnySource, nil, 2, i, make([]byte, 1))
 	}
 	if a.UnexpectedLen() != 0 {
 		t.Fatal("queue should drain")
@@ -178,7 +178,7 @@ func TestSeedUnexpected(t *testing.T) {
 	m := &transport.Message{Src: 1, Dst: 0, Kind: transport.KindEager, Ctx: 2, Tag: 7, Data: []byte{42}}
 	a.SeedUnexpected([]*transport.Message{m})
 	buf := make([]byte, 1)
-	r := a.Irecv(1, nil, 2, 7, buf)
+	r := a.Irecv(1, AnySource, nil, 2, 7, buf)
 	if !r.Done() || buf[0] != 42 {
 		t.Fatal("seeded message not delivered")
 	}
@@ -188,11 +188,14 @@ func TestSeedUnexpected(t *testing.T) {
 }
 
 func TestRequestFitsAllocationClass(t *testing.T) {
-	// One Request is allocated per point-to-point operation, under every
-	// protocol: growing it past 128 bytes moves it to the 144-byte class
-	// and shows up in Native's per-message time.
-	if n := unsafe.Sizeof(Request{}); n > 128 {
-		t.Errorf("Request is %d bytes, want at most 128", n)
+	// One Request is allocated per point-to-point operation and one PReq
+	// per receive, under every protocol: growing either moves it to the
+	// next allocation class and shows up in every workload's heap.
+	if n := unsafe.Sizeof(Request{}); n > 112 {
+		t.Errorf("Request is %d bytes, want at most 112", n)
+	}
+	if n := unsafe.Sizeof(PReq{}); n > 144 {
+		t.Errorf("PReq is %d bytes, want at most 144", n)
 	}
 }
 

@@ -30,6 +30,10 @@ func BenchmarkNetpipeSmallMsg(b *testing.B) {
 func benchPingPong(b *testing.B, size int) {
 	nw := transport.NewNetwork(2, nil)
 	defer nw.Close()
+	// One warm-up round trip so both engines exist before timing; the
+	// partner starts its timed loop only once the timer has been reset, so
+	// allocs/op counts exactly b.N round trips of both sides.
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -37,6 +41,9 @@ func benchPingPong(b *testing.B, size int) {
 		proc := NewProc(nw, 1)
 		world := NewWorld(proc, NewNative(proc), 2)
 		buf := make([]byte, size)
+		world.Recv(0, 0, buf)
+		world.Send(0, 1, buf)
+		<-start
 		for i := 0; i < b.N; i++ {
 			world.Recv(0, 0, buf)
 			world.Send(0, 1, buf)
@@ -47,15 +54,15 @@ func benchPingPong(b *testing.B, size int) {
 	world := NewWorld(proc, NewNative(proc), 2)
 	buf := make([]byte, size)
 	rbuf := make([]byte, size)
-	// One warm-up round trip so both engines exist before timing.
 	world.Send(1, 0, buf)
 	world.Recv(1, 1, rbuf)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N-1; i++ {
+	close(start)
+	for i := 0; i < b.N; i++ {
 		world.Send(1, 0, buf)
 		world.Recv(1, 1, rbuf)
 	}
-	b.StopTimer()
 	wg.Wait()
+	b.StopTimer()
 }

@@ -65,13 +65,9 @@ func (n *Native) Isend(c *Comm, ctx uint32, to Rank, tag int, data []byte) *Requ
 
 // Irecv implements Protocol.
 func (n *Native) Irecv(c *Comm, ctx uint32, from Rank, tag int, buf []byte) *Request {
-	var preq *PReq
-	if from == AnySource {
-		preq = n.proc.eng.Irecv(AnyProc, func(p transport.ProcID) bool {
-			return c.InComm(Rank(p))
-		}, ctx, tag, buf)
-	} else {
-		preq = n.proc.eng.Irecv(transport.ProcID(c.BaseRank(from)), nil, ctx, tag, buf)
+	src := AnyProc
+	if from != AnySource {
+		src = transport.ProcID(c.BaseRank(from))
 	}
-	return NewRequest1(c, false, preq, nil)
+	return NewRequest1(c, false, n.proc.eng.Irecv(src, AnySource, c, ctx, tag, buf), nil)
 }

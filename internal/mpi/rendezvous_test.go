@@ -90,7 +90,7 @@ func TestRendezvousTruncatedReceive(t *testing.T) {
 			mem := bytes.Repeat([]byte{0x5A}, short+guard)
 			before := landedFrames()
 
-			req := b.Irecv(0, nil, 2, 5, mem[:short])
+			req := b.Irecv(0, AnySource, nil, 2, 5, mem[:short])
 			sreq := a.Isend(1, 2, 5, payload, 0, [4]int64{})
 			pump(t, func() bool { return req.Done() && sreq.Done() }, a, b)
 
@@ -109,7 +109,7 @@ func TestRendezvousTruncatedReceive(t *testing.T) {
 			// The stream is still framed: an eager message behind the
 			// truncated payload arrives whole.
 			small := make([]byte, 8)
-			req2 := b.Irecv(0, nil, 2, 6, small)
+			req2 := b.Irecv(0, AnySource, nil, 2, 6, small)
 			a.Isend(1, 2, 6, []byte("in frame"), 1, [4]int64{})
 			pump(t, req2.Done, a, b)
 			if string(small) != "in frame" {
@@ -135,7 +135,7 @@ func TestRebindRTSMovesTheLanding(t *testing.T) {
 			buf := make([]byte, len(good))
 			before := landedFrames()
 
-			req := b.Irecv(AnyProc, nil, 2, 5, buf)
+			req := b.Irecv(AnyProc, AnySource, nil, 2, 5, buf)
 			origReq := orig.Isend(1, 2, 5, stale, 3, meta)
 			orig.Network().FlushWire(0, true)
 			pump(t, func() bool { return b.PostedLen() == 0 }, b) // matched: CTS is on its way to orig
@@ -215,7 +215,7 @@ func TestSinkRTSSkipsThePayload(t *testing.T) {
 			}
 
 			small := make([]byte, 8)
-			req := b.Irecv(0, nil, 2, 6, small)
+			req := b.Irecv(0, AnySource, nil, 2, 6, small)
 			pump(t, sreq.Done, a, b)
 			a.Isend(1, 2, 6, []byte("in frame"), 1, [4]int64{})
 			pump(t, req.Done, a, b)

@@ -34,7 +34,6 @@ const ackYieldRounds = 8
 // acks — §3.2: "we wait until all acks have been collected before
 // completing a send request").
 type Request struct {
-	eng  *Engine
 	comm *Comm
 
 	preqs []*PReq
@@ -49,15 +48,12 @@ type Request struct {
 	gate    Gate
 	gateSeq uint64
 
-	// OnWaitEnter is invoked when the application first waits on the
-	// request (used by the ack-on-wait ablation).
-	OnWaitEnter func()
 	// OnFinish is invoked once, when the request completes at the
 	// application level (the paper's "completed at the application
 	// level", as opposed to the PML-level irecvComplete event).
 	OnFinish func(*Request)
 
-	// The flags sit together so the struct stays within the 128-byte
+	// The flags sit together so the struct stays within the 112-byte
 	// allocation class (one is allocated per point-to-point operation).
 	send     bool
 	finished bool
@@ -70,37 +66,36 @@ type Request struct {
 // follower's wildcard receive only after the leader's decision arrives).
 func (r *Request) Attach(p *PReq) { r.preqs = append(r.preqs, p) }
 
-// PStatuses returns the PML statuses of all completed, non-cancelled
-// receive requests underneath this request.
-func (r *Request) PStatuses() []PStatus {
-	var out []PStatus
+// AppendPStatuses appends the PML statuses of all completed, non-cancelled
+// receive requests underneath this request to dst and returns the result.
+func (r *Request) AppendPStatuses(dst []PStatus) []PStatus {
 	for _, p := range r.preqs {
 		if !p.send && p.done && !p.cancelled {
-			out = append(out, p.status)
+			dst = append(dst, p.status)
 		}
 	}
-	return out
+	return dst
 }
 
-// NewRequest assembles an application request; protocols call this. Small
-// PML request sets are copied into inline storage, so the caller's slice
-// does not escape.
+// NewRequest assembles an application request; protocols call this. The
+// PML requests are copied into inline storage (grown only beyond two), so
+// the caller's slice does not escape. With none — every send was eager —
+// the request is sent already.
 func NewRequest(c *Comm, send bool, preqs []*PReq, gate Gate) *Request {
-	r := &Request{eng: c.proc.Engine(), comm: c, send: send, gate: gate}
-	if len(preqs) <= len(r.inline) {
-		r.preqs = append(r.inline[:0], preqs...)
-	} else {
-		r.preqs = preqs
-	}
+	r := &Request{comm: c, send: send, gate: gate}
+	r.preqs = append(r.inline[:0], preqs...)
 	return r
 }
 
-// NewRequest1 assembles a single-channel request without any slice
-// traffic — the common case for every point-to-point operation.
+// NewRequest1 assembles a request over at most one PML request (nil for an
+// eager send) without any slice traffic — the common case for every
+// point-to-point operation.
 func NewRequest1(c *Comm, send bool, pr *PReq, gate Gate) *Request {
-	r := &Request{eng: c.proc.Engine(), comm: c, send: send, gate: gate}
-	r.inline[0] = pr
-	r.preqs = r.inline[:1]
+	r := &Request{comm: c, send: send, gate: gate}
+	r.preqs = r.inline[:0]
+	if pr != nil {
+		r.preqs = append(r.preqs, pr)
+	}
 	return r
 }
 
@@ -168,11 +163,7 @@ func (r *Request) finish() Status {
 // (rather than passed to WaitUntil as a method-value closure) so the hot
 // path allocates nothing.
 func (r *Request) Wait() Status {
-	if r.OnWaitEnter != nil {
-		r.OnWaitEnter()
-		r.OnWaitEnter = nil
-	}
-	e := r.eng
+	e := r.comm.proc.eng
 	yields := 0
 	for {
 		e.Progress()
@@ -209,7 +200,7 @@ func (r *Request) Wait() Status {
 // completed. This is MPI_Test — one of the non-deterministic completion
 // calls send-determinism makes harmless.
 func (r *Request) Test() (Status, bool) {
-	r.eng.Progress()
+	r.comm.proc.eng.Progress()
 	if !r.ready() {
 		return Status{}, false
 	}
@@ -239,7 +230,7 @@ func Waitany(reqs ...*Request) (int, Status) {
 	var eng *Engine
 	for _, r := range reqs {
 		if r != nil {
-			eng = r.eng
+			eng = r.comm.proc.eng
 			break
 		}
 	}
@@ -264,7 +255,7 @@ func Testall(reqs ...*Request) bool {
 	if len(reqs) == 0 {
 		return true
 	}
-	reqs[0].eng.Progress()
+	reqs[0].comm.proc.eng.Progress()
 	for _, r := range reqs {
 		if r != nil && !r.ready() {
 			return false
@@ -279,7 +270,7 @@ func Testany(reqs ...*Request) (int, Status, bool) {
 	if len(reqs) == 0 {
 		return -1, Status{}, false
 	}
-	reqs[0].eng.Progress()
+	reqs[0].comm.proc.eng.Progress()
 	for i, r := range reqs {
 		if r != nil && r.ready() {
 			st := r.finish()
