@@ -23,59 +23,37 @@ import (
 
 // leaderState tracks wildcard agreement on one process.
 type leaderState struct {
-	nextIdx   uint64                // wildcard call counter, identical across replicas
-	marks     map[*mpi.PReq]uint64  // leader: posted wildcard → idx
-	decisions map[uint64]int        // follower: idx → decided source rank
-	waiting   map[uint64]*pendingWC // follower: idx → wildcard awaiting a decision
+	nextIdx   uint64               // wildcard call counter, identical across replicas
+	marks     map[*mpi.PReq]uint64 // leader: posted wildcard → idx
+	decisions map[uint64]int       // follower: idx → decided source rank
+	waiting   map[uint64]*mpi.PReq // follower: idx → wildcard awaiting a decision
 }
-
-type pendingWC struct {
-	ctx uint32
-	tag int
-	buf []byte
-	req *mpi.Request
-	pr  *mpi.PReq
-}
-
-// GateOpen implements mpi.Gate: a follower's wildcard completes once the
-// decided receive was posted and has completed.
-func (pw *pendingWC) GateOpen(uint64, bool) bool { return pw.pr != nil && pw.pr.Done() }
 
 func (s *leaderState) init() {
 	s.marks = make(map[*mpi.PReq]uint64)
 	s.decisions = make(map[uint64]int)
-	s.waiting = make(map[uint64]*pendingWC)
+	s.waiting = make(map[uint64]*mpi.PReq)
 }
 
-// irecvLeaderWildcard handles an ANY_SOURCE receive in leader mode.
-func (p *Replicated) irecvLeaderWildcard(c *mpi.Comm, ctx uint32, tag int, buf []byte) *mpi.Request {
+// irecvLeaderWildcard handles an ANY_SOURCE receive in leader mode. The
+// receive is built before it is posted: the leader marks it first, so the
+// decision goes out from the match hook even when the receive matches in
+// the unexpected queue as it is posted; the follower's request holds it
+// unposted until the decision names its source.
+func (p *Replicated) irecvLeaderWildcard(c *mpi.Comm, ctx uint32, tag int, buf []byte) mpi.Request {
 	idx := p.wc.nextIdx
 	p.wc.nextIdx++
-
+	pr := p.eng.NewRecv(mpi.AnyProc, c, ctx, tag, buf)
 	if p.myRep == 0 {
-		// Leader: post the wildcard; the decision is emitted at match
-		// time by onMatchLeader.
-		pr := p.eng.Irecv(mpi.AnyProc, mpi.AnySource, c, ctx, tag, buf)
-		if pr.Done() {
-			// Matched immediately from the unexpected queue: the match
-			// hook already fired before the mark was set, so emit here.
-			p.sendDecision(idx, int(pr.PStatus().Meta[mpi.MetaSrcRank]))
-		} else {
-			p.wc.marks[pr] = idx
-		}
-		return mpi.NewRequest1(c, false, pr, nil)
-	}
-
-	// Follower: delay posting until the leader's decision arrives.
-	pw := &pendingWC{ctx: ctx, tag: tag, buf: buf}
-	pw.req = mpi.NewRequest(c, false, nil, pw)
-	if srcRank, ok := p.wc.decisions[idx]; ok {
+		p.wc.marks[pr] = idx
+		p.eng.Post(pr, mpi.AnySource)
+	} else if srcRank, ok := p.wc.decisions[idx]; ok {
 		delete(p.wc.decisions, idx)
-		p.postDecided(pw, srcRank)
+		p.eng.Post(pr, mpi.Rank(srcRank))
 	} else {
-		p.wc.waiting[idx] = pw
+		p.wc.waiting[idx] = pr
 	}
-	return pw.req
+	return mpi.NewRequest1(c, false, pr, nil)
 }
 
 // onMatchLeader fires on every PML match; for the leader's tracked
@@ -107,21 +85,16 @@ func (p *Replicated) sendDecision(idx uint64, srcRank int) {
 }
 
 // onDecision applies a leader decision at a follower: the pending wildcard
-// (if already posted by the application) becomes a specific receive.
+// (if already posted by the application) is posted as a receive from the
+// decided source rank (Figure 2 left: "ANY_SOURCE = p1"). A wildcard
+// cancelled in the meantime stays unposted.
 func (p *Replicated) onDecision(m *transport.Message) {
 	idx := uint64(m.Meta[0])
 	srcRank := int(m.Meta[1])
-	if pw, ok := p.wc.waiting[idx]; ok {
+	if pr, ok := p.wc.waiting[idx]; ok {
 		delete(p.wc.waiting, idx)
-		p.postDecided(pw, srcRank)
+		p.eng.Post(pr, mpi.Rank(srcRank))
 		return
 	}
 	p.wc.decisions[idx] = srcRank
-}
-
-// postDecided posts the follower's receive restricted to the decided
-// source rank (Figure 2 left: "ANY_SOURCE = p1").
-func (p *Replicated) postDecided(pw *pendingWC, srcRank int) {
-	pw.pr = p.eng.Irecv(mpi.AnyProc, mpi.Rank(srcRank), nil, pw.ctx, pw.tag, pw.buf)
-	pw.req.Attach(pw.pr)
 }

@@ -71,9 +71,9 @@ type Replicated struct {
 	// Leader-mode wildcard agreement state.
 	wc leaderState
 
-	// ackOnFinish is ackReceptions bound once: every receive's
+	// ackOnFinish is ackReception bound once: every receive's
 	// Request.OnFinish in the AckOnWait ablation.
-	ackOnFinish func(*mpi.Request)
+	ackOnFinish func(*mpi.PReq)
 
 	// recovering marks the window between this process's resurrection
 	// and its state restoration (clone side of §3.4).
@@ -162,7 +162,7 @@ func NewReplicated(proc *mpi.Proc, layout Layout, mode Mode, det *detect.Service
 		p.initCoalescing()
 	}
 
-	p.ackOnFinish = p.ackReceptions
+	p.ackOnFinish = p.ackReception
 	p.eng.RankOf = p.rankOf
 	p.eng.OnArrive = p.onArrive
 	p.eng.OnRecvComplete = p.onRecvComplete
@@ -222,7 +222,7 @@ func (p *Replicated) AliveView(q transport.ProcID) bool { return p.alive[int(q)]
 // retention entry expecting an ack from every other alive replica of the
 // destination rank (lines 4–9 of Algorithm 1). It never blocks: what the
 // returned request waits for is described in retention.go.
-func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data []byte) *mpi.Request {
+func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data []byte) mpi.Request {
 	dstRank := int(c.BaseRank(to))
 	seq, slot := p.sendSeq.take(ctx, dstRank)
 	mAppMsgs.Inc()
@@ -299,7 +299,7 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 
 // isendMirror is the MR-MPI baseline: transmit to every alive replica of
 // the destination rank; no acks, no retention.
-func (p *Replicated) isendMirror(c *mpi.Comm, ctx uint32, dstRank, tag int, data []byte, seq uint64, meta [4]int64) *mpi.Request {
+func (p *Replicated) isendMirror(c *mpi.Comm, ctx uint32, dstRank, tag int, data []byte, seq uint64, meta [4]int64) mpi.Request {
 	preqs := make([]*mpi.PReq, 0, 2)
 	for rep := 0; rep < p.layout.Degree(dstRank); rep++ {
 		q := p.layout.Phys(rep, dstRank)
@@ -333,8 +333,8 @@ func (p *Replicated) inDests(dstRank int, q transport.ProcID) bool {
 // i accepts a message from any replica of rank i — the sequencer has
 // already enforced per-rank ordering and uniqueness, so which replica
 // physically delivered it is irrelevant (and changes across a failure).
-func (p *Replicated) Irecv(c *mpi.Comm, ctx uint32, from mpi.Rank, tag int, buf []byte) *mpi.Request {
-	var r *mpi.Request
+func (p *Replicated) Irecv(c *mpi.Comm, ctx uint32, from mpi.Rank, tag int, buf []byte) mpi.Request {
+	var r mpi.Request
 	switch {
 	case from != mpi.AnySource:
 		pr := p.eng.Irecv(mpi.AnyProc, c.BaseRank(from), nil, ctx, tag, buf)
@@ -436,7 +436,7 @@ func (p *Replicated) stashTotal() int { return p.recvSeq.stashTotal() }
 // irecvComplete event, acknowledge the message to every other alive
 // replica of the source rank. In mirror mode there are no acks. With the
 // AckOnWait ablation the ack is deferred to application-level completion
-// (attached in Irecv's Request via OnFinish — see ackReceptions).
+// (attached in Irecv's Request via OnFinish — see ackReception).
 func (p *Replicated) onRecvComplete(pr *mpi.PReq) {
 	if p.mode == ModeMirror {
 		return
@@ -453,14 +453,9 @@ func (p *Replicated) onRecvComplete(pr *mpi.PReq) {
 	p.sendAcksFor(ps)
 }
 
-// ackReceptions emits the acks for an application request's receptions
-// (the AckOnWait ablation's completion hook, see ackOnFinish).
-func (p *Replicated) ackReceptions(r *mpi.Request) {
-	var st [2]mpi.PStatus
-	for _, ps := range r.AppendPStatuses(st[:0]) {
-		p.sendAcksFor(ps)
-	}
-}
+// ackReception emits the acks for a receive completed at the application
+// level (the AckOnWait ablation's completion hook, see ackOnFinish).
+func (p *Replicated) ackReception(pr *mpi.PReq) { p.sendAcksFor(pr.PStatus()) }
 
 // --- Control messages ------------------------------------------------------
 

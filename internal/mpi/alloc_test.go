@@ -33,9 +33,10 @@ func allocsPerRun(runs int, f func()) float64 {
 }
 
 func TestPointToPointAllocs(t *testing.T) {
-	// A Native 64 B eager round trip allocates one Request per send and a
-	// Request and a PReq per receive, on each side: six in all. Envelopes,
-	// payload copies and drain batches come from recycled storage.
+	// A Native 64 B eager round trip allocates one PReq per receive, on
+	// each side: two in all. Blocking calls keep their Request on the
+	// stack, an eager send has no PReq, and envelopes, payload copies and
+	// drain batches come from recycled storage.
 	if raceEnabled() {
 		t.Skip("the race runtime allocates")
 	}
@@ -62,8 +63,58 @@ func TestPointToPointAllocs(t *testing.T) {
 		world.Recv(1, 1, rbuf)
 	})
 	wg.Wait()
-	if got != 6 {
-		t.Errorf("Native 64 B round trip: %v allocations, want 6", got)
+	if got != 2 {
+		t.Errorf("Native 64 B round trip: %v allocations, want 2", got)
+	}
+}
+
+// collectiveAllocs runs op on every rank of an n-rank Native world and
+// returns the allocations one call costs, all ranks together.
+func collectiveAllocs(t *testing.T, n int, op func(c *Comm)) float64 {
+	const runs = 500
+	var got float64
+	runNative(t, n, func(c *Comm) {
+		if c.Rank() != 0 {
+			for i := 0; i < runs+1; i++ { // allocsPerRun adds a warm-up run
+				op(c)
+			}
+			return
+		}
+		got = allocsPerRun(runs, func() { op(c) })
+	})
+	return got
+}
+
+func TestSendrecvAllocs(t *testing.T) {
+	// A Native 64 B Sendrecv between two ranks allocates the posted
+	// receive's PReq on each side and nothing else.
+	if raceEnabled() {
+		t.Skip("the race runtime allocates")
+	}
+	sbuf, rbufs := make([]byte, 64), [2][]byte{make([]byte, 64), make([]byte, 64)}
+	got := collectiveAllocs(t, 2, func(c *Comm) {
+		peer := 1 - c.Rank()
+		c.Sendrecv(peer, 0, sbuf, peer, 0, rbufs[c.Rank()])
+	})
+	if got != 2 {
+		t.Errorf("Native Sendrecv: %v allocations, want 2", got)
+	}
+}
+
+func TestCollectiveAllocs(t *testing.T) {
+	// A 4-rank dissemination Barrier posts two receives per rank, and a
+	// 4-rank recursive-doubling Allreduce two: their PReqs are the only
+	// allocations besides the Allreduce's own accumulator and receive
+	// buffer per rank. Every round's requests stay on the stack.
+	if raceEnabled() {
+		t.Skip("the race runtime allocates")
+	}
+	if got := collectiveAllocs(t, 4, (*Comm).Barrier); got != 8 {
+		t.Errorf("4-rank Barrier: %v allocations, want 8 (2 PReqs per rank)", got)
+	}
+	got := collectiveAllocs(t, 4, func(c *Comm) { c.AllreduceFloat64(1, OpSum) })
+	if got != 16 {
+		t.Errorf("4-rank AllreduceFloat64: %v allocations, want 16 (2 PReqs and 2 buffers per rank)", got)
 	}
 }
 

@@ -15,11 +15,10 @@ func (c *Comm) Barrier() {
 		return
 	}
 	rank := int(c.rank)
-	var token [1]byte
 	for round, dist := 0, 1; dist < size; round, dist = round+1, dist*2 {
 		to := Rank((rank + dist) % size)
 		from := Rank((rank - dist + size) % size)
-		rr := c.irecvColl(from, collTag(seq, round), token[:])
+		rr := c.irecvColl(from, collTag(seq, round), nil)
 		c.sendColl(to, collTag(seq, round), nil)
 		rr.Wait()
 	}
@@ -180,7 +179,7 @@ func (c *Comm) Gatherv(root Rank, data []byte, counts []int) []byte {
 	}
 	offs[c.Size()] = total
 	out := make([]byte, total)
-	reqs := make([]*Request, 0, c.Size()-1)
+	reqs := make([]Request, 0, c.Size()-1)
 	for r := 0; r < c.Size(); r++ {
 		if Rank(r) == root {
 			copy(out[offs[r]:offs[r+1]], data)
@@ -188,7 +187,9 @@ func (c *Comm) Gatherv(root Rank, data []byte, counts []int) []byte {
 		}
 		reqs = append(reqs, c.irecvColl(Rank(r), tag, out[offs[r]:offs[r+1]]))
 	}
-	Waitall(reqs...)
+	for i := range reqs {
+		reqs[i].Wait()
+	}
 	return out
 }
 
@@ -377,9 +378,12 @@ func (c *Comm) AllreduceFloat64s(xs []float64, op Op) []float64 {
 	return BytesFloat64(c.Allreduce(Float64Bytes(xs), Float64, op))
 }
 
-// AllreduceFloat64 is Allreduce on a single float64.
+// AllreduceFloat64 is Allreduce on a single float64, encoded on the stack.
 func (c *Comm) AllreduceFloat64(x float64, op Op) float64 {
-	return c.AllreduceFloat64s([]float64{x}, op)[0]
+	var b [8]byte
+	var out [1]float64
+	GetFloat64s(out[:], c.Allreduce(PutFloat64s(b[:], []float64{x}), Float64, op))
+	return out[0]
 }
 
 // AllreduceInt64 is Allreduce on a single int64.

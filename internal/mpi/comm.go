@@ -111,9 +111,8 @@ func (c *Comm) CtxColl() uint32 { return c.ctxColl }
 
 // nullRequest builds an already-complete request: the result of an
 // operation on ProcNull or of an argument error under ErrorsReturn.
-func (c *Comm) nullRequest(send bool) *Request {
-	r := NewRequest(c, send, nil, nil)
-	r.finished = true
+func (c *Comm) nullRequest(send bool) Request {
+	r := Request{comm: c, send: send, finished: true}
 	if !send {
 		r.status = Status{Source: ProcNull, Tag: AnyTag, Count: 0}
 	}
@@ -123,6 +122,12 @@ func (c *Comm) nullRequest(send bool) *Request {
 // Isend starts a non-blocking send of data to comm rank `to` (MPI_Isend).
 // The payload buffer must not be modified until Wait returns.
 func (c *Comm) Isend(to Rank, tag int, data []byte) *Request {
+	r := c.isend(to, tag, data)
+	return &r
+}
+
+// isend is Isend with the request in the caller's frame.
+func (c *Comm) isend(to Rank, tag int, data []byte) Request {
 	if to == ProcNull || c.checkSendArgs(to, tag) != nil {
 		return c.nullRequest(true)
 	}
@@ -131,12 +136,19 @@ func (c *Comm) Isend(to Rank, tag int, data []byte) *Request {
 
 // Send is the blocking send (MPI_Send).
 func (c *Comm) Send(to Rank, tag int, data []byte) {
-	c.Isend(to, tag, data).Wait()
+	r := c.isend(to, tag, data)
+	r.Wait()
 }
 
 // Irecv posts a non-blocking receive from comm rank `from` — which may be
 // AnySource — into buf (MPI_Irecv).
 func (c *Comm) Irecv(from Rank, tag int, buf []byte) *Request {
+	r := c.irecv(from, tag, buf)
+	return &r
+}
+
+// irecv is Irecv with the request in the caller's frame.
+func (c *Comm) irecv(from Rank, tag int, buf []byte) Request {
 	if from == ProcNull || c.checkRecvArgs(from, tag) != nil {
 		return c.nullRequest(false)
 	}
@@ -145,13 +157,14 @@ func (c *Comm) Irecv(from Rank, tag int, buf []byte) *Request {
 
 // Recv is the blocking receive (MPI_Recv).
 func (c *Comm) Recv(from Rank, tag int, buf []byte) Status {
-	return c.Irecv(from, tag, buf).Wait()
+	r := c.irecv(from, tag, buf)
+	return r.Wait()
 }
 
 // Sendrecv posts the receive, performs the send, then completes the
 // receive (MPI_Sendrecv).
 func (c *Comm) Sendrecv(to Rank, sendTag int, sendData []byte, from Rank, recvTag int, recvBuf []byte) Status {
-	rr := c.Irecv(from, recvTag, recvBuf)
+	rr := c.irecv(from, recvTag, recvBuf)
 	c.Send(to, sendTag, sendData)
 	return rr.Wait()
 }
@@ -165,20 +178,22 @@ func (c *Comm) SendrecvReplace(to Rank, sendTag int, from Rank, recvTag int, buf
 }
 
 // collective-context variants used by the collectives module.
-func (c *Comm) isendColl(to Rank, tag int, data []byte) *Request {
+func (c *Comm) isendColl(to Rank, tag int, data []byte) Request {
 	return c.protocol.Isend(c, c.ctxColl, to, tag, data)
 }
 
-func (c *Comm) irecvColl(from Rank, tag int, buf []byte) *Request {
+func (c *Comm) irecvColl(from Rank, tag int, buf []byte) Request {
 	return c.protocol.Irecv(c, c.ctxColl, from, tag, buf)
 }
 
 func (c *Comm) sendColl(to Rank, tag int, data []byte) {
-	c.isendColl(to, tag, data).Wait()
+	r := c.isendColl(to, tag, data)
+	r.Wait()
 }
 
 func (c *Comm) recvColl(from Rank, tag int, buf []byte) Status {
-	return c.irecvColl(from, tag, buf).Wait()
+	r := c.irecvColl(from, tag, buf)
+	return r.Wait()
 }
 
 // collTag derives the tag for round `round` of the collective call with

@@ -55,8 +55,8 @@ type PReq struct {
 }
 
 // One PReq is allocated per receive and per rendezvous send, and one
-// Request per point-to-point operation: these keep them within the 144-
-// and 112-byte allocation classes.
+// Request per Isend/Irecv (blocking calls keep theirs on the stack): these
+// keep them within the 144- and 112-byte allocation classes.
 const (
 	_ = uint(144 - unsafe.Sizeof(PReq{}))
 	_ = uint(112 - unsafe.Sizeof(Request{}))
@@ -139,9 +139,9 @@ type Engine struct {
 
 	// OnFlush lets a protocol piggyback deferred work on engine progress
 	// (SDR-MPI flushes coalesced acks here). Progress invokes it with
-	// force=false after handling inbound traffic; WaitUntil invokes it
-	// with force=true immediately before blocking, which is what keeps
-	// deferred acks from deadlocking a peer's ack-gated send.
+	// force=false after handling inbound traffic; WaitUntil and Wait only
+	// with force=true, before blocking, which is what keeps deferred acks
+	// from deadlocking a peer's ack-gated send.
 	OnFlush func(force bool)
 
 	// RankOf maps a physical process to its base rank for receives from
@@ -217,18 +217,35 @@ func (e *Engine) Isend(dst transport.ProcID, ctx uint32, tag int, data []byte, s
 // (RankOf) is from, or, with from = AnySource, any sender that is a member
 // of c (nil: any sender at all).
 func (e *Engine) Irecv(src transport.ProcID, from Rank, c *Comm, ctx uint32, tag int, buf []byte) *PReq {
+	r := e.NewRecv(src, c, ctx, tag, buf)
+	e.Post(r, from)
+	return r
+}
+
+// NewRecv builds a PML-level receive without posting it, so a protocol
+// can hand out (or record) the request before it can match.
+func (e *Engine) NewRecv(src transport.ProcID, c *Comm, ctx uint32, tag int, buf []byte) *PReq {
+	return &PReq{ctx: ctx, tag: tag, peer: src, comm: c, buf: buf}
+}
+
+// Post posts receive r, built by NewRecv, for the base rank from (see
+// Irecv): it takes the first unexpected message it matches, in arrival
+// order, or joins the posted queue. A receive cancelled before it is
+// posted is never posted.
+func (e *Engine) Post(r *PReq, from Rank) {
 	e.checkCrash()
-	r := &PReq{ctx: ctx, tag: tag, peer: src, from: int32(from), comm: c, buf: buf}
-	// Try the unexpected queue first (in arrival order), then post.
+	if r.done {
+		return
+	}
+	r.from = int32(from)
 	for i, m := range e.unexpected {
 		if e.matches(r, m) {
 			e.unexpected = slices.Delete(e.unexpected, i, i+1)
 			e.deliver(r, m)
-			return r
+			return
 		}
 	}
 	e.posted = append(e.posted, r)
-	return r
 }
 
 // Cancel marks a request cancelled. Posted receives are withdrawn from
@@ -552,38 +569,44 @@ func (e *Engine) handle(m *transport.Message) {
 // batches are flushed — the transport-level twin of ack coalescing, on
 // the same trigger schedule.
 func (e *Engine) Progress() bool {
+	got := e.poll()
+	e.flush(false)
+	return got
+}
+
+// poll drains and handles every deliverable inbound message.
+func (e *Engine) poll() bool {
 	e.checkCrash()
 	msgs := e.ep.Drain()
 	for _, m := range msgs {
 		e.handle(m)
 	}
-	if e.OnFlush != nil {
-		e.OnFlush(false)
-	}
-	e.nw.FlushWire(e.ep.ID(), false)
 	return len(msgs) > 0
+}
+
+// flush runs the protocol's OnFlush hook, then flushes the wire batches:
+// aged ones only, or all of them when forced.
+func (e *Engine) flush(force bool) {
+	if e.OnFlush != nil {
+		e.OnFlush(force)
+	}
+	e.nw.FlushWire(e.ep.ID(), force)
 }
 
 // WaitUntil pumps progress until cond holds. It unwinds with the crash
 // sentinel if this process is killed while waiting. Every iteration —
-// including the one that satisfies cond — force-flushes protocol-deferred
-// work (coalesced acks): a process never sleeps on, and never returns to
-// the application holding, acknowledgements it still owes. This is the
-// liveness half of coalescing; batching happens within one progress
-// round, where bursts actually arrive together. cond is opaque, so the wait
-// is ack-interested: an arriving acknowledgement wakes it.
+// including the one that satisfies cond — force-flushes coalesced acks and
+// staged wire batches (no unforced pass: the forced one ships all): a
+// process never sleeps on, and never returns to the application holding,
+// acknowledgements it still owes. This is the liveness half of coalescing;
+// batching happens within one progress round, where bursts actually arrive
+// together. cond is opaque, so the wait is ack-interested: an arriving
+// acknowledgement wakes it.
 func (e *Engine) WaitUntil(cond func() bool) {
 	for {
-		e.Progress()
+		e.poll()
 		done := cond()
-		if e.OnFlush != nil {
-			e.OnFlush(true)
-		}
-		// Force-flush staged wire batches before blocking (or returning):
-		// the acks OnFlush just staged — and any application frames still
-		// batched — must reach the peer, or both sides sleep on each
-		// other's staged bytes.
-		e.nw.FlushWire(e.ep.ID(), true)
+		e.flush(true)
 		if done {
 			return
 		}

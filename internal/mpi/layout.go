@@ -368,9 +368,9 @@ func (c *Comm) IrecvLayout(from Rank, tag int, l Layout, dst []byte) *Request {
 	wire := make([]byte, l.PackedSize())
 	r := c.Irecv(from, tag, wire)
 	prev := r.OnFinish
-	r.OnFinish = func(req *Request) {
+	r.OnFinish = func(p *PReq) {
 		if prev != nil {
-			prev(req)
+			prev(p)
 		}
 		l.Unpack(wire, dst)
 	}

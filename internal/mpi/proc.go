@@ -25,16 +25,18 @@ func (p *Proc) Network() *transport.Network { return p.eng.Network() }
 // Protocol is the vProtocol interception interface: the point in the stack
 // where SDR-MPI (and the baseline protocols) sit. The OMPI layer (Comm)
 // routes every point-to-point operation — and therefore, transitively,
-// every collective, communicator and group operation — through it.
+// every collective, communicator and group operation — through it. Isend
+// and Irecv return the request by value: a blocking call waits on it in
+// its own frame, and only a non-blocking one moves it to the heap.
 type Protocol interface {
 	// Name identifies the protocol ("native", "sdr", "mirror", ...).
 	Name() string
 	// MyBaseRank returns this process's logical rank in the base world.
 	MyBaseRank() Rank
 	// Isend starts a logical send to comm rank `to` on context ctx.
-	Isend(c *Comm, ctx uint32, to Rank, tag int, data []byte) *Request
+	Isend(c *Comm, ctx uint32, to Rank, tag int, data []byte) Request
 	// Irecv posts a logical receive from comm rank `from` (or AnySource).
-	Irecv(c *Comm, ctx uint32, from Rank, tag int, buf []byte) *Request
+	Irecv(c *Comm, ctx uint32, from Rank, tag int, buf []byte) Request
 }
 
 // Native is the pass-through protocol: no replication, physical process i
@@ -54,7 +56,7 @@ func (n *Native) Name() string { return "native" }
 func (n *Native) MyBaseRank() Rank { return Rank(n.proc.ID()) }
 
 // Isend implements Protocol.
-func (n *Native) Isend(c *Comm, ctx uint32, to Rank, tag int, data []byte) *Request {
+func (n *Native) Isend(c *Comm, ctx uint32, to Rank, tag int, data []byte) Request {
 	base := c.BaseRank(to)
 	var meta [4]int64
 	meta[MetaSrcRank] = int64(c.BaseRank(c.rank))
@@ -64,7 +66,7 @@ func (n *Native) Isend(c *Comm, ctx uint32, to Rank, tag int, data []byte) *Requ
 }
 
 // Irecv implements Protocol.
-func (n *Native) Irecv(c *Comm, ctx uint32, from Rank, tag int, buf []byte) *Request {
+func (n *Native) Irecv(c *Comm, ctx uint32, from Rank, tag int, buf []byte) Request {
 	src := AnyProc
 	if from != AnySource {
 		src = transport.ProcID(c.BaseRank(from))

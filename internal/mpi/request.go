@@ -3,14 +3,15 @@ package mpi
 import (
 	"fmt"
 	"runtime"
+	"slices"
 )
 
 // Gate is a protocol's completion gate: a request with one completes when
 // its PML requests have and the gate is open. It is an interface rather
 // than a closure so that gating a send allocates nothing — the request
-// carries the two arguments. SDR-MPI's retention slot implements it (§3.2:
-// a send request completes once the acks it depends on have been
-// collected); gates that need no arguments ignore them.
+// carries the two arguments. SDR-MPI's retention slot is its implementer
+// (§3.2: a send request completes once the acks it depends on have been
+// collected).
 type Gate interface {
 	// GateOpen reports whether the request built with (seq, own) may
 	// complete. For a retention slot, seq numbers the send and own selects
@@ -32,14 +33,16 @@ const ackYieldRounds = 8
 // return. A protocol composes it from one or more PML requests plus an
 // optional completion gate (SDR-MPI gates send completion on replication
 // acks — §3.2: "we wait until all acks have been collected before
-// completing a send request").
+// completing a send request"). Protocols return it by value and no field
+// points into the request itself, so a blocking call keeps it in its own
+// frame: only the PML requests underneath reach the heap.
 type Request struct {
 	comm *Comm
 
-	preqs []*PReq
-	// inline backs preqs for the common one- and two-channel requests so
-	// composing a request costs no slice allocation on the hot path.
-	inline [2]*PReq
+	// pr holds up to two PML requests (nil: unused); more takes a
+	// rendezvous send's fan-out beyond two.
+	pr   [2]*PReq
+	more []*PReq
 
 	// gate, when set, also gates completion, on (gateSeq, gateOwn). A gate
 	// may depend on acknowledgements, so waiting on a gated request is
@@ -48,13 +51,14 @@ type Request struct {
 	gate    Gate
 	gateSeq uint64
 
-	// OnFinish is invoked once, when the request completes at the
-	// application level (the paper's "completed at the application
-	// level", as opposed to the PML-level irecvComplete event).
-	OnFinish func(*Request)
+	// OnFinish is invoked once, with the receive's PML request, when the
+	// request completes at the application level (as opposed to the
+	// PML-level irecvComplete event). It never sees the Request, so
+	// waiting does not move the Request to the heap.
+	OnFinish func(*PReq)
 
 	// The flags sit together so the struct stays within the 112-byte
-	// allocation class (one is allocated per point-to-point operation).
+	// allocation class (Isend and Irecv allocate one per operation).
 	send     bool
 	finished bool
 	gateOwn  bool
@@ -62,46 +66,27 @@ type Request struct {
 	status   Status
 }
 
-// Attach adds a late-bound PML request (the leader-based baseline posts a
-// follower's wildcard receive only after the leader's decision arrives).
-func (r *Request) Attach(p *PReq) { r.preqs = append(r.preqs, p) }
-
-// AppendPStatuses appends the PML statuses of all completed, non-cancelled
-// receive requests underneath this request to dst and returns the result.
-func (r *Request) AppendPStatuses(dst []PStatus) []PStatus {
-	for _, p := range r.preqs {
-		if !p.send && p.done && !p.cancelled {
-			dst = append(dst, p.status)
-		}
-	}
-	return dst
-}
-
 // NewRequest assembles an application request; protocols call this. The
-// PML requests are copied into inline storage (grown only beyond two), so
-// the caller's slice does not escape. With none — every send was eager —
-// the request is sent already.
-func NewRequest(c *Comm, send bool, preqs []*PReq, gate Gate) *Request {
-	r := &Request{comm: c, send: send, gate: gate}
-	r.preqs = append(r.inline[:0], preqs...)
+// PML requests are copied into the request (the slice spills only beyond
+// two), so the caller's slice does not escape. With none — every send was
+// eager — the request is sent already.
+func NewRequest(c *Comm, send bool, preqs []*PReq, gate Gate) Request {
+	r := Request{comm: c, send: send, gate: gate}
+	if n := copy(r.pr[:], preqs); n < len(preqs) {
+		r.more = slices.Clone(preqs[n:])
+	}
 	return r
 }
 
 // NewRequest1 assembles a request over at most one PML request (nil for an
-// eager send) without any slice traffic — the common case for every
-// point-to-point operation.
-func NewRequest1(c *Comm, send bool, pr *PReq, gate Gate) *Request {
-	r := &Request{comm: c, send: send, gate: gate}
-	r.preqs = r.inline[:0]
-	if pr != nil {
-		r.preqs = append(r.preqs, pr)
-	}
-	return r
+// eager send) — the common case for every point-to-point operation.
+func NewRequest1(c *Comm, send bool, pr *PReq, gate Gate) Request {
+	return Request{comm: c, send: send, pr: [2]*PReq{pr}, gate: gate}
 }
 
 // NewGatedSend assembles a send request whose completion also waits for
 // the acknowledgements g.GateOpen(seq, own) stands for.
-func NewGatedSend(c *Comm, preqs []*PReq, g Gate, seq uint64, own bool) *Request {
+func NewGatedSend(c *Comm, preqs []*PReq, g Gate, seq uint64, own bool) Request {
 	r := NewRequest(c, true, preqs, g)
 	r.gateSeq, r.gateOwn, r.ackGate = seq, own, true
 	return r
@@ -109,7 +94,12 @@ func NewGatedSend(c *Comm, preqs []*PReq, g Gate, seq uint64, own bool) *Request
 
 // sent reports whether every underlying PML request is complete.
 func (r *Request) sent() bool {
-	for _, p := range r.preqs {
+	for _, p := range r.pr {
+		if p != nil && !p.done {
+			return false
+		}
+	}
+	for _, p := range r.more {
 		if !p.done {
 			return false
 		}
@@ -126,34 +116,32 @@ func (r *Request) ready() bool {
 	return r.gate == nil || r.gate.GateOpen(r.gateSeq, r.gateOwn)
 }
 
-// finish computes the application status after completion. OnFinish runs
-// last, with the status already in place, so hooks may read or
-// post-process it; IrecvLayout chains its unpack after any earlier hook.
+// finish computes the application status after completion. A receive has
+// one PML request (only a send's fan-out spills into more); OnFinish runs
+// with it once the status is in place, unless it was cancelled.
 func (r *Request) finish() Status {
 	if r.finished {
 		return r.status
 	}
 	r.finished = true
-	if !r.send {
-		for _, p := range r.preqs {
-			if p.cancelled {
-				continue
-			}
-			if p.truncated {
-				panic(fmt.Sprintf("mpi: truncation on receive (tag %d, %d bytes into %d buffer)",
-					p.tag, p.status.Count, len(p.buf)))
-			}
-			ps := p.status
-			r.status = Status{
-				Source: r.comm.rankOf(Rank(ps.Meta[MetaSrcRank])),
-				Tag:    ps.Tag,
-				Count:  ps.Count,
-			}
-			break
+	for _, p := range r.pr {
+		if p == nil || p.send || p.cancelled {
+			continue
 		}
-	}
-	if r.OnFinish != nil {
-		r.OnFinish(r)
+		if p.truncated {
+			panic(fmt.Sprintf("mpi: truncation on receive (tag %d, %d bytes into %d buffer)",
+				p.tag, p.status.Count, len(p.buf)))
+		}
+		ps := p.status
+		r.status = Status{
+			Source: r.comm.rankOf(Rank(ps.Meta[MetaSrcRank])),
+			Tag:    ps.Tag,
+			Count:  ps.Count,
+		}
+		if r.OnFinish != nil {
+			r.OnFinish(p)
+		}
+		break
 	}
 	return r.status
 }
@@ -166,14 +154,11 @@ func (r *Request) Wait() Status {
 	e := r.comm.proc.eng
 	yields := 0
 	for {
-		e.Progress()
+		e.poll()
 		done := r.ready()
-		if e.OnFlush != nil {
-			e.OnFlush(true)
-		}
 		// Same pre-block discipline as WaitUntil: staged acks and frames
 		// go out before this process sleeps on the peer.
-		e.nw.FlushWire(e.ep.ID(), true)
+		e.flush(true)
 		if done {
 			break
 		}
