@@ -45,7 +45,7 @@ func main() {
 	distributed := flag.Bool("distributed", false, "run the exhaustion scenario as real OS processes: SIGKILL both replicas of a rank, roll back, respawn workers")
 	steps := flag.Int("steps", 16, "application steps")
 	failAt := flag.Int("fail-at", 5, "step at which the replica crashes")
-	recoverAt := flag.Int("recover-at", 10, "step at which the substitute forks the replacement")
+	recoverAt := flag.Int("recover-at", 10, "first step at which the substitute may fork the replacement (it waits while a rendezvous message is buffered)")
 	every := flag.Int("ckpt-every", 4, "checkpoint interval for -exhaust / -distributed")
 	flag.Parse()
 

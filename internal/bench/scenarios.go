@@ -189,6 +189,9 @@ func fig4App(steps int) cluster.AppFunc {
 				c.Send(1, 1, buf)
 				sum += v
 			}
+			// A collective per step: the forked replica must resume the
+			// world communicator's collective counter with the protocol's.
+			c.Barrier()
 		}
 		return sum, nil
 	}

@@ -72,8 +72,9 @@ type FailureEvent struct {
 }
 
 // RecoveryEvent schedules the §3.4 recovery of a previously crashed
-// replica, performed by its substitute when the substitute reaches
-// Step(AtStep). The application must pass a snapshot function to Step.
+// replica of a degree-2 rank, performed by its substitute at the first
+// step >= AtStep at which the fork can be captured (no rendezvous message
+// buffered). The application must pass a snapshot function to Step.
 type RecoveryEvent struct {
 	Rank, Rep int
 	AtStep    int
@@ -255,10 +256,11 @@ func (p Protocol) coreMode() core.Mode {
 }
 
 // validateSchedule rejects failure/recovery events that target replicas
-// the layout does not contain. Before the degree-aware layout this could
-// not happen (every (rank, rep) with rep < r existed); now a -kill of a
-// pruned replica would otherwise never fire and the run would silently
-// pass without injecting anything.
+// the layout does not contain, and recoveries on a rank whose degree is
+// not 2. Before the degree-aware layout the former could not happen (every
+// (rank, rep) with rep < r existed); now a -kill of a pruned replica would
+// otherwise never fire and the run would silently pass without injecting
+// anything.
 func validateSchedule(l core.Layout, failures []FailureEvent, recoveries []RecoveryEvent) error {
 	check := func(kind string, rank, rep int) error {
 		if rank < 0 || rank >= l.N {
@@ -279,8 +281,20 @@ func validateSchedule(l core.Layout, failures []FailureEvent, recoveries []Recov
 		if err := check("recovery", r.Rank, r.Rep); err != nil {
 			return err
 		}
+		if d := l.Degree(r.Rank); d != 2 {
+			return &recoveryDegreeError{rank: r.Rank, degree: d}
+		}
 	}
 	return nil
+}
+
+// recoveryDegreeError rejects a recovery event on a rank whose degree is
+// not 2: the §3.4 fork has exactly one substitute to fork from.
+type recoveryDegreeError struct{ rank, degree int }
+
+func (e *recoveryDegreeError) Error() string {
+	return fmt.Sprintf("cluster: recovery event on rank %d, which runs %d replica(s); recovery requires degree 2 (paper §3.4)",
+		e.rank, e.degree)
 }
 
 // degreeVector merges an explicit per-rank degree vector with an
@@ -439,11 +453,12 @@ func (e *Env) Epoch() int { return e.epoch }
 func (e *Env) Replicated() *core.Replicated { return e.proto }
 
 // Step marks an application step boundary. The harness uses it to realize
-// scheduled crashes (the calling replica kills itself) and recoveries (the
-// substitute forks the replacement using snapshot, which must capture the
-// application state at this boundary and may be nil when no recovery is
-// scheduled here). Step must be called at quiescent points: all requests
-// completed.
+// scheduled crashes (the calling replica kills itself) and recoveries: at
+// the first boundary at or after the event's AtStep where its protocol
+// state can be captured, the substitute forks the replacement, using
+// snapshot for the application state at this boundary. snapshot may be
+// nil only where no recovery can fire. Step must be called at quiescent
+// points: all requests completed.
 func (e *Env) Step(step int, snapshot func() []byte) { e.h.stepHook(e, step, snapshot) }
 
 // ProcReport describes one physical process's outcome. Under partial
@@ -578,13 +593,16 @@ func (rs *runState) logEnabled(rank int) bool {
 	return rs.logRanks != nil && rs.logRanks[rank]
 }
 
-// replaySeed carries everything a localized relaunch restores: the rank's
-// own newest checkpoint wave, its application state, and its encoded
-// protocol replay state.
+// replaySeed carries everything a restored process resumes from: the
+// checkpoint wave (-1 for a fork), the application state, and the encoded
+// protocol replay state. A localized relaunch reads its rank's own newest
+// wave from the store; a §3.4 fork (fork set) takes both states from its
+// live substitute.
 type replaySeed struct {
 	wave  int
 	app   []byte
 	state []byte
+	fork  bool
 }
 
 // loadReplay loads rank's newest replay-eligible wave from the store — the
@@ -658,7 +676,7 @@ func (rs *runState) relaunchLogged(dead transport.ProcID) {
 	rev.Proc, rev.Rank, rev.Wave = int(dead), rank, seed.wave
 	obs.DefaultTrace.Emit(rev)
 	rs.nw.Revive(dead)
-	rs.runProc(dead, nil, nil, seed)
+	rs.runProc(dead, seed)
 }
 
 // Run executes the application under the configured protocol and returns
@@ -722,7 +740,7 @@ func runOnce(rep *Report, layout core.Layout, app AppFunc, store *ckpt.Store, fi
 	for i := 0; i < layout.Procs(); i++ {
 		rs.wg.Add(1)
 		rs.spawned.Add(1)
-		go rs.runProc(transport.ProcID(i), nil, nil, nil)
+		go rs.runProc(transport.ProcID(i), nil)
 	}
 
 	done := make(chan struct{})
@@ -751,23 +769,24 @@ func runOnce(rep *Report, layout core.Layout, app AppFunc, store *ckpt.Store, fi
 }
 
 // runProc is one physical process's lifetime on the shared process body.
-// For recovered replicas, clone and restored carry the §3.4 fork; for a
-// localized relaunch of a logging-enabled rank, replay carries the
-// checkpoint + replay state.
-func (rs *runState) runProc(id transport.ProcID, clone *core.CloneState, restored []byte, replay *replaySeed) {
+// A recovered replica's seed carries the §3.4 fork; a localized relaunch's
+// carries its rank's checkpoint and replay state. seed is nil for a
+// process that starts with its epoch.
+func (rs *runState) runProc(id transport.ProcID, seed *replaySeed) {
 	defer rs.wg.Done()
 	start := time.Now()
 	rank, rep := rs.layout.RankOf(id), rs.layout.RepOf(id)
 	pr := ProcReport{Proc: id, Rank: rank, Rep: rep}
-	env := &Env{Rank: rank, Rep: rep, h: rs, restored: restored, restoredStep: -1,
+	env := &Env{Rank: rank, Rep: rep, h: rs, restoredStep: -1,
 		store: rs.store, ranks: rs.cfg.Ranks, epoch: rs.seed.epoch}
-	b := procBody{cfg: rs.cfg, layout: rs.layout, nw: rs.nw, det: rs.det, env: env, clone: clone}
+	b := procBody{cfg: rs.cfg, layout: rs.layout, nw: rs.nw, det: rs.det, env: env}
 	switch {
-	case replay != nil:
-		// Localized relaunch: only this rank rolls back, to its own
-		// newest checkpoint wave.
-		env.restored, env.restoredStep, b.replay = replay.app, replay.wave, replay.state
-	case restored == nil && clone == nil && rs.seed.states != nil:
+	case seed != nil:
+		// A fork resumes from its substitute's state; a localized relaunch
+		// rolls only this rank back, to its own newest checkpoint wave.
+		env.restored, env.restoredStep = seed.app, seed.wave
+		b.state, b.forked = seed.state, seed.fork
+	case rs.seed.states != nil:
 		// Rollback epoch: every replica of every rank resumes from the
 		// wave the ladder selected.
 		env.restored, env.restoredStep = rs.seed.states[rank], rs.seed.wave
@@ -820,7 +839,7 @@ func (rs *runState) runProc(id transport.ProcID, clone *core.CloneState, restore
 	}
 	markDone()
 	rs.mu.Lock()
-	if clone != nil || replay != nil {
+	if seed != nil {
 		// A recovered or relaunched replica reports alongside — not
 		// instead of — its crashed predecessor.
 		rs.reports = append(rs.reports, pr)
@@ -847,9 +866,10 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 			mpi.Crash(self)
 		}
 	}
-	// Recovery: performed by the substitute of the dead replica.
+	// Recovery: performed by the substitute of the dead replica, at the
+	// first step >= AtStep at which its state can be captured.
 	for i, rec := range rs.cfg.Recoveries {
-		if rec.AtStep != step || e.proto == nil {
+		if step < rec.AtStep || e.proto == nil {
 			continue
 		}
 		dead := rs.layout.Phys(rec.Rep, rec.Rank)
@@ -859,22 +879,24 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 		if e.proto.AliveView(dead) {
 			continue // not dead (yet): nothing to recover
 		}
-		if !rs.recovered.fire(i) {
-			continue
-		}
 		if snapshot == nil {
 			panic("cluster: recovery scheduled at a step with no snapshot function")
 		}
 		// §3.4: fork, revive, notify — in this order, with no sends in
-		// between on the substitute. The fork wants an empty retention
-		// table, which finished sends no longer imply.
+		// between on the substitute. The capture wants an empty retention
+		// table, which finished sends no longer imply, and refuses buffered
+		// rendezvous traffic: the revived replica would answer the RTS too
+		// and take the payload, so the fork waits for a later step.
 		e.proto.Quiesce()
-		cs := e.proto.ForkFor(dead)
-		appState := snapshot()
+		state, err := e.proto.CaptureReplayState(e.World.CollSeq())
+		if err != nil || !rs.recovered.fire(i) {
+			continue
+		}
+		seed := &replaySeed{wave: -1, app: snapshot(), state: state, fork: true}
 		rs.nw.Revive(dead)
 		e.proto.BroadcastRecovered(dead)
 		rs.wg.Add(1)
 		rs.spawned.Add(1)
-		go rs.runProc(dead, cs, appState, nil)
+		go rs.runProc(dead, seed)
 	}
 }

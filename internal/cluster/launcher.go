@@ -179,9 +179,9 @@ type procBody struct {
 	nw     *transport.Network
 	det    *detect.Service // nil in a worker: the coordinator injects failures
 	env    *Env
-	rec    *Recorder        // send recorder (TraceSends), or nil
-	clone  *core.CloneState // the §3.4 fork of a recovered replica, or nil
-	replay []byte           // a localized relaunch's replay state, or nil
+	rec    *Recorder // send recorder (TraceSends), or nil
+	state  []byte    // the replay state to restore, or nil for a fresh start
+	forked bool      // state is a §3.4 fork, which the substitute announced
 }
 
 // procOutcome is how a process body ended, when not by finishing.
@@ -236,25 +236,25 @@ func (b procBody) run(app AppFunc, finished func(res any, err error) bool, stop 
 			}
 		}
 		rp := core.NewReplicated(proc, b.layout, b.cfg.Protocol.coreMode(), b.det, opts)
-		if b.clone != nil {
-			rp.Restore(b.clone)
-		}
-		if b.replay != nil {
-			v, err := rp.RestoreReplayState(b.replay)
+		if b.state != nil {
+			v, err := rp.RestoreReplayState(b.state)
 			if err != nil {
 				out.exhausted = e.Rank
 				return out
 			}
 			collSeq = v
-			// Announce the relaunch in-band; on this notification every
-			// survivor that emits into world 0 re-adds this process as a
-			// destination and replays its message log.
-			rp.BroadcastRecovered(id)
+			if !b.forked {
+				// Announce the relaunch in-band; on this notification every
+				// survivor that emits into world 0 re-adds this process as
+				// a destination and replays its message log. A fork's
+				// substitute has announced it already.
+				rp.BroadcastRecovered(id)
+			}
 		}
 		e.proto, protocol = rp, rp
 	}
 	e.World = mpi.NewWorld(proc, protocol, b.cfg.Ranks)
-	if b.replay != nil {
+	if b.state != nil {
 		e.World.SetCollSeq(collSeq)
 	}
 	if !finished(callApp(app, e)) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -82,10 +83,17 @@ func TestPartialReplicationRejectsBadDegrees(t *testing.T) {
 			Failures: []FailureEvent{{Rank: 1, Rep: 1, AtStep: 2}}},
 		"recovery of pruned replica": {Ranks: 2, Protocol: SDR, UnreplicatedRanks: []int{1},
 			Recoveries: []RecoveryEvent{{Rank: 1, Rep: 1, AtStep: 2}}},
+		"recovery at degree 3": {Ranks: 2, Protocol: SDR, Replication: 3,
+			Recoveries: []RecoveryEvent{{Rank: 1, Rep: 1, AtStep: 2}}},
 	} {
 		rep := Run(cfg, ringApp(2))
-		if rep.FirstError() == nil {
+		err := rep.FirstError()
+		if err == nil {
 			t.Errorf("%s: invalid layout accepted", name)
+		}
+		var rde *recoveryDegreeError
+		if errors.As(err, &rde) != (name == "recovery at degree 3") {
+			t.Errorf("%s: FirstError = %v", name, err)
 		}
 	}
 }

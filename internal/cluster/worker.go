@@ -286,7 +286,7 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 			fmt.Fprintf(os.Stderr, "worker %d: replay state unusable: %v\n", cfg.Proc, err)
 			return exhausted(rank)
 		}
-		env.restored, env.restoredStep, b.replay = seed.app, seed.wave, seed.state
+		env.restored, env.restoredStep, b.state = seed.app, seed.wave, seed.state
 	}
 
 	// Report the result, then drain until the coordinator's shutdown: a

@@ -251,12 +251,6 @@ const (
 	DefaultAckFlushDelay = 200 * time.Microsecond
 )
 
-// seqKey indexes per-(context, peer logical rank) sequence state.
-type seqKey struct {
-	ctx  uint32
-	rank int
-}
-
 // retKey names one logical message: (context, peer logical rank, sequence
 // number). The SDC detector pairs payload hashes by it.
 type retKey struct {

@@ -270,14 +270,15 @@ type replayState struct {
 // wave its replay eligibility.
 var ErrReplayBuffered = errors.New("core: replay capture with buffered rendezvous message")
 
-// CaptureReplayState serializes this process's replay state; collSeq is
-// the world communicator's collective-call counter, which must resume
-// with the protocol counters (a relaunched barrier must tag its rounds
-// where the survivors expect them). It fails — and the wave is simply not
-// replay-eligible — when the state is not capturable: outstanding
-// retained sends (the caller quiesces first, so these are requests the
-// application has not waited for), or buffered rendezvous traffic whose
-// payload lives on the sender.
+// CaptureReplayState serializes this process's replay state — a logging
+// rank's checkpoint-coupled state, or the §3.4 fork a substitute hands its
+// revived twin; collSeq is the world communicator's collective-call
+// counter, which must resume with the protocol counters (a restored
+// barrier must tag its rounds where the survivors expect them). It fails —
+// the wave is simply not replay-eligible, the fork waits for a later step —
+// when the state is not capturable: outstanding retained sends (the caller
+// quiesces first, so these are requests the application has not waited
+// for), or buffered rendezvous traffic whose payload lives on the sender.
 func (p *Replicated) CaptureReplayState(collSeq uint64) ([]byte, error) {
 	if p.retained != 0 {
 		return nil, fmt.Errorf("core: replay capture with %d retained sends", p.retained)
@@ -437,12 +438,12 @@ func ValidateReplayState(b []byte) error {
 }
 
 // RestoreReplayState installs a decoded replay state on the freshly built
-// protocol layer of a relaunched logging-enabled rank, returning the world
-// communicator's collective-call counter for the harness to restore. The
-// restart resumes exactly where the checkpoint left off: sequence counters
-// continue, admitted-but-unconsumed messages reappear in the stash /
-// unexpected queue, and everything newer arrives through the survivors'
-// log replays.
+// protocol layer of a relaunched logging-enabled rank or a forked replica,
+// returning the world communicator's collective-call counter for the
+// harness to restore. The process resumes exactly where the capture left
+// off: sequence counters continue, admitted-but-unconsumed messages
+// reappear in the stash / unexpected queue, and everything newer arrives
+// through the survivors' log or retention replays.
 func (p *Replicated) RestoreReplayState(b []byte) (collSeq uint64, err error) {
 	st, err := decodeReplayState(b)
 	if err != nil {

@@ -128,19 +128,32 @@ func TestSequenceNumbersAdvanceIdenticallyAcrossReplicas(t *testing.T) {
 	for rank := 0; rank < 3; rank++ {
 		a := protos[layout.Phys(0, rank)]
 		b := protos[layout.Phys(1, rank)]
-		aSend, bSend := a.sendSeq.snapshot(), b.sendSeq.snapshot()
+		aSend, bSend := counters(a.sendSeq), counters(b.sendSeq)
 		for k, v := range aSend {
 			if bSend[k] != v {
 				t.Errorf("rank %d: sendSeq[%v] differs: %d vs %d", rank, k, v, bSend[k])
 			}
 		}
-		aRecv, bRecv := a.recvSeq.snapshot(), b.recvSeq.snapshot()
+		aRecv, bRecv := counters(a.recvSeq), counters(b.recvSeq)
 		for k, v := range aRecv {
 			if bRecv[k] != v {
 				t.Errorf("rank %d: recvNext[%v] differs: %d vs %d", rank, k, v, bRecv[k])
 			}
 		}
 	}
+}
+
+// seqKey indexes per-(context, peer logical rank) sequence state.
+type seqKey struct {
+	ctx  uint32
+	rank int
+}
+
+// counters collects a table's nonzero counters by (ctx, rank).
+func counters(t *seqTable) map[seqKey]uint64 {
+	out := make(map[seqKey]uint64)
+	t.forEach(func(ctx uint32, rank int, next uint64) { out[seqKey{ctx, rank}] = next })
+	return out
 }
 
 func TestSubstituteElectionDeterminism(t *testing.T) {

@@ -1,67 +1,23 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/detect"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
 // Recovery of a failed replica, for replication degree two (§3.4 of the
-// paper). The substitute "forks" the replacement: in this in-process
-// simulation the fork is a clone of the protocol state plus an
-// application-provided snapshot, taken at a quiescent point (no pending
-// requests). The substitute then broadcasts an in-band notification;
+// paper). The substitute "forks" the replacement at a quiescent point (no
+// pending requests, Quiesce called): its protocol state is the replay
+// state CaptureReplayState encodes, which the replacement installs with
+// RestoreReplayState — the same capture a localized relaunch restores from
+// a checkpoint — plus an application-provided snapshot. A capture that
+// meets buffered rendezvous traffic is refused, and the fork waits for a
+// later step. The substitute then broadcasts an in-band notification;
 // because channels are FIFO, each peer knows that exactly the messages the
 // substitute had not acknowledged before the notification must be replayed
 // to the new replica, and that acknowledgements to the new replica resume
 // with the first message received after the notification.
-
-// CloneState is the protocol state a recovered replica inherits from its
-// substitute at the fork point.
-type CloneState struct {
-	Revived    transport.ProcID
-	SendSeq    map[seqKey]uint64
-	RecvNext   map[seqKey]uint64
-	Pending    map[seqKey][]*transport.Message
-	Unexpected []*transport.Message
-}
-
-// ForkFor snapshots this (substitute) process's protocol state for the
-// replica being recovered. It must be called at a quiescent point: every
-// send and receive request completed and, since a completed eager send may
-// still await its own acks, Quiesce called. It must be followed by
-// BroadcastRecovered before any further application send.
-func (p *Replicated) ForkFor(revived transport.ProcID) *CloneState {
-	if p.layout.Degree(p.myRank) != 2 {
-		panic("core: recovery requires replication degree 2 (paper §3.4)")
-	}
-	if p.layout.RankOf(revived) != p.myRank {
-		panic("core: only the substitute (same rank) can fork a replacement")
-	}
-	if p.retained != 0 {
-		panic(fmt.Sprintf("core: fork at non-quiescent point: %d retained sends", p.retained))
-	}
-	cs := &CloneState{
-		Revived:  revived,
-		SendSeq:  p.sendSeq.snapshot(),
-		RecvNext: p.recvSeq.snapshot(),
-		Pending:  make(map[seqKey][]*transport.Message),
-	}
-	p.recvSeq.forEachStash(func(ctx uint32, rank int, st *seqStash) {
-		// Deep-copy: the substitute keeps consuming (and recycling) its
-		// own stashed messages, while the clones travel to the
-		// replacement process — they must not share pooled storage.
-		ms := st.collect(nil)
-		for i, m := range ms {
-			ms[i] = m.Clone()
-		}
-		cs.Pending[seqKey{ctx, rank}] = ms
-	})
-	cs.Unexpected = p.eng.UnexpectedMessages()
-	return cs
-}
 
 // BroadcastRecovered announces the revived replica to every alive process
 // through in-band FIFO control messages. The network endpoint must already
@@ -69,8 +25,8 @@ func (p *Replicated) ForkFor(revived transport.ProcID) *CloneState {
 // received the notification.
 //
 // The notification carries the revived process's receive frontier — this
-// process's own: the fork state copies it, a relaunched logging rank has
-// just restored it. Everything below the frontier is a message the revived
+// process's own: the fork's capture copies it, a relaunched logging rank
+// has just restored it. Everything below the frontier is a message the revived
 // process will never consume, hence never acknowledge, again (see
 // ackBelowFrontier).
 func (p *Replicated) BroadcastRecovered(revived transport.ProcID) {
@@ -95,28 +51,6 @@ func (p *Replicated) BroadcastRecovered(revived transport.ProcID) {
 		})
 	}
 	p.onRecovered(revived, nil)
-}
-
-// Restore installs the forked state on the freshly constructed protocol
-// layer of the recovered replica.
-func (p *Replicated) Restore(cs *CloneState) {
-	if cs.Revived != p.proc.ID() {
-		panic("core: restoring a clone state forked for a different process")
-	}
-	p.sendSeq.load(cs.SendSeq)
-	p.recvSeq.load(cs.RecvNext)
-	for k, v := range cs.Pending {
-		rc := p.recvSeq.at(k.ctx)
-		for _, m := range v {
-			// Fork-state stashes are strictly ahead of the counters; guard
-			// anyway so a malformed clone cannot underflow the ring offset.
-			if m.Seq > rc.next[k.rank] && rc.stash[k.rank].insert(rc.next[k.rank], m) {
-				gSeqStashDepth.Add(1)
-			}
-		}
-	}
-	p.eng.SeedUnexpected(cs.Unexpected)
-	p.alive[int(p.proc.ID())] = true
 }
 
 // onRecovered processes the recovery notification for process q, whose

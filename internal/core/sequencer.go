@@ -11,7 +11,7 @@ import (
 // The protocol touches sequence state on every application message — once
 // on the send path (allocate the next per-destination number) and once on
 // the receive path (admit, stash, or discard the arrival). The original
-// implementation kept three maps keyed by seqKey; at 256 ranks the per-
+// implementation kept three maps keyed by (ctx, rank); at 256 ranks the per-
 // message map hashing, and the copy()-per-insert sorted stash, dominated
 // the sequencer. This file replaces them with flat slices sized from
 // core.Layout:
@@ -100,7 +100,7 @@ func (st *seqStash) grow(minSpan uint64) {
 }
 
 // collect appends the stashed messages in ascending sequence order
-// (recovery forks and replay captures serialize them that way).
+// (the replay-state capture serializes them that way).
 func (st *seqStash) collect(out []*transport.Message) []*transport.Message {
 	if st.n == 0 {
 		return out
@@ -187,22 +187,6 @@ func (t *seqTable) forEach(f func(ctx uint32, rank int, next uint64)) {
 				f(c.ctx, rank, v)
 			}
 		}
-	}
-}
-
-// snapshot renders the nonzero counters as the map form the recovery fork
-// state carries.
-func (t *seqTable) snapshot() map[seqKey]uint64 {
-	out := make(map[seqKey]uint64)
-	t.forEach(func(ctx uint32, rank int, next uint64) { out[seqKey{ctx, rank}] = next })
-	return out
-}
-
-// load resets the table to exactly the counters in m.
-func (t *seqTable) load(m map[seqKey]uint64) {
-	t.ctxs, t.last = nil, nil
-	for k, v := range m {
-		t.at(k.ctx).next[k.rank] = v
 	}
 }
 

@@ -330,21 +330,13 @@ func (e *Engine) clearToSend(r *PReq, m *transport.Message) {
 	e.ep.Send(&transport.Message{Dst: m.Src, Kind: transport.KindCTS, Ctx: m.Ctx, XID: m.XID})
 }
 
-// UnexpectedMessages snapshots the unexpected queue (the recovery fork
-// clones it into the replacement replica). The snapshot deep-copies every
-// message: the originals stay queued here and will be consumed (and their
-// pooled storage recycled) by this engine, while the clones are consumed
-// by the replacement process.
-func (e *Engine) UnexpectedMessages() []*transport.Message {
-	out := make([]*transport.Message, len(e.unexpected))
-	for i, m := range e.unexpected {
-		out[i] = m.Clone()
-	}
-	return out
-}
+// UnexpectedMessages returns the unexpected queue itself, not a copy: the
+// replay-state capture, its one caller, encodes the messages at once and
+// neither keeps nor modifies them.
+func (e *Engine) UnexpectedMessages() []*transport.Message { return e.unexpected }
 
 // SeedUnexpected pre-loads the unexpected queue of a freshly built engine
-// (the recovered replica's inherited, admitted-but-unconsumed messages).
+// (a restored replica's admitted-but-unconsumed messages).
 func (e *Engine) SeedUnexpected(ms []*transport.Message) {
 	e.unexpected = append(e.unexpected, ms...)
 }

@@ -169,15 +169,3 @@ func (m *Message) ownData() {
 
 // PooledData reports whether the payload is pool-owned (test hook).
 func (m *Message) PooledData() bool { return m.pflags&flagPooledData != 0 }
-
-// Clone returns an unpooled deep copy of the message. Recovery forking
-// uses it: the clone and the original are consumed by different processes,
-// so they must not share pooled storage.
-func (m *Message) Clone() *Message {
-	c := *m
-	c.pflags = 0
-	if len(m.Data) > 0 {
-		c.Data = append([]byte(nil), m.Data...)
-	}
-	return &c
-}

@@ -46,22 +46,6 @@ func TestFreeMessageIsNoOpForLiterals(t *testing.T) {
 	}
 }
 
-func TestMessageCloneDetachesStorage(t *testing.T) {
-	m := GetMessage()
-	m.Kind = KindEager
-	m.Seq = 7
-	m.SetPooledData(GetBuf(8))
-	copy(m.Data, "payload!")
-	c := m.Clone()
-	FreeMessage(m)
-	if c.PooledData() {
-		t.Fatal("clone must not inherit pool ownership")
-	}
-	if string(c.Data) != "payload!" || c.Seq != 7 {
-		t.Fatalf("clone lost content: %+v", c)
-	}
-}
-
 func TestSendPooledDataOwnershipTransfers(t *testing.T) {
 	nw := NewNetwork(2, nil)
 	defer nw.Close()
