@@ -579,6 +579,9 @@ func runDistributed(o distOpts) int {
 			rep.Replays, rep.ReplayWave)
 	}
 	fmt.Printf("elapsed: %v\n", rep.Elapsed.Round(time.Millisecond))
+	// Snapshot the sdr_cluster_* series before the reference run below:
+	// cluster.Run moves them too.
+	rs := buildRunStats(o, rep)
 
 	exit := 0
 	if o.compare {
@@ -629,7 +632,6 @@ func runDistributed(o distOpts) int {
 		fmt.Println("recovery trace:")
 		rep.Trace.Render(os.Stdout)
 	}
-	rs := buildRunStats(o, rep)
 	rs.WriteBlock(os.Stdout)
 	if o.statsJSON != "" {
 		b, err := rs.JSON()

@@ -21,9 +21,9 @@
 //	internal/core       the vProtocol interception point: SDR-MPI with
 //	                    coalesced acknowledgements, the mirror and leader
 //	                    baselines, failure handling, recovery, SDC
-//	internal/cluster    the launcher: spawns one goroutine process per
-//	                    layout slot (or, in distributed mode, one real OS
-//	                    process each behind a rendezvous registry),
+//	internal/cluster    the launcher: one epoch loop runs a seat per layout
+//	                    slot — a goroutine process, or in distributed mode
+//	                    a real OS process behind a rendezvous registry —
 //	                    orchestrates crash/recovery schedules, and restarts
 //	                    the run from the latest committed checkpoint wave
 //	                    when a rank loses its last replica
@@ -112,8 +112,9 @@
 // each worker), and shutdown. Replication exhaustion makes workers exit
 // with a distinct code; the coordinator tears the epoch down and respawns
 // every worker from the latest committed wave in the shared internal/ckpt
-// store — the cross-process incarnation of cluster.Run's recovery ladder,
-// with results identical to a fault-free in-process run. Under
+// store — cluster.Run's recovery ladder, run by the same epoch loop over
+// OS-process seats instead of goroutine seats, with results identical to a
+// fault-free in-process run. Under
 // SDR_DIST_RECOVERY=log a logging-enabled rank's death instead respawns
 // only that worker (SDR_DIST_REPLAY carries its restore wave) behind the
 // registry's revive/ack rejoin flow, with the survivors kept alive. The
@@ -123,29 +124,29 @@
 // # Observability
 //
 // internal/obs gives the stack a production-shaped seam with nothing but
-// the standard library. Every layer counts what it does into obs.Default
-// — a process-wide registry of monotonic counters and gauges named by
-// layer (sdr_core_* app/ack/substitution/replay counts,
-// sdr_transport_* bytes and pool hit rates, sdr_ckpt_* waves saved and
-// committed, sdr_cluster_* the coordinator's detect/restart/replay/epoch
-// series) and rendered in Prometheus text exposition format. In
-// distributed mode every worker serves GET /healthz (a JSON liveness
-// document: status, pid, uptime, rank/replica labels) and GET /metrics
-// on an ephemeral loopback port; the worker publishes that address in
-// its rendezvous hello, the coordinator logs "metrics at http://…" the
-// moment the worker is ready, and any operator, test, or CI step can
-// scrape a live run mid-flight. At shutdown the coordinator scrapes
-// every surviving worker and folds the result into an obs.RunStats
+// the standard library. Every layer counts what it does into obs.Default —
+// a process-wide registry of monotonic counters and gauges named by layer
+// (sdr_core_* app/ack/substitution/replay counts, sdr_transport_* bytes
+// and pool hit rates, sdr_ckpt_* waves saved and committed, sdr_cluster_*
+// the launchers' epoch/restart/replay series and the coordinator's health
+// kills and rejoin timeouts) and rendered in Prometheus text exposition
+// format. In distributed mode every worker serves GET /healthz (a JSON
+// liveness document: status, pid, uptime, rank/replica labels) and GET
+// /metrics on an ephemeral loopback port; the worker publishes that
+// address in its rendezvous hello, the coordinator logs "metrics at
+// http://…" the moment the worker is ready, and any operator, test, or CI
+// step can scrape a live run mid-flight. At shutdown the coordinator
+// scrapes every surviving worker and folds the result into an obs.RunStats
 // document (JSON schema "sdr.runstats/1": protocol, layout, restart and
 // replay waves, per-epoch timings, per-worker metric snapshots, the
-// coordinator's own sdr_cluster_* series) — printed as a structured
-// block and written machine-readable via sdrun -stats-json. Recovery
-// itself is traced, not just counted: the coordinator and the in-process
-// launcher emit span-style events (obs.Trace; stages park, kill, detect,
+// coordinator's own sdr_cluster_* series) — printed as a structured block
+// and written machine-readable via sdrun -stats-json. Recovery itself is
+// traced, not just counted: the coordinator and the in-process launcher
+// emit span-style events (obs.Trace; stages park, kill, detect,
 // substitute, replay, rollback, recovered, match) so one failure reads
 // end-to-end as kill → detect → replay → match with wall-clock offsets;
-// sdrun prints the chain after the MATCH verdict and faultdemo's
-// narration is rendered from the same live event stream.
+// sdrun prints the chain after the MATCH verdict and faultdemo's narration
+// is rendered from the same live event stream.
 //
 // # Fast path
 //

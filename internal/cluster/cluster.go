@@ -11,6 +11,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -490,14 +491,8 @@ type Report struct {
 
 // FirstError returns the first non-crash error, if any.
 func (r *Report) FirstError() error {
-	if r.TimedOut {
-		// Report the per-epoch watchdog deadline, not Elapsed: after a
-		// rollback restart, Elapsed accumulates across epochs while the
-		// watchdog fired within the final one.
-		return fmt.Errorf("cluster: run timed out after %v", r.Config.timeout())
-	}
-	if r.ExhaustErr != nil {
-		return r.ExhaustErr
+	if err := r.Tally.err(); err != nil {
+		return err
 	}
 	for _, p := range r.Procs {
 		if p.Err != nil {
@@ -534,7 +529,9 @@ func (f *firedSet) fire(i int) bool {
 	return !done
 }
 
-// runState is the shared coordination state of one run epoch.
+// runState is the goroutine seats of one run epoch — every process a
+// goroutine on one shared transport.Network — and the harness their Envs
+// call.
 type runState struct {
 	cfg    Config
 	layout core.Layout
@@ -548,135 +545,16 @@ type runState struct {
 	// starts from seed.states[rank] (nil on the first epoch).
 	seed epochSeed
 
-	// logRanks marks the ranks under sender-based message logging (nil
-	// unless Config.RecoveryMode is log and the layout has degree-1
-	// ranks); timedOut flags the watchdog teardown so a crash unwind
-	// during it is not mistaken for a replayable death.
-	logRanks []bool
-	timedOut atomic.Bool
-
 	recovered firedSet // recovery events performed this epoch
 
-	mu         sync.Mutex                     // sdr:lockrank runstate
-	reports    []ProcReport                   // guarded by mu
-	recorders  map[transport.ProcID]*Recorder // guarded by mu
-	wg         sync.WaitGroup
-	sdcTotal   int // guarded by mu
-	replays    int // guarded by mu; completed localized relaunches this epoch
-	replayWave int // guarded by mu; wave of the last localized relaunch
+	events chan<- seatEvent // the epoch loop's
+	stop   chan struct{}    // closed by finish: the drains end
 
-	// exhaustedRank+1 of the first rank observed to lose its last
-	// replica; 0 while replication still holds.
-	exhausted atomic.Int64
-
-	// spawned counts launched processes; appDone counts those whose
-	// application body has returned (or unwound). Their difference
-	// drives the finalize drain.
-	spawned atomic.Int64
-	appDone atomic.Int64
-}
-
-// noteExhausted records the first replication-exhaustion observation and
-// tears the epoch down: every process is killed at once, so compute-bound
-// survivors unwind promptly and no twin can take a failure notification
-// for a substitution in an epoch that is already lost. Run then escalates
-// to a rollback restart (or reports the failure when no checkpoint
-// exists).
-func (rs *runState) noteExhausted(rank int) {
-	if rs.exhausted.CompareAndSwap(0, int64(rank)+1) {
-		rs.nw.KillAll()
-	}
-}
-
-// logEnabled reports whether rank runs under sender-based message logging.
-func (rs *runState) logEnabled(rank int) bool {
-	return rs.logRanks != nil && rs.logRanks[rank]
-}
-
-// replaySeed carries everything a restored process resumes from: the
-// checkpoint wave (-1 for a fork), the application state, and the encoded
-// protocol replay state. A localized relaunch reads its rank's own newest
-// wave from the store; a §3.4 fork (fork set) takes both states from its
-// live substitute.
-type replaySeed struct {
-	wave  int
-	app   []byte
-	state []byte
-	fork  bool
-}
-
-// loadReplay loads rank's newest replay-eligible wave from the store — the
-// coordinator-side pre-flight of both launchers' localized relaunch. Only
-// the NEWEST (checkpoint, mlog) pair is ever usable: the rank's last
-// checkpoint acknowledgement already truncated the senders' logs up to it,
-// so any failure here means the localized rung is gone and the caller must
-// fall back to a global rollback.
-func loadReplay(store *ckpt.Store, rank int) (*replaySeed, error) {
-	if store == nil {
-		return nil, fmt.Errorf("cluster: no checkpoint store for localized replay")
-	}
-	wave, err := store.LatestLog(rank)
-	if err != nil {
-		return nil, err
-	}
-	if wave < 0 {
-		return nil, fmt.Errorf("cluster: rank %d has no replay-eligible checkpoint wave", rank)
-	}
-	return readReplay(store, rank, wave)
-}
-
-// readReplay loads rank's checkpoint and replay state of wave, validating
-// the replay state end to end.
-func readReplay(store *ckpt.Store, rank, wave int) (*replaySeed, error) {
-	app, err := store.Load(rank, wave)
-	if err != nil {
-		return nil, err
-	}
-	state, err := store.LoadLog(rank, wave)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.ValidateReplayState(state); err != nil {
-		return nil, err
-	}
-	return &replaySeed{wave: wave, app: app, state: state}, nil
-}
-
-// relaunchLogged performs the localized-replay rung for the dead process
-// of a logging-enabled rank: load its newest checkpoint + replay state,
-// revive its network endpoint, and run it again. The survivors replay
-// their message logs when the relaunched process announces itself. Any
-// load or decode failure fails closed into the global-rollback rung. The
-// caller has already reserved the wg/spawned slot this (re)run consumes.
-func (rs *runState) relaunchLogged(dead transport.ProcID) {
-	rank := rs.layout.RankOf(dead)
-	bail := func() {
-		rs.appDone.Add(1)
-		rs.wg.Done()
-	}
-	seed, err := loadReplay(rs.store, rank)
-	if err != nil {
-		// Record the exhaustion BEFORE releasing the reserved WaitGroup
-		// slot: the release may be the epoch's last, and Run must observe
-		// the escalation when the epoch drains.
-		rs.noteExhausted(rank)
-		bail()
-		return
-	}
-	if rs.exhausted.Load() != 0 || rs.timedOut.Load() {
-		bail() // the epoch is being torn down; don't revive into it
-		return
-	}
-	rs.mu.Lock()
-	rs.replays++
-	rs.replayWave = seed.wave
-	rs.mu.Unlock()
-	rev := obs.Ev(obs.StageReplay,
-		fmt.Sprintf("relaunched alone from wave %d; survivors replay their logs", seed.wave))
-	rev.Proc, rev.Rank, rev.Wave = int(dead), rank, seed.wave
-	obs.DefaultTrace.Emit(rev)
-	rs.nw.Revive(dead)
-	rs.runProc(dead, seed)
+	// Written by start, on the loop's goroutine; each report is filled by
+	// its process and read once the loop has seen it exit.
+	recorders map[transport.ProcID]*Recorder
+	reports   []*ProcReport
+	sdcTotal  atomic.Int64
 }
 
 // Run executes the application under the configured protocol and returns
@@ -689,8 +567,48 @@ func (rs *runState) relaunchLogged(dead transport.ProcID) {
 func Run(cfg Config, app AppFunc) *Report {
 	rep := &Report{Config: cfg}
 	fired := &firedSet{}
-	err := ladder(cfg, &rep.Tally, obs.DefaultTrace, true, func(l core.Layout, store *ckpt.Store, seed epochSeed) epochOutcome {
-		return runOnce(rep, l, app, store, fired, seed)
+	err := ladder(cfg, &rep.Tally, obs.DefaultTrace, true, func(layout core.Layout, store *ckpt.Store, seed epochSeed) epochOutcome {
+		var nw *transport.Network
+		if cfg.UseTCP {
+			var tw *transport.PeerWire
+			var err error
+			if nw, tw, err = transport.NewTCPNetwork(layout.Procs()); err != nil {
+				// Loopback listen failed (exotic sandbox): run in-process.
+				nw = transport.NewNetwork(layout.Procs(), cfg.Delay)
+			} else {
+				defer tw.Close()
+			}
+		} else {
+			nw = transport.NewNetwork(layout.Procs(), cfg.Delay)
+		}
+		defer nw.Close()
+
+		// Partial replication needs no special casing here: the
+		// degree-aware layout's physical-ID space is dense, so every ID
+		// names a process that really exists and the loop starts exactly
+		// Σ degrees goroutines — no phantom slots, reports, or detector
+		// traffic.
+		loop := newEpochLoop(cfg, layout, store, obs.DefaultTrace, io.Discard)
+		rs := &runState{
+			cfg:        cfg,
+			layout:     layout,
+			nw:         nw,
+			det:        detect.NewService(nw),
+			app:        app,
+			commitLine: commitLine{store: store, waves: waveTally{ranks: cfg.Ranks}},
+			fired:      fired,
+			seed:       seed,
+			events:     loop.events,
+			stop:       make(chan struct{}),
+			recorders:  make(map[transport.ProcID]*Recorder),
+		}
+		out := loop.run(rs, cfg.timeout())
+		rep.Procs, rep.Recorders, rep.SDCDetected = nil, rs.recorders, int(rs.sdcTotal.Load())
+		for _, pr := range rs.reports {
+			rep.Procs = append(rep.Procs, *pr)
+		}
+		rep.Stats = nw.Stats().Snapshot()
+		return out
 	})
 	if err != nil {
 		rep.Procs = []ProcReport{{Err: err}}
@@ -698,94 +616,26 @@ func Run(cfg Config, app AppFunc) *Report {
 	return rep
 }
 
-// runOnce executes one epoch — spawn, watchdog, aggregate — and fills the
-// report's per-epoch fields.
-func runOnce(rep *Report, layout core.Layout, app AppFunc, store *ckpt.Store, fired *firedSet, seed epochSeed) epochOutcome {
-	cfg := rep.Config
-	var nw *transport.Network
-	if cfg.UseTCP {
-		var tw *transport.PeerWire
-		var err error
-		if nw, tw, err = transport.NewTCPNetwork(layout.Procs()); err != nil {
-			// Loopback listen failed (exotic sandbox): run in-process.
-			nw = transport.NewNetwork(layout.Procs(), cfg.Delay)
-		} else {
-			defer tw.Close()
-		}
-	} else {
-		nw = transport.NewNetwork(layout.Procs(), cfg.Delay)
-	}
-	defer nw.Close()
-
-	rs := &runState{
-		cfg:        cfg,
-		layout:     layout,
-		nw:         nw,
-		det:        detect.NewService(nw),
-		app:        app,
-		commitLine: commitLine{store: store, waves: waveTally{ranks: cfg.Ranks}},
-		fired:      fired,
-		seed:       seed,
-		reports:    make([]ProcReport, layout.Procs()),
-		recorders:  make(map[transport.ProcID]*Recorder),
-		logRanks:   cfg.logRanks(layout),
-		replayWave: -1,
-	}
-
-	// Partial replication needs no special casing here: the degree-aware
-	// layout's physical-ID space is dense, so every ID names a process
-	// that really exists and the spawn loop launches exactly Σ degrees
-	// goroutines — no phantom slots, reports, or detector traffic.
-	start := time.Now()
-	for i := 0; i < layout.Procs(); i++ {
-		rs.wg.Add(1)
-		rs.spawned.Add(1)
-		go rs.runProc(transport.ProcID(i), nil)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		rs.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(cfg.timeout()):
-		rs.timedOut.Store(true)
-		nw.KillAll()
-		<-done
-	}
-	elapsed := time.Since(start)
-
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rep.Procs = append([]ProcReport(nil), rs.reports...)
-	rep.Stats = nw.Stats().Snapshot()
-	rep.Recorders = rs.recorders
-	rep.SDCDetected = rs.sdcTotal
-	exRank := int(rs.exhausted.Load()) - 1
-	return epochOutcome{elapsed: elapsed, timedOut: rs.timedOut.Load(), exhausted: exRank >= 0, rank: exRank,
-		replays: rs.replays, replayWave: rs.replayWave}
-}
-
-// runProc is one physical process's lifetime on the shared process body.
-// A recovered replica's seed carries the §3.4 fork; a localized relaunch's
-// carries its rank's checkpoint and replay state. seed is nil for a
-// process that starts with its epoch.
-func (rs *runState) runProc(id transport.ProcID, seed *replaySeed) {
-	defer rs.wg.Done()
-	start := time.Now()
+// start runs process p as a goroutine on the shared process body. A
+// localized relaunch's seed carries its rank's checkpoint and replay
+// state, a §3.4 fork's the substitute's state; seed is nil for a process
+// that starts with its epoch.
+func (rs *runState) start(p int, seed *replaySeed) error {
+	id := transport.ProcID(p)
 	rank, rep := rs.layout.RankOf(id), rs.layout.RepOf(id)
-	pr := ProcReport{Proc: id, Rank: rank, Rep: rep}
 	env := &Env{Rank: rank, Rep: rep, h: rs, restoredStep: -1,
 		store: rs.store, ranks: rs.cfg.Ranks, epoch: rs.seed.epoch}
 	b := procBody{cfg: rs.cfg, layout: rs.layout, nw: rs.nw, det: rs.det, env: env}
 	switch {
 	case seed != nil:
-		// A fork resumes from its substitute's state; a localized relaunch
+		// A fork resumes from its substitute's state (the substitute
+		// revived the endpoint before announcing it); a localized relaunch
 		// rolls only this rank back, to its own newest checkpoint wave.
 		env.restored, env.restoredStep = seed.app, seed.wave
 		b.state, b.forked = seed.state, seed.fork
+		if !seed.fork {
+			rs.nw.Revive(id)
+		}
 	case rs.seed.states != nil:
 		// Rollback epoch: every replica of every rank resumes from the
 		// wave the ladder selected.
@@ -793,61 +643,45 @@ func (rs *runState) runProc(id transport.ProcID, seed *replaySeed) {
 	}
 	if rs.cfg.TraceSends && rs.cfg.Protocol != Native {
 		b.rec = NewRecorder(rs.cfg.KeepEvents)
-		rs.mu.Lock()
 		rs.recorders[id] = b.rec
-		rs.mu.Unlock()
 	}
-
-	doneMarked := false
-	markDone := func() {
-		if !doneMarked {
-			doneMarked = true
-			rs.appDone.Add(1)
+	// Slots report in start order; a recovered or relaunched replica
+	// reports alongside — not instead of — its crashed predecessor.
+	pr := &ProcReport{Proc: id, Rank: rank, Rep: rep}
+	rs.reports = append(rs.reports, pr)
+	go func() {
+		start := time.Now()
+		out := b.run(rs.app, func(res any, err error) bool {
+			pr.Result, pr.Err = res, err
+			if env.proto != nil {
+				rs.sdcTotal.Add(int64(env.proto.SDCDetected()))
+			}
+			rs.events <- seatEvent{proc: p, done: true}
+			return true
+		}, rs.stop)
+		pr.Elapsed, pr.Crashed = time.Since(start), out.crashed
+		if out.err != nil {
+			pr.Err = out.err
 		}
-	}
-	out := b.run(rs.app, func(res any, err error) bool {
-		pr.Result, pr.Err = res, err
-		if env.proto != nil && env.proto.SDCDetected() > 0 {
-			rs.mu.Lock()
-			rs.sdcTotal += env.proto.SDCDetected()
-			rs.mu.Unlock()
-		}
-		markDone()
-		return true
-	}, func() bool { return rs.appDone.Load() >= rs.spawned.Load() })
-	pr.Elapsed = time.Since(start)
-	switch {
-	case out.crashed:
-		pr.Crashed = true
-		if rs.logEnabled(rank) && rs.exhausted.Load() == 0 && !rs.timedOut.Load() {
-			// The middle rung: a logging-enabled rank died. Reserve the
-			// relaunch slot before this process releases its own, so the
-			// epoch's WaitGroup can never drain in between, and relaunch
-			// it alone — the survivors keep their state and replay their
-			// logs.
-			rs.wg.Add(1)
-			rs.spawned.Add(1)
-			go rs.relaunchLogged(id)
-		}
-	case out.exhausted >= 0:
-		// Not an application error: the recovery ladder's second rung.
-		// Record it for the ladder, which tears this epoch down and
-		// escalates to a rollback restart.
-		rs.noteExhausted(out.exhausted)
-	case out.err != nil:
-		pr.Err = out.err
-	}
-	markDone()
-	rs.mu.Lock()
-	if seed != nil {
-		// A recovered or relaunched replica reports alongside — not
-		// instead of — its crashed predecessor.
-		rs.reports = append(rs.reports, pr)
-	} else {
-		rs.reports[int(id)] = pr
-	}
-	rs.mu.Unlock()
+		rs.events <- seatEvent{proc: p, out: out}
+	}()
+	return nil
 }
+
+// died has nothing to do in process: the victim's own kill made the
+// detector broadcast its failure.
+func (rs *runState) died(int) {}
+
+// teardown kills every endpoint at once, so compute-bound survivors unwind
+// promptly and no twin can take a failure notification for a substitution
+// in an epoch that is already lost.
+func (rs *runState) teardown() { rs.nw.KillAll() }
+
+func (rs *runState) finish() { close(rs.stop) }
+
+func (rs *runState) control() (<-chan regEvent, <-chan time.Time) { return nil, nil }
+func (rs *runState) onControl(regEvent)                           {}
+func (rs *runState) probe()                                       {}
 
 // stepHook realizes the failure/recovery schedule at an application step
 // boundary.
@@ -895,8 +729,8 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 		seed := &replaySeed{wave: -1, app: snapshot(), state: state, fork: true}
 		rs.nw.Revive(dead)
 		e.proto.BroadcastRecovered(dead)
-		rs.wg.Add(1)
-		rs.spawned.Add(1)
-		go rs.runProc(dead, seed)
+		// This process is still running, so the loop starts the revived
+		// replica before it can see the forking process exit.
+		rs.events <- seatEvent{proc: int(dead), fork: seed}
 	}
 }

@@ -109,11 +109,8 @@ type DistReport struct {
 
 // FirstError returns the first failure of the run, if any.
 func (r *DistReport) FirstError() error {
-	if r.TimedOut {
-		return fmt.Errorf("cluster: distributed run timed out")
-	}
-	if r.ExhaustErr != nil {
-		return r.ExhaustErr
+	if err := r.Tally.err(); err != nil {
+		return err
 	}
 	for _, p := range r.Procs {
 		if p.Err != "" {
@@ -125,13 +122,13 @@ func (r *DistReport) FirstError() error {
 
 // RunDistributed executes the application as real OS processes — one per
 // slot of the (possibly degree-aware) layout — and returns the aggregated
-// report. It climbs the same recovery ladder as Run: the coordinator
-// spawns workers, hands out the rendezvous world through the registry,
-// streams their output, SIGKILLs scheduled victims at their reported step
-// boundaries, broadcasts failure notifications, and — when a worker
-// reports replication exhaustion — tears the epoch down and respawns
-// everything from the latest committed checkpoint wave in the shared
-// store.
+// report. It climbs the same recovery ladder as Run, over the same epoch
+// loop: the coordinator spawns workers, hands out the rendezvous world
+// through the registry, streams their output, SIGKILLs scheduled victims
+// at their reported step boundaries, broadcasts failure notifications,
+// relaunches a dead logging rank alone, and — when a worker reports
+// replication exhaustion — tears the epoch down and respawns everything
+// from the latest committed checkpoint wave in the shared store.
 func RunDistributed(cfg DistConfig) *DistReport {
 	rep := &DistReport{
 		Tally:       Tally{RestartWave: -1, ReplayWave: -1},
@@ -161,15 +158,9 @@ func RunDistributed(cfg DistConfig) *DistReport {
 	}
 	fired := make([]bool, len(cfg.Failures))
 	err := ladder(cfg.Config, &rep.Tally, rep.Trace, false, func(l core.Layout, store *ckpt.Store, seed epochSeed) epochOutcome {
-		if seed.epoch > 0 {
-			mRestarts.Inc()
-		}
-		ep := runDistEpoch(cfg, l, store, fired, seed, rep.Trace)
-		rep.Procs, rep.Workers = ep.procs, ep.workers
-		rep.EpochsSec = append(rep.EpochsSec, ep.elapsed.Seconds())
-		mEpochs.Inc()
-		gEpochMillis.Set(ep.elapsed.Milliseconds())
-		return ep.epochOutcome
+		out := runProcEpoch(cfg, l, store, fired, seed, rep)
+		rep.EpochsSec = append(rep.EpochsSec, out.elapsed.Seconds())
+		return out
 	})
 	if err != nil {
 		rep.ExhaustErr = err
@@ -177,40 +168,17 @@ func RunDistributed(cfg DistConfig) *DistReport {
 	return rep
 }
 
-// distEpoch is one epoch's outcome: the ladder's part, and the workers'
-// reports and end-of-run scrapes.
-type distEpoch struct {
-	epochOutcome
-	procs   []DistProcReport
-	workers []obs.WorkerStats
-}
-
-// distWorker is the coordinator's handle on one spawned worker process.
-type distWorker struct {
-	rank, rep int
-	cmd       *exec.Cmd
-}
-
-// procExit reports a worker process's termination.
-type procExit struct {
-	proc int
-	code int // ExitCode(); -1 when signaled (SIGKILL)
-}
-
-// runDistEpoch spawns one full set of workers and runs the epoch's event
-// loop until completion, exhaustion, or the watchdog.
-func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired []bool, seed epochSeed, tr *obs.Trace) distEpoch {
+// runProcEpoch sets one epoch's control plane up — the registry, the
+// per-epoch ring directory, the fd budget — and runs the epoch loop over
+// worker processes, filling the report's per-epoch fields.
+func runProcEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired []bool, seed epochSeed, rep *DistReport) epochOutcome {
 	procs := layout.Procs()
-
 	reg, err := newRegistry(procs, cfg.Ranks, store, cfg.RejoinTimeout)
 	if err != nil {
-		return distEpoch{epochOutcome: epochOutcome{err: err}}
+		return epochOutcome{err: err}
 	}
 	defer reg.Close()
-
 	sink := &syncWriter{w: cfg.LogSink}
-	exitCh := make(chan procExit, 4*procs)
-	workers := make([]*distWorker, procs)
 
 	// Per-epoch ring directory: colocated pairs negotiate mmap'd ring
 	// files under it at rendezvous. Scoping the directory to one epoch
@@ -231,264 +199,187 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 	// limit of 1024 otherwise dies mid-spawn as EMFILE on pipe(2), which
 	// presents as a half-built world instead of a clear answer.
 	fdBudget := uint64(3*procs + 64)
-	if limit, err := transport.EnsureFileLimit(fdBudget); err != nil {
-		return distEpoch{epochOutcome: epochOutcome{err: fmt.Errorf("cluster: fd preflight for %d workers: %w", procs, err)}}
-	} else {
-		fmt.Fprintf(sink, "[coordinator] fd preflight: budget %d for %d workers, soft limit %d\n", fdBudget, procs, limit)
+	limit, err := transport.EnsureFileLimit(fdBudget)
+	if err != nil {
+		return epochOutcome{err: fmt.Errorf("cluster: fd preflight for %d workers: %w", procs, err)}
 	}
+	fmt.Fprintf(sink, "[coordinator] fd preflight: budget %d for %d workers, soft limit %d\n", fdBudget, procs, limit)
 
-	seat := func(p int) WorkerConfig {
-		w := cfg.seat(layout, p, fired, seed)
-		w.Registry, w.RingDir = reg.Addr(), ringDir
-		return w
-	}
-	start := time.Now()
-	for p := 0; p < procs; p++ {
-		w, err := spawnWorker(cfg, seat(p), sink, exitCh)
-		if err != nil {
-			// Abort the partial epoch: kill what already started.
-			for _, prev := range workers {
-				if prev != nil {
-					_ = prev.cmd.Process.Kill()
-				}
-			}
-			return distEpoch{epochOutcome: epochOutcome{err: fmt.Errorf("cluster: spawn worker %d: %w", p, err), elapsed: time.Since(start)}}
-		}
-		workers[p] = w
-	}
-
-	var (
-		dead       = make(map[int]bool)   // exited (any reason)
-		scheduled  = make(map[int]bool)   // SIGKILL sent for a fired event
-		done       = make(map[int]ctlMsg) // app results
-		out        = distEpoch{epochOutcome: epochOutcome{rank: -1, replayWave: -1}}
-		tearing    = false
-		exits      = 0
-		spawnTotal = procs // grows with localized relaunches
-	)
-	logRanks := cfg.logRanks(layout)
-	maxReplays := len(cfg.Failures) + 1
-	watchdog := time.NewTimer(cfg.timeout())
-	defer watchdog.Stop()
 	health := time.NewTicker(time.Second)
 	defer health.Stop()
-
-	teardown := func() {
-		if tearing {
-			return
-		}
-		tearing = true
-		for p, w := range workers {
-			if !dead[p] {
-				_ = w.cmd.Process.Kill()
-			}
-		}
+	loop := newEpochLoop(cfg.Config, layout, store, rep.Trace, sink)
+	h := &procSeats{cfg: cfg, fired: fired, epoch: seed, reg: reg, ringDir: ringDir, loop: loop,
+		health: health, workers: make([]*distWorker, procs)}
+	out := loop.run(h, cfg.timeout())
+	rep.Workers, rep.Procs = h.scrapes, nil
+	if out.err != nil {
+		return out
 	}
-	complete := func() bool {
-		for p := 0; p < procs; p++ {
-			if !dead[p] {
-				if _, ok := done[p]; !ok {
-					return false
-				}
-			}
+	for p, w := range h.workers {
+		if !loop.done[p] && !w.Crashed && !out.timedOut && !out.exhausted {
+			w.Err = "worker exited without a result"
 		}
-		return true
-	}
-	// finish scrapes every live worker's /metrics — they are draining,
-	// their obs servers still up — then releases them with the shutdown
-	// broadcast. The scrape must come first: after shutdown the workers
-	// exit and the endpoints vanish.
-	finish := func() {
-		tearing = true
-		for p := 0; p < procs; p++ {
-			if dead[p] {
-				continue
-			}
-			w := workers[p]
-			ws := obs.WorkerStats{Proc: p, Rank: w.rank, Rep: w.rep, Addr: reg.obsAddr(p)}
-			if ws.Addr == "" {
-				ws.Err = "no obs address published"
-			} else if m, err := obs.Scrape(ws.Addr, 2*time.Second); err != nil {
-				ws.Err = err.Error()
-			} else {
-				ws.Scraped = true
-				ws.Metrics = m
-			}
-			out.workers = append(out.workers, ws)
-		}
-		reg.broadcast(ctlMsg{Op: opShutdown}, -1)
-	}
-
-	// relaunch attempts the localized-replay rung for a dead logging-rank
-	// worker: validate the rank's newest (checkpoint, replay-state) pair
-	// end to end, then respawn exactly one OS process restored from it.
-	// Any failure reports false and the caller escalates to the global
-	// rollback rung — fail closed, never garbage.
-	relaunch := func(proc int) bool {
-		rank := layout.RankOf(transport.ProcID(proc))
-		if out.replays >= maxReplays {
-			fmt.Fprintf(sink, "[coordinator] worker %d (rank %d): replay budget (%d) spent; global rollback\n", proc, rank, maxReplays)
-			return false
-		}
-		rs, err := loadReplay(store, rank)
-		if err != nil {
-			fmt.Fprintf(sink, "[coordinator] worker %d (rank %d): localized replay unavailable (%v); global rollback\n", proc, rank, err)
-			return false
-		}
-		var deadList []int
-		for p := range dead {
-			if dead[p] && p != proc {
-				deadList = append(deadList, p)
-			}
-		}
-		reg.forget(proc)
-		wc := seat(proc)
-		wc.ReplayWave, wc.DeadProcs = rs.wave, deadList
-		w, err := spawnWorker(cfg, wc, sink, exitCh)
-		if err != nil {
-			fmt.Fprintf(sink, "[coordinator] relaunch worker %d: %v; global rollback\n", proc, err)
-			return false
-		}
-		workers[proc] = w
-		dead[proc] = false
-		spawnTotal++
-		out.replays++
-		out.replayWave = rs.wave
-		mReplays.Inc()
-		ev := obs.Ev(obs.StageReplay,
-			fmt.Sprintf("relaunched alone from wave %d; survivors replay their logs", rs.wave))
-		ev.Proc, ev.Rank, ev.Wave = proc, rank, rs.wave
-		tr.Emit(ev)
-		fmt.Fprintf(sink, "[coordinator] worker %d (rank %d) relaunched alone from wave %d; survivors replay their logs\n", proc, rank, rs.wave)
-		return true
-	}
-
-	for exits < spawnTotal {
-		select {
-		case ev := <-reg.events:
-			if tearing {
-				continue
-			}
-			switch ev.kind {
-			case evReady:
-				// World table broadcast; workers are computing. Publish
-				// where each worker's metrics live so a mid-run scraper
-				// (CI smoke, an operator) can reach them.
-				for p := 0; p < procs; p++ {
-					if a := reg.obsAddr(p); a != "" && !dead[p] {
-						w := workers[p]
-						fmt.Fprintf(sink, "[coordinator] worker %d (r%d.%d) metrics at http://%s/metrics\n",
-							p, w.rank, w.rep, a)
-					}
-				}
-			case evKillMe:
-				// The victim is parked at its step boundary: realize the
-				// scheduled fail-stop with a real SIGKILL.
-				w := workers[ev.proc]
-				pev := obs.Ev(obs.StagePark, "worker parked at scheduled kill boundary")
-				pev.Proc, pev.Rank, pev.Rep, pev.Step = ev.proc, w.rank, w.rep, ev.msg.Step
-				tr.Emit(pev)
-				for i, f := range cfg.Failures {
-					if !fired[i] && f.Rank == w.rank && f.Rep == w.rep && f.AtStep == ev.msg.Step {
-						fired[i] = true
-						scheduled[ev.proc] = true
-						_ = w.cmd.Process.Kill()
-						kev := obs.Ev(obs.StageKill, "SIGKILL delivered")
-						kev.Proc, kev.Rank, kev.Rep, kev.Step = ev.proc, w.rank, w.rep, ev.msg.Step
-						tr.Emit(kev)
-						break
-					}
-				}
-			case evExhausted:
-				out.exhausted = true
-				teardown()
-			case evDone:
-				done[ev.proc] = ev.msg
-				if complete() {
-					finish() // workers exit on their own now
-				}
-			case evLost:
-				// The process exit (right behind the EOF) carries the
-				// classification; nothing to do here.
-			}
-		case ex := <-exitCh:
-			exits++
-			if dead[ex.proc] {
-				continue
-			}
-			dead[ex.proc] = true
-			if tearing {
-				continue
-			}
-			if ex.code == workerExitExhausted {
-				out.exhausted = true
-				teardown()
-				continue
-			}
-			if _, finished := done[ex.proc]; finished && ex.code == 0 {
-				continue // clean exit after shutdown (rare ordering)
-			}
-			// A real process death — scheduled or not. Broadcast the
-			// failure notification so the survivors' protocol layer can
-			// substitute (or, for a logging-enabled rank, park for the
-			// localized replay; or report exhaustion).
-			reg.announceDead(ex.proc)
-			wk := workers[ex.proc]
-			dev := obs.Ev(obs.StageDetect, "worker process exited; failure broadcast to survivors")
-			dev.Proc, dev.Rank, dev.Rep = ex.proc, wk.rank, wk.rep
-			tr.Emit(dev)
-			if rank := layout.RankOf(transport.ProcID(ex.proc)); logRanks != nil && logRanks[rank] {
-				if !relaunch(ex.proc) {
-					out.exhausted = true
-					teardown()
-				}
-				continue
-			}
-			if complete() {
-				finish()
-			}
-		case <-health.C:
-			if tearing {
-				continue
-			}
-			if p, age := reg.stalest(func(p int) bool { return !dead[p] }); p >= 0 && age > cfg.HealthTimeout {
-				// Hung worker: the liveness probe treats it as failed.
-				fmt.Fprintf(sink, "[coordinator] worker %d silent for %v; killing\n", p, age.Round(time.Second))
-				mHealthKills.Inc()
-				w := workers[p]
-				kev := obs.Ev(obs.StageKill,
-					fmt.Sprintf("liveness probe: control channel silent for %v", age.Round(time.Second)))
-				kev.Proc, kev.Rank, kev.Rep = p, w.rank, w.rep
-				tr.Emit(kev)
-				_ = workers[p].cmd.Process.Kill()
-			}
-		case <-watchdog.C:
-			out.timedOut = true
-			teardown()
-		}
-	}
-
-	out.elapsed = time.Since(start)
-	out.procs = make([]DistProcReport, procs)
-	for p := 0; p < procs; p++ {
-		w := workers[p]
-		pr := DistProcReport{Proc: transport.ProcID(p), Rank: w.rank, Rep: w.rep}
-		if m, ok := done[p]; ok {
-			pr.Result = WorkerResult{Checksum: m.Checksum, Residual: m.Residual, Iterations: m.Iterations}
-			pr.Err = m.Err
-		} else if scheduled[p] {
-			pr.Crashed = true
-		} else if !out.timedOut && !out.exhausted {
-			pr.Err = "worker exited without a result"
-		}
-		out.procs[p] = pr
+		rep.Procs = append(rep.Procs, w.DistProcReport)
 	}
 	return out
 }
 
+// distWorker is the coordinator's handle on one spawned worker process,
+// and the report the epoch fills in for it.
+type distWorker struct {
+	DistProcReport
+	cmd *exec.Cmd
+}
+
+// procSeats is the OS-process seats of one distributed epoch: a worker
+// process per slot, spawned with its seat as the env contract, watched
+// through its exit status and the registry.
+type procSeats struct {
+	cfg     DistConfig
+	fired   []bool // scheduled failures already realized, across epochs
+	epoch   epochSeed
+	reg     *registry
+	ringDir string
+	loop    *epochLoop
+	health  *time.Ticker
+	workers []*distWorker
+	scrapes []obs.WorkerStats
+}
+
+// start spawns slot p's worker. A localized relaunch's worker re-reads
+// the wave the loop validated and learns which workers are already dead.
+func (h *procSeats) start(p int, seed *replaySeed) error {
+	wc := h.cfg.seat(h.loop.layout, p, h.fired, h.epoch)
+	wc.Registry, wc.RingDir = h.reg.Addr(), h.ringDir
+	if seed != nil {
+		h.reg.forget(p)
+		wc.ReplayWave = seed.wave
+		for q, n := range h.loop.live {
+			if n == 0 && q != p {
+				wc.DeadProcs = append(wc.DeadProcs, q)
+			}
+		}
+	}
+	w, err := spawnWorker(h.cfg, wc, h.loop.sink, h.loop.events)
+	if err != nil {
+		return err
+	}
+	h.workers[p] = w
+	return nil
+}
+
+// died broadcasts the failure notification — the coordinator is the
+// external failure detector — so the survivors' protocol layer can
+// substitute, park for a localized replay, or report exhaustion.
+func (h *procSeats) died(p int) {
+	h.reg.announceDead(p)
+	w := h.workers[p]
+	ev := obs.Ev(obs.StageDetect, "worker process exited; failure broadcast to survivors")
+	ev.Proc, ev.Rank, ev.Rep = p, w.Rank, w.Rep
+	h.loop.tr.Emit(ev)
+}
+
+func (h *procSeats) teardown() {
+	for p, w := range h.workers {
+		if h.loop.live[p] > 0 {
+			_ = w.cmd.Process.Kill()
+		}
+	}
+}
+
+// finish scrapes every live worker's /metrics — they are draining, their
+// obs servers still up — then releases them with the shutdown broadcast.
+// The scrape must come first: after shutdown the workers exit and the
+// endpoints vanish.
+func (h *procSeats) finish() {
+	for p, w := range h.workers {
+		if h.loop.live[p] == 0 {
+			continue
+		}
+		ws := obs.WorkerStats{Proc: p, Rank: w.Rank, Rep: w.Rep, Addr: h.reg.obsAddr(p)}
+		if ws.Addr == "" {
+			ws.Err = "no obs address published"
+		} else if m, err := obs.Scrape(ws.Addr, 2*time.Second); err != nil {
+			ws.Err = err.Error()
+		} else {
+			ws.Scraped = true
+			ws.Metrics = m
+		}
+		h.scrapes = append(h.scrapes, ws)
+	}
+	h.reg.broadcast(ctlMsg{Op: opShutdown}, -1)
+}
+
+func (h *procSeats) control() (<-chan regEvent, <-chan time.Time) { return h.reg.events, h.health.C }
+
+// onControl handles one registry event. An exhaustion report counts even
+// during teardown: it names the rank a worker's exit code cannot.
+func (h *procSeats) onControl(ev regEvent) {
+	l := h.loop
+	if ev.kind == evExhausted {
+		l.exhaust(ev.msg.Rank)
+		return
+	}
+	if l.tearing {
+		return
+	}
+	switch ev.kind {
+	case evReady:
+		// World table broadcast; workers are computing. Publish where
+		// each worker's metrics live so a mid-run scraper (CI smoke, an
+		// operator) can reach them.
+		for p, w := range h.workers {
+			if a := h.reg.obsAddr(p); a != "" && l.live[p] > 0 {
+				fmt.Fprintf(l.sink, "[coordinator] worker %d (r%d.%d) metrics at http://%s/metrics\n",
+					p, w.Rank, w.Rep, a)
+			}
+		}
+	case evKillMe:
+		// The victim is parked at its step boundary: realize the
+		// scheduled fail-stop with a real SIGKILL.
+		w := h.workers[ev.proc]
+		pev := obs.Ev(obs.StagePark, "worker parked at scheduled kill boundary")
+		pev.Proc, pev.Rank, pev.Rep, pev.Step = ev.proc, w.Rank, w.Rep, ev.msg.Step
+		l.tr.Emit(pev)
+		for i, f := range h.cfg.Failures {
+			if !h.fired[i] && f.Rank == w.Rank && f.Rep == w.Rep && f.AtStep == ev.msg.Step {
+				h.fired[i] = true
+				w.Crashed = true
+				_ = w.cmd.Process.Kill()
+				kev := obs.Ev(obs.StageKill, "SIGKILL delivered")
+				kev.Proc, kev.Rank, kev.Rep, kev.Step = ev.proc, w.Rank, w.Rep, ev.msg.Step
+				l.tr.Emit(kev)
+				break
+			}
+		}
+	case evDone:
+		w, m := h.workers[ev.proc], ev.msg
+		w.Result, w.Err = WorkerResult{Checksum: m.Checksum, Residual: m.Residual, Iterations: m.Iterations}, m.Err
+		l.appDone(ev.proc)
+	}
+}
+
+// probe is the liveness check: a worker whose control channel has been
+// silent past HealthTimeout is hung, and is killed as failed.
+func (h *procSeats) probe() {
+	p, age := h.reg.stalest(func(p int) bool { return h.loop.live[p] > 0 })
+	if p < 0 || age <= h.cfg.HealthTimeout {
+		return
+	}
+	fmt.Fprintf(h.loop.sink, "[coordinator] worker %d silent for %v; killing\n", p, age.Round(time.Second))
+	mHealthKills.Inc()
+	w := h.workers[p]
+	kev := obs.Ev(obs.StageKill,
+		fmt.Sprintf("liveness probe: control channel silent for %v", age.Round(time.Second)))
+	kev.Proc, kev.Rank, kev.Rep = p, w.Rank, w.Rep
+	h.loop.tr.Emit(kev)
+	_ = w.cmd.Process.Kill()
+}
+
 // spawnWorker execs one worker process with its seat encoded as the env
-// contract and its output streamed line-by-line to the sink.
-func spawnWorker(cfg DistConfig, w WorkerConfig, sink io.Writer, exitCh chan<- procExit) (*distWorker, error) {
+// contract and its output streamed line-by-line to the sink; its exit
+// arrives on events.
+func spawnWorker(cfg DistConfig, w WorkerConfig, sink io.Writer, events chan<- seatEvent) (*distWorker, error) {
 	l, err := w.layout()
 	if err != nil {
 		return nil, err
@@ -511,13 +402,13 @@ func spawnWorker(cfg DistConfig, w WorkerConfig, sink io.Writer, exitCh chan<- p
 		// SIGKILLed worker.
 		stdout.flushRemainder()
 		stderr.flushRemainder()
-		code := -1
-		if st := cmd.ProcessState; st != nil {
-			code = st.ExitCode()
-		}
-		exitCh <- procExit{proc: int(w.Proc), code: code}
+		// Any exit but a clean one or exhaustion is a process death: a
+		// signal (SIGKILL reads -1), a setup failure, a lost coordinator.
+		code := cmd.ProcessState.ExitCode()
+		ex := code == workerExitExhausted
+		events <- seatEvent{proc: int(w.Proc), out: procOutcome{crashed: code != 0 && !ex, exhausted: ex, rank: -1}}
 	}()
-	return &distWorker{rank: rank, rep: rep, cmd: cmd}, nil
+	return &distWorker{DistProcReport: DistProcReport{Proc: w.Proc, Rank: rank, Rep: rep}, cmd: cmd}, nil
 }
 
 // syncWriter serializes concurrent writers onto one sink.

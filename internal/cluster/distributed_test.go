@@ -164,7 +164,8 @@ func TestLineWriterPrefixesEveryLine(t *testing.T) {
 // TestDistributedRollbackRealProcesses, which re-execs this test binary
 // with the worker env contract set (the same hidden-mode trick sdrun
 // uses). It must exit the process so the test framework never reports on
-// it.
+// it. It runs rollbackApp(12, 3), or replayRing(12, 2) when the run's
+// WorkerEnv sets SDR_TEST_APP=ring.
 func TestDistWorkerHelper(t *testing.T) {
 	if !DistWorkerActive() {
 		t.Skip("not in worker mode")
@@ -177,8 +178,12 @@ func TestDistWorkerHelper(t *testing.T) {
 	if os.Getenv("SDR_TEST_SILENT_PROC") == os.Getenv(EnvProc) {
 		silentWorkerMain(cfg)
 	}
+	app := rollbackApp(12, 3)
+	if os.Getenv("SDR_TEST_APP") == "ring" {
+		app = replayRing(12, 2, nil)
+	}
 	os.Exit(RunWorker(cfg, func(env *Env) (any, error) {
-		res, err := rollbackApp(12, 3)(env)
+		res, err := app(env)
 		if err != nil {
 			return nil, err
 		}
@@ -526,7 +531,7 @@ func TestDistributedRestartLoadsRestoreFileBeforeHello(t *testing.T) {
 		defer sink.mu.Unlock()
 		return logBuf.String()
 	}
-	exits := make(chan procExit, 2)
+	exits := make(chan seatEvent, 2)
 	for proc := 0; proc < 2; proc++ {
 		wc := cfg.seat(layout, proc, nil, epochSeed{epoch: 1, wave: wave})
 		wc.Registry = ln.Addr().String()
@@ -585,8 +590,8 @@ func TestDistributedRestartLoadsRestoreFileBeforeHello(t *testing.T) {
 		w.send(t, ctlMsg{Op: opShutdown})
 	}
 	for range workers {
-		if e := <-exits; e.code != 0 {
-			t.Errorf("worker %d exited %d\n%s", e.proc, e.code, logs())
+		if e := <-exits; e.out.crashed || e.out.exhausted {
+			t.Errorf("worker %d exited %+v\n%s", e.proc, e.out, logs())
 		}
 	}
 }

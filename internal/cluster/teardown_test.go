@@ -37,7 +37,7 @@ func TestTeardownKillsEveryEndpointBeforeNotifying(t *testing.T) {
 		})
 	})
 	rs := &runState{layout: layout, nw: nw}
-	rs.noteExhausted(1)
+	rs.teardown()
 	if alive != nil {
 		t.Fatalf("first failure callback ran while procs %v were still alive", alive)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // commitLine stamps the coordinated-commit marker: the launcher side of
-// Env.Checkpoint, shared by runState in process and the registry across
-// processes.
+// Env.Checkpoint, shared by the goroutine seats (runState) in process and
+// by the registry behind the OS-process seats.
 type commitLine struct {
 	store *ckpt.Store
 	mu    sync.Mutex // sdr:lockrank waves

@@ -303,20 +303,13 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 		}
 		sendErr = cc.send(m)
 		return sendErr == nil
-	}, func() bool {
-		select {
-		case <-shutdown:
-			return true
-		default:
-			return false
-		}
-	})
+	}, shutdown)
 	switch {
-	case out.exhausted >= 0:
+	case out.exhausted:
 		// Second rung of the recovery ladder: report and exit with the
 		// exhaustion code; the coordinator tears the epoch down and
 		// respawns everyone from the latest committed wave.
-		return exhausted(out.exhausted)
+		return exhausted(out.rank)
 	case out.crashed:
 		return fail(fmt.Errorf("worker observed its own crash flag"))
 	case out.err != nil:
