@@ -16,8 +16,8 @@
 //	                    wire (peer-to-peer TCP between worker processes,
 //	                    or every rank behind one loopback listener),
 //	                    delay models and fail-stop injection
-//	internal/mpi        PML matching/progress engine and the MPI surface:
-//	                    requests, communicators, collectives, datatypes
+//	internal/mpi        PML matching/progress engine and the MPI surface
+//	                    apps call: requests, communicators, collectives
 //	internal/core       the vProtocol interception point: SDR-MPI with
 //	                    coalesced acknowledgements, the mirror and leader
 //	                    baselines, failure handling, recovery, SDC

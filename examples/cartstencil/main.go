@@ -5,7 +5,9 @@
 // out of the time loop — all running under SDR-MPI dual replication with a
 // replica crash injected mid-run. The point of the example: none of this
 // API surface needs replication-aware code; the protocol sits below the
-// point-to-point layer and covers everything.
+// point-to-point layer and covers everything. The example checks itself:
+// it exits non-zero unless every surviving replica's result equals a
+// fault-free native run's, bit for bit.
 package main
 
 import (
@@ -23,6 +25,11 @@ const (
 )
 
 func main() {
+	// The fault-free native run is the reference every replica must match.
+	ref := cluster.Run(cluster.Config{Ranks: 6, Protocol: cluster.Native, Timeout: 60 * time.Second}, stencil)
+	if err := ref.FirstError(); err != nil {
+		log.Fatal(err)
+	}
 	report := cluster.Run(cluster.Config{
 		Ranks:    6,
 		Protocol: cluster.SDR,
@@ -34,12 +41,22 @@ func main() {
 	if err := report.FirstError(); err != nil {
 		log.Fatal(err)
 	}
+	wrong := 0
 	for _, p := range report.Procs {
 		if p.Crashed {
 			fmt.Printf("rank %d replica %d: crashed (injected)\n", p.Rank, p.Rep)
 			continue
 		}
-		fmt.Printf("rank %d replica %d: %v\n", p.Rank, p.Rep, p.Result)
+		want := ref.ResultOf(p.Rank, 0)
+		verdict := "OK"
+		if p.Result != want {
+			verdict = fmt.Sprintf("WRONG (native: %v)", want)
+			wrong++
+		}
+		fmt.Printf("rank %d replica %d: %v %s\n", p.Rank, p.Rep, p.Result, verdict)
+	}
+	if wrong > 0 {
+		log.Fatalf("%d surviving replicas disagree with the native run", wrong)
 	}
 }
 
@@ -134,5 +151,5 @@ func stencil(env *cluster.Env) (any, error) {
 		}
 	}
 	total := cart.AllreduceFloat64(local, mpi.OpSum)
-	return fmt.Sprintf("coords=%v heat=%.9f", coords, total), nil
+	return fmt.Sprintf("coords=%v heat=%v", coords, total), nil
 }

@@ -10,8 +10,8 @@ import (
 
 // The paper's central implementation claim (§4.1): because the protocol
 // intercepts communication at the point-to-point layer, every facility
-// built on top — collectives, communicators, groups, and by extension
-// everything this library added (persistent requests, derived datatypes,
+// built on top — collectives, communicators, and by extension everything
+// this library added (persistent requests, the Subarray datatype,
 // Cartesian topologies) — is covered with no protocol-specific code. These
 // tests run each facility under every protocol and, for SDR, under a
 // mid-run replica crash.
@@ -66,26 +66,33 @@ func TestPersistentRequestsUnderReplication(t *testing.T) {
 	})
 }
 
+// recvLayout receives a packed region and scatters it into dst.
+func recvLayout(c *mpi.Comm, from mpi.Rank, tag int, s mpi.Subarray, dst []byte) {
+	wire := make([]byte, s.PackedSize())
+	c.Recv(from, tag, wire)
+	s.Unpack(wire, dst)
+}
+
 func TestDerivedDatatypesUnderReplication(t *testing.T) {
 	runUnderProtocols(t, 2, func(env *Env) (any, error) {
 		c := env.World
-		// An 8x8 byte matrix; rank 0 sends its diagonal-ish subarray and
-		// a strided vector; rank 1 reassembles.
+		// An 8x8 byte matrix; rank 0 sends its central 4x4 block and a
+		// strided 4x2 corner; rank 1 reassembles.
 		sub := mpi.Subarray{Sizes: []int{8, 8}, Subsizes: []int{4, 4}, Starts: []int{2, 2}, Elem: mpi.Byte}
-		vec := mpi.Vector{Count: 4, BlockLen: 2, Stride: 8, Elem: mpi.Byte}
+		corner := mpi.Subarray{Sizes: []int{8, 8}, Subsizes: []int{4, 2}, Starts: []int{0, 0}, Elem: mpi.Byte}
 		if c.Rank() == 0 {
 			m := make([]byte, 64)
 			for i := range m {
 				m[i] = byte(i + 1)
 			}
-			c.SendLayout(1, 1, sub, m)
-			c.SendLayout(1, 2, vec, m)
+			c.IsendLayout(1, 1, sub, m).Wait()
+			c.IsendLayout(1, 2, corner, m).Wait()
 			return "sent", nil
 		}
 		m := make([]byte, 64)
-		c.RecvLayout(0, 1, sub, m)
-		v := make([]byte, vec.Extent())
-		c.RecvLayout(0, 2, vec, v)
+		recvLayout(c, 0, 1, sub, m)
+		v := make([]byte, 64)
+		recvLayout(c, 0, 2, corner, v)
 		h := 0
 		for _, b := range m {
 			h = h*31 + int(b)
@@ -108,7 +115,7 @@ func TestCartTopologyUnderReplication(t *testing.T) {
 		src, dst := cart.CartShift(0, 1)
 		got := make([]byte, 1)
 		cart.Sendrecv(dst, 1, []byte{byte(cart.Rank() + 1)}, src, 1, got)
-		sum := cart.AllreduceInt64(int64(got[0])*int64(cart.Rank()), mpi.OpSum)
+		sum := allreduceInt64(cart.Comm, int64(got[0])*int64(cart.Rank()), mpi.OpSum)
 		return fmt.Sprintf("%v/%d", cart.Coords(), sum), nil
 	})
 }
@@ -156,11 +163,11 @@ func TestLayoutExchangeSurvivesCrash(t *testing.T) {
 			env.Step(step, nil)
 			peer := mpi.Rank(1 - c.Rank())
 			if c.Rank() == 0 {
-				c.SendLayout(peer, 1, right, grid)
-				c.RecvLayout(peer, 2, left, grid)
+				c.IsendLayout(peer, 1, right, grid).Wait()
+				recvLayout(c, peer, 2, left, grid)
 			} else {
-				c.RecvLayout(peer, 1, left, grid)
-				c.SendLayout(peer, 2, right, grid)
+				recvLayout(c, peer, 1, left, grid)
+				c.IsendLayout(peer, 2, right, grid).Wait()
 			}
 			for _, b := range grid {
 				acc = acc*31 + uint64(b)

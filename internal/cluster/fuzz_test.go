@@ -71,7 +71,7 @@ func randomApp(seed int64, rounds int) AppFunc {
 		// Fold per-rank accumulators into one global value (XOR is
 		// order-insensitive and exact), so every rank and replica must
 		// report the same result.
-		return c.AllreduceInt64(int64(acc), mpi.OpBxor), nil
+		return allreduceInt64(c, int64(acc), mpi.OpBxor), nil
 	}
 }
 
@@ -182,7 +182,7 @@ func stepWrapped(seed int64, rounds int) AppFunc {
 				acc = acc*2862933555777941757 + 3037000493
 			}
 		}
-		return c.AllreduceInt64(int64(acc), mpi.OpBxor), nil
+		return allreduceInt64(c, int64(acc), mpi.OpBxor), nil
 	}
 }
 
@@ -203,4 +203,9 @@ func TestMirrorSurvivesCrash(t *testing.T) {
 			t.Errorf("rank %d rep %d: %v want %v", p.Rank, p.Rep, p.Result, want)
 		}
 	}
+}
+
+// allreduceInt64 is Allreduce on a single int64.
+func allreduceInt64(c *mpi.Comm, x int64, op mpi.Op) int64 {
+	return mpi.BytesInt64(c.Allreduce(mpi.Int64Bytes([]int64{x}), mpi.Int64T, op))[0]
 }

@@ -22,8 +22,8 @@ import (
 //
 //   - an outbound application message to q is about to be sent (the ack
 //     batch rides just ahead of it on the same FIFO channel),
-//   - the batch reaches AckBatchMax records,
-//   - engine progress finds the batch older than AckFlushDelay (the age
+//   - the batch reaches ackBatchMax records,
+//   - engine progress finds the batch older than ackFlushDelay (the age
 //     runs from the first unforced progress pass that sees the batch, so
 //     queueing an ack never reads the clock), or
 //   - the process is about to block in WaitUntil (force flush — this is
@@ -56,14 +56,6 @@ type ackQueue struct {
 func (p *Replicated) initCoalescing() {
 	p.coalesce = true
 	p.ackPend = make([]ackQueue, p.layout.Procs())
-	p.ackMax = p.opts.AckBatchMax
-	if p.ackMax <= 0 {
-		p.ackMax = DefaultAckBatchMax
-	}
-	p.ackDelay = p.opts.AckFlushDelay
-	if p.ackDelay <= 0 {
-		p.ackDelay = DefaultAckFlushDelay
-	}
 	p.eng.OnFlush = p.flushAcks
 }
 
@@ -72,7 +64,7 @@ func (p *Replicated) initCoalescing() {
 func (p *Replicated) queueAck(q transport.ProcID, ctx uint32, seq uint64) {
 	aq := &p.ackPend[q]
 	aq.recs = append(aq.recs, transport.AckRec{Ctx: ctx, Seq: seq})
-	if len(aq.recs) >= p.ackMax {
+	if len(aq.recs) >= ackBatchMax {
 		p.flushAcksTo(q, aq)
 		return
 	}
@@ -100,7 +92,7 @@ func (p *Replicated) flushAcks(force bool) {
 			if aq.since.IsZero() {
 				aq.since = now
 			}
-			if now.Sub(aq.since) < p.ackDelay {
+			if now.Sub(aq.since) < ackFlushDelay {
 				keep = append(keep, q)
 				continue
 			}

@@ -27,7 +27,7 @@
 // acknowledged and emits that world's subsequent messages on its behalf.
 // Send-determinism guarantees the substitute's message sequence is the one
 // the dead replica would have produced, with no leader-based agreement on
-// non-deterministic calls (ANY_SOURCE, Test, Waitany).
+// non-deterministic calls (ANY_SOURCE, Test, Probe).
 package core
 
 import (
@@ -232,23 +232,19 @@ type Options struct {
 	// (the default) batches the acks a process owes each destination and
 	// ships them as one KindAck message, flushed on the next outbound
 	// message to that destination, when the batch fills, or by engine
-	// progress after a short age (see AckFlushDelay). Protocol semantics
+	// progress after a short age (see ackFlushDelay). Protocol semantics
 	// are unchanged: acks are only ever delayed, never dropped, and a
 	// process force-flushes before blocking so ack-gated sends cannot
 	// deadlock.
 	NoAckCoalesce bool
-	// AckBatchMax caps the records carried by one coalesced ack message
-	// (0 = DefaultAckBatchMax).
-	AckBatchMax int
-	// AckFlushDelay is the age at which engine progress flushes pending
-	// acks even without a forcing event (0 = DefaultAckFlushDelay).
-	AckFlushDelay time.Duration
 }
 
-// Coalescing defaults (see Options.NoAckCoalesce).
+// Ack coalescing's limits (see Options.NoAckCoalesce): the records one
+// coalesced ack message carries at most, and the age at which engine
+// progress flushes pending acks without a forcing event.
 const (
-	DefaultAckBatchMax   = 64
-	DefaultAckFlushDelay = 200 * time.Microsecond
+	ackBatchMax   = 64
+	ackFlushDelay = 200 * time.Microsecond
 )
 
 // retKey names one logical message: (context, peer logical rank, sequence

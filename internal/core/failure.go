@@ -83,10 +83,6 @@ func (p *Replicated) onFailure(dead transport.ProcID) {
 			p.physicalSrc[deadRank] = p.layout.Phys(sub, deadRank)
 		}
 	}
-
-	for _, f := range p.failureHooks {
-		f(dead)
-	}
 }
 
 // electSubstitute deterministically picks the replica that emits messages

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/detect"
 	"repro/internal/mpi"
@@ -65,8 +64,6 @@ type Replicated struct {
 	coalesce bool
 	ackPend  []ackQueue
 	ackDirty []transport.ProcID
-	ackMax   int
-	ackDelay time.Duration
 
 	// Leader-mode wildcard agreement state.
 	wc leaderState
@@ -74,10 +71,6 @@ type Replicated struct {
 	// ackOnFinish is ackReception bound once: every receive's
 	// Request.OnFinish in the AckOnWait ablation.
 	ackOnFinish func(*mpi.PReq)
-
-	// recovering marks the window between this process's resurrection
-	// and its state restoration (clone side of §3.4).
-	failureHooks []func(dead transport.ProcID)
 }
 
 // NewReplicated builds the protocol layer for physical process proc under
@@ -205,12 +198,6 @@ func (p *Replicated) Quiesce() {
 
 // SDCDetected reports how many hash mismatches the SDC detector saw.
 func (p *Replicated) SDCDetected() int { return p.sdcCount }
-
-// OnFailureHook registers an extra observer of failure notifications (the
-// cluster harness uses it for recovery orchestration).
-func (p *Replicated) OnFailureHook(f func(dead transport.ProcID)) {
-	p.failureHooks = append(p.failureHooks, f)
-}
 
 // AliveView returns whether this process currently believes q is alive.
 func (p *Replicated) AliveView(q transport.ProcID) bool { return p.alive[int(q)] }

@@ -63,11 +63,8 @@ func TestSequencerReordersArrivals(t *testing.T) {
 	// unexpected queue in admission order.
 	for wantTag := 100; wantTag <= 102; wantTag++ {
 		pr := eng.Irecv(mpi.AnyProc, mpi.AnySource, nil, 2, mpi.AnyTag, make([]byte, 1))
-		if !pr.Done() {
-			t.Fatalf("tag %d: receive did not match an admitted message", wantTag)
-		}
 		if got := pr.PStatus().Tag; got != wantTag {
-			t.Fatalf("admission order broken: got tag %d, want %d", got, wantTag)
+			t.Fatalf("admission order broken: got tag %d, want %d (0: nothing matched)", got, wantTag)
 		}
 	}
 }

@@ -55,41 +55,6 @@ func (c *Comm) Bcast(root Rank, data []byte) {
 	}
 }
 
-// Reduce folds every rank's data with op and returns the result on root
-// (nil elsewhere). Binomial tree; op must be commutative (all predefined
-// ops are). MPI_Reduce.
-func (c *Comm) Reduce(root Rank, data []byte, dt Datatype, op Op) []byte {
-	seq := c.nextCollSeq()
-	size := c.Size()
-	acc := append([]byte(nil), data...)
-	if size == 1 {
-		return acc
-	}
-	rank := int(c.rank)
-	vrank := (rank - int(root) + size) % size
-	tag := collTag(seq, 0)
-	tmp := make([]byte, len(data))
-
-	for mask := 1; mask < size; mask <<= 1 {
-		if vrank&mask != 0 {
-			dst := Rank((vrank - mask + int(root)) % size)
-			c.sendColl(dst, tag, acc)
-			acc = nil
-			break
-		}
-		peer := vrank | mask
-		if peer < size {
-			src := Rank((peer + int(root)) % size)
-			c.recvColl(src, tag, tmp)
-			op.Apply(dt, acc, tmp)
-		}
-	}
-	if rank == int(root) {
-		return acc
-	}
-	return nil
-}
-
 // Allreduce folds every rank's data with op and returns the result on all
 // ranks (MPI_Allreduce). Power-of-two communicators use recursive
 // doubling; other sizes fold the surplus ranks into the nearest power of
@@ -151,81 +116,6 @@ func log2ceil(n int) int {
 	return k
 }
 
-// Gather collects equal-size blocks onto root: the returned buffer on root
-// holds rank i's data at offset i*len(data) (MPI_Gather). Linear.
-func (c *Comm) Gather(root Rank, data []byte) []byte {
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = len(data)
-	}
-	return c.Gatherv(root, data, counts)
-}
-
-// Gatherv collects variable-size blocks onto root; counts[i] is rank i's
-// contribution size, significant on every rank (MPI_Gatherv with implied
-// displacements).
-func (c *Comm) Gatherv(root Rank, data []byte, counts []int) []byte {
-	seq := c.nextCollSeq()
-	tag := collTag(seq, 0)
-	if c.rank != root {
-		c.sendColl(root, tag, data)
-		return nil
-	}
-	total := 0
-	offs := make([]int, c.Size()+1)
-	for i, n := range counts {
-		offs[i] = total
-		total += n
-	}
-	offs[c.Size()] = total
-	out := make([]byte, total)
-	reqs := make([]Request, 0, c.Size()-1)
-	for r := 0; r < c.Size(); r++ {
-		if Rank(r) == root {
-			copy(out[offs[r]:offs[r+1]], data)
-			continue
-		}
-		reqs = append(reqs, c.irecvColl(Rank(r), tag, out[offs[r]:offs[r+1]]))
-	}
-	for i := range reqs {
-		reqs[i].Wait()
-	}
-	return out
-}
-
-// Scatter distributes equal-size blocks from root's buffer: rank i gets
-// all[i*blockLen : (i+1)*blockLen] (MPI_Scatter). Linear.
-func (c *Comm) Scatter(root Rank, all []byte, blockLen int) []byte {
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = blockLen
-	}
-	return c.Scatterv(root, all, counts)
-}
-
-// Scatterv distributes variable-size blocks from root (MPI_Scatterv with
-// implied displacements); counts is significant on every rank.
-func (c *Comm) Scatterv(root Rank, all []byte, counts []int) []byte {
-	seq := c.nextCollSeq()
-	tag := collTag(seq, 0)
-	mine := make([]byte, counts[c.rank])
-	if c.rank != root {
-		c.recvColl(root, tag, mine)
-		return mine
-	}
-	off := 0
-	for r := 0; r < c.Size(); r++ {
-		block := all[off : off+counts[r]]
-		if Rank(r) == root {
-			copy(mine, block)
-		} else {
-			c.sendColl(Rank(r), tag, block)
-		}
-		off += counts[r]
-	}
-	return mine
-}
-
 // Allgather collects equal-size blocks from every rank onto every rank
 // (MPI_Allgather). Ring algorithm: p-1 steps, each forwarding the block
 // received in the previous step.
@@ -247,34 +137,6 @@ func (c *Comm) Allgather(data []byte) []byte {
 		tag := collTag(seq, step)
 		rr := c.irecvColl(left, tag, out[recvBlock*bl:(recvBlock+1)*bl])
 		c.sendColl(right, tag, out[sendBlock*bl:(sendBlock+1)*bl])
-		rr.Wait()
-	}
-	return out
-}
-
-// Allgatherv collects variable-size blocks from every rank onto every rank
-// (MPI_Allgatherv); counts is significant on every rank. Ring.
-func (c *Comm) Allgatherv(data []byte, counts []int) []byte {
-	seq := c.nextCollSeq()
-	size := c.Size()
-	offs := make([]int, size+1)
-	for i, n := range counts {
-		offs[i+1] = offs[i] + n
-	}
-	out := make([]byte, offs[size])
-	rank := int(c.rank)
-	copy(out[offs[rank]:offs[rank+1]], data)
-	if size == 1 {
-		return out
-	}
-	right := Rank((rank + 1) % size)
-	left := Rank((rank - 1 + size) % size)
-	for step := 0; step < size-1; step++ {
-		sendBlock := (rank - step + size) % size
-		recvBlock := (rank - step - 1 + size) % size
-		tag := collTag(seq, step)
-		rr := c.irecvColl(left, tag, out[offs[recvBlock]:offs[recvBlock+1]])
-		c.sendColl(right, tag, out[offs[sendBlock]:offs[sendBlock+1]])
 		rr.Wait()
 	}
 	return out
@@ -326,57 +188,7 @@ func (c *Comm) Alltoallv(data []byte, sendCounts, recvCounts []int) []byte {
 	return out
 }
 
-// Scan computes the inclusive prefix reduction: rank r gets the fold of
-// ranks 0..r (MPI_Scan). Linear chain.
-func (c *Comm) Scan(data []byte, dt Datatype, op Op) []byte {
-	seq := c.nextCollSeq()
-	tag := collTag(seq, 0)
-	acc := append([]byte(nil), data...)
-	rank := int(c.rank)
-	if rank > 0 {
-		left := make([]byte, len(data))
-		c.recvColl(Rank(rank-1), tag, left)
-		op.Apply(dt, acc, left)
-	}
-	if rank < c.Size()-1 {
-		c.sendColl(Rank(rank+1), tag, acc)
-	}
-	return acc
-}
-
-// Exscan computes the exclusive prefix reduction: rank r gets the fold of
-// ranks 0..r-1; rank 0 gets nil (MPI_Exscan).
-func (c *Comm) Exscan(data []byte, dt Datatype, op Op) []byte {
-	seq := c.nextCollSeq()
-	tag := collTag(seq, 0)
-	rank := int(c.rank)
-	var result []byte
-	incl := append([]byte(nil), data...)
-	if rank > 0 {
-		result = make([]byte, len(data))
-		c.recvColl(Rank(rank-1), tag, result)
-		op.Apply(dt, incl, result)
-	}
-	if rank < c.Size()-1 {
-		c.sendColl(Rank(rank+1), tag, incl)
-	}
-	return result
-}
-
-// ReduceScatterBlock reduces the full vector and scatters equal blocks:
-// rank i receives block i of the reduction (MPI_Reduce_scatter_block).
-// data holds p blocks of blockLen bytes.
-func (c *Comm) ReduceScatterBlock(data []byte, blockLen int, dt Datatype, op Op) []byte {
-	full := c.Reduce(0, data, dt, op)
-	return c.Scatter(0, full, blockLen)
-}
-
 // --- Typed conveniences ----------------------------------------------------
-
-// AllreduceFloat64s is Allreduce on a float64 vector.
-func (c *Comm) AllreduceFloat64s(xs []float64, op Op) []float64 {
-	return BytesFloat64(c.Allreduce(Float64Bytes(xs), Float64, op))
-}
 
 // AllreduceFloat64 is Allreduce on a single float64, encoded on the stack.
 func (c *Comm) AllreduceFloat64(x float64, op Op) float64 {
@@ -384,16 +196,4 @@ func (c *Comm) AllreduceFloat64(x float64, op Op) float64 {
 	var out [1]float64
 	GetFloat64s(out[:], c.Allreduce(PutFloat64s(b[:], []float64{x}), Float64, op))
 	return out[0]
-}
-
-// AllreduceInt64 is Allreduce on a single int64.
-func (c *Comm) AllreduceInt64(x int64, op Op) int64 {
-	return BytesInt64(c.Allreduce(Int64Bytes([]int64{x}), Int64T, op))[0]
-}
-
-// BcastFloat64s broadcasts a float64 vector from root in place.
-func (c *Comm) BcastFloat64s(root Rank, xs []float64) {
-	b := Float64Bytes(xs)
-	c.Bcast(root, b)
-	copy(xs, BytesFloat64(b))
 }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"testing"
 )
 
@@ -49,36 +48,6 @@ func TestBcastAllRoots(t *testing.T) {
 	})
 }
 
-func TestReduceSum(t *testing.T) {
-	forSizes(t, func(t *testing.T, n int) {
-		runNative(t, n, func(c *Comm) {
-			vec := []float64{float64(c.Rank()) + 1, 2 * float64(c.Rank())}
-			out := c.Reduce(0, Float64Bytes(vec), Float64, OpSum)
-			if c.Rank() == 0 {
-				got := BytesFloat64(out)
-				wantA := float64(n*(n+1)) / 2
-				wantB := float64(n * (n - 1))
-				if got[0] != wantA || got[1] != wantB {
-					t.Errorf("reduce got %v want [%v %v]", got, wantA, wantB)
-				}
-			} else if out != nil {
-				t.Error("non-root should get nil")
-			}
-		})
-	})
-}
-
-func TestReduceNonZeroRoot(t *testing.T) {
-	runNative(t, 5, func(c *Comm) {
-		out := c.Reduce(3, Float64Bytes([]float64{1}), Float64, OpSum)
-		if c.Rank() == 3 {
-			if got := BytesFloat64(out)[0]; got != 5 {
-				t.Errorf("got %v", got)
-			}
-		}
-	})
-}
-
 func TestAllreduceOps(t *testing.T) {
 	forSizes(t, func(t *testing.T, n int) {
 		runNative(t, n, func(c *Comm) {
@@ -113,7 +82,7 @@ func TestAllreduceVector(t *testing.T) {
 		for i := range vec {
 			vec[i] = float64(int(c.Rank()) * i)
 		}
-		got := c.AllreduceFloat64s(vec, OpSum)
+		got := BytesFloat64(c.Allreduce(Float64Bytes(vec), Float64, OpSum))
 		for i := range got {
 			want := float64(i) * 15 // sum of ranks 0..5
 			if got[i] != want {
@@ -128,67 +97,10 @@ func TestAllreduceInt64Exact(t *testing.T) {
 	// Large int64s that would lose precision through float64.
 	runNative(t, 3, func(c *Comm) {
 		x := int64(1<<53 + 1 + int64(c.Rank()))
-		got := c.AllreduceInt64(x, OpBor)
+		got := BytesInt64(c.Allreduce(Int64Bytes([]int64{x}), Int64T, OpBor))[0]
 		want := (int64(1<<53+1) | int64(1<<53+2) | int64(1<<53+3))
 		if got != want {
 			t.Errorf("bor: %d want %d", got, want)
-		}
-	})
-}
-
-func TestGatherScatter(t *testing.T) {
-	forSizes(t, func(t *testing.T, n int) {
-		runNative(t, n, func(c *Comm) {
-			mine := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
-			all := c.Gather(0, mine)
-			if c.Rank() == 0 {
-				for r := 0; r < n; r++ {
-					if all[2*r] != byte(r) || all[2*r+1] != byte(2*r) {
-						t.Errorf("gather block %d wrong: %v", r, all[2*r:2*r+2])
-					}
-				}
-			}
-			// Scatter back.
-			var src []byte
-			if c.Rank() == 0 {
-				src = make([]byte, 2*n)
-				for r := 0; r < n; r++ {
-					src[2*r] = byte(100 + r)
-					src[2*r+1] = byte(200 - r)
-				}
-			}
-			blk := c.Scatter(0, src, 2)
-			if blk[0] != byte(100+int(c.Rank())) || blk[1] != byte(200-int(c.Rank())) {
-				t.Errorf("scatter got %v", blk)
-			}
-		})
-	})
-}
-
-func TestGathervScatterv(t *testing.T) {
-	runNative(t, 4, func(c *Comm) {
-		// Rank r contributes r+1 bytes.
-		counts := []int{1, 2, 3, 4}
-		mine := bytes.Repeat([]byte{byte(c.Rank())}, int(c.Rank())+1)
-		all := c.Gatherv(0, mine, counts)
-		if c.Rank() == 0 {
-			want := []byte{0, 1, 1, 2, 2, 2, 3, 3, 3, 3}
-			if !bytes.Equal(all, want) {
-				t.Errorf("gatherv: %v", all)
-			}
-		}
-		var src []byte
-		if c.Rank() == 0 {
-			src = []byte{9, 8, 8, 7, 7, 7, 6, 6, 6, 6}
-		}
-		blk := c.Scatterv(0, src, counts)
-		if len(blk) != int(c.Rank())+1 {
-			t.Errorf("scatterv len %d", len(blk))
-		}
-		for _, b := range blk {
-			if b != byte(9-int(c.Rank())) {
-				t.Errorf("scatterv val %d", b)
-			}
 		}
 	})
 }
@@ -207,17 +119,6 @@ func TestAllgather(t *testing.T) {
 				}
 			}
 		})
-	})
-}
-
-func TestAllgatherv(t *testing.T) {
-	runNative(t, 3, func(c *Comm) {
-		counts := []int{2, 1, 3}
-		mine := bytes.Repeat([]byte{byte(c.Rank() + 65)}, counts[c.Rank()])
-		all := c.Allgatherv(mine, counts)
-		if string(all) != "AABCCC" {
-			t.Errorf("allgatherv: %q", all)
-		}
 	})
 }
 
@@ -261,61 +162,6 @@ func TestAlltoallv(t *testing.T) {
 					t.Errorf("block %d byte %d = %d", j, k, out[j*(r+1)+k])
 				}
 			}
-		}
-	})
-}
-
-func TestScanExscan(t *testing.T) {
-	forSizes(t, func(t *testing.T, n int) {
-		runNative(t, n, func(c *Comm) {
-			x := float64(c.Rank()) + 1
-			incl := BytesFloat64(c.Scan(Float64Bytes([]float64{x}), Float64, OpSum))[0]
-			r := float64(c.Rank())
-			want := (r + 1) * (r + 2) / 2
-			if incl != want {
-				t.Errorf("scan: %v want %v", incl, want)
-			}
-			excl := c.Exscan(Float64Bytes([]float64{x}), Float64, OpSum)
-			if c.Rank() == 0 {
-				if excl != nil {
-					t.Error("exscan rank 0 should get nil")
-				}
-			} else if got := BytesFloat64(excl)[0]; got != r*(r+1)/2 {
-				t.Errorf("exscan: %v want %v", got, r*(r+1)/2)
-			}
-		})
-	})
-}
-
-func TestReduceScatterBlock(t *testing.T) {
-	runNative(t, 4, func(c *Comm) {
-		// Vector of 4 blocks x 1 float64; every rank contributes rank+1.
-		vec := make([]float64, 4)
-		for i := range vec {
-			vec[i] = float64(c.Rank()+1) * float64(i+1)
-		}
-		out := c.ReduceScatterBlock(Float64Bytes(vec), 8, Float64, OpSum)
-		got := BytesFloat64(out)[0]
-		want := 10 * float64(int(c.Rank())+1) // (1+2+3+4) * (block index+1)
-		if got != want {
-			t.Errorf("got %v want %v", got, want)
-		}
-	})
-}
-
-func TestMaxLocMinLoc(t *testing.T) {
-	runNative(t, 5, func(c *Comm) {
-		val := math.Abs(float64(int(c.Rank()) - 2)) // 2,1,0,1,2 → min at rank 2, max tie ranks 0 and 4
-		packed := PackFloat64Int([]float64{val}, []int64{int64(c.Rank())})
-		minOut := c.Allreduce(packed, Float64Int, OpMinLoc)
-		vals, idxs := UnpackFloat64Int(minOut)
-		if vals[0] != 0 || idxs[0] != 2 {
-			t.Errorf("minloc: %v @ %v", vals[0], idxs[0])
-		}
-		maxOut := c.Allreduce(packed, Float64Int, OpMaxLoc)
-		vals, idxs = UnpackFloat64Int(maxOut)
-		if vals[0] != 2 || idxs[0] != 0 { // tie → lower index
-			t.Errorf("maxloc: %v @ %v", vals[0], idxs[0])
 		}
 	})
 }

@@ -33,9 +33,6 @@ type Comm struct {
 
 	childIdx uint32 // counter for deriving child contexts
 	collSeq  uint64 // per-collective-call sequence for tag isolation
-
-	errh    Errhandler
-	lastErr *Error
 }
 
 // worldCtxP2P/worldCtxColl are the contexts of a base world communicator.
@@ -74,9 +71,6 @@ func (c *Comm) Rank() Rank { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return c.group.Size() }
 
-// Group returns (a copy of) the communicator's group.
-func (c *Comm) Group() *Group { return NewGroup(c.group.ranks) }
-
 // BaseRank translates a comm rank to the base-world rank.
 func (c *Comm) BaseRank(r Rank) Rank { return c.group.Base(r) }
 
@@ -97,20 +91,14 @@ func (c *Comm) rankOf(b Rank) Rank {
 // Proc returns the owning physical process handle.
 func (c *Comm) Proc() *Proc { return c.proc }
 
-// Protocol returns the protocol the communicator routes through.
-func (c *Comm) Protocol() Protocol { return c.protocol }
-
-// CtxP2P returns the point-to-point context ID (visible for tests and
-// protocol bookkeeping).
+// CtxP2P returns the point-to-point context ID (the protocol tests build
+// messages and acks on it).
 func (c *Comm) CtxP2P() uint32 { return c.ctxP2P }
-
-// CtxColl returns the collective context ID.
-func (c *Comm) CtxColl() uint32 { return c.ctxColl }
 
 // --- Point-to-point operations -------------------------------------------
 
 // nullRequest builds an already-complete request: the result of an
-// operation on ProcNull or of an argument error under ErrorsReturn.
+// operation on ProcNull.
 func (c *Comm) nullRequest(send bool) Request {
 	r := Request{comm: c, send: send, finished: true}
 	if !send {
@@ -128,9 +116,10 @@ func (c *Comm) Isend(to Rank, tag int, data []byte) *Request {
 
 // isend is Isend with the request in the caller's frame.
 func (c *Comm) isend(to Rank, tag int, data []byte) Request {
-	if to == ProcNull || c.checkSendArgs(to, tag) != nil {
+	if to == ProcNull {
 		return c.nullRequest(true)
 	}
+	c.checkSendArgs(to, tag)
 	return c.protocol.Isend(c, c.ctxP2P, to, tag, data)
 }
 
@@ -149,9 +138,10 @@ func (c *Comm) Irecv(from Rank, tag int, buf []byte) *Request {
 
 // irecv is Irecv with the request in the caller's frame.
 func (c *Comm) irecv(from Rank, tag int, buf []byte) Request {
-	if from == ProcNull || c.checkRecvArgs(from, tag) != nil {
+	if from == ProcNull {
 		return c.nullRequest(false)
 	}
+	c.checkRecvArgs(from, tag)
 	return c.protocol.Irecv(c, c.ctxP2P, from, tag, buf)
 }
 
@@ -167,14 +157,6 @@ func (c *Comm) Sendrecv(to Rank, sendTag int, sendData []byte, from Rank, recvTa
 	rr := c.irecv(from, recvTag, recvBuf)
 	c.Send(to, sendTag, sendData)
 	return rr.Wait()
-}
-
-// SendrecvReplace sends and receives using a single buffer
-// (MPI_Sendrecv_replace): the outgoing payload is snapshotted before the
-// receive can overwrite it.
-func (c *Comm) SendrecvReplace(to Rank, sendTag int, from Rank, recvTag int, buf []byte) Status {
-	out := append([]byte(nil), buf...)
-	return c.Sendrecv(to, sendTag, out, from, recvTag, buf)
 }
 
 // collective-context variants used by the collectives module.
@@ -246,9 +228,7 @@ func (c *Comm) Dup() *Comm {
 	// contexts before everyone has derived them.
 	c.Barrier()
 	p2p, coll := c.childCtx()
-	child := newComm(c.proc, c.protocol, NewGroup(c.group.ranks), c.BaseRank(c.rank), p2p, coll)
-	child.errh = c.errh
-	return child
+	return newComm(c.proc, c.protocol, NewGroup(c.group.ranks), c.BaseRank(c.rank), p2p, coll)
 }
 
 // Split partitions the communicator by color; within a color, ranks order
@@ -287,19 +267,6 @@ func (c *Comm) Split(color, key int) *Comm {
 		ranks[i] = c.BaseRank(m.oldRank)
 	}
 	return newComm(c.proc, c.protocol, NewGroup(ranks), c.BaseRank(c.rank), p2p, coll)
-}
-
-// CommCreate builds a communicator restricted to the given subgroup
-// (MPI_Comm_create). Collective over the parent; ranks outside the group
-// get nil.
-func (c *Comm) CommCreate(g *Group) *Comm {
-	c.Barrier()
-	p2p, coll := c.childCtx()
-	myBase := c.BaseRank(c.rank)
-	if !g.Contains(myBase) {
-		return nil
-	}
-	return newComm(c.proc, c.protocol, NewGroup(g.ranks), myBase, p2p, coll)
 }
 
 // String identifies the communicator for debugging.

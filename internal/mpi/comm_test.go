@@ -94,32 +94,6 @@ func TestCommSplitUndefined(t *testing.T) {
 	})
 }
 
-func TestCommCreate(t *testing.T) {
-	runNative(t, 5, func(c *Comm) {
-		g := c.Group().Incl([]Rank{4, 1, 3}) // deliberate non-monotone order
-		sub := c.CommCreate(g)
-		in := c.Rank() == 4 || c.Rank() == 1 || c.Rank() == 3
-		if !in {
-			if sub != nil {
-				t.Error("outside ranks must get nil")
-			}
-			return
-		}
-		if sub.Size() != 3 {
-			t.Fatalf("size %d", sub.Size())
-		}
-		want := map[Rank]Rank{4: 0, 1: 1, 3: 2}
-		if sub.Rank() != want[c.Rank()] {
-			t.Errorf("rank %d → %d want %d", c.Rank(), sub.Rank(), want[c.Rank()])
-		}
-		// Rank translation across communicators.
-		if sub.BaseRank(0) != 4 {
-			t.Errorf("base of sub rank 0 = %d", sub.BaseRank(0))
-		}
-		sub.Barrier()
-	})
-}
-
 func TestNestedSplit(t *testing.T) {
 	runNative(t, 8, func(c *Comm) {
 		// Grid: 2 rows x 4 cols; split into rows then columns.
@@ -156,7 +130,7 @@ func TestChildContextsUniqueAcrossSiblings(t *testing.T) {
 	runNative(t, 2, func(c *Comm) {
 		a := c.Dup()
 		b := c.Dup()
-		if a.CtxP2P() == b.CtxP2P() || a.CtxColl() == b.CtxColl() {
+		if a.CtxP2P() == b.CtxP2P() || a.ctxColl == b.ctxColl {
 			t.Error("sibling comms share contexts")
 		}
 		grandchild := a.Dup()

@@ -21,9 +21,6 @@ var (
 	Float64 = Datatype{"float64", 8}
 )
 
-// Count returns how many elements of dt fit in a buffer of n bytes.
-func (dt Datatype) Count(n int) int { return n / dt.Size }
-
 // --- Typed encode/decode helpers ------------------------------------------
 
 // Float64Bytes encodes a float64 slice into a fresh byte buffer.

@@ -62,16 +62,6 @@ const (
 	_ = uint(112 - unsafe.Sizeof(Request{}))
 )
 
-// Done reports request completion at the PML level.
-func (r *PReq) Done() bool { return r.done }
-
-// Cancelled reports whether the request was cancelled.
-func (r *PReq) Cancelled() bool { return r.cancelled }
-
-// Truncated reports whether a matched message overflowed the receive
-// buffer (MPI_ERR_TRUNCATE).
-func (r *PReq) Truncated() bool { return r.truncated }
-
 // PStatus returns the PML-level completion status.
 func (r *PReq) PStatus() PStatus { return r.status }
 
@@ -162,9 +152,6 @@ func NewEngine(nw *transport.Network, ep *transport.Endpoint) *Engine {
 
 // Proc returns the physical process ID this engine belongs to.
 func (e *Engine) Proc() transport.ProcID { return e.ep.ID() }
-
-// Network returns the underlying network.
-func (e *Engine) Network() *transport.Network { return e.nw }
 
 // Endpoint returns the transport endpoint (protocols use it to emit acks
 // and control messages).
@@ -350,37 +337,6 @@ func (e *Engine) TakeUnexpected() []*transport.Message {
 	ms := e.unexpected
 	e.unexpected = nil
 	return ms
-}
-
-// RetargetRecvs redirects every posted receive that names physical source
-// old to name new instead (Algorithm 1, lines 34-35), then re-runs
-// matching against the unexpected queue, since messages from the new
-// source may already have arrived.
-func (e *Engine) RetargetRecvs(old, new transport.ProcID) {
-	changed := false
-	for _, r := range e.posted {
-		if !r.send && r.peer == old {
-			r.peer = new
-			changed = true
-		}
-	}
-	if changed {
-		e.rematch()
-	}
-}
-
-// rematch retries delivery of unexpected messages against posted receives.
-func (e *Engine) rematch() {
-	i := 0
-	for i < len(e.unexpected) {
-		m := e.unexpected[i]
-		if req := e.findPosted(m); req != nil {
-			e.unexpected = slices.Delete(e.unexpected, i, i+1)
-			e.deliver(req, m)
-			continue
-		}
-		i++
-	}
 }
 
 func (e *Engine) findPosted(m *transport.Message) *PReq {

@@ -49,86 +49,35 @@ func ClassName(class int) string {
 	return fmt.Sprintf("MPI_ERR(%d)", class)
 }
 
-// ErrClass extracts the error class from an error (ErrOther if it is not
-// an *Error, ErrNone if nil).
-func ErrClass(err error) int {
-	if err == nil {
-		return ErrNone
-	}
-	if e, ok := err.(*Error); ok {
-		return e.Class
-	}
-	return ErrOther
-}
-
-// Errhandler decides what happens when the library detects an error on a
-// communicator. The default, ErrorsAreFatal, panics — matching both MPI's
-// default MPI_ERRORS_ARE_FATAL and this library's original behaviour.
-type Errhandler func(c *Comm, err *Error)
-
-// ErrorsAreFatal panics with the error (MPI_ERRORS_ARE_FATAL).
-func ErrorsAreFatal(c *Comm, err *Error) {
+// raise reports an argument error the way MPI's default handler,
+// MPI_ERRORS_ARE_FATAL, does: it panics with the error's text.
+func raise(class int, format string, args ...any) {
+	err := &Error{Class: class, Msg: fmt.Sprintf(format, args...)}
 	panic(err.Error())
 }
 
-// ErrorsReturn records the error on the communicator without unwinding
-// (MPI_ERRORS_RETURN); retrieve it with Comm.LastError.
-func ErrorsReturn(c *Comm, err *Error) {
-	c.lastErr = err
-}
-
-// SetErrhandler installs the communicator's error handler
-// (MPI_Comm_set_errhandler). A nil handler restores the default.
-func (c *Comm) SetErrhandler(h Errhandler) {
-	c.errh = h
-}
-
-// LastError returns and clears the most recent error recorded by
-// ErrorsReturn on this communicator.
-func (c *Comm) LastError() *Error {
-	e := c.lastErr
-	c.lastErr = nil
-	return e
-}
-
-// raise routes an error through the communicator's handler. It returns the
-// error so callers can propagate it when the handler does not unwind.
-func (c *Comm) raise(class int, format string, args ...any) *Error {
-	err := &Error{Class: class, Msg: fmt.Sprintf(format, args...)}
-	h := c.errh
-	if h == nil {
-		h = ErrorsAreFatal
-	}
-	h(c, err)
-	return err
-}
-
-// checkSendArgs validates send arguments through the error handler.
-// It returns non-nil (and the send becomes a no-op) only when the handler
-// does not unwind.
-func (c *Comm) checkSendArgs(to Rank, tag int) *Error {
+// checkSendArgs raises an error for an invalid send destination or tag.
+func (c *Comm) checkSendArgs(to Rank, tag int) {
 	if to == ProcNull {
-		return nil
+		return
 	}
 	if to < 0 || int(to) >= c.Size() {
-		return c.raise(ErrRank, "send to rank %d outside communicator of size %d", to, c.Size())
+		raise(ErrRank, "send to rank %d outside communicator of size %d", to, c.Size())
 	}
 	if tag < 0 {
-		return c.raise(ErrTag, "negative tag %d on send", tag)
+		raise(ErrTag, "negative tag %d on send", tag)
 	}
-	return nil
 }
 
-// checkRecvArgs validates receive arguments through the error handler.
-func (c *Comm) checkRecvArgs(from Rank, tag int) *Error {
+// checkRecvArgs raises an error for an invalid receive source or tag.
+func (c *Comm) checkRecvArgs(from Rank, tag int) {
 	if from == ProcNull || from == AnySource {
-		return nil
+		return
 	}
 	if from < 0 || int(from) >= c.Size() {
-		return c.raise(ErrRank, "receive from rank %d outside communicator of size %d", from, c.Size())
+		raise(ErrRank, "receive from rank %d outside communicator of size %d", from, c.Size())
 	}
 	if tag != AnyTag && tag < 0 {
-		return c.raise(ErrTag, "negative tag %d on receive", tag)
+		raise(ErrTag, "negative tag %d on receive", tag)
 	}
-	return nil
 }

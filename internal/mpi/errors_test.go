@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -19,81 +18,12 @@ func TestErrorClassNames(t *testing.T) {
 	}
 }
 
-func TestErrClass(t *testing.T) {
-	if ErrClass(nil) != ErrNone {
-		t.Error("nil should map to MPI_SUCCESS")
-	}
-	if ErrClass(&Error{Class: ErrTag}) != ErrTag {
-		t.Error("class not extracted")
-	}
-	if ErrClass(errors.New("plain")) != ErrOther {
-		t.Error("foreign error should map to MPI_ERR_OTHER")
-	}
-}
-
 func TestErrorsAreFatalDefault(t *testing.T) {
-	runNative(t, 1, func(c *Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Error("send to out-of-range rank did not panic under the default handler")
-			}
-		}()
-		c.Send(42, 1, nil)
-	})
-}
-
-func TestErrorsReturn(t *testing.T) {
 	runNative(t, 2, func(c *Comm) {
-		c.SetErrhandler(ErrorsReturn)
-		if c.Rank() != 0 {
-			return
-		}
-		c.Send(42, 1, nil) // becomes a no-op
-		e := c.LastError()
-		if e == nil || e.Class != ErrRank {
-			t.Fatalf("error = %v, want MPI_ERR_RANK", e)
-		}
-		if c.LastError() != nil {
-			t.Error("LastError did not clear")
-		}
-		c.Send(1, -3, nil)
-		if e := c.LastError(); e == nil || e.Class != ErrTag {
-			t.Errorf("negative tag: error = %v", e)
-		}
-		r := c.Irecv(-9, 1, nil)
-		if e := c.LastError(); e == nil || e.Class != ErrRank {
-			t.Errorf("bad recv rank: error = %v", e)
-		}
-		r.Wait() // degraded request must not hang
-	})
-}
-
-func TestCustomErrhandler(t *testing.T) {
-	runNative(t, 1, func(c *Comm) {
-		var got *Error
-		c.SetErrhandler(func(cc *Comm, err *Error) {
-			if cc != c {
-				t.Error("handler got wrong communicator")
-			}
-			got = err
-		})
-		c.Send(7, 1, nil)
-		if got == nil || got.Class != ErrRank {
-			t.Errorf("custom handler saw %v", got)
-		}
-	})
-}
-
-func TestErrhandlerInheritedOnDup(t *testing.T) {
-	runNative(t, 2, func(c *Comm) {
-		c.SetErrhandler(ErrorsReturn)
-		d := c.Dup()
-		if c.Rank() == 0 {
-			d.Send(99, 1, nil)
-			if e := d.LastError(); e == nil || e.Class != ErrRank {
-				t.Errorf("dup did not inherit handler: %v", e)
-			}
-		}
+		mustRaise(t, ErrRank, func() { c.Send(42, 1, nil) })
+		mustRaise(t, ErrTag, func() { c.Send(1, -3, nil) })
+		mustRaise(t, ErrRank, func() { c.Irecv(-9, 1, nil) })
+		mustRaise(t, ErrTag, func() { c.Recv(0, -2, nil) })
 	})
 }
 

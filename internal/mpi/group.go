@@ -1,11 +1,8 @@
 package mpi
 
-import "sort"
-
 // Group is an ordered set of base-world logical ranks, as in MPI groups:
 // position in the slice is the rank within any communicator built from the
-// group. All group operations are local (no communication), exactly as in
-// the MPI standard.
+// group (the world, Dup's copy of its parent's, or one of Split's).
 type Group struct {
 	ranks []Rank
 }
@@ -28,148 +25,5 @@ func WorldGroup(n int) *Group {
 // Size returns the number of ranks in the group.
 func (g *Group) Size() int { return len(g.ranks) }
 
-// Ranks returns a copy of the base ranks in group order.
-func (g *Group) Ranks() []Rank { return append([]Rank(nil), g.ranks...) }
-
 // Base returns the base rank at group position i.
 func (g *Group) Base(i Rank) Rank { return g.ranks[int(i)] }
-
-// PosOf returns the group position of base rank b, or -1 (MPI_UNDEFINED).
-func (g *Group) PosOf(b Rank) Rank {
-	for i, r := range g.ranks {
-		if r == b {
-			return Rank(i)
-		}
-	}
-	return -1
-}
-
-// Contains reports whether base rank b is in the group.
-func (g *Group) Contains(b Rank) bool { return g.PosOf(b) >= 0 }
-
-// Incl returns the subgroup consisting of the given positions, in that
-// order (MPI_Group_incl).
-func (g *Group) Incl(positions []Rank) *Group {
-	out := &Group{ranks: make([]Rank, len(positions))}
-	for i, p := range positions {
-		out.ranks[i] = g.ranks[int(p)]
-	}
-	return out
-}
-
-// Excl returns the subgroup without the given positions, preserving order
-// (MPI_Group_excl).
-func (g *Group) Excl(positions []Rank) *Group {
-	drop := make(map[Rank]bool, len(positions))
-	for _, p := range positions {
-		drop[p] = true
-	}
-	out := &Group{}
-	for i, r := range g.ranks {
-		if !drop[Rank(i)] {
-			out.ranks = append(out.ranks, r)
-		}
-	}
-	return out
-}
-
-// RangeIncl includes positions first..last (inclusive) striding by stride,
-// like MPI_Group_range_incl with a single triplet.
-func (g *Group) RangeIncl(first, last, stride Rank) *Group {
-	out := &Group{}
-	if stride == 0 {
-		return out
-	}
-	if stride > 0 {
-		for p := first; p <= last; p += stride {
-			out.ranks = append(out.ranks, g.ranks[int(p)])
-		}
-	} else {
-		for p := first; p >= last; p += stride {
-			out.ranks = append(out.ranks, g.ranks[int(p)])
-		}
-	}
-	return out
-}
-
-// Union returns ranks of g followed by ranks of h not already present
-// (MPI_Group_union ordering).
-func (g *Group) Union(h *Group) *Group {
-	out := &Group{ranks: append([]Rank(nil), g.ranks...)}
-	for _, r := range h.ranks {
-		if !g.Contains(r) {
-			out.ranks = append(out.ranks, r)
-		}
-	}
-	return out
-}
-
-// Intersection returns ranks of g that are also in h, in g's order.
-func (g *Group) Intersection(h *Group) *Group {
-	out := &Group{}
-	for _, r := range g.ranks {
-		if h.Contains(r) {
-			out.ranks = append(out.ranks, r)
-		}
-	}
-	return out
-}
-
-// Difference returns ranks of g not in h, in g's order.
-func (g *Group) Difference(h *Group) *Group {
-	out := &Group{}
-	for _, r := range g.ranks {
-		if !h.Contains(r) {
-			out.ranks = append(out.ranks, r)
-		}
-	}
-	return out
-}
-
-// TranslateRanks maps positions in g to positions in h (MPI_Group_
-// translate_ranks); unmapped ranks become -1.
-func (g *Group) TranslateRanks(positions []Rank, h *Group) []Rank {
-	out := make([]Rank, len(positions))
-	for i, p := range positions {
-		out[i] = h.PosOf(g.ranks[int(p)])
-	}
-	return out
-}
-
-// GroupCompareResult is the result of Group.Compare.
-type GroupCompareResult int
-
-// Comparison outcomes, mirroring MPI_IDENT / MPI_SIMILAR / MPI_UNEQUAL.
-const (
-	GroupIdent GroupCompareResult = iota
-	GroupSimilar
-	GroupUnequal
-)
-
-// Compare classifies two groups: identical members and order, identical
-// members in different order, or different members.
-func (g *Group) Compare(h *Group) GroupCompareResult {
-	if len(g.ranks) != len(h.ranks) {
-		return GroupUnequal
-	}
-	ident := true
-	for i, r := range g.ranks {
-		if h.ranks[i] != r {
-			ident = false
-			break
-		}
-	}
-	if ident {
-		return GroupIdent
-	}
-	a := append([]Rank(nil), g.ranks...)
-	b := append([]Rank(nil), h.ranks...)
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	for i := range a {
-		if a[i] != b[i] {
-			return GroupUnequal
-		}
-	}
-	return GroupSimilar
-}

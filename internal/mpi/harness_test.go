@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,4 +59,16 @@ func runOnNetwork(t *testing.T, nw *transport.Network, n int, fn func(c *Comm)) 
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// mustRaise runs fn and fails the test unless fn raises an argument error
+// of the given class: a panic whose text names the class.
+func mustRaise(t *testing.T, class int, fn func()) {
+	t.Helper()
+	defer func() {
+		if s, _ := recover().(string); !strings.Contains(s, ClassName(class)) {
+			t.Errorf("raised %q, want %s", s, ClassName(class))
+		}
+	}()
+	fn()
 }

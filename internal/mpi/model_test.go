@@ -70,68 +70,6 @@ func TestAllreduceMatchesModel(t *testing.T) {
 	}
 }
 
-func TestReduceMatchesModel(t *testing.T) {
-	prop := func(nRaw, elemsRaw, opRaw, rootRaw uint8, seed int64) bool {
-		n := int(nRaw%6) + 1
-		elems := int(elemsRaw%6) + 1
-		op := namedOps()[int(opRaw)%len(namedOps())]
-		root := Rank(int(rootRaw) % n)
-		inputs := refInputs(n, elems, seed)
-		want := opFold(op, inputs)
-		ok := true
-		runNative(t, n, func(c *Comm) {
-			got := c.Reduce(root, Float64Bytes(inputs[c.Rank()]), Float64, op)
-			if c.Rank() != root {
-				return
-			}
-			gotF := BytesFloat64(got)
-			for i := range want {
-				if gotF[i] != want[i] {
-					ok = false
-				}
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScanExscanMatchModel(t *testing.T) {
-	prop := func(nRaw, elemsRaw uint8, seed int64) bool {
-		n := int(nRaw%6) + 1
-		elems := int(elemsRaw%5) + 1
-		inputs := refInputs(n, elems, seed)
-		ok := true
-		runNative(t, n, func(c *Comm) {
-			me := int(c.Rank())
-			gotScan := BytesFloat64(c.Scan(Float64Bytes(inputs[me]), Float64, OpSum))
-			wantScan := opFold(OpSum, inputs[:me+1])
-			for i := range wantScan {
-				if gotScan[i] != wantScan[i] {
-					ok = false
-				}
-			}
-			gotEx := c.Exscan(Float64Bytes(inputs[me]), Float64, OpSum)
-			if me == 0 {
-				return // Exscan undefined on rank 0
-			}
-			wantEx := opFold(OpSum, inputs[:me])
-			gotExF := BytesFloat64(gotEx)
-			for i := range wantEx {
-				if gotExF[i] != wantEx[i] {
-					ok = false
-				}
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoallMatchesModel(t *testing.T) {
 	prop := func(nRaw, blRaw uint8, seed int64) bool {
 		n := int(nRaw%7) + 1
@@ -159,47 +97,4 @@ func TestAlltoallMatchesModel(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestAllgathervMatchesModel(t *testing.T) {
-	prop := func(nRaw uint8, seed int64) bool {
-		n := int(nRaw%6) + 1
-		rng := rand.New(rand.NewSource(seed))
-		counts := make([]int, n)
-		data := make([][]byte, n)
-		var all []byte
-		for r := range data {
-			counts[r] = rng.Intn(7) // zero-length contributions allowed
-			data[r] = make([]byte, counts[r])
-			rng.Read(data[r])
-			all = append(all, data[r]...)
-		}
-		ok := true
-		runNative(t, n, func(c *Comm) {
-			got := c.Allgatherv(data[c.Rank()], counts)
-			if !bytes.Equal(got, all) {
-				ok = false
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendrecvReplace(t *testing.T) {
-	runNative(t, 3, func(c *Comm) {
-		n := c.Size()
-		right := (c.Rank() + 1) % Rank(n)
-		left := (c.Rank() - 1 + Rank(n)) % Rank(n)
-		buf := []byte{byte(c.Rank() + 1)}
-		st := c.SendrecvReplace(right, 5, left, 5, buf)
-		if want := byte(left + 1); buf[0] != want {
-			t.Errorf("rank %d: buf = %d, want %d", c.Rank(), buf[0], want)
-		}
-		if st.Source != left {
-			t.Errorf("rank %d: source = %d, want %d", c.Rank(), st.Source, left)
-		}
-	})
 }

@@ -3,7 +3,7 @@
 // the paper's Figure 5 describes:
 //
 //	application  →  Comm (the OMPI binding layer: Send/Recv, collectives,
-//	                 communicators, groups)
+//	                 communicators, topologies)
 //	             →  Protocol (the vProtocol interception point where the
 //	                 replication layer sits; the native protocol is a
 //	                 pass-through)
@@ -15,7 +15,7 @@
 // Collective operations are implemented on top of the point-to-point
 // functions — the same assumption the paper makes (§2.2) — so a protocol
 // that intercepts point-to-point traffic transparently covers every
-// collective, communicator and group operation.
+// collective and communicator operation.
 //
 // The engine only progresses when the application enters the library
 // (§3.3: "the library can only progress when the application makes a MPI

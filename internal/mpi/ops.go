@@ -96,57 +96,3 @@ var (
 	OpBor  = Op{"bor", intOnly(func(a, b uint64) uint64 { return a | b })}
 	OpBxor = Op{"bxor", intOnly(func(a, b uint64) uint64 { return a ^ b })}
 )
-
-// MaxLoc/MinLoc operate on (float64 value, int64 index) pairs, 16 bytes per
-// element, mirroring MPI_MAXLOC / MPI_MINLOC on MPI_DOUBLE_INT. Ties pick
-// the lower index, as MPI specifies.
-var (
-	Float64Int = Datatype{"float64int", 16}
-
-	OpMaxLoc = Op{"maxloc", locOp(true)}
-	OpMinLoc = Op{"minloc", locOp(false)}
-)
-
-func locOp(max bool) func(Datatype, []byte, []byte) {
-	return func(dt Datatype, inout, in []byte) {
-		for i := 0; i+16 <= len(in) && i+16 <= len(inout); i += 16 {
-			av := math.Float64frombits(binary.LittleEndian.Uint64(inout[i:]))
-			ai := int64(binary.LittleEndian.Uint64(inout[i+8:]))
-			bv := math.Float64frombits(binary.LittleEndian.Uint64(in[i:]))
-			bi := int64(binary.LittleEndian.Uint64(in[i+8:]))
-			take := false
-			switch {
-			case max && bv > av, !max && bv < av:
-				take = true
-			case bv == av && bi < ai:
-				take = true
-			}
-			if take {
-				binary.LittleEndian.PutUint64(inout[i:], math.Float64bits(bv))
-				binary.LittleEndian.PutUint64(inout[i+8:], uint64(bi))
-			}
-		}
-	}
-}
-
-// PackFloat64Int encodes (value, index) pairs for MaxLoc/MinLoc.
-func PackFloat64Int(vals []float64, idxs []int64) []byte {
-	out := make([]byte, 16*len(vals))
-	for i := range vals {
-		binary.LittleEndian.PutUint64(out[16*i:], math.Float64bits(vals[i]))
-		binary.LittleEndian.PutUint64(out[16*i+8:], uint64(idxs[i]))
-	}
-	return out
-}
-
-// UnpackFloat64Int decodes (value, index) pairs.
-func UnpackFloat64Int(b []byte) ([]float64, []int64) {
-	n := len(b) / 16
-	vals := make([]float64, n)
-	idxs := make([]int64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:]))
-		idxs[i] = int64(binary.LittleEndian.Uint64(b[16*i+8:]))
-	}
-	return vals, idxs
-}

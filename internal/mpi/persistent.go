@@ -24,21 +24,13 @@ type Persistent struct {
 // The data buffer is captured by reference: each Start sends its current
 // contents.
 func (c *Comm) SendInit(to Rank, tag int, data []byte) *Persistent {
-	if to != ProcNull {
-		if err := c.checkSendArgs(to, tag); err != nil {
-			return &Persistent{comm: c, send: true, peer: ProcNull}
-		}
-	}
+	c.checkSendArgs(to, tag)
 	return &Persistent{comm: c, send: true, peer: to, tag: tag, buf: data}
 }
 
 // RecvInit creates an inactive persistent receive request (MPI_Recv_init).
 func (c *Comm) RecvInit(from Rank, tag int, buf []byte) *Persistent {
-	if from != ProcNull {
-		if err := c.checkRecvArgs(from, tag); err != nil {
-			return &Persistent{comm: c, send: false, peer: ProcNull}
-		}
-	}
+	c.checkRecvArgs(from, tag)
 	return &Persistent{comm: c, send: false, peer: from, tag: tag, buf: buf}
 }
 
@@ -46,8 +38,7 @@ func (c *Comm) RecvInit(from Rank, tag int, buf []byte) *Persistent {
 // request is an ErrRequest error.
 func (p *Persistent) Start() {
 	if p.active != nil && !p.active.Done() {
-		p.comm.raise(ErrRequest, "Start on an active persistent request")
-		return
+		raise(ErrRequest, "Start on an active persistent request")
 	}
 	if p.send {
 		p.active = p.comm.Isend(p.peer, p.tag, p.buf)

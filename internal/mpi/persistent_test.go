@@ -68,7 +68,6 @@ func TestPersistentStartall(t *testing.T) {
 
 func TestPersistentDoubleStart(t *testing.T) {
 	runNative(t, 2, func(c *Comm) {
-		c.SetErrhandler(ErrorsReturn)
 		switch c.Rank() {
 		case 0:
 			// A receive that will not be matched until rank 1 sends, so
@@ -76,11 +75,8 @@ func TestPersistentDoubleStart(t *testing.T) {
 			buf := make([]byte, 4)
 			p := c.RecvInit(1, 5, buf)
 			p.Start()
-			p.Start() // must raise ErrRequest, not double-post
-			if e := c.LastError(); e == nil || e.Class != ErrRequest {
-				t.Errorf("double Start: error = %v, want MPI_ERR_REQUEST", e)
-			}
-			c.Send(1, 6, []byte{1}) // release rank 1
+			mustRaise(t, ErrRequest, p.Start) // not a double post
+			c.Send(1, 6, []byte{1})           // release rank 1
 			p.Wait()
 		case 1:
 			c.Recv(0, 6, make([]byte, 1))
@@ -139,18 +135,8 @@ func TestPersistentProcNull(t *testing.T) {
 
 func TestPersistentBadArgs(t *testing.T) {
 	runNative(t, 1, func(c *Comm) {
-		c.SetErrhandler(ErrorsReturn)
-		p := c.SendInit(5, 1, nil) // rank out of range
-		if e := c.LastError(); e == nil || e.Class != ErrRank {
-			t.Errorf("SendInit bad rank: error = %v", e)
-		}
-		p.Start()
-		p.Wait()                    // degraded to ProcNull: must not hang
-		q := c.RecvInit(0, -7, nil) // negative tag
-		if e := c.LastError(); e == nil || e.Class != ErrTag {
-			t.Errorf("RecvInit bad tag: error = %v", e)
-		}
-		q.Start()
-		q.Wait()
+		mustRaise(t, ErrRank, func() { c.SendInit(5, 1, nil) })  // rank out of range
+		mustRaise(t, ErrTag, func() { c.RecvInit(0, -7, nil) })  // negative tag
+		mustRaise(t, ErrRank, func() { c.RecvInit(-3, 1, nil) }) // not AnySource
 	})
 }

@@ -19,13 +19,10 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // ID returns the physical process ID.
 func (p *Proc) ID() transport.ProcID { return p.eng.Proc() }
 
-// Network returns the transport network.
-func (p *Proc) Network() *transport.Network { return p.eng.Network() }
-
 // Protocol is the vProtocol interception interface: the point in the stack
 // where SDR-MPI (and the baseline protocols) sit. The OMPI layer (Comm)
 // routes every point-to-point operation — and therefore, transitively,
-// every collective, communicator and group operation — through it. Isend
+// every collective and communicator operation — through it. Isend
 // and Irecv return the request by value: a blocking call waits on it in
 // its own frame, and only a non-blocking one moves it to the heap.
 type Protocol interface {

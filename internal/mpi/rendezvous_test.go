@@ -65,7 +65,7 @@ func pump(t *testing.T, cond func() bool, es ...*Engine) {
 		}
 		for _, e := range es {
 			e.Progress()
-			e.Network().FlushWire(e.Proc(), true)
+			e.nw.FlushWire(e.Proc(), true)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -92,10 +92,10 @@ func TestRendezvousTruncatedReceive(t *testing.T) {
 
 			req := b.Irecv(0, AnySource, nil, 2, 5, mem[:short])
 			sreq := a.Isend(1, 2, 5, payload, 0, [4]int64{})
-			pump(t, func() bool { return req.Done() && sreq.Done() }, a, b)
+			pump(t, func() bool { return req.done && sreq.done }, a, b)
 
-			if !req.Truncated() || req.PStatus().Count != len(payload) {
-				t.Fatalf("truncated=%v count=%d, want true and the sender's %d", req.Truncated(), req.PStatus().Count, len(payload))
+			if !req.truncated || req.PStatus().Count != len(payload) {
+				t.Fatalf("truncated=%v count=%d, want true and the sender's %d", req.truncated, req.PStatus().Count, len(payload))
 			}
 			if !bytes.Equal(mem[:short], payload[:short]) {
 				t.Fatal("receive buffer does not hold the payload's prefix")
@@ -111,7 +111,7 @@ func TestRendezvousTruncatedReceive(t *testing.T) {
 			small := make([]byte, 8)
 			req2 := b.Irecv(0, AnySource, nil, 2, 6, small)
 			a.Isend(1, 2, 6, []byte("in frame"), 1, [4]int64{})
-			pump(t, req2.Done, a, b)
+			pump(t, func() bool { return req2.done }, a, b)
 			if string(small) != "in frame" {
 				t.Fatalf("message behind the truncated payload: %q", small)
 			}
@@ -137,16 +137,16 @@ func TestRebindRTSMovesTheLanding(t *testing.T) {
 
 			req := b.Irecv(AnyProc, AnySource, nil, 2, 5, buf)
 			origReq := orig.Isend(1, 2, 5, stale, 3, meta)
-			orig.Network().FlushWire(0, true)
+			orig.nw.FlushWire(0, true)
 			pump(t, func() bool { return b.PostedLen() == 0 }, b) // matched: CTS is on its way to orig
-			if req.Done() {
+			if req.done {
 				t.Fatal("receive completed without a payload")
 			}
 
 			// The substitute re-sends the same logical message (same
 			// context, sequence and source rank).
 			substReq := subst.Isend(1, 2, 5, good, 3, meta)
-			subst.Network().FlushWire(2, true)
+			subst.nw.FlushWire(2, true)
 			var rts *transport.Message
 			for rts == nil {
 				b.Endpoint().WaitActivity(time.Second)
@@ -161,7 +161,7 @@ func TestRebindRTSMovesTheLanding(t *testing.T) {
 				t.Fatal("rebind failed to find the broken receive")
 			}
 			transport.FreeMessage(rts)
-			pump(t, func() bool { return req.Done() && substReq.Done() }, b, subst)
+			pump(t, func() bool { return req.done && substReq.done }, b, subst)
 			if !bytes.Equal(buf, good) || req.PStatus().SrcPhys != 2 {
 				t.Fatalf("rebound receive: src %d, payload intact %v", req.PStatus().SrcPhys, bytes.Equal(buf, good))
 			}
@@ -169,7 +169,7 @@ func TestRebindRTSMovesTheLanding(t *testing.T) {
 			// Now the original sender answers its CTS after all: the stale
 			// payload finds no registration, arrives pooled under an XID
 			// the receiver no longer knows, and is dropped.
-			pump(t, origReq.Done, orig)
+			pump(t, func() bool { return origReq.done }, orig)
 			for deadline := time.Now().Add(10 * time.Second); !b.Progress(); time.Sleep(50 * time.Microsecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("the stale payload never arrived")
@@ -197,7 +197,7 @@ func TestSinkRTSSkipsThePayload(t *testing.T) {
 			before := landedFrames()
 
 			sreq := a.Isend(1, 2, 5, randomBytes(4, 1<<20), 0, [4]int64{})
-			a.Network().FlushWire(0, true)
+			a.nw.FlushWire(0, true)
 			var rts *transport.Message
 			for rts == nil {
 				b.Endpoint().WaitActivity(time.Second)
@@ -216,9 +216,9 @@ func TestSinkRTSSkipsThePayload(t *testing.T) {
 
 			small := make([]byte, 8)
 			req := b.Irecv(0, AnySource, nil, 2, 6, small)
-			pump(t, sreq.Done, a, b)
+			pump(t, func() bool { return sreq.done }, a, b)
 			a.Isend(1, 2, 6, []byte("in frame"), 1, [4]int64{})
-			pump(t, req.Done, a, b)
+			pump(t, func() bool { return req.done }, a, b)
 			if string(small) != "in frame" || fired != 1 {
 				t.Fatalf("behind the sink: %q, %d completion events (want 1)", small, fired)
 			}

@@ -206,61 +206,3 @@ func Waitall(reqs ...*Request) []Status {
 	}
 	return out
 }
-
-// Waitany waits until at least one request completes and returns its index
-// and status (MPI_Waitany). The relative progress of requests is
-// non-deterministic; under send-determinism the choice cannot leak into
-// the message flow.
-func Waitany(reqs ...*Request) (int, Status) {
-	var eng *Engine
-	for _, r := range reqs {
-		if r != nil {
-			eng = r.comm.proc.eng
-			break
-		}
-	}
-	if eng == nil {
-		return -1, Status{}
-	}
-	idx := -1
-	eng.WaitUntil(func() bool {
-		for i, r := range reqs {
-			if r != nil && r.ready() {
-				idx = i
-				return true
-			}
-		}
-		return false
-	})
-	return idx, reqs[idx].finish()
-}
-
-// Testall progresses once and reports whether all requests completed.
-func Testall(reqs ...*Request) bool {
-	if len(reqs) == 0 {
-		return true
-	}
-	reqs[0].comm.proc.eng.Progress()
-	for _, r := range reqs {
-		if r != nil && !r.ready() {
-			return false
-		}
-	}
-	return true
-}
-
-// Testany progresses once and returns the index of a completed request, or
-// -1 if none.
-func Testany(reqs ...*Request) (int, Status, bool) {
-	if len(reqs) == 0 {
-		return -1, Status{}, false
-	}
-	reqs[0].comm.proc.eng.Progress()
-	for i, r := range reqs {
-		if r != nil && r.ready() {
-			st := r.finish()
-			return i, st, true
-		}
-	}
-	return -1, Status{}, false
-}

@@ -94,18 +94,15 @@ func (c *Comm) CartCreate(dims []int, periods []bool) *CartComm {
 	n := 1
 	for _, d := range dims {
 		if d <= 0 {
-			c.raise(ErrTopology, "CartCreate: non-positive dimension %d", d)
-			return nil
+			raise(ErrTopology, "CartCreate: non-positive dimension %d", d)
 		}
 		n *= d
 	}
 	if n > c.Size() {
-		c.raise(ErrTopology, "CartCreate: grid of %d exceeds communicator size %d", n, c.Size())
-		return nil
+		raise(ErrTopology, "CartCreate: grid of %d exceeds communicator size %d", n, c.Size())
 	}
 	if len(periods) != len(dims) {
-		c.raise(ErrTopology, "CartCreate: %d periods for %d dims", len(periods), len(dims))
-		return nil
+		raise(ErrTopology, "CartCreate: %d periods for %d dims", len(periods), len(dims))
 	}
 	color := 0
 	if int(c.Rank()) >= n {
@@ -127,8 +124,7 @@ func (c *Comm) CartCreate(dims []int, periods []bool) *CartComm {
 // yield ProcNull.
 func (t *CartComm) CartRank(coords []int) Rank {
 	if len(coords) != len(t.dims) {
-		t.raise(ErrTopology, "CartRank: %d coords for %d dims", len(coords), len(t.dims))
-		return ProcNull
+		raise(ErrTopology, "CartRank: %d coords for %d dims", len(coords), len(t.dims))
 	}
 	rank := 0
 	for d, c := range coords {
@@ -147,8 +143,7 @@ func (t *CartComm) CartRank(coords []int) Rank {
 // CartCoords translates a rank to coordinates (MPI_Cart_coords).
 func (t *CartComm) CartCoords(r Rank) []int {
 	if r < 0 || int(r) >= t.Size() {
-		t.raise(ErrRank, "CartCoords: rank %d outside topology of size %d", r, t.Size())
-		return nil
+		raise(ErrRank, "CartCoords: rank %d outside topology of size %d", r, t.Size())
 	}
 	coords := make([]int, len(t.dims))
 	rem := int(r)
@@ -169,8 +164,7 @@ func (t *CartComm) Coords() []int { return t.CartCoords(t.Rank()) }
 // passed directly to Sendrecv.
 func (t *CartComm) CartShift(dim, disp int) (src, dst Rank) {
 	if dim < 0 || dim >= len(t.dims) {
-		t.raise(ErrTopology, "CartShift: dimension %d outside %d-dim topology", dim, len(t.dims))
-		return ProcNull, ProcNull
+		raise(ErrTopology, "CartShift: dimension %d outside %d-dim topology", dim, len(t.dims))
 	}
 	coords := t.Coords()
 	up := append([]int(nil), coords...)
