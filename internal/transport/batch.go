@@ -24,9 +24,12 @@ import (
 //   - pre-block: Wire.Flush(src, force=true) — called before an engine
 //     blocks in WaitUntil/Request.Wait — flushes everything staged, so a
 //     process never sleeps on bytes a peer needs;
-//   - backstop: a per-wire flusher goroutine force-flushes on a flushTick
-//     period, keeping callers that drive Endpoint.Send without an engine
-//     loop (tests, drain loops) live without an explicit Flush call.
+//   - backstop: a Deliver that leaves its frame staged arms the wire's
+//     one-shot backstop timer (unless it is already armed), and the wire's
+//     flusher goroutine force-flushes everything when it fires, flushTick
+//     later. Callers that drive Endpoint.Send without an engine loop
+//     (tests, drain loops) stay live without an explicit Flush call, and a
+//     wire with nothing staged never wakes.
 //
 // Ownership: a staged batch slice holds exactly one reference to each
 // message; the flush that empties it is the one ownership handoff for every
@@ -41,8 +44,9 @@ var (
 	batchMaxAge    = 200 * time.Microsecond
 )
 
-// flushTick is the period of the background flusher goroutine the wire
-// runs as a liveness backstop.
+// flushTick is the longest a staged frame waits when nobody else flushes
+// it: the delay from the Deliver that arms the backstop timer to its fire.
+// It is not a period; a wire with nothing staged arms nothing.
 const flushTick = 500 * time.Microsecond
 
 // link is the outbound side of one ordered (hosted source, destination)

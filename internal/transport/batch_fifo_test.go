@@ -50,7 +50,7 @@ func runSequence(t *testing.T, w *wireWorld, rng *rand.Rand, seq []sentFrame) []
 		}
 		// Random flush boundaries: roughly one forced flush per 8 sends,
 		// landing anywhere relative to the batch thresholds and the
-		// background flush tick.
+		// backstop timer's fires.
 		if rng.Intn(8) == 0 {
 			if err := w.pws[0].Flush(0, true); err != nil {
 				t.Fatal(err)

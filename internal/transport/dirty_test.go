@@ -12,11 +12,14 @@ import (
 // nothing else: no listener, no backstop flusher, no peer addresses. What
 // Deliver stages stays staged until the test flushes it, and a flushed batch
 // leaves as an "unreachable" drop — counted, which is all the staging
-// bookkeeping needs. Never Closed (there is nothing to close).
+// bookkeeping needs. Never Closed (there is nothing to close). Its backstop
+// reads as armed for good, so Deliver never reaches for the absent timer.
 func bareWire(n int) *PeerWire {
 	nw := NewNetwork(n, nil)
-	return &PeerWire{nw: nw, lo: 0, hi: 1, srcs: []source{newSource(n)},
+	pw := &PeerWire{nw: nw, lo: 0, hi: 1, srcs: []source{newSource(n)},
 		addrs: make([]string, n), done: make(chan struct{})}
+	pw.armed.Store(true)
+	return pw
 }
 
 // checkDirtyExact asserts the staged-link bitmap's invariant: bit dst is set

@@ -16,8 +16,9 @@
 // one push over a shared-memory ring). Flush points mirror the ack
 // coalescer's: outbound-to-destination, batch full (frames or bytes),
 // batch age, and always before blocking — the engine drives the last via
-// FlushWire next to its OnFlush hook, and a per-wire ticker backstops
-// engine-less callers. Batching never reorders: the per-pair
+// FlushWire next to its OnFlush hook, and a per-wire one-shot timer, armed
+// by a frame left staged, backstops engine-less callers. Batching never
+// reorders: the per-pair
 // batch is FIFO and the batch mutex is held across the write, so per
 // ordered-pair FIFO holds across flush boundaries. See batch.go for the
 // staging/ownership mechanics, peer.go for the socket wire, and ring.go for

@@ -53,6 +53,15 @@ var (
 	mFlushFrames = obs.Default.Counter("sdr_transport_flush_frames_total",
 		"frames emitted across all batch flushes")
 
+	// The flush backstop (PeerWire.flushLoop): how often its one-shot timer
+	// fired, and how many frames those fires shipped — frames whose stager
+	// neither filled a batch nor flushed before it went quiet. Fires per
+	// second on an idle worker is 0.
+	mBackstopFires = obs.Default.Counter("sdr_transport_backstop_fires_total",
+		"times the socket wire's flush backstop timer fired")
+	mBackstopFrames = obs.Default.Counter("sdr_transport_backstop_frames_total",
+		"frames flush backstop fires took off the links (written or dropped)")
+
 	// Inbound-path scaling gauge: the shard count the last network built
 	// gave the endpoints it hosts (sized from the world, see shardCountFor).
 	gQueueShards = obs.Default.Gauge("sdr_transport_queue_shards",

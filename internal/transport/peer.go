@@ -121,6 +121,12 @@ type PeerWire struct {
 	bell     *bell // the ring scanner's doorbell; set by the first SetRingPeers, before the scanner starts
 	scanOnce sync.Once
 
+	// The flush backstop: flushLoop waits on backstop, a one-shot timer
+	// that deliver starts (armed false→true) when it leaves a frame staged
+	// and nobody has armed it since the last fire.
+	armed    atomic.Bool
+	backstop *time.Timer
+
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -174,16 +180,18 @@ func (s *source) takeLocked(dst ProcID) []*Message {
 // post-construction wire swap).
 func newPeerWire(nw *Network, lo, hi ProcID, ln net.Listener) *PeerWire {
 	pw := &PeerWire{
-		nw:      nw,
-		ln:      ln,
-		lo:      lo,
-		hi:      hi,
-		srcs:    make([]source, hi-lo),
-		lands:   newLandingTable(lo, hi),
-		addrs:   make([]string, nw.Size()),
-		inbound: make(map[net.Conn]struct{}),
-		done:    make(chan struct{}),
+		nw:       nw,
+		ln:       ln,
+		lo:       lo,
+		hi:       hi,
+		srcs:     make([]source, hi-lo),
+		lands:    newLandingTable(lo, hi),
+		addrs:    make([]string, nw.Size()),
+		inbound:  make(map[net.Conn]struct{}),
+		backstop: time.NewTimer(flushTick),
+		done:     make(chan struct{}),
 	}
+	pw.backstop.Stop() // armed by the first frame left staged
 	for i := range pw.srcs {
 		pw.srcs[i] = newSource(nw.Size())
 	}
@@ -417,18 +425,40 @@ func (pw *PeerWire) acceptLoop() {
 
 // flushLoop is the liveness backstop: traffic staged by callers that never
 // drive an engine flush (Endpoint.Send in tests, drain loops) still goes
-// out within a flush tick.
+// out within flushTick. It sleeps until the backstop timer fires, which only
+// a frame left staged arms (armBackstop): an idle wire never wakes, a busy
+// one wakes at most once per flushTick.
+//
+// A fire clears armed before it flushes. A frame staged after the clear
+// arms the timer again; one staged before it was visible to the flush
+// (its dirty bit is set before its Deliver reads armed), so it goes out
+// now. Clearing after the flush would strand a frame staged behind the
+// flush's pass over its link whose Deliver still saw armed set: no timer
+// would be running for it.
 func (pw *PeerWire) flushLoop() {
 	defer pw.wg.Done()
-	tick := time.NewTicker(flushTick)
-	defer tick.Stop()
+	defer pw.backstop.Stop()
 	for {
 		select {
 		case <-pw.done:
 			return
-		case <-tick.C:
-			_ = pw.Flush(NoProc, true)
+		case <-pw.backstop.C:
+			pw.armed.Store(false)
+			frames := pw.flush(NoProc, true)
+			mBackstopFires.Inc()
+			mBackstopFrames.Add(uint64(frames))
 		}
+	}
+}
+
+// armBackstop starts the backstop timer unless it is already running or
+// its fire has not yet cleared armed (that fire's flush still comes). The
+// CAS lets one Deliver per fire reset the timer; the load in front keeps
+// the rest from writing the shared word. With go 1.23+ channel timers the
+// Reset of an expired timer leaves no stale tick behind.
+func (pw *PeerWire) armBackstop() {
+	if !pw.armed.Load() && pw.armed.CompareAndSwap(false, true) {
+		pw.backstop.Reset(flushTick)
 	}
 }
 
@@ -584,10 +614,14 @@ func (pw *PeerWire) deliver(m *Message, lent bool) error {
 		return nil
 	default:
 	}
-	if s.stageLocked(m.Dst, m) || lent {
+	inline := s.stageLocked(m.Dst, m) || lent
+	if inline {
 		pw.flushBatchLocked(m.Src, m.Dst, l)
 	}
 	l.mu.Unlock()
+	if !inline {
+		pw.armBackstop() // the frame stays staged: make sure a flush comes
+	}
 	return nil
 }
 
@@ -599,10 +633,16 @@ func (pw *PeerWire) deliver(m *Message, lent bool) error {
 // has nothing staged. Delivery failures never surface as errors here; they
 // are fail-stop drops, counted by reason.
 func (pw *PeerWire) Flush(src ProcID, force bool) error {
+	pw.flush(src, force)
+	return nil
+}
+
+// flush is Flush reporting the number of frames it took off the links.
+func (pw *PeerWire) flush(src ProcID, force bool) (frames int) {
 	lo, hi := pw.lo, pw.hi
 	if src != NoProc {
 		if !pw.hosts(src) {
-			return nil
+			return 0
 		}
 		lo, hi = src, src+1
 	}
@@ -617,23 +657,25 @@ func (pw *PeerWire) Flush(src ProcID, force bool) error {
 				l := &s.links[dst]
 				l.mu.Lock()
 				if l.dueLocked(force) {
-					pw.flushBatchLocked(p, dst, l)
+					frames += pw.flushBatchLocked(p, dst, l)
 				}
 				l.mu.Unlock()
 			}
 		}
 	}
-	return nil
+	return frames
 }
 
 // flushBatchLocked emits the frames staged on src's link l to dst: one
 // ring push for a colocated pair, otherwise one net.Buffers vectored write
-// on the cached connection. Caller holds l.mu — the per-pair serialization
-// that makes staging order the emission order.
-func (pw *PeerWire) flushBatchLocked(src, dst ProcID, l *link) {
+// on the cached connection. It returns how many frames it took, written or
+// dropped. Caller holds l.mu — the per-pair serialization that makes
+// staging order the emission order.
+func (pw *PeerWire) flushBatchLocked(src, dst ProcID, l *link) int {
 	frames := pw.srcs[src-pw.lo].takeLocked(dst)
-	if len(frames) == 0 {
-		return
+	n := len(frames)
+	if n == 0 {
+		return 0
 	}
 
 	// A flush racing with Close must not dial or touch ring mappings the
@@ -641,17 +683,17 @@ func (pw *PeerWire) flushBatchLocked(src, dst ProcID, l *link) {
 	select {
 	case <-pw.done:
 		dropFrames(frames, mDroppedClosed)
-		return
+		return n
 	default:
 	}
 	if l.dead.Load() {
 		dropFrames(frames, mDroppedDead)
-		return
+		return n
 	}
-	if l.ring.Load() && pw.flushRingLocked(src, dst, l, frames) {
-		return
+	if !l.ring.Load() || !pw.flushRingLocked(src, dst, l, frames) {
+		pw.flushTCP(src, dst, l, frames)
 	}
-	pw.flushTCP(src, dst, l, frames)
+	return n
 }
 
 // flushRingLocked pushes a batch through the pair's shared-memory ring and
