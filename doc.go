@@ -71,7 +71,7 @@
 // fault-free-identical result. The ablation-ckpt
 // experiment quantifies the checkpoint-interval vs. re-executed-work
 // trade-off, ablation-recovery compares rungs 2 and 3 on the same kill
-// schedule; cmd/faultdemo -exhaust and -replay narrate the scenarios.
+// schedule; sdrbench -exp rollback and -exp replay narrate the scenarios.
 //
 // # Partial replication
 //
@@ -89,17 +89,17 @@
 // Σ degrees worker OS processes are spawned and SDR_DIST_DEGREES ships
 // the vector to each worker. The failure ladder shortens accordingly: an unreplicated
 // rank's death has no substitution rung and escalates straight to the
-// rollback restart (faultdemo -partial narrates it) — unless the log
+// rollback restart (sdrbench -exp partial narrates it) — unless the log
 // recovery mode is armed, in which case the localized-replay rung
-// catches it first (see Recovery ladder above). The partial
+// catches it first (see Recovery ladder above). The ablation-partial
 // experiment and BenchmarkPartialReplication measure wall-clock overhead
 // and message counts as a function of the replicated fraction — the
 // O(q·r) protocol cost is paid only where r > 1.
 //
 // # Distributed mode
 //
-// sdrun -distributed (and faultdemo -distributed) executes the same stack
-// as r·n real OS worker processes. A rendezvous registry in the
+// sdrun -distributed executes the same stack as r·n real OS worker
+// processes. A rendezvous registry in the
 // coordinator hands out the ProcID → host:port world table once every
 // worker has registered its transport.PeerWire listener; each worker then
 // dials its peers directly (per-pair FIFO over TCP, bounded dial budget,
@@ -145,8 +145,8 @@
 // emit span-style events (obs.Trace; stages park, kill, detect,
 // substitute, replay, rollback, recovered, match) so one failure reads
 // end-to-end as kill → detect → replay → match with wall-clock offsets;
-// sdrun prints the chain after the MATCH verdict and faultdemo's narration
-// is rendered from the same live event stream.
+// sdrun prints the chain after the MATCH verdict and sdrbench's scenario
+// narrations are rendered from the same live event stream.
 //
 // # Fast path
 //
@@ -182,9 +182,9 @@
 // curve that change was measured on; the benchmark/ yardstick's
 // wire-ring-128 workload tracks the wire at scale today.
 //
-// Entry points: cmd/sdrbench regenerates the paper's artifacts by
-// experiment id, cmd/netpipe runs the ping-pong sweep, cmd/faultdemo
-// narrates crash + substitution, examples/ holds small applications, and
-// `go run ./benchmark` is the end-to-end yardstick a change is measured
-// against. See README.md for the full tour.
+// Entry points: cmd/sdrbench regenerates the paper's artifacts and
+// narrates its failure scenarios by experiment id, cmd/sdrun runs one
+// application in-process or as OS processes, examples/ holds small
+// applications, and `go run ./benchmark` is the end-to-end yardstick a
+// change is measured against. See README.md for the full tour.
 package repro

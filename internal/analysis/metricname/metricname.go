@@ -36,7 +36,6 @@ var registrars = map[string]struct{ counter, labeled bool }{
 	"Counter":     {counter: true},
 	"CounterWith": {counter: true, labeled: true},
 	"Gauge":       {},
-	"GaugeWith":   {labeled: true},
 }
 
 var nameRE = regexp.MustCompile(`^sdr_[a-z][a-z0-9]*_[a-z][a-z0-9_]*$`)

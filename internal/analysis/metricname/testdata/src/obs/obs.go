@@ -20,9 +20,5 @@ func (r *Registry) CounterWith(name, help string, labelNames, labelValues []stri
 
 func (r *Registry) Gauge(name, help string) *Gauge { return nil }
 
-func (r *Registry) GaugeWith(name, help string, labelNames, labelValues []string) *Gauge {
-	return nil
-}
-
 // Default is the process-wide registry stand-in.
 var Default = &Registry{}

@@ -18,46 +18,14 @@ type AblationRow struct {
 	AppMsgs  uint64
 	AckMsgs  uint64
 	CtlMsgs  uint64
-	AppBytes uint64
 }
 
 // RunMirrorAblation runs the CG proxy under native, SDR (parallel) and
 // mirror, reporting time and traffic (experiment abl-mirror).
 func RunMirrorAblation(s Scale) ([]AblationRow, error) {
-	w := Workload{"CG", s.Ranks, func(c *mpi.Comm) apps.Result {
+	return runAblation("ablation", Workload{"CG", s.Ranks, func(c *mpi.Comm) apps.Result {
 		return apps.CG(c, apps.CGParams{N: 2048 * s.Factor, Iters: 20 * s.Factor, Work: 2})
-	}}
-	var rows []AblationRow
-	for _, proto := range []cluster.Protocol{cluster.Native, cluster.SDR, cluster.Mirror} {
-		rep := cluster.Run(cluster.Config{
-			Ranks: w.Ranks, Protocol: proto, Timeout: 5 * time.Minute,
-		}, func(env *cluster.Env) (any, error) {
-			c := env.World
-			c.Barrier()
-			start := time.Now()
-			w.Run(c)
-			c.Barrier()
-			return time.Since(start), nil
-		})
-		if err := rep.FirstError(); err != nil {
-			return nil, fmt.Errorf("ablation %s: %w", proto, err)
-		}
-		var worst time.Duration
-		for _, p := range rep.Procs {
-			if d := p.Result.(time.Duration); d > worst {
-				worst = d
-			}
-		}
-		rows = append(rows, AblationRow{
-			Protocol: proto,
-			Elapsed:  worst,
-			AppMsgs:  rep.Stats.AppMsgs(),
-			AckMsgs:  rep.Stats.AckMsgs(),
-			CtlMsgs:  rep.Stats.Msgs[6],
-			AppBytes: rep.Stats.Bytes[0] + rep.Stats.Bytes[3],
-		})
-	}
-	return rows, nil
+	}}, cluster.Native, cluster.SDR, cluster.Mirror)
 }
 
 // RunLeaderAblation runs the ANY_SOURCE-heavy HPCCG proxy under SDR and
@@ -65,33 +33,23 @@ func RunMirrorAblation(s Scale) ([]AblationRow, error) {
 // leader pays for every wildcard reception while SDR does not (§3.1,
 // §4.4).
 func RunLeaderAblation(s Scale) ([]AblationRow, error) {
-	w := Workload{"HPCCG", s.Ranks, func(c *mpi.Comm) apps.Result {
+	return runAblation("leader ablation", Workload{"HPCCG", s.Ranks, func(c *mpi.Comm) apps.Result {
 		return apps.HPCCG(c, apps.HPCCGParams{NX: 24, NY: 24, NZ: 6 * s.Factor, Iters: 15 * s.Factor, Work: 2})
-	}}
+	}}, cluster.Native, cluster.SDR, cluster.Leader)
+}
+
+// runAblation times one run of w under each protocol and reads its
+// traffic counters.
+func runAblation(name string, w Workload, protos ...cluster.Protocol) ([]AblationRow, error) {
 	var rows []AblationRow
-	for _, proto := range []cluster.Protocol{cluster.Native, cluster.SDR, cluster.Leader} {
-		rep := cluster.Run(cluster.Config{
-			Ranks: w.Ranks, Protocol: proto, Timeout: 5 * time.Minute,
-		}, func(env *cluster.Env) (any, error) {
-			c := env.World
-			c.Barrier()
-			start := time.Now()
-			w.Run(c)
-			c.Barrier()
-			return time.Since(start), nil
-		})
-		if err := rep.FirstError(); err != nil {
-			return nil, fmt.Errorf("leader ablation %s: %w", proto, err)
-		}
-		var worst time.Duration
-		for _, p := range rep.Procs {
-			if d := p.Result.(time.Duration); d > worst {
-				worst = d
-			}
+	for _, proto := range protos {
+		d, _, rep, err := timedRun(cluster.Config{Ranks: w.Ranks, Protocol: proto, Timeout: 5 * time.Minute}, 1, w.checksum)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", name, proto, err)
 		}
 		rows = append(rows, AblationRow{
 			Protocol: proto,
-			Elapsed:  worst,
+			Elapsed:  d,
 			AppMsgs:  rep.Stats.AppMsgs(),
 			AckMsgs:  rep.Stats.AckMsgs(),
 			CtlMsgs:  rep.Stats.Msgs[6],

@@ -168,6 +168,37 @@ func TestScenarioRunners(t *testing.T) {
 	if !strings.Contains(out, "Figure 3") || !strings.Contains(out, "Figure 4") {
 		t.Error("scenario narration missing")
 	}
+
+	// Exact counts at 16 steps, a checkpoint every 4 and the kill at step
+	// 5: partial ends with 3 processes after 1 restart from wave 4; replay
+	// has 0 restarts, 1 replay from wave 4, 3 survivors and the crashed
+	// replica.
+	sb.Reset()
+	if err := RunPartial(&sb, 16, 4, 5); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	if got := strings.Count(out, "— MATCH"); got != 3 {
+		t.Errorf("partial: %d processes match the fault-free run, want 3:\n%s", got, out)
+	}
+	if !strings.Contains(out, "rolled back 1 time(s) to committed wave 4") {
+		t.Errorf("partial: want one rollback restart from wave 4:\n%s", out)
+	}
+
+	sb.Reset()
+	if err := RunReplay(&sb, 16, 4, 5); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	if got := strings.Count(out, "— MATCH"); got != 3 {
+		t.Errorf("replay: %d survivors match the fault-free run, want 3:\n%s", got, out)
+	}
+	if got := strings.Count(out, "CRASHED"); got != 1 {
+		t.Errorf("replay: %d crashed processes, want 1:\n%s", got, out)
+	}
+	if !strings.Contains(out, "relaunched ALONE from wave 4") || !strings.Contains(out, "0 rollbacks") {
+		t.Errorf("replay: want one localized replay from wave 4 and no rollback:\n%s", out)
+	}
 }
 
 func TestRollbackScenarioRunner(t *testing.T) {
@@ -236,7 +267,7 @@ func TestTimeWorkloadUsesBarrierWindow(t *testing.T) {
 		c.Barrier()
 		return apps.Result{Checksum: 42}
 	}}
-	d, sum, err := timeWorkload(w, cluster.Native, 1)
+	d, sum, _, err := timedRun(cluster.Config{Ranks: w.Ranks, Protocol: cluster.Native, Timeout: time.Minute}, 1, w.checksum)
 	if err != nil {
 		t.Fatal(err)
 	}

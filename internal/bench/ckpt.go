@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -29,17 +30,20 @@ type CkptRow struct {
 	WastedSteps int
 }
 
-// ckptRing is the ablation workload: an n-rank ring accumulation with a
-// coordinated checkpoint every `every` steps, resuming from the
-// launcher-seeded wave after a rollback restart.
-func ckptRing(steps, every int) cluster.AppFunc {
+// ckptRing is the resumable checkpointing workload of the rollback,
+// partial and replay scenarios and the ckpt and recovery ablations: an
+// n-rank ring accumulation with a coordinated checkpoint every `every`
+// steps, resuming from the launcher-seeded wave after a rollback restart
+// or a localized replay. A non-nil counter ticks once per executed step of
+// every process, across relaunches and rollback epochs alike.
+func ckptRing(steps, every int, counter *atomic.Int64) cluster.AppFunc {
 	return func(env *cluster.Env) (any, error) {
 		c := env.World
 		n := c.Size()
 		me := int(c.Rank())
 		start := 0
 		var sum uint64
-		if b := env.Restored(); b != nil && env.RestoredStep() >= 0 {
+		if b := env.Restored(); len(b) == 8 && env.RestoredStep() >= 0 {
 			start = env.RestoredStep()
 			sum = binary.LittleEndian.Uint64(b)
 		}
@@ -47,7 +51,10 @@ func ckptRing(steps, every int) cluster.AppFunc {
 		rbuf := make([]byte, 8)
 		for i := start; i < steps; i++ {
 			env.Step(i, nil)
-			binary.LittleEndian.PutUint64(sbuf, uint64(me+i))
+			if counter != nil {
+				counter.Add(1)
+			}
+			binary.LittleEndian.PutUint64(sbuf, uint64(me*1000+i))
 			req := c.Isend(mpi.Rank((me+1)%n), 0, sbuf)
 			c.Recv(mpi.Rank((me-1+n)%n), 0, rbuf)
 			mpi.Waitall(req)
@@ -65,6 +72,35 @@ func ckptRing(steps, every int) cluster.AppFunc {
 	}
 }
 
+// runRing runs ckptRing under cfg in a fresh checkpoint directory.
+func runRing(cfg cluster.Config, steps, every int, counter *atomic.Int64) (*cluster.Report, error) {
+	dir, err := os.MkdirTemp("", "sdr-ring-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	cfg.CheckpointDir = dir
+	rep := cluster.Run(cfg, ckptRing(steps, every, counter))
+	return rep, rep.FirstError()
+}
+
+// matchFaultFree writes one line per process of rep and fails on the first
+// survivor whose result differs from the fault-free run ref.
+func matchFaultFree(w io.Writer, ref, rep *cluster.Report) error {
+	for _, p := range rep.Procs {
+		if p.Crashed {
+			fmt.Fprintf(w, "  rank %d replica %d: CRASHED (injected fail-stop)\n", p.Rank, p.Rep)
+			continue
+		}
+		if want := ref.ResultOf(p.Rank, p.Rep); p.Result != want {
+			fmt.Fprintf(w, "  rank %d replica %d: finished, result %v — WRONG (fault-free %v)\n", p.Rank, p.Rep, p.Result, want)
+			return fmt.Errorf("rank %d rep %d computed %v, fault-free %v", p.Rank, p.Rep, p.Result, want)
+		}
+		fmt.Fprintf(w, "  rank %d replica %d: finished, result %v — MATCH\n", p.Rank, p.Rep, p.Result)
+	}
+	return nil
+}
+
 // RunCkptAblation measures checkpoint interval vs. restart cost
 // (experiment ablation-ckpt): both replicas of rank 1 die at 3/4 of the
 // run, forcing a full rollback restart; shorter intervals waste fewer
@@ -79,23 +115,15 @@ func RunCkptAblation(s Scale) ([]CkptRow, error) {
 	failAt := steps * 3 / 4
 
 	run := func(every int, fail bool) (*cluster.Report, error) {
-		dir, err := os.MkdirTemp("", "sdr-ablation-ckpt-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		cfg := cluster.Config{
-			Ranks: ranks, Protocol: cluster.SDR, Timeout: 2 * time.Minute,
-			CheckpointDir: dir,
-		}
+		cfg := cluster.Config{Ranks: ranks, Protocol: cluster.SDR, Timeout: 2 * time.Minute}
 		if fail {
 			cfg.Failures = []cluster.FailureEvent{
 				{Rank: 1, Rep: 0, AtStep: failAt},
 				{Rank: 1, Rep: 1, AtStep: failAt},
 			}
 		}
-		rep := cluster.Run(cfg, ckptRing(steps, every))
-		if err := rep.FirstError(); err != nil {
+		rep, err := runRing(cfg, steps, every, nil)
+		if err != nil {
 			return nil, fmt.Errorf("ablation-ckpt every=%d: %w", every, err)
 		}
 		return rep, nil
@@ -116,11 +144,8 @@ func RunCkptAblation(s Scale) ([]CkptRow, error) {
 		if rep.Restarts == 0 {
 			return nil, fmt.Errorf("ablation-ckpt every=%d: rank loss did not force a rollback", every)
 		}
-		for _, p := range rep.Procs {
-			if want := ref.ResultOf(p.Rank, p.Rep); p.Result != want {
-				return nil, fmt.Errorf("ablation-ckpt every=%d: rank %d rep %d computed %v, fault-free %v",
-					every, p.Rank, p.Rep, p.Result, want)
-			}
+		if err := matchFaultFree(io.Discard, ref, rep); err != nil {
+			return nil, fmt.Errorf("ablation-ckpt every=%d: %w", every, err)
 		}
 		rows = append(rows, CkptRow{
 			Interval:    every,

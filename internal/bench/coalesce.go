@@ -19,11 +19,10 @@ import (
 
 // CoalesceRow is one configuration of the coalescing ablation.
 type CoalesceRow struct {
-	Label    string
-	Elapsed  time.Duration
-	AppMsgs  uint64
-	AckMsgs  uint64
-	AckBytes uint64
+	Label   string
+	Elapsed time.Duration
+	AppMsgs uint64
+	AckMsgs uint64
 }
 
 // AckRatio is ack messages per application message.
@@ -34,13 +33,12 @@ func (r CoalesceRow) AckRatio() float64 {
 	return float64(r.AckMsgs) / float64(r.AppMsgs)
 }
 
-// coalesceApp is a windowed neighbor exchange: every rank exchanges a
-// window of messages with its ring neighbors each iteration — the burst
+// coalesceExchange is a windowed neighbor exchange: every rank exchanges
+// a window of messages with its ring neighbors each iteration — the burst
 // pattern stencil and pipeline codes produce, and the one coalescing is
 // built for.
-func coalesceApp(window, iters, size int) cluster.AppFunc {
-	return func(env *cluster.Env) (any, error) {
-		c := env.World
+func coalesceExchange(window, iters, size int) func(c *mpi.Comm) float64 {
+	return func(c *mpi.Comm) float64 {
 		n := c.Size()
 		right := mpi.Rank((int(c.Rank()) + 1) % n)
 		left := mpi.Rank((int(c.Rank()) + n - 1) % n)
@@ -61,8 +59,7 @@ func coalesceApp(window, iters, size int) cluster.AppFunc {
 			}
 			mpi.Waitall(reqs...)
 		}
-		c.Barrier()
-		return nil, nil
+		return 0
 	}
 }
 
@@ -80,18 +77,15 @@ func RunCoalesceAblation(s Scale) ([]CoalesceRow, error) {
 	var rows []CoalesceRow
 	for _, c := range configs {
 		c.cfg.Timeout = 2 * time.Minute
-		app := coalesceApp(window, iters, size)
-		start := time.Now()
-		rep := cluster.Run(c.cfg, app)
-		if err := rep.FirstError(); err != nil {
+		d, _, rep, err := timedRun(c.cfg, 1, coalesceExchange(window, iters, size))
+		if err != nil {
 			return nil, fmt.Errorf("coalesce ablation %s: %w", c.label, err)
 		}
 		rows = append(rows, CoalesceRow{
-			Label:    c.label,
-			Elapsed:  time.Since(start),
-			AppMsgs:  rep.Stats.AppMsgs(),
-			AckMsgs:  rep.Stats.AckMsgs(),
-			AckBytes: rep.Stats.Bytes[4],
+			Label:   c.label,
+			Elapsed: d,
+			AppMsgs: rep.Stats.AppMsgs(),
+			AckMsgs: rep.Stats.AckMsgs(),
 		})
 	}
 	return rows, nil

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -35,20 +34,22 @@ func RunEagerAblation(size, rounds, reps int) ([]EagerRow, error) {
 		{"eager", size * 2},
 		{"rendezvous", 1},
 	}
+	// A coarse delay model (50 µs hops, IB-20G bandwidth) makes the
+	// modelled wire time dominate goroutine-scheduling noise, so the
+	// overheads reflect protocol hops and ack placement rather than
+	// simulation-host contention.
+	delay := &transport.DelayModel{Latency: 50 * time.Microsecond, BytesPerSec: 1.6e9}
 	var rows []EagerRow
 	for _, m := range modes {
 		var per [2]time.Duration // native, sdr
 		for i, proto := range []cluster.Protocol{cluster.Native, cluster.SDR} {
-			var ds []time.Duration
-			for rep := 0; rep < reps; rep++ {
-				d, err := timePingPong(proto, m.limit, size, rounds)
-				if err != nil {
-					return nil, fmt.Errorf("eager ablation %s/%s: %w", m.name, proto, err)
-				}
-				ds = append(ds, d)
+			d, _, _, err := timedRun(cluster.Config{
+				Ranks: 2, Protocol: proto, EagerLimit: m.limit, Timeout: 2 * time.Minute, Delay: delay,
+			}, reps, pingPong(size, rounds))
+			if err != nil {
+				return nil, fmt.Errorf("eager ablation %s/%s: %w", m.name, proto, err)
 			}
-			sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
-			per[i] = ds[len(ds)/2]
+			per[i] = d
 		}
 		rows = append(rows, EagerRow{
 			Mode:        m.name,
@@ -58,47 +59,6 @@ func RunEagerAblation(size, rounds, reps int) ([]EagerRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// timePingPong measures `rounds` round trips of `size` bytes. A coarse
-// delay model (50 µs hops, IB-20G bandwidth) makes the modelled wire time
-// dominate goroutine-scheduling noise, so the reported overheads reflect
-// protocol hops and ack placement rather than simulation-host contention.
-func timePingPong(proto cluster.Protocol, eagerLimit, size, rounds int) (time.Duration, error) {
-	type outcome struct{ D time.Duration }
-	rep := cluster.Run(cluster.Config{
-		Ranks: 2, Protocol: proto, EagerLimit: eagerLimit, Timeout: 2 * time.Minute,
-		Delay: &transport.DelayModel{Latency: 50 * time.Microsecond, BytesPerSec: 1.6e9},
-	}, func(env *cluster.Env) (any, error) {
-		c := env.World
-		buf := make([]byte, size)
-		c.Barrier()
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			if c.Rank() == 0 {
-				c.Send(1, 0, buf)
-				c.Recv(1, 1, buf)
-			} else {
-				c.Recv(0, 0, buf)
-				c.Send(0, 1, buf)
-			}
-		}
-		c.Barrier()
-		return outcome{D: time.Since(start)}, nil
-	})
-	if err := rep.FirstError(); err != nil {
-		return 0, err
-	}
-	var worst time.Duration
-	for _, p := range rep.Procs {
-		if p.Rep != 0 {
-			continue
-		}
-		if d := p.Result.(outcome).D; d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
 }
 
 // RenderEager prints the ablation table.

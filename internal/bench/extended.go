@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/apps"
@@ -60,7 +59,6 @@ func RunDegreeSweep(s Scale) ([]DegreeRow, error) {
 	w := Workload{"CG", s.Ranks, func(c *mpi.Comm) apps.Result {
 		return apps.CG(c, apps.CGParams{N: 512 * s.Factor, Iters: 16 * s.Factor, Work: 8000})
 	}}
-	const reps = 3
 	var rows []DegreeRow
 	var base float64
 	for _, r := range []int{1, 2, 3} {
@@ -68,39 +66,13 @@ func RunDegreeSweep(s Scale) ([]DegreeRow, error) {
 		if r == 1 {
 			proto = cluster.Native
 		}
-		type outcome struct{ D time.Duration }
-		var walls []time.Duration
-		var acks, appMsgs uint64
-		for i := 0; i < reps; i++ {
-			rep := cluster.Run(cluster.Config{
-				Ranks: w.Ranks, Protocol: proto, Replication: r, Timeout: 5 * time.Minute,
-			}, func(env *cluster.Env) (any, error) {
-				c := env.World
-				c.Barrier()
-				start := time.Now()
-				w.Run(c)
-				c.Barrier()
-				return outcome{D: time.Since(start)}, nil
-			})
-			if err := rep.FirstError(); err != nil {
-				return nil, fmt.Errorf("degree sweep r=%d: %w", r, err)
-			}
-			var worst time.Duration
-			for _, p := range rep.Procs {
-				if p.Rep != 0 {
-					continue
-				}
-				if d := p.Result.(outcome).D; d > worst {
-					worst = d
-				}
-			}
-			walls = append(walls, worst)
-			acks = rep.Stats.AckMsgs()
-			appMsgs = rep.Stats.AppMsgs()
+		wall, _, rep, err := timedRun(cluster.Config{
+			Ranks: w.Ranks, Protocol: proto, Replication: r, Timeout: 5 * time.Minute,
+		}, 3, w.checksum)
+		if err != nil {
+			return nil, fmt.Errorf("degree sweep r=%d: %w", r, err)
 		}
-		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		wall := walls[len(walls)/2]
-		row := DegreeRow{R: r, Wall: wall, AckMsgs: acks, AppMsgs: appMsgs}
+		row := DegreeRow{R: r, Wall: wall, AckMsgs: rep.Stats.AckMsgs(), AppMsgs: rep.Stats.AppMsgs()}
 		if r == 1 {
 			base = wall.Seconds()
 		}

@@ -33,7 +33,8 @@ func (p NetpipePoint) AckRatio() float64 {
 	return float64(p.AckMsgs) / float64(p.AppMsgs)
 }
 
-// NetpipeSizes returns the sweep the paper plots: 1 B … 8 MiB.
+// NetpipeSizes returns the sweep over the range the paper plots (up to
+// 8 MiB) in powers of four: 1 B … 4 MiB.
 func NetpipeSizes() []int {
 	var sizes []int
 	for s := 1; s <= 8<<20; s *= 4 {
@@ -99,38 +100,13 @@ func dilated(f float64) *transport.DelayModel {
 func Netpipe(proto cluster.Protocol, sizes []int) ([]NetpipePoint, error) {
 	var points []NetpipePoint
 	for _, size := range sizes {
-		size := size
 		iters := netpipeIters(size)
 		f := netpipeDilation(size)
-		rep := cluster.Run(cluster.Config{
-			Ranks:    2,
-			Protocol: proto,
-			Delay:    dilated(f),
-			Timeout:  10 * time.Minute,
-		}, func(env *cluster.Env) (any, error) {
-			c := env.World
-			buf := make([]byte, size)
-			rbuf := make([]byte, size)
-			// One warm-up exchange, then the timed loop.
-			c.Barrier()
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if c.Rank() == 0 {
-					c.Send(1, 0, buf)
-					c.Recv(1, 1, rbuf)
-				} else {
-					c.Recv(0, 0, rbuf)
-					c.Send(0, 1, buf)
-				}
-			}
-			return time.Since(start), nil
-		})
-		if err := rep.FirstError(); err != nil {
+		elapsed, _, rep, err := timedRun(cluster.Config{
+			Ranks: 2, Protocol: proto, Delay: dilated(f), Timeout: 10 * time.Minute,
+		}, 1, pingPong(size, iters))
+		if err != nil {
 			return nil, fmt.Errorf("netpipe %s size %d: %w", proto, size, err)
-		}
-		elapsed, ok := rep.ResultOf(0, 0).(time.Duration)
-		if !ok {
-			return nil, fmt.Errorf("bench: unexpected netpipe result %T", rep.ResultOf(0, 0))
 		}
 		oneWay := elapsed.Seconds() / float64(2*iters) / f
 		points = append(points, NetpipePoint{
@@ -142,6 +118,24 @@ func Netpipe(proto cluster.Protocol, sizes []int) ([]NetpipePoint, error) {
 		})
 	}
 	return points, nil
+}
+
+// pingPong is the timed body of Figure 7 and the eager ablation: rounds
+// round trips of size bytes between ranks 0 and 1.
+func pingPong(size, rounds int) func(c *mpi.Comm) float64 {
+	return func(c *mpi.Comm) float64 {
+		buf := make([]byte, size)
+		for i := 0; i < rounds; i++ {
+			if c.Rank() == 0 {
+				c.Send(1, 0, buf)
+				c.Recv(1, 1, buf)
+			} else {
+				c.Recv(0, 0, buf)
+				c.Send(0, 1, buf)
+			}
+		}
+		return 0
+	}
 }
 
 // NetpipeComparison pairs native and SDR sweeps with the relative
@@ -198,6 +192,3 @@ func (nc *NetpipeComparison) RenderFig7b(w io.Writer) {
 			p.Bytes, p.ThroughputMbps, nc.SDR[i].ThroughputMbps, nc.ThroughputDecreasePct(i))
 	}
 }
-
-// worldRank is a small helper for apps needing rank as int.
-func worldRank(c *mpi.Comm) int { return int(c.Rank()) }

@@ -58,49 +58,32 @@ func PartialSweepPoint(n, quarter int) (cluster.Protocol, []int) {
 
 // RunPartialSweep measures the CG proxy with 0 %, 25 %, 50 %, 75 % and
 // 100 % of ranks replicated at a fixed logical rank count (experiment id:
-// partial), recording wall time and message counts per point.
+// ablation-partial), recording wall time and message counts per point.
 func RunPartialSweep(s Scale) ([]PartialRow, error) {
 	n := s.Ranks
-	w := func(c *mpi.Comm) apps.Result {
+	w := Workload{"CG", n, func(c *mpi.Comm) apps.Result {
 		return apps.CG(c, apps.CGParams{N: 1024 * s.Factor, Iters: 15 * s.Factor, Work: 3000})
-	}
-
+	}}
 	var rows []PartialRow
 	var base time.Duration
 	for _, quarter := range PartialSweepQuarters {
 		proto, unrep := PartialSweepPoint(n, quarter)
-		rep := cluster.Run(cluster.Config{
+		d, _, rep, err := timedRun(cluster.Config{
 			Ranks: n, Protocol: proto, Timeout: 5 * time.Minute,
 			UnreplicatedRanks: unrep,
-		}, func(env *cluster.Env) (any, error) {
-			c := env.World
-			c.Barrier()
-			start := time.Now()
-			w(c)
-			c.Barrier()
-			return time.Since(start), nil
-		})
-		if err := rep.FirstError(); err != nil {
+		}, 1, w.checksum)
+		if err != nil {
 			return nil, fmt.Errorf("partial %d/4: %w", quarter, err)
 		}
-		var worst time.Duration
-		for _, p := range rep.Procs {
-			if p.Rep != 0 {
-				continue
-			}
-			if d := p.Result.(time.Duration); d > worst {
-				worst = d
-			}
-		}
 		if quarter == 0 {
-			base = worst
+			base = d
 		}
 		rows = append(rows, PartialRow{
 			ReplicatedRanks: n * quarter / 4,
 			TotalRanks:      n,
 			PhysicalProcs:   len(rep.Procs),
-			Elapsed:         worst,
-			OverheadPct:     (worst.Seconds() - base.Seconds()) / base.Seconds() * 100,
+			Elapsed:         d,
+			OverheadPct:     (d.Seconds() - base.Seconds()) / base.Seconds() * 100,
 			AppMsgs:         rep.Stats.AppMsgs(),
 			AckMsgs:         rep.Stats.AckMsgs(),
 		})

@@ -1,15 +1,12 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/mpi"
 )
 
 // RecoveryRow is one point of the ablation-recovery experiment: the same
@@ -28,43 +25,6 @@ type RecoveryRow struct {
 	ReExecSteps   int64
 	Restarts      int
 	Replays       int
-}
-
-// recoveryRing is the instrumented resumable ring workload: every executed
-// step of every process ticks the shared counter, across relaunches and
-// rollback epochs alike.
-func recoveryRing(steps, every int, counter *atomic.Int64) cluster.AppFunc {
-	return func(env *cluster.Env) (any, error) {
-		c := env.World
-		n := c.Size()
-		me := int(c.Rank())
-		start := 0
-		var sum uint64
-		if b := env.Restored(); len(b) == 8 && env.RestoredStep() >= 0 {
-			start = env.RestoredStep()
-			sum = binary.LittleEndian.Uint64(b)
-		}
-		sbuf := make([]byte, 8)
-		rbuf := make([]byte, 8)
-		for i := start; i < steps; i++ {
-			env.Step(i, nil)
-			counter.Add(1)
-			binary.LittleEndian.PutUint64(sbuf, uint64(me*1000+i))
-			req := c.Isend(mpi.Rank((me+1)%n), 0, sbuf)
-			c.Recv(mpi.Rank((me-1+n)%n), 0, rbuf)
-			mpi.Waitall(req)
-			sum += binary.LittleEndian.Uint64(rbuf)
-			if (i+1)%every == 0 {
-				c.Barrier()
-				state := make([]byte, 8)
-				binary.LittleEndian.PutUint64(state, sum)
-				if err := env.Checkpoint(i+1, state); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return sum, nil
-	}
 }
 
 // RecoveryKillPoints returns the experiment's kill-step sweep for a run
@@ -87,44 +47,25 @@ func RunRecoveryAblation(s Scale) ([]RecoveryRow, error) {
 	every := 4
 
 	run := func(mode cluster.RecoveryMode, killAt int) (*cluster.Report, int64, error) {
-		dir, err := os.MkdirTemp("", "sdr-ablation-recovery-*")
-		if err != nil {
-			return nil, 0, err
-		}
-		defer os.RemoveAll(dir)
 		cfg := cluster.Config{
 			Ranks: ranks, Protocol: cluster.SDR, Timeout: 2 * time.Minute,
 			UnreplicatedRanks: []int{1},
-			CheckpointDir:     dir,
 			RecoveryMode:      mode,
 		}
 		if killAt >= 0 {
 			cfg.Failures = []cluster.FailureEvent{{Rank: 1, Rep: 0, AtStep: killAt}}
 		}
 		var counter atomic.Int64
-		rep := cluster.Run(cfg, recoveryRing(steps, every, &counter))
-		if err := rep.FirstError(); err != nil {
+		rep, err := runRing(cfg, steps, every, &counter)
+		if err != nil {
 			return nil, 0, fmt.Errorf("ablation-recovery mode=%s kill=%d: %w", mode, killAt, err)
 		}
 		return rep, counter.Load(), nil
 	}
 
-	ref, refSteps, err := run(cluster.RecoveryLog, -1)
+	ref, ideal, err := run(cluster.RecoveryLog, -1)
 	if err != nil {
 		return nil, err
-	}
-	ideal := refSteps
-	verify := func(rep *cluster.Report, mode cluster.RecoveryMode, killAt int) error {
-		for _, p := range rep.Procs {
-			if p.Crashed {
-				continue
-			}
-			if want := ref.ResultOf(p.Rank, p.Rep); p.Result != want {
-				return fmt.Errorf("ablation-recovery mode=%s kill=%d: rank %d rep %d computed %v, fault-free %v",
-					mode, killAt, p.Rank, p.Rep, p.Result, want)
-			}
-		}
-		return nil
 	}
 
 	var rows []RecoveryRow
@@ -135,8 +76,8 @@ func RunRecoveryAblation(s Scale) ([]RecoveryRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := verify(rep, mode, killAt); err != nil {
-				return nil, err
+			if err := matchFaultFree(io.Discard, ref, rep); err != nil {
+				return nil, fmt.Errorf("ablation-recovery mode=%s kill=%d: %w", mode, killAt, err)
 			}
 			switch mode {
 			case cluster.RecoveryRollback:

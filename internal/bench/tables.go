@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/apps"
@@ -85,63 +84,21 @@ type Row struct {
 	ReplSum     float64
 }
 
-// timeWorkload measures one protocol run of the workload: the reported
-// duration is the in-application time between two barriers (setup
-// excluded), median over reps.
-func timeWorkload(w Workload, proto cluster.Protocol, reps int) (time.Duration, float64, error) {
-	type outcome struct {
-		D   time.Duration
-		Sum float64
-	}
-	var durations []time.Duration
-	var sum float64
-	for r := 0; r < reps; r++ {
-		rep := cluster.Run(cluster.Config{
-			Ranks:    w.Ranks,
-			Protocol: proto,
-			Timeout:  5 * time.Minute,
-		}, func(env *cluster.Env) (any, error) {
-			c := env.World
-			c.Barrier()
-			start := time.Now()
-			res := w.Run(c)
-			c.Barrier()
-			return outcome{D: time.Since(start), Sum: res.Checksum}, nil
-		})
-		if err := rep.FirstError(); err != nil {
-			return 0, 0, fmt.Errorf("%s/%s: %w", w.Name, proto, err)
-		}
-		// Use the maximum over ranks of replica 0 (the slowest rank
-		// bounds the wall clock, like the paper's reported durations).
-		var worst time.Duration
-		for _, p := range rep.Procs {
-			if p.Rep != 0 || p.Crashed {
-				continue
-			}
-			o := p.Result.(outcome)
-			if o.D > worst {
-				worst = o.D
-			}
-			sum = o.Sum
-		}
-		durations = append(durations, worst)
-	}
-	sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
-	return durations[len(durations)/2], sum, nil
-}
+// checksum is the workload as a timedRun body.
+func (w Workload) checksum(c *mpi.Comm) float64 { return w.Run(c).Checksum }
 
 // CompareTable runs every workload native and under proto, producing the
 // paper-style rows.
 func CompareTable(ws []Workload, proto cluster.Protocol, reps int) ([]Row, error) {
 	var rows []Row
 	for _, w := range ws {
-		nat, natSum, err := timeWorkload(w, cluster.Native, reps)
+		nat, natSum, _, err := timedRun(cluster.Config{Ranks: w.Ranks, Protocol: cluster.Native, Timeout: 5 * time.Minute}, reps, w.checksum)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s/%s: %w", w.Name, cluster.Native, err)
 		}
-		rpl, rplSum, err := timeWorkload(w, proto, reps)
+		rpl, rplSum, _, err := timedRun(cluster.Config{Ranks: w.Ranks, Protocol: proto, Timeout: 5 * time.Minute}, reps, w.checksum)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s/%s: %w", w.Name, proto, err)
 		}
 		rows = append(rows, Row{
 			Name:        w.Name,

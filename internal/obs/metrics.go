@@ -165,11 +165,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.lookup(name, help, kindGauge, nil, nil).(*Gauge)
 }
 
-// GaugeWith registers (or fetches) one labeled child of a gauge family.
-func (r *Registry) GaugeWith(name, help string, labelNames, labelValues []string) *Gauge {
-	return r.lookup(name, help, kindGauge, labelNames, labelValues).(*Gauge)
-}
-
 // WriteText renders the registry in the Prometheus text exposition format
 // (families and children in lexical order, so output is deterministic).
 func (r *Registry) WriteText(w io.Writer) error {
