@@ -9,16 +9,16 @@ import "transport"
 // handoffSetPooledData: the canonical eager-send shape — ownership of
 // the payload transfers to the message, the message to the consumer.
 func handoffSetPooledData(data []byte, consume func(*transport.Message)) {
-	cp := transport.GetBuf(len(data))
+	cp := transport.GetBuf(0, len(data))
 	copy(cp, data)
-	m := transport.GetMessage()
+	m := transport.GetMessage(0)
 	m.SetPooledData(cp)
 	consume(m)
 }
 
 // releasedOnAllPaths frees on both branches.
 func releasedOnAllPaths(n int, ok bool) {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	if ok {
 		transport.FreeBuf(b)
 	} else {
@@ -28,7 +28,7 @@ func releasedOnAllPaths(n int, ok bool) {
 
 // deferredRelease discharges every exit, early returns included.
 func deferredRelease(n int, err error) error {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	defer transport.FreeBuf(b)
 	if err != nil {
 		return err
@@ -39,20 +39,20 @@ func deferredRelease(n int, err error) error {
 
 // returnedToCaller: ownership moves out with the return value.
 func returnedToCaller(n int) []byte {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	b[0] = 1
 	return b
 }
 
 // passedToCallee: the callee owns it now.
 func passedToCallee(n int, take func([]byte)) {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	take(b)
 }
 
 // crashPathExempt: a panic path is fail-stop, not a leak.
 func crashPathExempt(n int, err error) {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	if err != nil {
 		panic(err)
 	}
@@ -62,7 +62,7 @@ func crashPathExempt(n int, err error) {
 // errorPathFrees: the decodeMessagePooled shape — free on failure, hand
 // off on success.
 func errorPathFrees(fill func(*transport.Message) error) (*transport.Message, error) {
-	m := transport.GetMessage()
+	m := transport.GetMessage(0)
 	if err := fill(m); err != nil {
 		transport.FreeMessage(m)
 		return nil, err
@@ -73,7 +73,7 @@ func errorPathFrees(fill func(*transport.Message) error) (*transport.Message, er
 // loopTouched: flow under iteration is beyond the checker; it must stay
 // silent rather than guess.
 func loopTouched(n, k int) {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	for i := 0; i < k; i++ {
 		if i == k-1 {
 			transport.FreeBuf(b)
@@ -83,14 +83,14 @@ func loopTouched(n, k int) {
 
 // reassigned: the handle is overwritten — aliasing beyond the checker.
 func reassigned(n int) {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	b = append(b, 0)
 	sink = b
 }
 
 // storedGlobally escapes into a longer-lived structure.
 func storedGlobally(n int) {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	sink = b
 }
 
@@ -104,7 +104,7 @@ func bareLiteral() {
 // batchStaged: the staging append is the one ownership handoff; the
 // batch's flush releases the envelope, this frame owes nothing more.
 func batchStaged(batch []*transport.Message) []*transport.Message {
-	m := transport.GetMessage()
+	m := transport.GetMessage(0)
 	m.Tag = 3
 	batch = append(batch, m)
 	return batch
@@ -113,7 +113,7 @@ func batchStaged(batch []*transport.Message) []*transport.Message {
 // byteSplat: appending a pooled buffer's BYTES copies them — ownership
 // stays here and the inline free is correct, not a double release.
 func byteSplat(n int, out []byte) []byte {
-	b := transport.GetBuf(n)
+	b := transport.GetBuf(0, n)
 	out = append(out, b...)
 	transport.FreeBuf(b)
 	return out

@@ -3,17 +3,20 @@
 // all it needs.
 package transport
 
+// ProcID is the process identity the getters count against.
+type ProcID int
+
 // Message is the pooled envelope stand-in.
 type Message struct {
 	Data []byte
 	Tag  int
 }
 
-func GetBuf(n int) []byte { return make([]byte, n) }
+func GetBuf(owner ProcID, n int) []byte { return make([]byte, n) }
 
 func FreeBuf(b []byte) { _ = b }
 
-func GetMessage() *Message { return new(Message) }
+func GetMessage(owner ProcID) *Message { return new(Message) }
 
 func FreeMessage(m *Message) { _ = m }
 

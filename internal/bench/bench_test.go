@@ -220,20 +220,48 @@ func TestCkptAblationRows(t *testing.T) {
 	if len(rows) != 5 || rows[0].Interval != 0 {
 		t.Fatalf("rows = %+v", rows)
 	}
+	const failAt = 12 // 3/4 of 16 steps
 	for _, r := range rows[1:] {
 		if r.Restarts < 1 {
 			t.Errorf("interval %d: no rollback recorded", r.Interval)
 		}
-		// A shorter interval can never waste more steps than its own
-		// length (the wave lags the failure by less than one interval).
-		if r.WastedSteps < 0 || r.WastedSteps > r.Interval {
-			t.Errorf("interval %d: wasted %d steps", r.Interval, r.WastedSteps)
+		// Rank 1 cannot reach the kill before the last wave at or below it
+		// commits, so the rollback resumes from exactly that wave.
+		if want := failAt / r.Interval * r.Interval; r.RestartWave != want || r.WastedSteps != failAt-want {
+			t.Errorf("interval %d: restart wave %d wasting %d steps, want wave %d wasting %d",
+				r.Interval, r.RestartWave, r.WastedSteps, want, failAt-want)
 		}
 	}
 	var sb strings.Builder
 	RenderCkpt(&sb, Scale{Ranks: 2, Factor: 1}, rows)
 	if !strings.Contains(sb.String(), "fault-free") {
 		t.Error("render missing the reference row")
+	}
+}
+
+func TestRecoveryAblationKillsAfterWaveCommits(t *testing.T) {
+	// The first kill (step 5) is one step past wave 4. Rollback must find
+	// that wave committed, whichever rank got there first: before every
+	// step after a wave opened with a barrier, unreplicated rank 1 could
+	// reach step 5 ahead of another rank's save and find no wave at all.
+	rows, err := RunRecoveryAblation(Scale{Factor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 6 {
+		t.Fatalf("rows = %+v", rows)
+	}
+	for _, r := range rows {
+		switch r.Mode {
+		case cluster.RecoveryLog:
+			if r.Restarts != 0 || r.Replays == 0 {
+				t.Errorf("log mode kill %d: restarts %d replays %d, want 0 and some", r.KillStep, r.Restarts, r.Replays)
+			}
+		case cluster.RecoveryRollback:
+			if r.KillStep == 5 && (r.Restarts != 1 || r.RestartWave != 4) {
+				t.Errorf("rollback kill 5: restarts %d from wave %d, want 1 from wave 4", r.Restarts, r.RestartWave)
+			}
+		}
 	}
 }
 

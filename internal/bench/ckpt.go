@@ -36,6 +36,16 @@ type CkptRow struct {
 // steps, resuming from the launcher-seeded wave after a rollback restart
 // or a localized replay. A non-nil counter ticks once per executed step of
 // every process, across relaunches and rollback epochs alike.
+//
+// A barrier opens every step that follows a wave, so that a rank's last
+// process cannot take that step before the wave commits. The writers (each
+// rank's lowest live replica) share a world, a process hears only its own
+// world's barrier, and the last writer's return from Checkpoint is the
+// commit: a writer passes the barrier only after the commit, and a rank is
+// lost only once its writer is. A kill scheduled for that step therefore
+// always finds the wave to roll back to. The barrier opens the step rather
+// than closing the wave so that a process resuming from the wave runs it
+// again, as its first incarnation did after saving.
 func ckptRing(steps, every int, counter *atomic.Int64) cluster.AppFunc {
 	return func(env *cluster.Env) (any, error) {
 		c := env.World
@@ -50,6 +60,9 @@ func ckptRing(steps, every int, counter *atomic.Int64) cluster.AppFunc {
 		sbuf := make([]byte, 8)
 		rbuf := make([]byte, 8)
 		for i := start; i < steps; i++ {
+			if every > 0 && i > 0 && i%every == 0 {
+				c.Barrier()
+			}
 			env.Step(i, nil)
 			if counter != nil {
 				counter.Add(1)

@@ -25,6 +25,8 @@ type RecoveryRow struct {
 	ReExecSteps   int64
 	Restarts      int
 	Replays       int
+	// RestartWave is the committed wave a rollback resumed from.
+	RestartWave int
 }
 
 // RecoveryKillPoints returns the experiment's kill-step sweep for a run
@@ -94,7 +96,7 @@ func RunRecoveryAblation(s Scale) ([]RecoveryRow, error) {
 			rows = append(rows, RecoveryRow{
 				Mode: mode, KillStep: killAt, Elapsed: rep.Elapsed,
 				ExecutedSteps: executed, ReExecSteps: executed - ideal,
-				Restarts: rep.Restarts, Replays: rep.Replays,
+				Restarts: rep.Restarts, Replays: rep.Replays, RestartWave: rep.RestartWave,
 			})
 		}
 		if reexec[1] >= reexec[0] {

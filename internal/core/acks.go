@@ -122,9 +122,9 @@ func (p *Replicated) flushAcksTo(q transport.ProcID, aq *ackQueue) {
 	if len(recs) == 1 {
 		p.sendAckNow(q, recs[0].Ctx, recs[0].Seq, -1)
 	} else {
-		mAckMsgs.Inc()
-		mAcksCoalesced.Add(uint64(len(recs)))
-		buf := transport.GetBuf(transport.AckBatchBytes(len(recs)))
+		p.ackMsgs.Inc()
+		p.acksCoalesced.Add(uint64(len(recs)))
+		buf := transport.GetBuf(p.proc.ID(), transport.AckBatchBytes(len(recs)))
 		buf = transport.EncodeAckRecs(buf[:0], recs)
 		var m transport.Message
 		m.Dst = q
@@ -149,7 +149,7 @@ func (p *Replicated) dropAcksFor(dead transport.ProcID) {
 // sendAckNow emits one discrete acknowledgement in the legacy format:
 // ctx/seq in the envelope, Meta = [srcRank, ackerRank, ackerWorld, 1].
 func (p *Replicated) sendAckNow(q transport.ProcID, ctx uint32, seq uint64, srcRank int) {
-	mAckMsgs.Inc()
+	p.ackMsgs.Inc()
 	p.eng.Endpoint().Send(&transport.Message{
 		Dst:  q,
 		Kind: transport.KindAck,

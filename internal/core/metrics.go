@@ -3,8 +3,9 @@ package core
 import "repro/internal/obs"
 
 // Protocol-core observability (sdr_core_*). Counters are pre-resolved into
-// package vars at init so the hot paths (Isend, ack flush) pay a single
-// atomic add, never a registry lookup.
+// package vars at init, never looked up on a hot path. The per-message ones
+// (app, ack, coalesced) are bumped through the process's own cells, which
+// NewReplicated resolves (obs.Counter.Cell).
 var (
 	mAppMsgs = obs.Default.Counter("sdr_core_app_msgs_total",
 		"application messages posted through Isend")

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -71,6 +72,10 @@ type Replicated struct {
 	// ackOnFinish is ackReception bound once: every receive's
 	// Request.OnFinish in the AckOnWait ablation.
 	ackOnFinish func(*mpi.PReq)
+
+	// This process's cells of the message-path counters, resolved once so
+	// Isend and the ack flush add into lines no other process writes.
+	appMsgs, ackMsgs, acksCoalesced *obs.Cell
 }
 
 // NewReplicated builds the protocol layer for physical process proc under
@@ -96,6 +101,9 @@ func NewReplicated(proc *mpi.Proc, layout Layout, mode Mode, det *detect.Service
 		sdcLocal:  make(map[retKey]uint64),
 		logDests:  opts.LogDests,
 	}
+	p.appMsgs = mAppMsgs.Cell(int(proc.ID()))
+	p.ackMsgs = mAckMsgs.Cell(int(proc.ID()))
+	p.acksCoalesced = mAcksCoalesced.Cell(int(proc.ID()))
 	// Degree-aware topology (§5's research direction, MR-MPI's feature):
 	// a rank whose degree does not reach this process's world has no
 	// member here — its lowest replica permanently serves this world
@@ -212,7 +220,7 @@ func (p *Replicated) AliveView(q transport.ProcID) bool { return p.alive[int(q)]
 func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data []byte) mpi.Request {
 	dstRank := int(c.BaseRank(to))
 	seq, slot := p.sendSeq.take(ctx, dstRank)
-	mAppMsgs.Inc()
+	p.appMsgs.Inc()
 
 	if p.opts.Corrupt != nil {
 		p.opts.Corrupt(dstRank, seq, data)

@@ -154,7 +154,7 @@ func (p *Replicated) retainSend(s *retSlot, ctx uint32, tag, dstRank int, seq ui
 	// buffer, which MPI semantics freeze until Wait — and that Wait is
 	// gated on this entry's own acks.
 	if len(data) <= p.eng.EagerLimit {
-		e.data = transport.GetBuf(len(data))
+		e.data = transport.GetBuf(p.proc.ID(), len(data))
 		copy(e.data, data)
 		e.pooled = true
 	} else {

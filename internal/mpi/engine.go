@@ -176,7 +176,7 @@ func (e *Engine) checkCrash() {
 func (e *Engine) Isend(dst transport.ProcID, ctx uint32, tag int, data []byte, seq uint64, meta [4]int64) *PReq {
 	e.checkCrash()
 	if len(data) <= e.EagerLimit {
-		cp := transport.GetBuf(len(data))
+		cp := transport.GetBuf(e.ep.ID(), len(data))
 		copy(cp, data)
 		var m transport.Message
 		m.Dst = dst

@@ -11,6 +11,11 @@
 // /metrics endpoint, whose address travels through the rendezvous
 // registry's hello message, and folds the results into a RunStats JSON.
 //
+// A counter the message path bumps is the sum of per-process cells (see
+// Counter.Cell): each process adds into a cache line only it writes, and
+// Value, Snapshot and WriteText add the cells up at read time. Series
+// names, labels and values are the same as with one shared word.
+//
 // Metric taxonomy (all names prefixed sdr_, one subsystem segment):
 //
 //	sdr_core_*       protocol-level: app/ack messages, coalesced ack
@@ -33,10 +38,41 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric.
+// Counter is a monotonically increasing metric. Inc and Add bump one word
+// every caller shares, which suits the cold paths. A hot path takes its
+// owner's Cell once and bumps that instead: cells sit on cache lines of
+// their own, so processes that share an OS process do not trade the line on
+// every message. Readers add the word and the cells together, so the series
+// is the same whichever way it was counted.
 type Counter struct {
-	v atomic.Uint64
+	v     atomic.Uint64
+	cells atomic.Pointer[cellBlock] // nil until the first Cell call
 }
+
+// cellStripes is the number of per-owner cells a counter has once any owner
+// asks for one: owner keys (process IDs) map onto them modulo the count, so
+// a process hosting more processes than this shares some cells between two.
+const cellStripes = 64
+
+// Cell is one owner's share of a Counter, padded to a 64-byte cache line.
+type Cell struct {
+	v atomic.Uint64
+	_ [56]byte
+}
+
+// cellBlock is a counter's cells behind a line nobody writes: indexing a
+// block makes the compiler probe its first byte for nil, and were that
+// owner 0's cell, every other owner would read the line owner 0 writes.
+type cellBlock struct {
+	_     Cell
+	cells [cellStripes]Cell
+}
+
+// Inc adds 1 to the cell.
+func (c *Cell) Inc() { c.v.Add(1) }
+
+// Add adds n to the cell.
+func (c *Cell) Add(n uint64) { c.v.Add(n) }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
@@ -44,8 +80,32 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value reads the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+// Cell returns the cell owner counts into (owner is a process ID; any int
+// works). The cells are allocated by the first call, so a counter no hot
+// path uses stays one word and a nil pointer.
+func (c *Counter) Cell(owner int) *Cell {
+	cb := c.cells.Load()
+	if cb == nil {
+		cb = c.allocCells()
+	}
+	return &cb.cells[owner&(cellStripes-1)]
+}
+
+func (c *Counter) allocCells() *cellBlock {
+	c.cells.CompareAndSwap(nil, new(cellBlock))
+	return c.cells.Load()
+}
+
+// Value reads the current count: the shared word plus every cell.
+func (c *Counter) Value() uint64 {
+	n := c.v.Load()
+	if cb := c.cells.Load(); cb != nil {
+		for i := range cb.cells {
+			n += cb.cells[i].v.Load()
+		}
+	}
+	return n
+}
 
 // Gauge is a metric that can go up and down (e.g. bytes currently
 // retained in the sender logs).

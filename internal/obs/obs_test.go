@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCounterGaugeExposition(t *testing.T) {
@@ -246,5 +247,79 @@ func TestTraceClockFollowsSeq(t *testing.T) {
 	tr.Emit(Ev(StageMatch, ""))
 	if ev := tr.Events(); ev[0].Seq != 1 || ev[0].Clock != emitters*each+1 {
 		t.Fatalf("after Reset: Seq %d Clock %d, want 1 and %d", ev[0].Seq, ev[0].Clock, emitters*each+1)
+	}
+}
+
+func TestCounterCellsSumWithSharedWord(t *testing.T) {
+	// Owners counting into their own cells, beside callers of the shared
+	// word, under -race: every read adds both up.
+	r := NewRegistry()
+	c := r.CounterWith("sdr_test_cells_total", "cells", []string{"pool"}, []string{"buf"})
+	const owners, per = 2 * cellStripes / 3, 500 // owners share some stripes past 64
+	var wg sync.WaitGroup
+	for o := 0; o < owners; o++ {
+		wg.Add(1)
+		go func(o int) {
+			defer wg.Done()
+			cell := c.Cell(o * 3)
+			for i := 0; i < per; i++ {
+				cell.Inc()
+				c.Add(2)
+			}
+		}(o)
+	}
+	wg.Wait()
+	c.Cell(-1).Add(7) // NoProc keys a cell too
+	want := uint64(owners*per*3 + 7)
+	if got := c.Value(); got != want {
+		t.Fatalf("Value = %d, want %d", got, want)
+	}
+	if got := r.Snapshot()[`sdr_test_cells_total{pool="buf"}`]; got != float64(want) {
+		t.Fatalf("Snapshot = %v, want %d", got, want)
+	}
+	if unsafe.Sizeof(Cell{}) != 64 {
+		t.Fatalf("Cell is %d bytes, want one 64-byte line", unsafe.Sizeof(Cell{}))
+	}
+}
+
+func TestWriteTextGolden(t *testing.T) {
+	// The exposition of a fixed registry, captured when every counter was
+	// one shared word: counting part of it through cells changes no byte.
+	r := NewRegistry()
+	app := r.Counter("sdr_core_app_msgs_total", "application messages posted through Isend")
+	app.Add(1)
+	app.Cell(0).Add(20)
+	app.Cell(3).Add(20)
+	hits := "pooled allocations served from a sync.Pool"
+	buf := r.CounterWith("sdr_transport_pool_hits_total", hits, []string{"pool"}, []string{"buf"})
+	buf.Cell(5).Add(999)
+	buf.Inc()
+	r.CounterWith("sdr_transport_pool_hits_total", hits, []string{"pool"}, []string{"msg"}).Add(7)
+	r.CounterWith("sdr_ckpt_bytes_total", "bytes", []string{"kind", "note"}, []string{"ckpt", "a \"q\"\\b\nc"}).Add(3)
+	r.Gauge("sdr_core_msglog_bytes", "payload bytes currently held").Add(-5)
+	r.Counter("sdr_cluster_epochs_total", "epochs").Cell(1)
+	var b bytes.Buffer
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	const golden = `# HELP sdr_ckpt_bytes_total bytes
+# TYPE sdr_ckpt_bytes_total counter
+sdr_ckpt_bytes_total{kind="ckpt",note="a \\\"q\\\"\\\\b\\nc"} 3
+# HELP sdr_cluster_epochs_total epochs
+# TYPE sdr_cluster_epochs_total counter
+sdr_cluster_epochs_total 0
+# HELP sdr_core_app_msgs_total application messages posted through Isend
+# TYPE sdr_core_app_msgs_total counter
+sdr_core_app_msgs_total 41
+# HELP sdr_core_msglog_bytes payload bytes currently held
+# TYPE sdr_core_msglog_bytes gauge
+sdr_core_msglog_bytes -5
+# HELP sdr_transport_pool_hits_total pooled allocations served from a sync.Pool
+# TYPE sdr_transport_pool_hits_total counter
+sdr_transport_pool_hits_total{pool="buf"} 1000
+sdr_transport_pool_hits_total{pool="msg"} 7
+`
+	if got := b.String(); got != golden {
+		t.Fatalf("exposition changed:\n%s\nwant:\n%s", got, golden)
 	}
 }

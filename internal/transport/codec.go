@@ -35,6 +35,10 @@ func putMessageHeader(hdr []byte, m *Message) {
 	le.PutUint32(hdr[80:], uint32(len(m.Data)))
 }
 
+// headerDst reads the destination out of an encoded envelope: readers take
+// the frame's pooled envelope on its destination's account.
+func headerDst(hdr []byte) ProcID { return ProcID(int32(binary.LittleEndian.Uint32(hdr[8:]))) }
+
 // parseMessageHeader decodes the fixed wire envelope from hdr into m,
 // preserving m's pool-ownership flags, and returns the payload length. A
 // length above maxWirePayload fails closed (corrupt or hostile stream).
@@ -42,7 +46,7 @@ func parseMessageHeader(hdr []byte, m *Message) (int, error) {
 	le := binary.LittleEndian
 	m.Kind = Kind(hdr[0])
 	m.Src = ProcID(int32(le.Uint32(hdr[4:])))
-	m.Dst = ProcID(int32(le.Uint32(hdr[8:])))
+	m.Dst = headerDst(hdr)
 	m.Ctx = le.Uint32(hdr[12:])
 	m.Tag = int(int64(le.Uint64(hdr[16:])))
 	m.Seq = le.Uint64(hdr[24:])
@@ -156,8 +160,9 @@ func (fr *frameReader) next() (*Message, error) {
 	if err := fr.fill(wireHeaderLen); err != nil {
 		return nil, err
 	}
-	m := GetMessage()
-	n, err := parseMessageHeader(fr.buf[fr.r:fr.r+wireHeaderLen], m)
+	hdr := fr.buf[fr.r : fr.r+wireHeaderLen]
+	m := GetMessage(headerDst(hdr))
+	n, err := parseMessageHeader(hdr, m)
 	fr.r += wireHeaderLen
 	if err == nil && n > 0 {
 		if err = fr.payload(m, n); err == io.EOF {
@@ -192,6 +197,6 @@ func (fr *frameReader) payload(m *Message, n int) error {
 			return err
 		}
 	}
-	m.SetPooledData(GetBuf(n))
+	m.SetPooledData(GetBuf(m.Dst, n))
 	return fr.read(m.Data)
 }

@@ -201,7 +201,7 @@ func TestDirtyLinksUnderConcurrentFlushAndMarkDead(t *testing.T) {
 func BenchmarkFlushSparse(b *testing.B) {
 	pw := bareWire(128)
 	stage := func(dst ProcID) {
-		m := GetMessage()
+		m := GetMessage(0)
 		m.Src, m.Dst, m.Kind = 0, dst, KindEager
 		_ = pw.Deliver(m)
 	}

@@ -276,7 +276,7 @@ func TestLentSendNeverPoolsTheBuffer(t *testing.T) {
 
 		held := make([][]byte, 0, 256)
 		for i := 0; i < cap(held); i++ {
-			b := GetBuf(len(app))
+			b := GetBuf(0, len(app))
 			if unsafe.SliceData(b) == unsafe.SliceData(app) {
 				t.Fatal("GetBuf handed out the application's lent buffer")
 			}

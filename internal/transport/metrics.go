@@ -14,6 +14,16 @@ var (
 		"pooled allocations served from a sync.Pool", []string{"pool"}, []string{"msg"})
 	mPoolMissMsg = obs.Default.CounterWith("sdr_transport_pool_misses_total",
 		"pooled allocations that fell through to the heap", []string{"pool"}, []string{"msg"})
+	// poolCells is each owner's cells of the four pool counters, resolved
+	// once: a get indexes it by owner instead of asking the counter. Owners
+	// past its length wrap, as they do onto the counters' own cells.
+	poolCells = func() (t [64]struct{ bufHit, bufMiss, msgHit, msgMiss *obs.Cell }) {
+		for i := range t {
+			t[i].bufHit, t[i].bufMiss = mPoolHitBuf.Cell(i), mPoolMissBuf.Cell(i)
+			t[i].msgHit, t[i].msgMiss = mPoolHitMsg.Cell(i), mPoolMissMsg.Cell(i)
+		}
+		return t
+	}()
 	mBytesIn = obs.Default.CounterWith("sdr_transport_bytes_total",
 		"peer-wire bytes by direction", []string{"dir"}, []string{"in"})
 	mBytesOut = obs.Default.CounterWith("sdr_transport_bytes_total",

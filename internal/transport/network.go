@@ -8,11 +8,36 @@ import (
 	"time"
 )
 
-// Stats aggregates transport-level traffic counters. All fields are updated
-// atomically; Snapshot returns a consistent-enough copy for reporting.
+// Stats is a network's traffic count: per kind, the messages and payload
+// bytes its hosted endpoints sent (dropped sends to dead processes
+// included) plus what Inject delivered. Every sender counts into its own
+// block (senderBlock), so the send path writes no line another process
+// writes; Snapshot adds the blocks up when someone reads.
 type Stats struct {
-	Msgs  [8]atomic.Uint64 // indexed by Kind
-	Bytes [8]atomic.Uint64
+	hosted   []*Endpoint // the network's hosted endpoints
+	injected kindCounts  // Inject: out-of-band service messages
+}
+
+// kindCounts is one counting point's messages and payload bytes per Kind.
+type kindCounts struct {
+	msgs  [8]atomic.Uint64 // indexed by Kind
+	bytes [8]atomic.Uint64
+}
+
+// add counts one message of kind k carrying n payload bytes. Concurrent
+// callers must not share c: a sender's block is written under its mutex,
+// which is why a load and a store stand in for a locked add.
+func (c *kindCounts) add(k Kind, n int) {
+	c.msgs[k].Store(c.msgs[k].Load() + 1)
+	c.bytes[k].Store(c.bytes[k].Load() + uint64(n))
+}
+
+// addTo adds the counts into out.
+func (c *kindCounts) addTo(out *StatsSnapshot) {
+	for i := range c.msgs {
+		out.Msgs[i] += c.msgs[i].Load()
+		out.Bytes[i] += c.bytes[i].Load()
+	}
 }
 
 // StatsSnapshot is a plain-value copy of Stats.
@@ -21,13 +46,16 @@ type StatsSnapshot struct {
 	Bytes [8]uint64
 }
 
-// Snapshot copies the counters.
+// Snapshot adds up the counters: every hosted endpoint's sender block and
+// the Inject path. It does not allocate.
 func (s *Stats) Snapshot() StatsSnapshot {
 	var out StatsSnapshot
-	for i := range s.Msgs {
-		out.Msgs[i] = s.Msgs[i].Load()
-		out.Bytes[i] = s.Bytes[i].Load()
+	for _, ep := range s.hosted {
+		if sb := ep.own.sender.Load(); sb != nil {
+			sb.sent.addTo(&out)
+		}
 	}
+	s.injected.addTo(&out)
 	return out
 }
 
@@ -105,7 +133,7 @@ type Network struct {
 	wire  Wire
 	lands *landingTable // the socket wire's landing buffers; nil when nothing can land
 	eps   []*Endpoint
-	stats Stats
+	stats Stats // reads the hosted endpoints' sender blocks
 
 	// Monitors to notify on kill/revive (the failure detection service).
 	mu       sync.Mutex                   // sdr:lockrank netmon
@@ -116,22 +144,26 @@ type Network struct {
 // (nil for none) using the in-process wire.
 func NewNetwork(n int, delay *DelayModel) *Network { return newNetwork(n, delay, 0, ProcID(n)) }
 
-// newNetwork builds a network whose processes [lo, hi) are hosted here and
-// get world-sized inbound queues. Every other endpoint is the same type with
-// one shard: a wire hosting [lo, hi) injects only into its own processes, so
-// the others are only ever killed, revived and asked whether they are alive.
-// Hosting is fixed here, never reshaped by a wire installed later.
+// newNetwork builds a network whose processes [lo, hi) are hosted here: they
+// get world-sized inbound queues and the state only a process that runs
+// here needs (hostedEndpoint). Every other endpoint is a bare Endpoint with
+// one shard: a wire hosting [lo, hi) injects only into its own processes,
+// so the others are only ever killed, revived and asked whether they are
+// alive. Hosting is fixed here, never reshaped by a wire installed later.
 func newNetwork(n int, delay *DelayModel, lo, hi ProcID) *Network {
 	nw := &Network{n: n, delay: delay}
 	nw.wire = inprocWire{nw}
 	nw.eps = make([]*Endpoint, n)
 	shards := shardCountFor(n)
 	for i := range nw.eps {
-		s := 1
 		if p := ProcID(i); p >= lo && p < hi {
-			s = shards
+			nw.eps[i] = newHostedEndpoint(p, nw, shards)
+		} else {
+			nw.eps[i] = newEndpoint(p, nw, 1)
 		}
-		nw.eps[i] = newEndpoint(ProcID(i), nw, s)
+	}
+	if lo < hi {
+		nw.stats.hosted = nw.eps[lo:hi]
 	}
 	if lo < hi {
 		gQueueShards.Set(int64(shards))
@@ -170,7 +202,7 @@ func (nw *Network) Endpoint(p ProcID) *Endpoint {
 	return nw.eps[int(p)]
 }
 
-// Stats exposes the global traffic counters.
+// Stats exposes the traffic counters: Snapshot adds up the senders' blocks.
 func (nw *Network) Stats() *Stats { return &nw.stats }
 
 // Delay returns the configured delay model (nil if none).
@@ -257,8 +289,8 @@ func (nw *Network) Inject(dst ProcID, m *Message) {
 		return
 	}
 	m.Dst = dst
-	nw.stats.Msgs[m.Kind].Add(1)
-	nw.stats.Bytes[m.Kind].Add(uint64(len(m.Data)))
+	nw.stats.injected.msgs[m.Kind].Add(1)
+	nw.stats.injected.bytes[m.Kind].Add(uint64(len(m.Data)))
 	nw.eps[int(dst)].inject(m)
 }
 
@@ -343,50 +375,97 @@ type qshard struct {
 // Endpoint is one process's attachment point to the network. All methods
 // are safe for concurrent use; the owning process goroutine receives, any
 // goroutine may send to it.
+//
+// An Endpoint holds what every endpoint needs: identity, liveness and the
+// inbound queue with its ready mask and sleeper counts. What only a process
+// running here needs — the sender block, the drain buffer, the
+// parked-receiver state — comes with the hostedEndpoint allocation, so the
+// n−1 endpoints a worker's network does not host stay small.
 type Endpoint struct {
-	id ProcID
-	nw *Network
-
 	// Inbound path: per-source shards plus atomic coordination state, so
 	// delivery does not serialize every sender on one endpoint lock. The
 	// shard slice is sized at construction (shardCountFor, or one for an
-	// endpoint the network does not host) and never resized, so shardMask
-	// needs no synchronization.
-	shards    []qshard
-	shardMask uint
-	dead      atomic.Bool
-	wakeups   uint32 // guarded by mu; times a blocked receiver resumed, by an arrival, a kill or its deadline (Wakeups); sits in dead's padding
+	// endpoint the network does not host) and never resized. Everything an
+	// injector touches comes first and fits one line: measured on
+	// pingpong-64B, reading the sleeper counts from a line of their own
+	// cost an SDR round trip 5–10 %.
+	shards []qshard
+	dead   atomic.Bool
+	// sleepers counts receivers blocked in WaitActivity or
+	// WaitActivityAcks; ackSleepers those of them that declared an interest
+	// in acknowledgements (WaitActivityAcks). A KindAck arrival wakes only
+	// those: a process parked in a plain receive cannot act on an ack, so
+	// waking it buys a context switch and nothing else.
+	sleepers    atomic.Int32
+	ackSleepers atomic.Int32
 	// ready says where the queued messages are: bit i is set exactly while
 	// shard i is non-empty. Both transitions happen under shard i's lock —
 	// injectAt sets the bit after its append, emptied clears it for whoever
 	// leaves the shard empty — so the receiver locks only shards that hold
 	// something, and ready == 0 is "nothing queued" with no counter beside it.
-	ready    atomic.Uint64
-	sleepers atomic.Int32 // receivers blocked in WaitActivity or WaitActivityAcks
-	// ackSleepers counts the blocked receivers that declared an interest
-	// in acknowledgements (WaitActivityAcks). A KindAck arrival wakes only
-	// those: a process parked in a plain receive cannot act on an ack, so
-	// waking it buys a context switch and nothing else.
-	ackSleepers atomic.Int32
+	ready atomic.Uint64
+	// park is set at construction on a hosted endpoint and by the first
+	// wait on any other (which only tests do).
+	park atomic.Pointer[parkState]
 
-	// mu/cond only coordinate blocking receivers with (rare) wakeups; the
-	// delivery hot path never takes mu when nobody sleeps. timer is what
-	// ends a timed wait: one per endpoint, created by the first timed wait
-	// and re-armed by the later ones, its callback is wake.
-	mu    sync.Mutex // sdr:lockrank epwake
-	cond  *sync.Cond
-	timer *time.Timer // guarded by mu
+	// own is the owning process's state; nil on an endpoint the network
+	// does not host.
+	own *ownerState
+	id  ProcID
+	nw  *Network
+}
 
+// cacheLine is the coherence unit the layouts below pad to.
+const cacheLine = 64
+
+// hostedEndpoint is the one allocation behind an endpoint its network
+// hosts. Injectors write ready, read the sleeper counts and take park.mu;
+// the owner writes own on every drain. The pads put the owner's
+// words at least a line away from every injector word and from either end
+// of the allocation, so neither a sender on another CPU nor a neighbouring
+// hosted endpoint shares the owner's line, and round the size up to a
+// multiple of the line, whose size class starts every object on a line
+// (TestHostedEndpointLayout).
+type hostedEndpoint struct {
+	ep   Endpoint
+	park parkState
+	_    [cacheLine]byte
+	own  ownerState
+	_    [2 * cacheLine]byte
+}
+
+// ownerState is written only by the process the endpoint belongs to.
+type ownerState struct {
+	// sender is allocated by the first send (see senderBlock).
+	sender atomic.Pointer[senderBlock]
 	// drainBuf backs the slice returned by Drain; owned by the receiving
 	// goroutine and reused across calls.
 	drainBuf []*Message
+}
 
-	// Sender side. tseq is allocated by the first send and clock only on a
-	// network with a delay model: a worker mesh holds n² endpoints of which
-	// n ever send, none of them delayed.
-	sendMu sync.Mutex        // sdr:lockrank epsend
-	tseq   map[ProcID]uint64 // guarded by sendMu
-	clock  *linkClock        // guarded by sendMu; nil without a delay model
+// senderBlock is a hosted endpoint's sender side: its per-destination
+// stamps, delay clock and traffic counts, written by its sends alone. It
+// is allocated by the first send — a process that never sends has none —
+// and clock only on a network with a delay model. Its size is a multiple of
+// the line, so the allocator's size class keeps it on lines of its own.
+type senderBlock struct {
+	mu    sync.Mutex              // sdr:lockrank epsend
+	tseq  []uint64                // guarded by mu; per destination, the next FIFO stamp
+	clock *linkClock              // guarded by mu; nil without a delay model
+	sent  kindCounts              // written under mu, read by Stats.Snapshot
+	_     [3*cacheLine - 168]byte // to a multiple of the line (TestHostedEndpointLayout)
+}
+
+// parkState coordinates blocking receivers with the (rare) wake-ups: the
+// delivery hot path reads the endpoint's sleeper counts and takes mu only
+// when somebody sleeps. timer is what ends a timed wait: one per endpoint,
+// created by the first timed wait and re-armed by the later ones, its
+// callback is wake.
+type parkState struct {
+	mu      sync.Mutex // sdr:lockrank epwake
+	cond    sync.Cond
+	timer   *time.Timer // guarded by mu
+	wakeups uint32      // guarded by mu; times a blocked receiver resumed, by an arrival, a kill or its deadline (Wakeups)
 }
 
 // linkClock is the delay model's sender-side serialization state.
@@ -395,18 +474,51 @@ type linkClock struct {
 	lastOut  time.Time            // end of this process's previous send overhead
 }
 
+func (ep *Endpoint) init(id ProcID, nw *Network, shards int) {
+	ep.id, ep.nw = id, nw
+	ep.shards = make([]qshard, shards)
+}
+
 func newEndpoint(id ProcID, nw *Network, shards int) *Endpoint {
-	ep := &Endpoint{
-		id:        id,
-		nw:        nw,
-		shards:    make([]qshard, shards),
-		shardMask: uint(shards - 1),
-	}
-	if nw.delay != nil {
-		ep.clock = &linkClock{linkFree: make(map[ProcID]time.Time)}
-	}
-	ep.cond = sync.NewCond(&ep.mu)
+	ep := new(Endpoint)
+	ep.init(id, nw, shards)
 	return ep
+}
+
+func newHostedEndpoint(id ProcID, nw *Network, shards int) *Endpoint {
+	h := new(hostedEndpoint)
+	h.ep.init(id, nw, shards)
+	h.park.cond.L = &h.park.mu
+	h.ep.own = &h.own
+	h.ep.park.Store(&h.park)
+	return &h.ep
+}
+
+// parking returns the parked-receiver state, allocating it on the first
+// wait of an endpoint the network does not host.
+func (ep *Endpoint) parking() *parkState {
+	if pk := ep.park.Load(); pk != nil {
+		return pk
+	}
+	pk := new(parkState)
+	pk.cond.L = &pk.mu
+	ep.park.CompareAndSwap(nil, pk)
+	return ep.park.Load()
+}
+
+// senderFor returns the sender block, allocating it on the first send.
+func (o *ownerState) senderFor(nw *Network) *senderBlock {
+	if sb := o.sender.Load(); sb != nil {
+		return sb
+	}
+	sb := &senderBlock{tseq: make([]uint64, nw.n)}
+	if nw.delay != nil {
+		sb.clock = &linkClock{linkFree: make(map[ProcID]time.Time)}
+	}
+	if !o.sender.CompareAndSwap(nil, sb) {
+		return o.sender.Load()
+	}
+	return sb
 }
 
 // ID returns the endpoint's process ID.
@@ -420,7 +532,7 @@ func (ep *Endpoint) Crashed() bool { return ep.dead.Load() }
 // endpoint's shard count. Src may be NoProc (-1) for
 // service-injected messages.
 func (ep *Endpoint) shardOf(src ProcID) int {
-	return int(uint(int(src)+1) & ep.shardMask)
+	return int(uint(int(src)+1) & uint(len(ep.shards)-1))
 }
 
 // Send transmits m to m.Dst. Sends to dead destinations are silently
@@ -457,7 +569,14 @@ func (ep *Endpoint) PostLanding(xid uint64, buf []byte) { ep.nw.lands.post(ep.id
 func (ep *Endpoint) WithdrawLanding(xid uint64) { ep.nw.lands.withdraw(ep.id, xid) }
 
 func (ep *Endpoint) send(m *Message, lent bool) error {
-	if m.Dst < 0 || int(m.Dst) >= ep.nw.n {
+	var err error
+	switch {
+	case m.Dst < 0 || int(m.Dst) >= ep.nw.n:
+		err = fmt.Errorf("transport: send to invalid proc %d", m.Dst)
+	case ep.own == nil:
+		err = fmt.Errorf("transport: proc %d is not hosted by this network", ep.id)
+	}
+	if err != nil {
 		// The send fails before ownership transfers; release a pooled
 		// payload so erroneous sends do not leak it.
 		if m.pflags&flagPooledData != 0 {
@@ -465,23 +584,18 @@ func (ep *Endpoint) send(m *Message, lent bool) error {
 			m.Data = nil
 			m.pflags &^= flagPooledData
 		}
-		return fmt.Errorf("transport: send to invalid proc %d", m.Dst)
+		return err
 	}
 	m.Src = ep.id
 
-	st := &ep.nw.stats
-	st.Msgs[m.Kind].Add(1)
-	st.Bytes[m.Kind].Add(uint64(len(m.Data)))
-
-	ep.sendMu.Lock()
-	if ep.tseq == nil {
-		ep.tseq = make(map[ProcID]uint64)
-	}
-	m.tseq = ep.tseq[m.Dst]
-	ep.tseq[m.Dst] = m.tseq + 1
+	sb := ep.own.senderFor(ep.nw)
+	sb.mu.Lock()
+	sb.sent.add(m.Kind, len(m.Data))
+	m.tseq = sb.tseq[m.Dst]
+	sb.tseq[m.Dst]++
 
 	var deliverAt time.Time
-	if d, c := ep.nw.delay, ep.clock; d != nil {
+	if d, c := ep.nw.delay, sb.clock; d != nil {
 		now := time.Now()
 		// Consecutive sends from one process serialize on its CPU.
 		start := now
@@ -498,16 +612,16 @@ func (ep *Endpoint) send(m *Message, lent bool) error {
 		free = free.Add(d.transferTime(len(m.Data)))
 		c.linkFree[m.Dst] = free
 		deliverAt = free.Add(d.Latency)
-		ep.sendMu.Unlock()
+		sb.mu.Unlock()
 		// The sender's CPU is busy until the overhead is paid.
 		spinUntil(ready)
 	} else {
-		ep.sendMu.Unlock()
+		sb.mu.Unlock()
 	}
 
 	// Copy the envelope into a pooled message so the caller can reuse m;
 	// payload-pool ownership travels with the copy.
-	q := GetMessage()
+	q := GetMessage(ep.id)
 	env := q.pflags
 	*q = *m
 	q.pflags = (m.pflags & flagPooledData) | env
@@ -571,23 +685,35 @@ func (ep *Endpoint) injectAt(m *Message, at time.Time) {
 // counts, under the lock it wakes up holding; the injectors' path carries no
 // bookkeeping for it.
 func (ep *Endpoint) Wakeups() uint32 {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.wakeups
+	pk := ep.park.Load()
+	if pk == nil {
+		return 0
+	}
+	pk.mu.Lock()
+	defer pk.mu.Unlock()
+	return pk.wakeups
 }
 
 // Parked reports whether a receiver is blocked in WaitActivity or
 // WaitActivityAcks right now (tests pair it with Wakeups).
 func (ep *Endpoint) Parked() bool { return ep.sleepers.Load() > 0 }
 
+// wake broadcasts to blocked receivers, if the endpoint has any state for
+// them.
+func (ep *Endpoint) wake() {
+	if pk := ep.park.Load(); pk != nil {
+		pk.wake()
+	}
+}
+
 // wake broadcasts to blocked receivers. Taking mu orders the broadcast
 // against a receiver that is between registering as a sleeper and calling
 // cond.Wait (it holds mu for that whole window), so wakeups cannot be
 // lost.
-func (ep *Endpoint) wake() {
-	ep.mu.Lock()
-	ep.cond.Broadcast()
-	ep.mu.Unlock()
+func (pk *parkState) wake() {
+	pk.mu.Lock()
+	pk.cond.Broadcast()
+	pk.mu.Unlock()
 }
 
 // emptied records that shard i was just left empty: the one place a ready
@@ -621,7 +747,10 @@ func (ep *Endpoint) Drain() []*Message {
 	if ready == 0 {
 		return nil
 	}
-	out := ep.drainBuf[:0]
+	var out []*Message
+	if ep.own != nil {
+		out = ep.own.drainBuf[:0]
+	}
 	var now time.Time
 	for ; ready != 0; ready &= ready - 1 {
 		i := bits.TrailingZeros64(ready)
@@ -649,7 +778,9 @@ func (ep *Endpoint) Drain() []*Message {
 		}
 		sh.mu.Unlock()
 	}
-	ep.drainBuf = out
+	if ep.own != nil {
+		ep.own.drainBuf = out
+	}
 	if len(out) == 0 {
 		return nil
 	}
@@ -682,6 +813,11 @@ func (ep *Endpoint) waitActivity(timeout time.Duration, acks bool) bool {
 			return false
 		}
 		if mask := ep.ready.Load(); mask != 0 {
+			if ep.nw.delay == nil {
+				// Every arrival is due: return without taking the shard
+				// locks the senders write, which Drain takes next anyway.
+				return true
+			}
 			ready, earliest := ep.scanArrivals(mask)
 			if ready {
 				return true
@@ -711,7 +847,8 @@ func (ep *Endpoint) waitActivity(timeout time.Duration, acks bool) bool {
 		// bit before our re-check reads the mask. A timed wait parks on the
 		// same condition, so an arrival ends it like any other; the timer's
 		// broadcast only stands in for the arrival that did not come.
-		ep.mu.Lock()
+		pk := ep.parking()
+		pk.mu.Lock()
 		ep.sleepers.Add(1)
 		if acks {
 			ep.ackSleepers.Add(1)
@@ -721,24 +858,24 @@ func (ep *Endpoint) waitActivity(timeout time.Duration, acks bool) bool {
 			// broadcast before Wait has released it. One left over from an
 			// earlier wait is a spurious wake-up the loop absorbs.
 			if !deadline.IsZero() {
-				if d := time.Until(deadline); ep.timer == nil {
-					ep.timer = time.AfterFunc(d, ep.wake)
+				if d := time.Until(deadline); pk.timer == nil {
+					pk.timer = time.AfterFunc(d, pk.wake)
 				} else {
-					ep.timer.Reset(d)
+					pk.timer.Reset(d)
 				}
 			}
 			// sdr:holdblock-ok condition wait: Wait releases mu while parked
-			ep.cond.Wait()
-			ep.wakeups++
+			pk.cond.Wait()
+			pk.wakeups++
 			if !deadline.IsZero() {
-				ep.timer.Stop()
+				pk.timer.Stop()
 			}
 		}
 		if acks {
 			ep.ackSleepers.Add(-1)
 		}
 		ep.sleepers.Add(-1)
-		ep.mu.Unlock()
+		pk.mu.Unlock()
 	}
 }
 

@@ -80,8 +80,10 @@ func classFor(n int) int {
 
 // GetBuf returns a byte slice of length n. When n fits a size class the
 // backing array is recycled; otherwise it is a fresh allocation. The
-// contents are unspecified (callers overwrite).
-func GetBuf(n int) []byte {
+// contents are unspecified (callers overwrite). The hit or miss counts in
+// owner's cell of the pool counters: the process the buffer is taken for,
+// the sender or, on a reader, the frame's destination.
+func GetBuf(owner ProcID, n int) []byte {
 	if n == 0 {
 		return nil
 	}
@@ -90,10 +92,10 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := bufPools[ci].Get(); v != nil {
-		mPoolHitBuf.Inc()
+		poolCells[int(owner)&(len(poolCells)-1)].bufHit.Inc()
 		return unsafe.Slice((*byte)(v.(unsafe.Pointer)), bufClasses[ci])[:n]
 	}
-	mPoolMissBuf.Inc()
+	poolCells[int(owner)&(len(poolCells)-1)].bufMiss.Inc()
 	return make([]byte, n, bufClasses[ci])
 }
 
@@ -115,13 +117,14 @@ func FreeBuf(b []byte) {
 }
 
 // GetMessage returns an empty, pool-recycled Message envelope. The caller
-// owns it until it is handed to the wire or freed.
-func GetMessage() *Message {
+// owns it until it is handed to the wire or freed. owner is counted as in
+// GetBuf.
+func GetMessage(owner ProcID) *Message {
 	m, _ := msgPool.Get().(*Message)
 	if m != nil {
-		mPoolHitMsg.Inc()
+		poolCells[int(owner)&(len(poolCells)-1)].msgHit.Inc()
 	} else {
-		mPoolMissMsg.Inc()
+		poolCells[int(owner)&(len(poolCells)-1)].msgMiss.Inc()
 		m = new(Message)
 	}
 	m.pflags = flagPooledEnv
@@ -160,9 +163,10 @@ func (m *Message) SetPooledData(b []byte) {
 }
 
 // ownData replaces a lent payload by a pooled copy the message owns, for
-// the paths on which the frame outlives the lending call.
+// the paths on which the frame outlives the lending call. The copy is the
+// sender's.
 func (m *Message) ownData() {
-	cp := GetBuf(len(m.Data))
+	cp := GetBuf(m.Src, len(m.Data))
 	copy(cp, m.Data)
 	m.SetPooledData(cp)
 }

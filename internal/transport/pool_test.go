@@ -17,7 +17,7 @@ import (
 
 func TestBufPoolSizing(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 1 << 10, 64 << 10, 256 << 10, 300 << 10, 1 << 20} {
-		b := GetBuf(n)
+		b := GetBuf(0, n)
 		if len(b) != n {
 			t.Fatalf("GetBuf(%d) returned len %d", n, len(b))
 		}
@@ -27,12 +27,12 @@ func TestBufPoolSizing(t *testing.T) {
 
 func TestBufPoolRecycles(t *testing.T) {
 	// A freed class-sized buffer must be reusable at full class capacity.
-	b := GetBuf(100)
+	b := GetBuf(0, 100)
 	if cap(b) != 256 {
 		t.Fatalf("GetBuf(100) cap = %d, want class 256", cap(b))
 	}
 	FreeBuf(b)
-	c := GetBuf(200)
+	c := GetBuf(0, 200)
 	if cap(c) != 256 {
 		t.Fatalf("GetBuf(200) cap = %d, want class 256", cap(c))
 	}
@@ -52,7 +52,7 @@ func TestSendPooledDataOwnershipTransfers(t *testing.T) {
 	var m Message
 	m.Dst = 1
 	m.Kind = KindEager
-	m.SetPooledData(GetBuf(16))
+	m.SetPooledData(GetBuf(0, 16))
 	copy(m.Data, "sixteen bytes!!!")
 	if err := nw.Endpoint(0).Send(&m); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestSendInvalidDestReleasesPooledData(t *testing.T) {
 	defer nw.Close()
 	var m Message
 	m.Dst = 99
-	m.SetPooledData(GetBuf(16))
+	m.SetPooledData(GetBuf(0, 16))
 	if err := nw.Endpoint(0).Send(&m); err == nil {
 		t.Fatal("expected error")
 	}
@@ -106,7 +106,7 @@ func TestPoolConcurrency(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < tc.iters; i++ {
 						size := tc.sizes[i%len(tc.sizes)]
-						b := GetBuf(size)
+						b := GetBuf(0, size)
 						if len(b) != size {
 							t.Errorf("len %d want %d", len(b), size)
 							return
@@ -115,7 +115,7 @@ func TestPoolConcurrency(t *testing.T) {
 						for j := range b {
 							b[j] = fill
 						}
-						m := GetMessage()
+						m := GetMessage(0)
 						m.Seq = uint64(i)
 						m.SetPooledData(b)
 						for j := range m.Data {
@@ -221,7 +221,7 @@ func TestShardedQueueConcurrency(t *testing.T) {
 // rejection paths.
 func TestAckBatchRoundTrip(t *testing.T) {
 	recs := []AckRec{{Ctx: 1, Seq: 9}, {Ctx: 1, Seq: 10}, {Ctx: 7, Seq: 0}}
-	buf := EncodeAckRecs(GetBuf(AckBatchBytes(len(recs)))[:0], recs)
+	buf := EncodeAckRecs(GetBuf(0, AckBatchBytes(len(recs)))[:0], recs)
 	if len(buf) != AckBatchBytes(len(recs)) {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), AckBatchBytes(len(recs)))
 	}
@@ -255,7 +255,7 @@ func BenchmarkSendDrain(b *testing.B) {
 			nw := NewNetwork(2, nil)
 			defer nw.Close()
 			src, dst := nw.Endpoint(0), nw.Endpoint(1)
-			payload := GetBuf(size)
+			payload := GetBuf(0, size)
 			FreeBuf(payload)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -263,7 +263,7 @@ func BenchmarkSendDrain(b *testing.B) {
 				var m Message
 				m.Dst = 1
 				m.Kind = KindEager
-				m.SetPooledData(GetBuf(size))
+				m.SetPooledData(GetBuf(0, size))
 				src.Send(&m)
 				for _, got := range dst.Drain() {
 					FreeMessage(got)

@@ -329,7 +329,7 @@ func (rr *ringReader) consume(sink func(*Message)) {
 				continue
 			}
 			rr.hgot = 0
-			m := GetMessage()
+			m := GetMessage(headerDst(rr.hdr[:]))
 			need, err := parseMessageHeader(rr.hdr[:], m)
 			if err != nil {
 				FreeMessage(m)
@@ -337,7 +337,7 @@ func (rr *ringReader) consume(sink func(*Message)) {
 				return
 			}
 			if need > 0 {
-				m.SetPooledData(GetBuf(need))
+				m.SetPooledData(GetBuf(m.Dst, need))
 			}
 			rr.m, rr.need, rr.fill = m, need, 0
 		}

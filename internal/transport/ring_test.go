@@ -275,7 +275,7 @@ func TestRingFailedPushPublishesWhatItCopied(t *testing.T) {
 	const total = 20
 	frames := make([]*Message, total)
 	for i := range frames {
-		m := GetMessage()
+		m := GetMessage(0)
 		m.Src, m.Dst, m.Kind, m.Tag, m.Data = 0, 1, KindEager, i, make([]byte, 64)
 		frames[i] = m
 	}

@@ -192,6 +192,57 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+func TestSenderStatsTotals(t *testing.T) {
+	// Per-kind totals over sends from several endpoints, two Injects and
+	// two sends to a killed destination — which count, as they did when
+	// the network kept one shared block. The figures were read off that
+	// shared block for this exact sequence.
+	nw := NewNetwork(4, nil)
+	defer nw.Close()
+	for i := 0; i < 3; i++ {
+		ep := nw.Endpoint(ProcID(i))
+		for k := 0; k < 5+i; k++ {
+			ep.Send(&Message{Dst: ProcID((i + 1) % 3), Kind: KindEager, Data: make([]byte, 10*k+i)})
+		}
+		ep.Send(&Message{Dst: ProcID((i + 2) % 3), Kind: KindAck})
+		ep.Send(&Message{Dst: ProcID((i + 2) % 3), Kind: KindRTS, Data: make([]byte, 3)})
+	}
+	nw.Inject(1, &Message{Kind: KindCtl, Data: make([]byte, 17)})
+	nw.Inject(2, &Message{Kind: KindEager, Data: make([]byte, 5)})
+	nw.Kill(3)
+	nw.Endpoint(0).Send(&Message{Dst: 3, Kind: KindEager, Data: make([]byte, 100)})
+	nw.Endpoint(1).Send(&Message{Dst: 3, Kind: KindData, Data: make([]byte, 1000)})
+
+	want := StatsSnapshot{
+		Msgs:  [8]uint64{20, 3, 0, 1, 3, 0, 1, 0},
+		Bytes: [8]uint64{585, 9, 0, 1000, 0, 0, 17, 0},
+	}
+	s := nw.Stats().Snapshot()
+	if s != want {
+		t.Fatalf("Snapshot = %+v\nwant       %+v", s, want)
+	}
+	if s.AppMsgs() != 21 || s.AckMsgs() != 3 || s.TotalMsgs() != 28 {
+		t.Fatalf("app/ack/total = %d/%d/%d, want 21/3/28", s.AppMsgs(), s.AckMsgs(), s.TotalMsgs())
+	}
+	if n := testing.AllocsPerRun(10, func() { nw.Stats().Snapshot() }); n != 0 {
+		t.Fatalf("Snapshot allocates %v times", n)
+	}
+	// An endpoint the network does not host has no sender block: it
+	// refuses to send, and counts nothing.
+	pn, pw, err := NewPeerNetwork(4, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pn.Close()
+	defer pw.Close()
+	if err := pn.Endpoint(2).Send(&Message{Dst: 1, Kind: KindEager}); err == nil {
+		t.Fatal("send from an unhosted endpoint succeeded")
+	}
+	if got := pn.Stats().Snapshot(); got != (StatsSnapshot{}) {
+		t.Fatalf("refused send counted: %+v", got)
+	}
+}
+
 func TestDelayModelLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
