@@ -150,11 +150,15 @@ func (t *seqTable) at(ctx uint32) *seqCtx {
 			return c
 		}
 	}
-	c := &seqCtx{ctx: ctx, next: make([]uint64, t.n)}
+	// next and ret are written on every message; a line of slack on each
+	// side keeps another allocation — another process's table, in a world
+	// of goroutines — off the lines they sit on. (stash is written only
+	// out of order.)
+	c := &seqCtx{ctx: ctx, next: make([]uint64, t.n+16)[8 : 8+t.n : 8+t.n]}
 	if t.stashed {
 		c.stash = make([]seqStash, t.n)
 	} else {
-		c.ret = make([]retSlot, t.n)
+		c.ret = make([]retSlot, t.n+4)[2 : 2+t.n : 2+t.n]
 	}
 	t.ctxs = append(t.ctxs, c)
 	t.last = c

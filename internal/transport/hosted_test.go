@@ -178,6 +178,11 @@ func TestHostedEndpointLayout(t *testing.T) {
 			t.Errorf("Endpoint.%s ends at byte %d, past the first line", name, end)
 		}
 	}
+	// A wake takes park.mu and broadcasts on park.cond: one line.
+	if park%cacheLine != 0 || unsafe.Offsetof(h.park.cond)+unsafe.Sizeof(h.park.cond) > cacheLine {
+		t.Errorf("park at byte %d, its cond ending %d bytes in: want both on the park's first line",
+			park, unsafe.Offsetof(h.park.cond)+unsafe.Sizeof(h.park.cond))
+	}
 	// A size that is a multiple of the line puts an allocation in a size
 	// class whose objects start on a line.
 	if n := unsafe.Sizeof(h); n%cacheLine != 0 {

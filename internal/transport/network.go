@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Stats is a network's traffic count: per kind, the messages and payload
@@ -18,25 +19,23 @@ type Stats struct {
 	injected kindCounts  // Inject: out-of-band service messages
 }
 
-// kindCounts is one counting point's messages and payload bytes per Kind.
-type kindCounts struct {
-	msgs  [8]atomic.Uint64 // indexed by Kind
-	bytes [8]atomic.Uint64
-}
+// kindCounts is one counting point's messages and payload bytes per Kind,
+// side by side so that counting a send touches one slot.
+type kindCounts [8]struct{ msgs, bytes atomic.Uint64 } // indexed by Kind
 
 // add counts one message of kind k carrying n payload bytes. Concurrent
 // callers must not share c: a sender's block is written under its mutex,
 // which is why a load and a store stand in for a locked add.
 func (c *kindCounts) add(k Kind, n int) {
-	c.msgs[k].Store(c.msgs[k].Load() + 1)
-	c.bytes[k].Store(c.bytes[k].Load() + uint64(n))
+	c[k].msgs.Store(c[k].msgs.Load() + 1)
+	c[k].bytes.Store(c[k].bytes.Load() + uint64(n))
 }
 
 // addTo adds the counts into out.
 func (c *kindCounts) addTo(out *StatsSnapshot) {
-	for i := range c.msgs {
-		out.Msgs[i] += c.msgs[i].Load()
-		out.Bytes[i] += c.bytes[i].Load()
+	for i := range c {
+		out.Msgs[i] += c[i].msgs.Load()
+		out.Bytes[i] += c[i].bytes.Load()
 	}
 }
 
@@ -289,8 +288,8 @@ func (nw *Network) Inject(dst ProcID, m *Message) {
 		return
 	}
 	m.Dst = dst
-	nw.stats.injected.msgs[m.Kind].Add(1)
-	nw.stats.injected.bytes[m.Kind].Add(uint64(len(m.Data)))
+	nw.stats.injected[m.Kind].msgs.Add(1)
+	nw.stats.injected[m.Kind].bytes.Add(uint64(len(m.Data)))
 	nw.eps[int(dst)].inject(m)
 }
 
@@ -420,18 +419,19 @@ const cacheLine = 64
 
 // hostedEndpoint is the one allocation behind an endpoint its network
 // hosts. Injectors write ready, read the sleeper counts and take park.mu;
-// the owner writes own on every drain. The pads put the owner's
-// words at least a line away from every injector word and from either end
-// of the allocation, so neither a sender on another CPU nor a neighbouring
-// hosted endpoint shares the owner's line, and round the size up to a
-// multiple of the line, whose size class starts every object on a line
-// (TestHostedEndpointLayout).
+// the owner writes own on every drain. The pads start park on a line of its
+// own, so a wake touches one line, put the owner's words at least a line
+// away from every injector word and from either end of the allocation, so
+// neither a sender on another CPU nor a neighbouring hosted endpoint shares
+// the owner's line, and round the size up to a multiple of the line, whose
+// size class starts every object on a line (TestHostedEndpointLayout).
 type hostedEndpoint struct {
 	ep   Endpoint
+	_    [2*cacheLine - unsafe.Sizeof(Endpoint{})]byte
 	park parkState
 	_    [cacheLine]byte
 	own  ownerState
-	_    [2 * cacheLine]byte
+	_    [cacheLine + 16]byte
 }
 
 // ownerState is written only by the process the endpoint belongs to.
@@ -458,14 +458,14 @@ type senderBlock struct {
 
 // parkState coordinates blocking receivers with the (rare) wake-ups: the
 // delivery hot path reads the endpoint's sleeper counts and takes mu only
-// when somebody sleeps. timer is what ends a timed wait: one per endpoint,
-// created by the first timed wait and re-armed by the later ones, its
-// callback is wake.
+// when somebody sleeps. mu and cond, which a wake touches, fill the first
+// line. timer is what ends a timed wait: one per endpoint, created by the
+// first timed wait and re-armed by the later ones, its callback is wake.
 type parkState struct {
 	mu      sync.Mutex // sdr:lockrank epwake
 	cond    sync.Cond
-	timer   *time.Timer // guarded by mu
 	wakeups uint32      // guarded by mu; times a blocked receiver resumed, by an arrival, a kill or its deadline (Wakeups)
+	timer   *time.Timer // guarded by mu
 }
 
 // linkClock is the delay model's sender-side serialization state.
@@ -511,7 +511,10 @@ func (o *ownerState) senderFor(nw *Network) *senderBlock {
 	if sb := o.sender.Load(); sb != nil {
 		return sb
 	}
-	sb := &senderBlock{tseq: make([]uint64, nw.n)}
+	// Whole lines of stamps: a shorter array would share its line with
+	// whatever the allocator puts next to it, another sender's stamps
+	// included.
+	sb := &senderBlock{tseq: make([]uint64, nw.n, (nw.n+7)&^7)}
 	if nw.delay != nil {
 		sb.clock = &linkClock{linkFree: make(map[ProcID]time.Time)}
 	}
