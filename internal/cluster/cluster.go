@@ -541,6 +541,9 @@ type runState struct {
 
 	commitLine // the checkpoint store and its wave tally
 	fired      *firedSet
+	// kills indexes Config.Failures by victim: kills[proc][step] lists the
+	// events scheduled for that process at that step (see killIndex).
+	kills []map[int][]int
 	// seed is the rollback this epoch resumes from: every replica of rank
 	// starts from seed.states[rank] (nil on the first epoch).
 	seed epochSeed
@@ -597,6 +600,7 @@ func Run(cfg Config, app AppFunc) *Report {
 			app:        app,
 			commitLine: commitLine{store: store, waves: waveTally{ranks: cfg.Ranks}},
 			fired:      fired,
+			kills:      killIndex(cfg.Failures, layout),
 			seed:       seed,
 			events:     loop.events,
 			stop:       make(chan struct{}),
@@ -683,6 +687,22 @@ func (rs *runState) control() (<-chan regEvent, <-chan time.Time) { return nil, 
 func (rs *runState) onControl(regEvent)                           {}
 func (rs *runState) probe()                                       {}
 
+// killIndex indexes a failure schedule, which validateSchedule has
+// checked against layout, by victim process and step, so that a step looks
+// up its own events instead of scanning the whole schedule:
+// index[proc][step] lists the indices into failures that kill proc there.
+func killIndex(failures []FailureEvent, layout core.Layout) []map[int][]int {
+	index := make([]map[int][]int, layout.Procs())
+	for i, f := range failures {
+		p := layout.Phys(f.Rep, f.Rank)
+		if index[p] == nil {
+			index[p] = make(map[int][]int)
+		}
+		index[p][f.AtStep] = append(index[p][f.AtStep], i)
+	}
+	return index
+}
+
 // stepHook realizes the failure/recovery schedule at an application step
 // boundary.
 func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
@@ -690,9 +710,9 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 	// kill triggers the detector broadcast; the panic unwinds the app.
 	// Each event fires at most once across restart epochs — a crash is a
 	// physical event that rollback does not replay.
-	for i, f := range rs.cfg.Failures {
-		if f.Rank == e.Rank && f.Rep == e.Rep && f.AtStep == step && rs.fired.fire(i) {
-			self := rs.layout.Phys(e.Rep, e.Rank)
+	self := rs.layout.Phys(e.Rep, e.Rank)
+	for _, i := range rs.kills[self][step] {
+		if rs.fired.fire(i) {
 			kev := obs.Ev(obs.StageKill, "fail-stop crash injected")
 			kev.Proc, kev.Rank, kev.Rep, kev.Step = int(self), e.Rank, e.Rep, step
 			obs.DefaultTrace.Emit(kev)

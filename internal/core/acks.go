@@ -205,9 +205,10 @@ func (p *Replicated) applyAck(ctx uint32, seq uint64, src transport.ProcID) {
 // sendAcksFor emits (or queues) the acknowledgements for one completed
 // reception: to every other alive replica of the source rank (lines 15–17
 // of Algorithm 1).
-func (p *Replicated) sendAcksFor(ps mpi.PStatus) {
-	srcRank := int(ps.Meta[mpi.MetaSrcRank])
-	senderWorld := int(ps.Meta[mpi.MetaWorld])
+func (p *Replicated) sendAcksFor(pr *mpi.PReq) {
+	srcRank := int(pr.Meta(mpi.MetaSrcRank))
+	senderWorld := int(pr.Meta(mpi.MetaWorld))
+	ctx, seq := pr.Ctx(), pr.Seq()
 	for rep := 0; rep < p.layout.Degree(srcRank); rep++ {
 		if rep == senderWorld {
 			continue
@@ -217,9 +218,9 @@ func (p *Replicated) sendAcksFor(ps mpi.PStatus) {
 			continue
 		}
 		if p.coalesce {
-			p.queueAck(q, ps.Ctx, ps.Seq)
+			p.queueAck(q, ctx, seq)
 		} else {
-			p.sendAckNow(q, ps.Ctx, ps.Seq, srcRank)
+			p.sendAckNow(q, ctx, seq, srcRank)
 		}
 	}
 }

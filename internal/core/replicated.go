@@ -69,10 +69,6 @@ type Replicated struct {
 	// Leader-mode wildcard agreement state.
 	wc leaderState
 
-	// ackOnFinish is ackReception bound once: every receive's
-	// Request.OnFinish in the AckOnWait ablation.
-	ackOnFinish func(*mpi.PReq)
-
 	// This process's cells of the message-path counters, resolved once so
 	// Isend and the ack flush add into lines no other process writes.
 	appMsgs, ackMsgs, acksCoalesced *obs.Cell
@@ -163,7 +159,9 @@ func NewReplicated(proc *mpi.Proc, layout Layout, mode Mode, det *detect.Service
 		p.initCoalescing()
 	}
 
-	p.ackOnFinish = p.ackReception
+	if opts.AckOnWait && mode != ModeMirror {
+		p.eng.OnFinish = p.sendAcksFor
+	}
 	p.eng.RankOf = p.rankOf
 	p.eng.OnArrive = p.onArrive
 	p.eng.OnRecvComplete = p.onRecvComplete
@@ -340,7 +338,7 @@ func (p *Replicated) Irecv(c *mpi.Comm, ctx uint32, from mpi.Rank, tag int, buf 
 		r = mpi.NewRequest1(c, false, p.eng.Irecv(mpi.AnyProc, mpi.AnySource, c, ctx, tag, buf), nil)
 	}
 	if p.opts.AckOnWait && p.mode != ModeMirror {
-		r.OnFinish = p.ackOnFinish
+		r.HookFinish()
 	}
 	return r
 }
@@ -431,26 +429,20 @@ func (p *Replicated) stashTotal() int { return p.recvSeq.stashTotal() }
 // irecvComplete event, acknowledge the message to every other alive
 // replica of the source rank. In mirror mode there are no acks. With the
 // AckOnWait ablation the ack is deferred to application-level completion
-// (attached in Irecv's Request via OnFinish — see ackReception).
+// (Irecv marks the request with HookFinish, and the engine's OnFinish
+// hook, sendAcksFor, acks at Wait time).
 func (p *Replicated) onRecvComplete(pr *mpi.PReq) {
 	if p.mode == ModeMirror {
 		return
 	}
-	ps := pr.PStatus()
 	if p.opts.SDC {
-		p.recordLocalHash(ps, pr)
+		p.recordLocalHash(pr)
 	}
 	if p.opts.AckOnWait {
-		// Ablation: do nothing now; Irecv installed ackOnFinish as
-		// the request's OnFinish hook, which acks at Wait time.
 		return
 	}
-	p.sendAcksFor(ps)
+	p.sendAcksFor(pr)
 }
-
-// ackReception emits the acks for a receive completed at the application
-// level (the AckOnWait ablation's completion hook, see ackOnFinish).
-func (p *Replicated) ackReception(pr *mpi.PReq) { p.sendAcksFor(pr.PStatus()) }
 
 // --- Control messages ------------------------------------------------------
 

@@ -114,7 +114,7 @@ func TestRendezvousFanOutBeyondTwo(t *testing.T) {
 func TestIrecvAckOnWait(t *testing.T) {
 	// Under the AckOnWait ablation a receive acks when the application
 	// completes it: once per replica, however often the request is waited
-	// on or tested.
+	// on or tested, and each of those calls returns the same status.
 	acks := mAckMsgs.Value()
 	miniWorld(t, 2, 2, ModeParallel, Options{AckOnWait: true, NoAckCoalesce: true}, func(c *mpi.Comm, p *Replicated) {
 		if c.Rank() == 0 {
@@ -124,10 +124,13 @@ func TestIrecvAckOnWait(t *testing.T) {
 		}
 		buf := make([]byte, 1)
 		r := c.Irecv(0, 3, buf)
-		r.Wait()
-		r.Wait()
-		r.Test()
+		want := mpi.Status{Source: 0, Tag: 3, Count: 1}
+		first, second := r.Wait(), r.Wait()
+		third, done := r.Test()
 		mpi.Waitall(r)
+		if first != want || second != want || third != want || !done {
+			t.Errorf("replica %d: statuses %+v, %+v, %+v (done %v), want %+v", p.Rep(), first, second, third, done, want)
+		}
 		if buf[0] != 7 {
 			t.Errorf("replica %d: received %d, want 7", p.Rep(), buf[0])
 		}

@@ -56,14 +56,10 @@ func (p *Replicated) onHash(m *transport.Message) {
 
 // recordLocalHash hashes a completed reception and compares it against any
 // already-arrived remote hashes.
-func (p *Replicated) recordLocalHash(ps mpi.PStatus, pr *mpi.PReq) {
-	n := ps.Count
+func (p *Replicated) recordLocalHash(pr *mpi.PReq) {
 	buf := pr.Buf()
-	if n > len(buf) {
-		n = len(buf)
-	}
-	h := HashPayload(buf[:n])
-	key := retKey{ps.Ctx, int(ps.Meta[mpi.MetaSrcRank]), ps.Seq}
+	h := HashPayload(buf[:min(pr.Count(), len(buf))])
+	key := retKey{pr.Ctx(), int(pr.Meta(mpi.MetaSrcRank)), pr.Seq()}
 	if remotes, ok := p.sdcRemote[key]; ok {
 		for _, r := range remotes {
 			p.compareHash(key, h, uint64(r))

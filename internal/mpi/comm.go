@@ -100,11 +100,7 @@ func (c *Comm) CtxP2P() uint32 { return c.ctxP2P }
 // nullRequest builds an already-complete request: the result of an
 // operation on ProcNull.
 func (c *Comm) nullRequest(send bool) Request {
-	r := Request{comm: c, send: send, finished: true}
-	if !send {
-		r.status = Status{Source: ProcNull, Tag: AnyTag, Count: 0}
-	}
-	return r
+	return Request{comm: c, flags: reqNull | sendFlag(send)}
 }
 
 // Isend starts a non-blocking send of data to comm rank `to` (MPI_Isend).

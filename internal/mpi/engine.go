@@ -29,24 +29,33 @@ const DefaultEagerLimit = 64 << 10
 // more PReqs (plus their own gating, e.g. replication acks) into an
 // application Request. An eager send has none: it is complete when Isend
 // returns.
+//
+// A PReq is its own completion status. A receive's peer and tag are match
+// filters until it matches; a matched receive is never matched again, so
+// from then on they name the sender and the message's tag, and seq, meta
+// and count describe the message. A rendezvous send keeps the sequence
+// number and meta of its outgoing message in seq and meta.
 type PReq struct {
-	// status is the completion status of a receive. A rendezvous send
-	// keeps the sequence number and meta of its outgoing message here.
-	status PStatus
 	// buf is a receive's buffer, or a rendezvous send's payload.
 	buf []byte
 	// comm restricts a wildcard receive to the members of a communicator
 	// (nil accepts every source).
 	comm *Comm
-	// peer is a send's destination, or a receive's physical source
-	// (AnyProc: any process whose base rank is from).
-	peer transport.ProcID
 	xid  uint64
+	seq  uint64
+	meta [4]int64
 	tag  int
 	ctx  uint32
+	// peer is a send's destination, or a receive's physical source
+	// (AnyProc: any process whose base rank is from) — the sender, once
+	// the receive has matched.
+	peer int32
 	// from is the base rank a receive from AnyProc accepts (AnySource:
 	// any member of comm), mapped from the sender through Engine.RankOf.
-	from      int32
+	from int32
+	// count is a matched receive's payload size; the wire bounds a payload
+	// at 64 MiB.
+	count     int32
 	send      bool
 	done      bool
 	cancelled bool
@@ -56,14 +65,30 @@ type PReq struct {
 
 // One PReq is allocated per receive and per rendezvous send, and one
 // Request per Isend/Irecv (blocking calls keep theirs on the stack): these
-// keep them within the 144- and 112-byte allocation classes.
+// keep them within the 112- and 64-byte allocation classes.
 const (
-	_ = uint(144 - unsafe.Sizeof(PReq{}))
-	_ = uint(112 - unsafe.Sizeof(Request{}))
+	_ = uint(112 - unsafe.Sizeof(PReq{}))
+	_ = uint(64 - unsafe.Sizeof(Request{}))
 )
 
-// PStatus returns the PML-level completion status.
-func (r *PReq) PStatus() PStatus { return r.status }
+// PStatus returns the PML-level completion status, built from the
+// request's own fields.
+func (r *PReq) PStatus() PStatus {
+	return PStatus{SrcPhys: transport.ProcID(r.peer), Ctx: r.ctx, Tag: r.tag,
+		Count: int(r.count), Seq: r.seq, Meta: r.meta}
+}
+
+// Ctx returns the request's context.
+func (r *PReq) Ctx() uint32 { return r.ctx }
+
+// Seq returns the matched message's sequence number.
+func (r *PReq) Seq() uint64 { return r.seq }
+
+// Meta returns slot i of the matched message's meta (see MetaSrcRank).
+func (r *PReq) Meta(i int) int64 { return r.meta[i] }
+
+// Count returns the matched message's payload size in bytes.
+func (r *PReq) Count() int { return int(r.count) }
 
 // Buf returns the receive buffer (protocols use it for SDC hashing).
 func (r *PReq) Buf() []byte { return r.buf }
@@ -80,8 +105,8 @@ func (e *Engine) matches(r *PReq, m *transport.Message) bool {
 	if r.tag != AnyTag && r.tag != m.Tag {
 		return false
 	}
-	if r.peer != AnyProc {
-		return r.peer == m.Src
+	if r.peer != int32(AnyProc) {
+		return transport.ProcID(r.peer) == m.Src
 	}
 	src := Rank(m.Src)
 	if e.RankOf != nil {
@@ -133,6 +158,12 @@ type Engine struct {
 	// with force=true, before blocking, which is what keeps deferred acks
 	// from deadlocking a peer's ack-gated send.
 	OnFlush func(force bool)
+
+	// OnFinish sees a receive complete at the application level (its
+	// Request's Wait or Test), as opposed to OnRecvComplete's PML-level
+	// event — once per request, and only for requests marked with
+	// Request.HookFinish.
+	OnFinish func(*PReq)
 
 	// RankOf maps a physical process to its base rank for receives from
 	// AnyProc; nil is the identity (the native protocol's layout).
@@ -188,9 +219,8 @@ func (e *Engine) Isend(dst transport.ProcID, ctx uint32, tag int, data []byte, s
 	}
 	e.nextXID++
 	meta[MetaLen] = int64(len(data))
-	r := &PReq{send: true, ctx: ctx, tag: tag, peer: dst, buf: data,
-		xid: uint64(e.ep.ID()+1)<<40 | e.nextXID}
-	r.status.Seq, r.status.Meta = seq, meta
+	r := &PReq{send: true, ctx: ctx, tag: tag, peer: int32(dst), buf: data,
+		seq: seq, meta: meta, xid: uint64(e.ep.ID()+1)<<40 | e.nextXID}
 	e.rdvSend[r.xid] = r
 	e.ep.Send(&transport.Message{
 		Dst: dst, Kind: transport.KindRTS,
@@ -212,7 +242,7 @@ func (e *Engine) Irecv(src transport.ProcID, from Rank, c *Comm, ctx uint32, tag
 // NewRecv builds a PML-level receive without posting it, so a protocol
 // can hand out (or record) the request before it can match.
 func (e *Engine) NewRecv(src transport.ProcID, c *Comm, ctx uint32, tag int, buf []byte) *PReq {
-	return &PReq{ctx: ctx, tag: tag, peer: src, comm: c, buf: buf}
+	return &PReq{ctx: ctx, tag: tag, peer: int32(src), comm: c, buf: buf}
 }
 
 // Post posts receive r, built by NewRecv, for the base rank from (see
@@ -257,7 +287,7 @@ func (e *Engine) Cancel(r *PReq) {
 // immediately and need no cancellation.
 func (e *Engine) CancelSendsTo(dst transport.ProcID) {
 	for xid, r := range e.rdvSend {
-		if r.peer == dst {
+		if transport.ProcID(r.peer) == dst {
 			delete(e.rdvSend, xid)
 			r.cancelled = true
 			r.done = true
@@ -276,15 +306,13 @@ func (e *Engine) RebindRTS(m *transport.Message) bool {
 		if r.sink || r.done {
 			continue
 		}
-		if r.status.Ctx == m.Ctx && r.status.Seq == m.Seq &&
-			r.status.Meta[MetaSrcRank] == m.Meta[MetaSrcRank] {
+		if r.ctx == m.Ctx && r.seq == m.Seq && r.meta[MetaSrcRank] == m.Meta[MetaSrcRank] {
 			// The receive buffer moves from the broken exchange to the new
 			// one. Withdrawing waits out a reader still writing the old
 			// sender's bytes, so the two never write the buffer at once.
 			delete(e.rdvRecv, xid)
 			e.ep.WithdrawLanding(xid)
-			r.status.SrcPhys = m.Src
-			r.status.Meta = m.Meta
+			r.peer, r.meta = int32(m.Src), m.Meta
 			e.clearToSend(r, m)
 			return true
 		}
@@ -301,8 +329,8 @@ func (e *Engine) RebindRTS(m *transport.Message) bool {
 // landing makes the socket reader skip the payload in the stream, and a
 // payload that arrives pooled is simply released.
 func (e *Engine) SinkRTS(m *transport.Message) {
-	r := &PReq{ctx: m.Ctx, tag: m.Tag, sink: true}
-	r.status = PStatus{SrcPhys: m.Src, Ctx: m.Ctx, Tag: m.Tag, Count: int(m.Meta[MetaLen]), Seq: m.Seq, Meta: m.Meta}
+	r := &PReq{ctx: m.Ctx, tag: m.Tag, peer: int32(m.Src), count: int32(m.Meta[MetaLen]),
+		seq: m.Seq, meta: m.Meta, sink: true}
 	e.clearToSend(r, m)
 }
 
@@ -402,9 +430,10 @@ func (e *Engine) deliver(req *PReq, m *transport.Message) {
 	if DebugEngine {
 		println(dbgUS(), "proc", int(e.ep.ID()), "DELIVER kind", int(m.Kind), "seq", int(m.Seq), "tag", m.Tag)
 	}
-	req.status = PStatus{SrcPhys: m.Src, Ctx: m.Ctx, Tag: m.Tag, Count: m.Len(), Seq: m.Seq, Meta: m.Meta}
+	// The match filters become the status: ctx already equals m's.
+	req.peer, req.tag, req.seq, req.meta = int32(m.Src), m.Tag, m.Seq, m.Meta
 	if m.Kind == transport.KindRTS {
-		req.status.Count = int(m.Meta[MetaLen])
+		req.count = int32(m.Meta[MetaLen])
 		if e.OnMatch != nil {
 			e.OnMatch(req, m)
 		}
@@ -415,6 +444,7 @@ func (e *Engine) deliver(req *PReq, m *transport.Message) {
 	if e.OnMatch != nil {
 		e.OnMatch(req, m)
 	}
+	req.count = int32(m.Len())
 	if m.Len() > len(req.buf) {
 		req.truncated = true
 	}
@@ -468,7 +498,7 @@ func (e *Engine) handle(m *transport.Message) {
 			// send completion implies the buffer has been read.
 			e.ep.SendLent(&transport.Message{
 				Dst: m.Src, Kind: transport.KindData,
-				Ctx: r.ctx, Tag: r.tag, Seq: r.status.Seq, XID: m.XID, Meta: r.status.Meta,
+				Ctx: r.ctx, Tag: r.tag, Seq: r.seq, XID: m.XID, Meta: r.meta,
 				Data: r.buf,
 			})
 			r.done = true
@@ -493,7 +523,7 @@ func (e *Engine) handle(m *transport.Message) {
 			if n > len(r.buf) {
 				r.truncated = true
 			}
-			r.status.Count = n
+			r.count = int32(n)
 			r.done = true
 			if e.OnRecvComplete != nil && !r.sink {
 				e.OnRecvComplete(r)

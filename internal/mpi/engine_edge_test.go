@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -171,15 +172,113 @@ func TestSeedUnexpected(t *testing.T) {
 }
 
 func TestRequestFitsAllocationClass(t *testing.T) {
-	// One Request is allocated per point-to-point operation and one PReq
+	// One Request is allocated per non-blocking operation and one PReq
 	// per receive, under every protocol: growing either moves it to the
 	// next allocation class and shows up in every workload's heap.
-	if n := unsafe.Sizeof(Request{}); n > 112 {
-		t.Errorf("Request is %d bytes, want at most 112", n)
+	if n := unsafe.Sizeof(Request{}); n > 64 {
+		t.Errorf("Request is %d bytes, want at most 64", n)
 	}
-	if n := unsafe.Sizeof(PReq{}); n > 144 {
-		t.Errorf("PReq is %d bytes, want at most 144", n)
+	if n := unsafe.Sizeof(PReq{}); n > 112 {
+		t.Errorf("PReq is %d bytes, want at most 112", n)
 	}
+}
+
+// maxIntRegs is how many integer registers Go's register ABI assigns to
+// one argument or result on amd64 and arm64; a value that needs more, or
+// holds an array longer than one, goes through memory.
+const maxIntRegs = 9
+
+// intRegWords counts the integer-register words of a value of type t, or
+// returns ok = false if the ABI cannot pass it in registers at all.
+func intRegWords(t reflect.Type) (n int, ok bool) {
+	switch t.Kind() {
+	case reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return 0, true // floating-point registers
+	case reflect.String, reflect.Interface:
+		return 2, true
+	case reflect.Slice:
+		return 3, true
+	case reflect.Array:
+		switch t.Len() {
+		case 0:
+			return 0, true
+		case 1:
+			return intRegWords(t.Elem())
+		}
+		return 0, false
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			w, ok := intRegWords(t.Field(i).Type)
+			if !ok {
+				return 0, false
+			}
+			n += w
+		}
+		return n, true
+	}
+	return 1, true // integers, bools, pointers, maps, chans, funcs
+}
+
+func TestRequestInRegisters(t *testing.T) {
+	// Protocols return a Request by value through every layer; in
+	// registers that costs no copy through memory (runtime.duffcopy).
+	n, ok := intRegWords(reflect.TypeOf(Request{}))
+	if !ok {
+		t.Fatal("Request holds an array longer than one: the ABI passes it in memory")
+	}
+	if n > maxIntRegs {
+		t.Errorf("Request needs %d integer registers, the ABI has %d", n, maxIntRegs)
+	}
+	// The counter itself: an array of two is out, a struct of them adds up.
+	if _, ok := intRegWords(reflect.TypeOf([2]*PReq{})); ok {
+		t.Error("intRegWords accepts an array of two")
+	}
+	if n, _ := intRegWords(reflect.TypeOf(struct {
+		s []byte
+		g Gate
+		b bool
+	}{})); n != 6 {
+		t.Errorf("intRegWords counts %d words for a slice, an interface and a bool, want 6", n)
+	}
+}
+
+func TestRepeatedWaitReturnsSameStatus(t *testing.T) {
+	// A request's status is rebuilt from its receive on every Wait or
+	// Test; the receive no longer changes once done, so each call returns
+	// the same one. The engine's OnFinish hook runs on the first only.
+	runNative(t, 2, func(c *Comm) {
+		if c.Rank() == 1 {
+			c.Send(0, 9, []byte("abc"))
+			return
+		}
+		hooks := 0
+		c.proc.eng.OnFinish = func(*PReq) { hooks++ }
+		buf := make([]byte, 8)
+		r := c.Irecv(AnySource, AnyTag, buf)
+		r.HookFinish()
+		want := Status{Source: 1, Tag: 9, Count: 3}
+		if st := r.Wait(); st != want {
+			t.Errorf("Wait: %+v, want %+v", st, want)
+		}
+		if st := r.Wait(); st != want {
+			t.Errorf("second Wait: %+v, want %+v", st, want)
+		}
+		if st, done := r.Test(); !done || st != want {
+			t.Errorf("Test after Wait: %+v, %v, want %+v", st, done, want)
+		}
+		Waitall(r)
+		if hooks != 1 {
+			t.Errorf("OnFinish ran %d times, want 1", hooks)
+		}
+		null := c.Irecv(ProcNull, 0, buf)
+		nullSt := Status{Source: ProcNull, Tag: AnyTag}
+		if st := null.Wait(); st != nullSt || null.Wait() != nullSt {
+			t.Errorf("receive from ProcNull: %+v, want %+v", st, nullSt)
+		}
+		if st := c.Isend(ProcNull, 0, buf).Wait(); st != (Status{}) {
+			t.Errorf("send to ProcNull: %+v, want the zero Status", st)
+		}
+	})
 }
 
 func TestMessageAndEndpointFitAllocationClasses(t *testing.T) {

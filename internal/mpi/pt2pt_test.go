@@ -252,7 +252,10 @@ func TestWaitallWaitany(t *testing.T) {
 			b2 := make([]byte, 1)
 			r1 := c.Irecv(1, 0, b1)
 			r2 := c.Irecv(2, 0, b2)
-			sts := Waitall(r1, nil, r2)
+			Waitall(r1, nil, r2)
+			// Waitall returns nothing; a finished request's Wait returns
+			// its status again.
+			sts := []Status{r1.Wait(), {}, r2.Wait()}
 			if sts[0].Source != 1 || sts[1] != (Status{}) || sts[2].Source != 2 || sts[2].Count != 1 {
 				t.Errorf("statuses: %+v", sts)
 			}

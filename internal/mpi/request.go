@@ -35,35 +35,45 @@ const ackYieldRounds = 8
 // acks — §3.2: "we wait until all acks have been collected before
 // completing a send request"). Protocols return it by value and no field
 // points into the request itself, so a blocking call keeps it in its own
-// frame: only the PML requests underneath reach the heap.
+// frame: only the PML requests underneath reach the heap. It is eight
+// words with no array longer than one, so Go's register ABI passes and
+// returns it in registers rather than copying it through memory.
 type Request struct {
 	comm *Comm
 
-	// pr holds up to two PML requests (nil: unused); more takes a
+	// pr0 and pr1 hold up to two PML requests (nil: unused) — two fields,
+	// not an array, which would go through memory; more takes a
 	// rendezvous send's fan-out beyond two.
-	pr   [2]*PReq
-	more []*PReq
+	pr0, pr1 *PReq
+	more     *[]*PReq
 
-	// gate, when set, also gates completion, on (gateSeq, gateOwn). A gate
-	// may depend on acknowledgements, so waiting on a gated request is
-	// ack-interested; ackGate marks the gates that depend on nothing else,
-	// whose waiters yield before they park.
+	// gate, when set, also gates completion, on (gateSeq, reqGateOwn). A
+	// gate may depend on acknowledgements, so waiting on a gated request
+	// is ack-interested; reqAckGate marks the gates that depend on nothing
+	// else, whose waiters yield before they park.
 	gate    Gate
 	gateSeq uint64
 
-	// OnFinish is invoked once, with the receive's PML request, when the
-	// request completes at the application level (as opposed to the
-	// PML-level irecvComplete event). It never sees the Request, so
-	// waiting does not move the Request to the heap.
-	OnFinish func(*PReq)
+	flags reqFlags
+}
 
-	// The flags sit together so the struct stays within the 112-byte
-	// allocation class (Isend and Irecv allocate one per operation).
-	send     bool
-	finished bool
-	gateOwn  bool
-	ackGate  bool
-	status   Status
+// reqFlags are a Request's booleans, in one byte.
+type reqFlags uint8
+
+const (
+	reqSend    reqFlags = 1 << iota // a send request
+	reqGateOwn                      // GateOpen's own argument
+	reqAckGate                      // the gate depends on acks alone
+	reqHook                         // Engine.OnFinish still to run (HookFinish)
+	reqNull                         // an operation on ProcNull
+)
+
+// sendFlag is reqSend for a send request.
+func sendFlag(send bool) reqFlags {
+	if send {
+		return reqSend
+	}
+	return 0
 }
 
 // NewRequest assembles an application request; protocols call this. The
@@ -71,9 +81,16 @@ type Request struct {
 // two), so the caller's slice does not escape. With none — every send was
 // eager — the request is sent already.
 func NewRequest(c *Comm, send bool, preqs []*PReq, gate Gate) Request {
-	r := Request{comm: c, send: send, gate: gate}
-	if n := copy(r.pr[:], preqs); n < len(preqs) {
-		r.more = slices.Clone(preqs[n:])
+	r := Request{comm: c, gate: gate, flags: sendFlag(send)}
+	if len(preqs) > 0 {
+		r.pr0 = preqs[0]
+	}
+	if len(preqs) > 1 {
+		r.pr1 = preqs[1]
+	}
+	if len(preqs) > 2 {
+		more := slices.Clone(preqs[2:])
+		r.more = &more
 	}
 	return r
 }
@@ -81,27 +98,36 @@ func NewRequest(c *Comm, send bool, preqs []*PReq, gate Gate) Request {
 // NewRequest1 assembles a request over at most one PML request (nil for an
 // eager send) — the common case for every point-to-point operation.
 func NewRequest1(c *Comm, send bool, pr *PReq, gate Gate) Request {
-	return Request{comm: c, send: send, pr: [2]*PReq{pr}, gate: gate}
+	return Request{comm: c, pr0: pr, gate: gate, flags: sendFlag(send)}
 }
 
 // NewGatedSend assembles a send request whose completion also waits for
 // the acknowledgements g.GateOpen(seq, own) stands for.
 func NewGatedSend(c *Comm, preqs []*PReq, g Gate, seq uint64, own bool) Request {
 	r := NewRequest(c, true, preqs, g)
-	r.gateSeq, r.gateOwn, r.ackGate = seq, own, true
+	r.gateSeq = seq
+	r.flags |= reqAckGate
+	if own {
+		r.flags |= reqGateOwn
+	}
 	return r
 }
 
+// HookFinish marks a receive request whose application-level completion
+// the protocol wants to see: the first Wait or Test that finds it complete
+// runs Engine.OnFinish with its PML request.
+func (r *Request) HookFinish() { r.flags |= reqHook }
+
 // sent reports whether every underlying PML request is complete.
 func (r *Request) sent() bool {
-	for _, p := range r.pr {
-		if p != nil && !p.done {
-			return false
-		}
+	if (r.pr0 != nil && !r.pr0.done) || (r.pr1 != nil && !r.pr1.done) {
+		return false
 	}
-	for _, p := range r.more {
-		if !p.done {
-			return false
+	if r.more != nil {
+		for _, p := range *r.more {
+			if !p.done {
+				return false
+			}
 		}
 	}
 	return true
@@ -113,37 +139,34 @@ func (r *Request) ready() bool {
 	if !r.sent() {
 		return false
 	}
-	return r.gate == nil || r.gate.GateOpen(r.gateSeq, r.gateOwn)
+	return r.gate == nil || r.gate.GateOpen(r.gateSeq, r.flags&reqGateOwn != 0)
 }
 
-// finish computes the application status after completion. A receive has
-// one PML request (only a send's fan-out spills into more); OnFinish runs
-// with it once the status is in place, unless it was cancelled.
+// finish computes the application status after completion, from the
+// receive's PML request (a receive has one: only a send's fan-out spills
+// into more), whose fields no longer change once it is done — so every
+// call returns the same status. The OnFinish hook runs on the first call,
+// unless the receive was cancelled.
 func (r *Request) finish() Status {
-	if r.finished {
-		return r.status
+	switch {
+	case r.flags&reqSend != 0:
+		return Status{}
+	case r.flags&reqNull != 0:
+		return Status{Source: ProcNull, Tag: AnyTag}
 	}
-	r.finished = true
-	for _, p := range r.pr {
-		if p == nil || p.send || p.cancelled {
-			continue
-		}
-		if p.truncated {
-			panic(fmt.Sprintf("mpi: truncation on receive (tag %d, %d bytes into %d buffer)",
-				p.tag, p.status.Count, len(p.buf)))
-		}
-		ps := p.status
-		r.status = Status{
-			Source: r.comm.rankOf(Rank(ps.Meta[MetaSrcRank])),
-			Tag:    ps.Tag,
-			Count:  ps.Count,
-		}
-		if r.OnFinish != nil {
-			r.OnFinish(p)
-		}
-		break
+	p := r.pr0
+	if p == nil || p.cancelled {
+		return Status{}
 	}
-	return r.status
+	if p.truncated {
+		panic(fmt.Sprintf("mpi: truncation on receive (tag %d, %d bytes into %d buffer)",
+			p.tag, p.count, len(p.buf)))
+	}
+	if r.flags&reqHook != 0 {
+		r.flags &^= reqHook
+		r.comm.proc.eng.OnFinish(p)
+	}
+	return Status{Source: r.comm.rankOf(Rank(p.meta[MetaSrcRank])), Tag: p.tag, Count: int(p.count)}
 }
 
 // Wait blocks (pumping library progress) until the request completes and
@@ -162,7 +185,7 @@ func (r *Request) Wait() Status {
 		if done {
 			break
 		}
-		if r.ackGate && yields < ackYieldRounds && r.sent() {
+		if r.flags&reqAckGate != 0 && yields < ackYieldRounds && r.sent() {
 			// Only the ack gate is closed: yield before parking.
 			yields++
 			runtime.Gosched()
@@ -195,14 +218,12 @@ func (r *Request) Test() (Status, bool) {
 // Done reports completion without progressing the library.
 func (r *Request) Done() bool { return r.ready() }
 
-// Waitall waits for all requests (MPI_Waitall).
-func Waitall(reqs ...*Request) []Status {
-	out := make([]Status, len(reqs))
-	for i, r := range reqs {
-		if r == nil {
-			continue
+// Waitall waits for all requests (MPI_Waitall); nil entries are skipped.
+// It returns no statuses: a caller that wants one waits on that request.
+func Waitall(reqs ...*Request) {
+	for _, r := range reqs {
+		if r != nil {
+			r.Wait()
 		}
-		out[i] = r.Wait()
 	}
-	return out
 }
