@@ -11,8 +11,10 @@
 //	sdrun -app cg -protocol sdr -unreplicated 1,3 # partial replication
 //	sdrun -app cg -protocol sdr -r 3 -degrees 3,1,2,1  # per-rank degrees
 //
-// Crash injection (-kill, repeatable) needs an application with step
-// boundaries; apps without them (all except lu, is, mw) reject it.
+// Crash injection (-kill rank:rep:step, one event per flag, repeatable)
+// needs an application with step boundaries; apps without them (all except
+// lu, is, ring) reject it. Each field is a non-negative decimal integer and
+// nothing else, so a malformed value exits 2 before anything runs.
 //
 // With -distributed, the run leaves the single-process simulation: sdrun
 // becomes a coordinator that spawns r·n real OS worker processes (this
@@ -162,20 +164,6 @@ func iterHook(env *cluster.Env) func(it int) {
 	}
 }
 
-// killList collects repeated -kill flags.
-type killList []cluster.FailureEvent
-
-func (k *killList) String() string { return fmt.Sprint(*k) }
-
-func (k *killList) Set(v string) error {
-	var rank, rep, step int
-	if _, err := fmt.Sscanf(v, "%d:%d:%d", &rank, &rep, &step); err != nil {
-		return fmt.Errorf("want rank:rep:step, got %q", v)
-	}
-	*k = append(*k, cluster.FailureEvent{Rank: rank, Rep: rep, AtStep: step})
-	return nil
-}
-
 func main() {
 	if cluster.DistWorkerActive() {
 		// Hidden worker mode: this process is one physical rank of a
@@ -183,7 +171,7 @@ func main() {
 		os.Exit(workerMain())
 	}
 
-	var kills killList
+	var kills []cluster.FailureEvent
 	app := flag.String("app", "cg", "workload: cg mg ft bt sp lu is ep hpccg cm1 mw ring")
 	ranks := flag.Int("ranks", 4, "logical MPI ranks")
 	protoName := flag.String("protocol", "native", "native | sdr | mirror | leader")
@@ -200,7 +188,13 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "with -distributed: write the machine-readable RunStats JSON (schema sdr.runstats/1) to this file")
 	noRing := flag.Bool("no-ring", false, "with -distributed: disable the colocated shared-memory ring transport (all peers use TCP)")
 	health := flag.Duration("health", 0, "with -distributed: kill a worker silent on the control plane past this deadline (0 = default; raise for heavily oversubscribed hosts)")
-	flag.Var(&kills, "kill", "inject a crash: rank:rep:step (repeatable; SIGKILL under -distributed)")
+	flag.Func("kill", "inject a crash: rank:rep:step, three non-negative integers (repeatable; SIGKILL under -distributed)", func(v string) error {
+		f, err := cluster.ParseFailureEvent(v)
+		if err == nil {
+			kills = append(kills, f)
+		}
+		return err
+	})
 	flag.Parse()
 
 	unrep, err := parseIntList(*unreplicated)
@@ -506,7 +500,7 @@ type distOpts struct {
 	scale        int
 	timeout      time.Duration
 	ckptDir      string
-	kills        killList
+	kills        []cluster.FailureEvent
 	compare      bool
 	unreplicated []int
 	degrees      []int

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -256,30 +255,11 @@ func (p Protocol) coreMode() core.Mode {
 	}
 }
 
-// validateSchedule rejects failure/recovery events that target replicas
-// the layout does not contain, and recoveries on a rank whose degree is
-// not 2. Before the degree-aware layout the former could not happen (every
-// (rank, rep) with rep < r existed); now a -kill of a pruned replica would
-// otherwise never fire and the run would silently pass without injecting
-// anything.
-func validateSchedule(l core.Layout, failures []FailureEvent, recoveries []RecoveryEvent) error {
-	check := func(kind string, rank, rep int) error {
-		if rank < 0 || rank >= l.N {
-			return fmt.Errorf("cluster: %s event targets rank %d outside [0,%d)", kind, rank, l.N)
-		}
-		if rep < 0 || rep >= l.Degree(rank) {
-			return fmt.Errorf("cluster: %s event targets replica %d of rank %d, which runs %d replica(s)",
-				kind, rep, rank, l.Degree(rank))
-		}
-		return nil
-	}
-	for _, f := range failures {
-		if err := check("failure", f.Rank, f.Rep); err != nil {
-			return err
-		}
-	}
+// validateRecoveries rejects recovery events that target replicas the
+// layout does not contain, or a rank whose degree is not 2.
+func validateRecoveries(l core.Layout, recoveries []RecoveryEvent) error {
 	for _, r := range recoveries {
-		if err := check("recovery", r.Rank, r.Rep); err != nil {
+		if err := checkTarget(l, "recovery", r.Rank, r.Rep); err != nil {
 			return err
 		}
 		if d := l.Degree(r.Rank); d != 2 {
@@ -406,7 +386,7 @@ func (e *Env) isWriter() bool {
 	if e.proto == nil {
 		return true
 	}
-	w := writerRep(e.proto.Layout(), e.Rank, e.proto.AliveView)
+	w := writerRep(*e.proto.Layout(), e.Rank, e.proto.AliveView)
 	if w < 0 {
 		// Torn view: this replica believes no replica of its own rank is
 		// alive (a transient state around recovery). Electing a writer
@@ -516,19 +496,6 @@ func (r *Report) ResultOf(rank, rep int) any {
 // rank. Its result lands in the report.
 type AppFunc func(env *Env) (any, error)
 
-// firedSet tracks which scheduled failure events have been realized. It is
-// shared across restart epochs: an injected crash is a physical event that
-// happened once — rolling the application back does not resurrect it — so
-// a restarted epoch must not re-kill the same replicas and loop forever.
-type firedSet struct{ m sync.Map }
-
-// fire marks event i as realized, reporting whether this call was the one
-// that fired it.
-func (f *firedSet) fire(i int) bool {
-	_, done := f.m.LoadOrStore(i, true)
-	return !done
-}
-
 // runState is the goroutine seats of one run epoch — every process a
 // goroutine on one shared transport.Network — and the harness their Envs
 // call.
@@ -540,15 +507,12 @@ type runState struct {
 	app    AppFunc
 
 	commitLine // the checkpoint store and its wave tally
-	fired      *firedSet
-	// kills indexes Config.Failures by victim: kills[proc][step] lists the
-	// events scheduled for that process at that step (see killIndex).
-	kills []map[int][]int
+	kills      *schedule
 	// seed is the rollback this epoch resumes from: every replica of rank
 	// starts from seed.states[rank] (nil on the first epoch).
 	seed epochSeed
 
-	recovered firedSet // recovery events performed this epoch
+	recovered []atomic.Bool // per Config.Recoveries event: performed this epoch
 
 	events chan<- seatEvent // the epoch loop's
 	stop   chan struct{}    // closed by finish: the drains end
@@ -569,8 +533,7 @@ type runState struct {
 // completes. Scheduled crashes fire at most once across epochs.
 func Run(cfg Config, app AppFunc) *Report {
 	rep := &Report{Config: cfg}
-	fired := &firedSet{}
-	err := ladder(cfg, &rep.Tally, obs.DefaultTrace, true, func(layout core.Layout, store *ckpt.Store, seed epochSeed) epochOutcome {
+	err := ladder(cfg, &rep.Tally, obs.DefaultTrace, true, func(layout core.Layout, store *ckpt.Store, kills *schedule, seed epochSeed) epochOutcome {
 		var nw *transport.Network
 		if cfg.UseTCP {
 			var tw *transport.PeerWire
@@ -599,9 +562,9 @@ func Run(cfg Config, app AppFunc) *Report {
 			det:        detect.NewService(nw),
 			app:        app,
 			commitLine: commitLine{store: store, waves: waveTally{ranks: cfg.Ranks}},
-			fired:      fired,
-			kills:      killIndex(cfg.Failures, layout),
+			kills:      kills,
 			seed:       seed,
+			recovered:  make([]atomic.Bool, len(cfg.Recoveries)),
 			events:     loop.events,
 			stop:       make(chan struct{}),
 			recorders:  make(map[transport.ProcID]*Recorder),
@@ -687,38 +650,18 @@ func (rs *runState) control() (<-chan regEvent, <-chan time.Time) { return nil, 
 func (rs *runState) onControl(regEvent)                           {}
 func (rs *runState) probe()                                       {}
 
-// killIndex indexes a failure schedule, which validateSchedule has
-// checked against layout, by victim process and step, so that a step looks
-// up its own events instead of scanning the whole schedule:
-// index[proc][step] lists the indices into failures that kill proc there.
-func killIndex(failures []FailureEvent, layout core.Layout) []map[int][]int {
-	index := make([]map[int][]int, layout.Procs())
-	for i, f := range failures {
-		p := layout.Phys(f.Rep, f.Rank)
-		if index[p] == nil {
-			index[p] = make(map[int][]int)
-		}
-		index[p][f.AtStep] = append(index[p][f.AtStep], i)
-	}
-	return index
-}
-
 // stepHook realizes the failure/recovery schedule at an application step
 // boundary.
 func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 	// Crash injection: the victim kills itself (fail-stop). The network
 	// kill triggers the detector broadcast; the panic unwinds the app.
-	// Each event fires at most once across restart epochs — a crash is a
-	// physical event that rollback does not replay.
 	self := rs.layout.Phys(e.Rep, e.Rank)
-	for _, i := range rs.kills[self][step] {
-		if rs.fired.fire(i) {
-			kev := obs.Ev(obs.StageKill, "fail-stop crash injected")
-			kev.Proc, kev.Rank, kev.Rep, kev.Step = int(self), e.Rank, e.Rep, step
-			obs.DefaultTrace.Emit(kev)
-			rs.nw.Kill(self)
-			mpi.Crash(self)
-		}
+	if rs.kills.fire(self, step) {
+		kev := obs.Ev(obs.StageKill, "fail-stop crash injected")
+		kev.Proc, kev.Rank, kev.Rep, kev.Step = int(self), e.Rank, e.Rep, step
+		obs.DefaultTrace.Emit(kev)
+		rs.nw.Kill(self)
+		mpi.Crash(self)
 	}
 	// Recovery: performed by the substitute of the dead replica, at the
 	// first step >= AtStep at which its state can be captured.
@@ -743,7 +686,7 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 		// and take the payload, so the fork waits for a later step.
 		e.proto.Quiesce()
 		state, err := e.proto.CaptureReplayState(e.World.CollSeq())
-		if err != nil || !rs.recovered.fire(i) {
+		if err != nil || !rs.recovered[i].CompareAndSwap(false, true) {
 			continue
 		}
 		seed := &replaySeed{wave: -1, app: snapshot(), state: state, fork: true}

@@ -55,18 +55,12 @@ type DistConfig struct {
 }
 
 // seat is worker proc's WorkerConfig for one epoch: the run spec with
-// the layout's degree vector spelled out, and the scheduled kills that
-// have not fired yet.
-func (c DistConfig) seat(l core.Layout, proc int, fired []bool, seed epochSeed) WorkerConfig {
-	rank, rep := l.RankOf(transport.ProcID(proc)), l.RepOf(transport.ProcID(proc))
-	w := WorkerConfig{Proc: transport.ProcID(proc), RestartWave: seed.wave, Epoch: seed.epoch, ReplayWave: -1}
+// the layout's degree vector spelled out, and the steps of its scheduled
+// kills that have not fired yet.
+func (c DistConfig) seat(l core.Layout, proc int, killSteps []int, seed epochSeed) WorkerConfig {
+	w := WorkerConfig{Proc: transport.ProcID(proc), RestartWave: seed.wave, Epoch: seed.epoch, ReplayWave: -1, KillSteps: killSteps}
 	w.Ranks, w.Replication, w.Degrees = c.Ranks, l.R, l.DegreeVector()
 	w.Protocol, w.CheckpointDir, w.RecoveryMode = c.Protocol, c.CheckpointDir, c.RecoveryMode
-	for i, f := range c.Failures {
-		if !fired[i] && f.Rank == rank && f.Rep == rep {
-			w.KillSteps = append(w.KillSteps, f.AtStep)
-		}
-	}
 	return w
 }
 
@@ -156,9 +150,8 @@ func RunDistributed(cfg DistConfig) *DistReport {
 	if cfg.LogSink == nil {
 		cfg.LogSink = os.Stderr
 	}
-	fired := make([]bool, len(cfg.Failures))
-	err := ladder(cfg.Config, &rep.Tally, rep.Trace, false, func(l core.Layout, store *ckpt.Store, seed epochSeed) epochOutcome {
-		out := runProcEpoch(cfg, l, store, fired, seed, rep)
+	err := ladder(cfg.Config, &rep.Tally, rep.Trace, false, func(l core.Layout, store *ckpt.Store, kills *schedule, seed epochSeed) epochOutcome {
+		out := runProcEpoch(cfg, l, store, kills, seed, rep)
 		rep.EpochsSec = append(rep.EpochsSec, out.elapsed.Seconds())
 		return out
 	})
@@ -171,7 +164,7 @@ func RunDistributed(cfg DistConfig) *DistReport {
 // runProcEpoch sets one epoch's control plane up — the registry, the
 // per-epoch ring directory, the fd budget — and runs the epoch loop over
 // worker processes, filling the report's per-epoch fields.
-func runProcEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired []bool, seed epochSeed, rep *DistReport) epochOutcome {
+func runProcEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, kills *schedule, seed epochSeed, rep *DistReport) epochOutcome {
 	procs := layout.Procs()
 	reg, err := newRegistry(procs, cfg.Ranks, store, cfg.RejoinTimeout)
 	if err != nil {
@@ -208,7 +201,7 @@ func runProcEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 	health := time.NewTicker(time.Second)
 	defer health.Stop()
 	loop := newEpochLoop(cfg.Config, layout, store, rep.Trace, sink)
-	h := &procSeats{cfg: cfg, fired: fired, epoch: seed, reg: reg, ringDir: ringDir, loop: loop,
+	h := &procSeats{cfg: cfg, kills: kills, epoch: seed, reg: reg, ringDir: ringDir, loop: loop,
 		health: health, workers: make([]*distWorker, procs)}
 	out := loop.run(h, cfg.timeout())
 	rep.Workers, rep.Procs = h.scrapes, nil
@@ -236,7 +229,7 @@ type distWorker struct {
 // through its exit status and the registry.
 type procSeats struct {
 	cfg     DistConfig
-	fired   []bool // scheduled failures already realized, across epochs
+	kills   *schedule
 	epoch   epochSeed
 	reg     *registry
 	ringDir string
@@ -249,7 +242,7 @@ type procSeats struct {
 // start spawns slot p's worker. A localized relaunch's worker re-reads
 // the wave the loop validated and learns which workers are already dead.
 func (h *procSeats) start(p int, seed *replaySeed) error {
-	wc := h.cfg.seat(h.loop.layout, p, h.fired, h.epoch)
+	wc := h.cfg.seat(h.loop.layout, p, h.kills.pending(transport.ProcID(p)), h.epoch)
 	wc.Registry, wc.RingDir = h.reg.Addr(), h.ringDir
 	if seed != nil {
 		h.reg.forget(p)
@@ -341,16 +334,12 @@ func (h *procSeats) onControl(ev regEvent) {
 		pev := obs.Ev(obs.StagePark, "worker parked at scheduled kill boundary")
 		pev.Proc, pev.Rank, pev.Rep, pev.Step = ev.proc, w.Rank, w.Rep, ev.msg.Step
 		l.tr.Emit(pev)
-		for i, f := range h.cfg.Failures {
-			if !h.fired[i] && f.Rank == w.Rank && f.Rep == w.Rep && f.AtStep == ev.msg.Step {
-				h.fired[i] = true
-				w.Crashed = true
-				_ = w.cmd.Process.Kill()
-				kev := obs.Ev(obs.StageKill, "SIGKILL delivered")
-				kev.Proc, kev.Rank, kev.Rep, kev.Step = ev.proc, w.Rank, w.Rep, ev.msg.Step
-				l.tr.Emit(kev)
-				break
-			}
+		if h.kills.fire(transport.ProcID(ev.proc), ev.msg.Step) {
+			w.Crashed = true
+			_ = w.cmd.Process.Kill()
+			kev := obs.Ev(obs.StageKill, "SIGKILL delivered")
+			kev.Proc, kev.Rank, kev.Rep, kev.Step = ev.proc, w.Rank, w.Rep, ev.msg.Step
+			l.tr.Emit(kev)
 		}
 	case evDone:
 		w, m := h.workers[ev.proc], ev.msg

@@ -91,19 +91,24 @@ type epochOutcome struct {
 }
 
 // ladder is the recovery ladder above one epoch, the one both launchers
-// run. It validates the layout, the schedule and the recovery mode, opens
-// the store, and runs epochs until one ends without exhausting
-// replication. After an exhausted epoch it picks the latest committed
-// wave, drops the epoch-relative replay states, and rolls every process
-// back to it — at most len(Failures)+1 times, since each scheduled crash
-// fires once. A timed-out epoch ends the run. The tally is filled as it
-// goes; the error is a configuration the launcher could not start.
+// run. It builds the layout and the failure schedule every epoch shares,
+// validates both and the recoveries, opens the store, and runs epochs until
+// one ends without exhausting replication. After an exhausted epoch it picks
+// the latest committed wave, drops the epoch-relative replay states, and
+// rolls every process back to it — at most len(Failures)+1 times, since
+// each scheduled crash fires once. A timed-out epoch ends the run. The tally
+// is filled as it goes; the error is a configuration the launcher could not
+// start.
 func ladder(cfg Config, t *Tally, tr *obs.Trace, preload bool,
-	epoch func(core.Layout, *ckpt.Store, epochSeed) epochOutcome) error {
+	epoch func(core.Layout, *ckpt.Store, *schedule, epochSeed) epochOutcome) error {
 	t.RestartWave, t.ReplayWave, t.timeout = -1, -1, cfg.timeout()
 	layout, err := cfg.layout()
+	var kills *schedule
 	if err == nil {
-		err = validateSchedule(layout, cfg.Failures, cfg.Recoveries)
+		kills, err = newSchedule(layout, cfg.Failures)
+	}
+	if err == nil {
+		err = validateRecoveries(layout, cfg.Recoveries)
 	}
 	if err == nil {
 		err = cfg.validateRecovery()
@@ -118,7 +123,7 @@ func ladder(cfg Config, t *Tally, tr *obs.Trace, preload bool,
 	budget := len(cfg.Failures) + 1
 	seed := epochSeed{wave: -1}
 	for {
-		out := epoch(layout, store, seed)
+		out := epoch(layout, store, kills, seed)
 		mEpochs.Inc()
 		gEpochMillis.Set(out.elapsed.Milliseconds())
 		t.Elapsed += out.elapsed

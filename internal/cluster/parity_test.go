@@ -64,6 +64,11 @@ func TestLauncherParity(t *testing.T) {
 			failures: []FailureEvent{{Rank: 1, Rep: 0, AtStep: 7}}, replays: 1, finished: 5},
 		{name: "rollback", failures: []FailureEvent{{Rank: 1, Rep: 0, AtStep: 7}, {Rank: 1, Rep: 1, AtStep: 7}},
 			restarts: 1, finished: 6},
+		// Replica 0 of rank 1 dies in the epoch the rollback ends and again
+		// in the one it starts: its step-7 event must not fire a second time,
+		// its step-9 one must.
+		{name: "one replica twice across a rollback", failures: []FailureEvent{{Rank: 1, Rep: 0, AtStep: 7},
+			{Rank: 1, Rep: 1, AtStep: 7}, {Rank: 1, Rep: 0, AtStep: 9}}, restarts: 1, finished: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Ranks: ranks, Replication: 2, Protocol: SDR, UnreplicatedRanks: tc.unreplicated,

@@ -38,7 +38,7 @@ func waitForRevival(env *Env, rank, rep int) {
 	q := env.Replicated().Layout().Phys(rep, rank)
 	eng := env.World.Proc().Engine()
 	for {
-		if _, forked := rs.recovered.m.Load(0); forked && env.Replicated().AliveView(q) {
+		if rs.recovered[0].Load() && env.Replicated().AliveView(q) {
 			return
 		}
 		eng.Progress()

@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"encoding/binary"
-	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/transport"
 )
 
@@ -350,59 +348,5 @@ func TestWriterElectionConservativeOnTornView(t *testing.T) {
 	}
 	if writers != 1 {
 		t.Fatalf("%d concurrent writers elected, want exactly 1", writers)
-	}
-}
-
-func TestKillScheduleFiresOncePerEvent(t *testing.T) {
-	// The in-process kill schedule, looked up by victim and step: two
-	// events on one step kill both of their victims, an event fires on
-	// its own step only, and none fires again in the epoch a rollback
-	// starts, whose processes pass the same steps again.
-	layout, err := core.NewLayout(2, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Ranks: 2, Replication: 2, Protocol: SDR, Failures: []FailureEvent{
-		{Rank: 0, Rep: 0, AtStep: 3},
-		{Rank: 1, Rep: 1, AtStep: 3},
-		{Rank: 1, Rep: 0, AtStep: 5},
-	}}
-	fired := &firedSet{}
-	// epoch runs every process through steps 0–7 and returns the step each
-	// was killed at (-1: never).
-	epoch := func() []int {
-		nw := transport.NewNetwork(layout.Procs(), nil)
-		defer nw.Close()
-		rs := &runState{cfg: cfg, layout: layout, nw: nw, fired: fired, kills: killIndex(cfg.Failures, layout)}
-		killedAt := make([]int, layout.Procs())
-		for p := range killedAt {
-			id := transport.ProcID(p)
-			e := &Env{Rank: layout.RankOf(id), Rep: layout.RepOf(id)}
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						killedAt[p] = -1
-					} else if _, ok := mpi.ErrCrashed(r); !ok {
-						panic(r)
-					}
-				}()
-				for step := 0; step < 8; step++ {
-					killedAt[p] = step
-					rs.stepHook(e, step, nil)
-				}
-			}()
-			if nw.Endpoint(id).Crashed() != (killedAt[p] >= 0) {
-				t.Errorf("process %d: killed at step %d, endpoint crashed %v", p, killedAt[p], nw.Endpoint(id).Crashed())
-			}
-		}
-		return killedAt
-	}
-	// Processes 0–3 are ranks 0 and 1 of replica 0, then of replica 1.
-	if got, want := epoch(), []int{3, 5, -1, 3}; !slices.Equal(got, want) {
-		t.Errorf("first epoch: killed at steps %v, want %v", got, want)
-	}
-	if got, want := epoch(), []int{-1, -1, -1, -1}; !slices.Equal(got, want) {
-		t.Errorf("after a rollback: killed at steps %v, want %v", got, want)
 	}
 }

@@ -50,7 +50,7 @@ func DistWorkerActive() bool { return EnvFlag(EnvWorker) }
 type workerState struct {
 	cfg   WorkerConfig
 	cc    *ctlConn
-	kills map[int]bool
+	kills *schedule // this process's own, from KillSteps
 }
 
 func (ws *workerState) noteCkpt(rank, step int) error {
@@ -62,10 +62,9 @@ func (ws *workerState) noteCkpt(rank, step int) error {
 // giving the crash the exact step placement the in-process harness has,
 // with a real process death.
 func (ws *workerState) stepHook(e *Env, step int, snapshot func() []byte) {
-	if !ws.kills[step] {
+	if !ws.kills.fire(ws.cfg.Proc, step) {
 		return
 	}
-	delete(ws.kills, step)
 	_ = ws.cc.send(ctlMsg{Op: opKillMe, Proc: int(ws.cfg.Proc), Step: step})
 	select {} // await SIGKILL; the ping goroutine keeps the conn warm
 }
@@ -86,6 +85,14 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	}
 	rank := layout.RankOf(cfg.Proc)
 	rep := layout.RepOf(cfg.Proc)
+	own := make([]FailureEvent, len(cfg.KillSteps))
+	for i, s := range cfg.KillSteps {
+		own[i] = FailureEvent{Rank: rank, Rep: rep, AtStep: s}
+	}
+	kills, err := newSchedule(layout, own)
+	if err != nil {
+		return fail(err)
+	}
 
 	conn, err := net.DialTimeout("tcp", cfg.Registry, 10*time.Second)
 	if err != nil {
@@ -146,10 +153,7 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	// that has its bytes in hand by then can be as slow to start as it
 	// likes. Loading after the rendezvous let the fast workers commit and
 	// prune under a slow one ("rollback restore wave 6: no such file").
-	ws := &workerState{cfg: cfg, cc: cc, kills: make(map[int]bool)}
-	for _, s := range cfg.KillSteps {
-		ws.kills[s] = true
-	}
+	ws := &workerState{cfg: cfg, cc: cc, kills: kills}
 	env := &Env{Rank: rank, Rep: rep, h: ws, restoredStep: -1, ranks: cfg.Ranks, epoch: cfg.Epoch}
 	if cfg.CheckpointDir != "" {
 		if env.store, err = ckpt.NewStore(cfg.CheckpointDir); err != nil {

@@ -142,10 +142,10 @@ func NewLayout(n, r int, degrees []int) (Layout, error) {
 }
 
 // Uniform reports whether every rank runs the same degree R.
-func (l Layout) Uniform() bool { return l.degrees == nil }
+func (l *Layout) Uniform() bool { return l.degrees == nil }
 
 // Degree returns rank's replication degree.
-func (l Layout) Degree(rank int) int {
+func (l *Layout) Degree(rank int) int {
 	if l.degrees == nil {
 		return l.R
 	}
@@ -154,7 +154,7 @@ func (l Layout) Degree(rank int) int {
 
 // DegreeVector returns a copy of the per-rank degree vector, or nil for a
 // uniform layout (callers encode nil as "uniform R" on the wire).
-func (l Layout) DegreeVector() []int {
+func (l *Layout) DegreeVector() []int {
 	if l.degrees == nil {
 		return nil
 	}
@@ -163,7 +163,7 @@ func (l Layout) DegreeVector() []int {
 
 // Phys returns the physical process implementing replica rep of rank, or
 // transport.NoProc when the rank's degree does not reach that replica.
-func (l Layout) Phys(rep, rank int) transport.ProcID {
+func (l *Layout) Phys(rep, rank int) transport.ProcID {
 	if l.degrees == nil {
 		return transport.ProcID(rep*l.N + rank)
 	}
@@ -171,7 +171,7 @@ func (l Layout) Phys(rep, rank int) transport.ProcID {
 }
 
 // RankOf returns the logical rank of a physical process.
-func (l Layout) RankOf(p transport.ProcID) int {
+func (l *Layout) RankOf(p transport.ProcID) int {
 	if l.degrees == nil {
 		return int(p) % l.N
 	}
@@ -179,7 +179,7 @@ func (l Layout) RankOf(p transport.ProcID) int {
 }
 
 // RepOf returns the replica (world) index of a physical process.
-func (l Layout) RepOf(p transport.ProcID) int {
+func (l *Layout) RepOf(p transport.ProcID) int {
 	if l.degrees == nil {
 		return int(p) / l.N
 	}
@@ -188,7 +188,7 @@ func (l Layout) RepOf(p transport.ProcID) int {
 
 // Procs returns the total number of physical processes: r·n for a
 // uniform layout, Σ degrees[i] for a degree-aware one.
-func (l Layout) Procs() int {
+func (l *Layout) Procs() int {
 	if l.degrees == nil {
 		return l.N * l.R
 	}
@@ -258,7 +258,3 @@ type retKey struct {
 // maxDegree bounds the replication degree: a retention entry tracks the
 // replicas still to acknowledge it in one machine word.
 const maxDegree = 64
-
-// Debug enables protocol event tracing to stdout (used only by debugging
-// sessions; never set in committed tests).
-var Debug = false

@@ -136,9 +136,6 @@ func (p *Replicated) takeOver(deadRep int) {
 func (p *Replicated) resendUnackedTo(dstRank int, q transport.ProcID) {
 	for _, sc := range p.sendSeq.sortedCtxs() {
 		p.ackSlot(&sc.ret[dstRank], p.layout.RepOf(q), func(e *sendEntry) {
-			if Debug {
-				println("proc", int(p.proc.ID()), "RESEND to", int(q), "ctx", int(e.ctx), "tag", e.tag, "dstRank", e.dstRank, "seq", int(e.seq))
-			}
 			// Copy the payload: rendezvous entries alias the application
 			// buffer, which becomes writable the moment this entry converts
 			// (the owner's Wait unblocks), while the re-send's own

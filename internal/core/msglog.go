@@ -97,9 +97,6 @@ func (p *Replicated) replayLog(dstRank int, q transport.ProcID) {
 		return sorted[i].seq < sorted[j].seq
 	})
 	for _, e := range sorted {
-		if Debug {
-			println("proc", int(p.proc.ID()), "REPLAY-LOG to", int(q), "ctx", int(e.ctx), "tag", e.tag, "seq", int(e.seq))
-		}
 		p.eng.Isend(q, e.ctx, e.tag, e.data, e.seq, e.meta)
 	}
 	mReplayedMsgs.Add(uint64(len(sorted)))

@@ -182,8 +182,8 @@ func (p *Replicated) Name() string { return p.mode.String() }
 // MyBaseRank implements mpi.Protocol.
 func (p *Replicated) MyBaseRank() mpi.Rank { return mpi.Rank(p.myRank) }
 
-// Layout returns the replica layout.
-func (p *Replicated) Layout() Layout { return p.layout }
+// Layout returns the replica layout, which callers must not modify.
+func (p *Replicated) Layout() *Layout { return &p.layout }
 
 // Rep returns this process's replica (world) index.
 func (p *Replicated) Rep() int { return p.myRep }
@@ -352,9 +352,6 @@ func (p *Replicated) onArrive(m *transport.Message) bool {
 	srcRank := int(m.Meta[mpi.MetaSrcRank])
 	rc := p.recvSeq.at(m.Ctx)
 	next := rc.next[srcRank]
-	if Debug {
-		println(mpi.DbgUS(), "proc", int(p.proc.ID()), "ARRIVE kind", int(m.Kind), "tag", m.Tag, "srcRank", srcRank, "seq", int(m.Seq), "from", int(m.Src))
-	}
 	switch {
 	case m.Seq < next:
 		p.discardDuplicate(m)

@@ -146,9 +146,11 @@ func (p *Replicated) retainSend(s *retSlot, ctx uint32, tag, dstRank int, seq ui
 	if e == nil {
 		e = new(sendEntry)
 	} else {
-		p.freeEntries = e.next
+		// ackEntry zeroed a recycled entry but for its free-list link.
+		p.freeEntries, e.next = e.next, nil
 	}
-	*e = sendEntry{ctx: ctx, tag: tag, dstRank: dstRank, seq: seq, meta: meta, needed: needed}
+	// Field by field: assigning a composite literal copies it through memory.
+	e.ctx, e.tag, e.dstRank, e.seq, e.meta, e.needed = ctx, tag, dstRank, seq, meta, needed
 	// Eager-sized payloads are copied into a pooled buffer, recycled when
 	// the entry is released; rendezvous payloads alias the application
 	// buffer, which MPI semantics freeze until Wait — and that Wait is

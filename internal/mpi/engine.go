@@ -3,20 +3,10 @@ package mpi
 import (
 	"fmt"
 	"slices"
-	"time"
 	"unsafe"
 
 	"repro/internal/transport"
 )
-
-// DebugEngine enables engine event tracing (debugging only).
-var DebugEngine = false
-
-// dbgStart anchors debug timestamps.
-var dbgStart = time.Now()
-
-// dbgUS returns microseconds since package init, for debug traces.
-func dbgUS() int { return int(time.Since(dbgStart).Microseconds()) }
 
 // DefaultEagerLimit is the payload size, in bytes, at or below which a send
 // uses the eager wire protocol (the payload travels with the envelope and
@@ -427,9 +417,6 @@ func (e *Engine) InjectMatchBatch(ms []*transport.Message) {
 // for m: once the payload is copied into the receive buffer (or the CTS is
 // on its way), the message's pooled storage is recycled.
 func (e *Engine) deliver(req *PReq, m *transport.Message) {
-	if DebugEngine {
-		println(dbgUS(), "proc", int(e.ep.ID()), "DELIVER kind", int(m.Kind), "seq", int(m.Seq), "tag", m.Tag)
-	}
 	// The match filters become the status: ctx already equals m's.
 	req.peer, req.tag, req.seq, req.meta = int32(m.Src), m.Tag, m.Seq, m.Meta
 	if m.Kind == transport.KindRTS {
@@ -484,10 +471,6 @@ func (e *Engine) handle(m *transport.Message) {
 		}
 		transport.FreeMessage(m)
 	case transport.KindCTS:
-		if DebugEngine {
-			_, ok := e.rdvSend[m.XID]
-			println(dbgUS(), "proc", int(e.ep.ID()), "CTS known", ok, "from", int(m.Src))
-		}
 		if r, ok := e.rdvSend[m.XID]; ok {
 			delete(e.rdvSend, m.XID)
 			// Lend the caller's buffer: completing the request frees it
@@ -505,10 +488,6 @@ func (e *Engine) handle(m *transport.Message) {
 		}
 		transport.FreeMessage(m)
 	case transport.KindData:
-		if DebugEngine {
-			_, ok := e.rdvRecv[m.XID]
-			println(dbgUS(), "proc", int(e.ep.ID()), "DATA seq", int(m.Seq), "known", ok)
-		}
 		if r, ok := e.rdvRecv[m.XID]; ok {
 			delete(e.rdvRecv, m.XID)
 			n, landed := m.Landed()
@@ -605,6 +584,3 @@ func (e *Engine) PostedLen() int { return len(e.posted) }
 // UnexpectedHighWater reports the deepest the unexpected queue has been —
 // the §3.1 cost of posting receives late (leader-based wildcards).
 func (e *Engine) UnexpectedHighWater() int { return e.unexpHW }
-
-// DbgUS exposes the debug timestamp to sibling packages' traces.
-func DbgUS() int { return dbgUS() }

@@ -146,9 +146,10 @@ func NewNetwork(n int, delay *DelayModel) *Network { return newNetwork(n, delay,
 // newNetwork builds a network whose processes [lo, hi) are hosted here: they
 // get world-sized inbound queues and the state only a process that runs
 // here needs (hostedEndpoint). Every other endpoint is a bare Endpoint with
-// one shard: a wire hosting [lo, hi) injects only into its own processes,
-// so the others are only ever killed, revived and asked whether they are
-// alive. Hosting is fixed here, never reshaped by a wire installed later.
+// one shard and no owner or parking state: a wire hosting [lo, hi) injects
+// only into its own processes, so the others are only ever killed, revived
+// and asked whether they are alive, never drained or waited on. Hosting is
+// fixed here, never reshaped by a wire installed later.
 func newNetwork(n int, delay *DelayModel, lo, hi ProcID) *Network {
 	nw := &Network{n: n, delay: delay}
 	nw.wire = inprocWire{nw}
@@ -403,15 +404,12 @@ type Endpoint struct {
 	// leaves the shard empty — so the receiver locks only shards that hold
 	// something, and ready == 0 is "nothing queued" with no counter beside it.
 	ready atomic.Uint64
-	// park is set at construction on a hosted endpoint and by the first
-	// wait on any other (which only tests do).
-	park atomic.Pointer[parkState]
-
-	// own is the owning process's state; nil on an endpoint the network
-	// does not host.
-	own *ownerState
-	id  ProcID
-	nw  *Network
+	// park and own are the parked receivers' and the owning process's
+	// state; both nil on an endpoint the network does not host.
+	park *parkState
+	own  *ownerState
+	id   ProcID
+	nw   *Network
 }
 
 // cacheLine is the coherence unit the layouts below pad to.
@@ -489,21 +487,8 @@ func newHostedEndpoint(id ProcID, nw *Network, shards int) *Endpoint {
 	h := new(hostedEndpoint)
 	h.ep.init(id, nw, shards)
 	h.park.cond.L = &h.park.mu
-	h.ep.own = &h.own
-	h.ep.park.Store(&h.park)
+	h.ep.own, h.ep.park = &h.own, &h.park
 	return &h.ep
-}
-
-// parking returns the parked-receiver state, allocating it on the first
-// wait of an endpoint the network does not host.
-func (ep *Endpoint) parking() *parkState {
-	if pk := ep.park.Load(); pk != nil {
-		return pk
-	}
-	pk := new(parkState)
-	pk.cond.L = &pk.mu
-	ep.park.CompareAndSwap(nil, pk)
-	return ep.park.Load()
 }
 
 // senderFor returns the sender block, allocating it on the first send.
@@ -688,10 +673,7 @@ func (ep *Endpoint) injectAt(m *Message, at time.Time) {
 // counts, under the lock it wakes up holding; the injectors' path carries no
 // bookkeeping for it.
 func (ep *Endpoint) Wakeups() uint32 {
-	pk := ep.park.Load()
-	if pk == nil {
-		return 0
-	}
+	pk := ep.park
 	pk.mu.Lock()
 	defer pk.mu.Unlock()
 	return pk.wakeups
@@ -701,10 +683,10 @@ func (ep *Endpoint) Wakeups() uint32 {
 // WaitActivityAcks right now (tests pair it with Wakeups).
 func (ep *Endpoint) Parked() bool { return ep.sleepers.Load() > 0 }
 
-// wake broadcasts to blocked receivers, if the endpoint has any state for
-// them.
+// wake broadcasts to blocked receivers. Kill wakes every endpoint, and one
+// the network does not host has no parking state.
 func (ep *Endpoint) wake() {
-	if pk := ep.park.Load(); pk != nil {
+	if pk := ep.park; pk != nil {
 		pk.wake()
 	}
 }
@@ -750,10 +732,7 @@ func (ep *Endpoint) Drain() []*Message {
 	if ready == 0 {
 		return nil
 	}
-	var out []*Message
-	if ep.own != nil {
-		out = ep.own.drainBuf[:0]
-	}
+	out := ep.own.drainBuf[:0]
 	var now time.Time
 	for ; ready != 0; ready &= ready - 1 {
 		i := bits.TrailingZeros64(ready)
@@ -781,9 +760,7 @@ func (ep *Endpoint) Drain() []*Message {
 		}
 		sh.mu.Unlock()
 	}
-	if ep.own != nil {
-		ep.own.drainBuf = out
-	}
+	ep.own.drainBuf = out
 	if len(out) == 0 {
 		return nil
 	}
@@ -850,7 +827,7 @@ func (ep *Endpoint) waitActivity(timeout time.Duration, acks bool) bool {
 		// bit before our re-check reads the mask. A timed wait parks on the
 		// same condition, so an arrival ends it like any other; the timer's
 		// broadcast only stands in for the arrival that did not come.
-		pk := ep.parking()
+		pk := ep.park
 		pk.mu.Lock()
 		ep.sleepers.Add(1)
 		if acks {
