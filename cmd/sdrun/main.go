@@ -235,7 +235,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdrun: -recovery=log needs an app that resumes from its checkpoint (ring); %q re-executes from scratch\n", *app)
 		os.Exit(2)
 	}
-	logged := loggedRanks(*ranks, *r, degrees, unrep)
 	if mode == cluster.RecoveryLog && proto != cluster.SDR {
 		fmt.Fprintf(os.Stderr, "sdrun: -recovery=log requires -protocol sdr\n")
 		os.Exit(2)
@@ -251,7 +250,7 @@ func main() {
 			scale: *scale, timeout: *timeout, ckptDir: *ckptDir,
 			kills: kills, compare: *compare,
 			unreplicated: unrep, degrees: degrees,
-			recovery: mode, logged: logged,
+			recovery:  mode,
 			statsJSON: *statsJSON, noRing: *noRing, health: *health,
 		}))
 	}
@@ -313,7 +312,7 @@ func main() {
 	fmt.Printf("%s on %d ranks under %s (r=%d%s, %d processes)\n",
 		*app, *ranks, proto, rep.Config.Replication, degreeSuffix(rep.Config), distinctProcs(rep))
 	if proto != cluster.Native {
-		fmt.Printf("recovery: %s%s\n", mode, logSuffix(mode, logged))
+		fmt.Printf("recovery: %s%s\n", mode, logSuffix(mode, rep.Config.LoggedRanks()))
 	}
 	var wall time.Duration
 	for _, p := range rep.Procs {
@@ -408,30 +407,6 @@ func distinctProcs(rep *cluster.Report) int {
 	return len(seen)
 }
 
-// loggedRanks computes the sender-logged rank set of a -recovery=log run:
-// every rank the degree vector leaves at a single replica.
-func loggedRanks(ranks, r int, degrees, unreplicated []int) []int {
-	d := make([]int, ranks)
-	for i := range d {
-		d[i] = r
-	}
-	if len(degrees) == ranks {
-		copy(d, degrees)
-	}
-	for _, rank := range unreplicated {
-		if rank >= 0 && rank < ranks {
-			d[rank] = 1
-		}
-	}
-	var logged []int
-	for rank, deg := range d {
-		if deg == 1 {
-			logged = append(logged, rank)
-		}
-	}
-	return logged
-}
-
 // logSuffix renders the per-rank logging set for the recovery header line.
 func logSuffix(mode cluster.RecoveryMode, logged []int) string {
 	if mode != cluster.RecoveryLog {
@@ -505,7 +480,6 @@ type distOpts struct {
 	unreplicated []int
 	degrees      []int
 	recovery     cluster.RecoveryMode
-	logged       []int
 	statsJSON    string
 	noRing       bool
 	health       time.Duration
@@ -526,18 +500,19 @@ func runDistributed(o distOpts) int {
 		ckptDir = dir
 	}
 
+	cfg := cluster.Config{
+		Ranks:             o.ranks,
+		Replication:       o.r,
+		Protocol:          o.proto,
+		Failures:          o.kills,
+		UnreplicatedRanks: o.unreplicated,
+		Degrees:           o.degrees,
+		CheckpointDir:     ckptDir,
+		RecoveryMode:      o.recovery,
+		Timeout:           o.timeout,
+	}
 	rep := cluster.RunDistributed(cluster.DistConfig{
-		Config: cluster.Config{
-			Ranks:             o.ranks,
-			Replication:       o.r,
-			Protocol:          o.proto,
-			Failures:          o.kills,
-			UnreplicatedRanks: o.unreplicated,
-			Degrees:           o.degrees,
-			CheckpointDir:     ckptDir,
-			RecoveryMode:      o.recovery,
-			Timeout:           o.timeout,
-		},
+		Config:        cfg,
 		NoRing:        o.noRing,
 		HealthTimeout: o.health,
 		WorkerEnv: []string{
@@ -553,7 +528,7 @@ func runDistributed(o distOpts) int {
 	fmt.Printf("%s on %d ranks under %s (r=%d, distributed: %d worker processes)\n",
 		o.app, o.ranks, o.proto, rep.Replication, len(rep.Procs))
 	if o.proto != cluster.Native {
-		fmt.Printf("recovery: %s%s\n", o.recovery, logSuffix(o.recovery, o.logged))
+		fmt.Printf("recovery: %s%s\n", o.recovery, logSuffix(o.recovery, cfg.LoggedRanks()))
 	}
 	for _, p := range rep.Procs {
 		if p.Crashed {

@@ -38,14 +38,18 @@ type CkptRow struct {
 // every process, across relaunches and rollback epochs alike.
 //
 // A barrier opens every step that follows a wave, so that a rank's last
-// process cannot take that step before the wave commits. The writers (each
-// rank's lowest live replica) share a world, a process hears only its own
-// world's barrier, and the last writer's return from Checkpoint is the
-// commit: a writer passes the barrier only after the commit, and a rank is
-// lost only once its writer is. A kill scheduled for that step therefore
-// always finds the wave to roll back to. The barrier opens the step rather
-// than closing the wave so that a process resuming from the wave runs it
-// again, as its first incarnation did after saving.
+// process cannot take that step before every writer has captured the
+// wave. The writers (each rank's lowest live replica) share a world, a
+// process hears only its own world's barrier, and a rank is lost only once
+// its writer is. Checkpoint only captures; the wave is persisted and
+// committed off the step, and the launcher makes up the difference: a
+// scheduled kill first waits for its victim's wave, every process waits
+// for its writer before its exit is reported, and the rollback reads the
+// store only after every process of the lost epoch has exited. A kill
+// scheduled for that step therefore always finds the wave to roll back
+// to. The barrier opens the step rather than closing the wave so that a
+// process resuming from the wave runs it again, as its first incarnation
+// did after saving.
 func ckptRing(steps, every int, counter *atomic.Int64) cluster.AppFunc {
 	return func(env *cluster.Env) (any, error) {
 		c := env.World

@@ -33,11 +33,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
-// Store is a directory of checkpoint files.
+// Store is a directory of checkpoint files, plus the image buffers its
+// callers persist from.
 type Store struct {
 	dir string
+
+	mu     sync.Mutex // sdr:lockrank images
+	images [][]byte   // guarded by mu: buffers ReleaseImage returned
 }
 
 // NewStore opens (creating if needed) a checkpoint directory.
@@ -69,6 +74,33 @@ func (s *Store) Save(rank, step int, data []byte, write bool) error {
 	}
 	mBytesCkpt.Add(uint64(len(data)))
 	return nil
+}
+
+// CopyImage copies data into an image buffer the store owns, reusing one
+// that ReleaseImage returned when it is large enough. A writer that
+// persists off the application's step path writes from the copy while the
+// application goes on changing data. The buffers live as long as the
+// store, so every wave, epoch and relaunch of a run shares them.
+func (s *Store) CopyImage(data []byte) []byte {
+	var img []byte
+	s.mu.Lock()
+	if n := len(s.images); n > 0 {
+		img, s.images = s.images[n-1], s.images[:n-1]
+	}
+	s.mu.Unlock()
+	if cap(img) < len(data) {
+		img = make([]byte, len(data))
+	}
+	img = img[:len(data)]
+	copy(img, data)
+	return img
+}
+
+// ReleaseImage hands a buffer from CopyImage back once nothing reads it.
+func (s *Store) ReleaseImage(img []byte) {
+	s.mu.Lock()
+	s.images = append(s.images, img)
+	s.mu.Unlock()
 }
 
 // The footer that closes every checkpoint and message-log file, and every

@@ -458,3 +458,43 @@ func TestStepsIgnoresForeignFiles(t *testing.T) {
 		t.Fatalf("steps = %v, want [5]", steps)
 	}
 }
+
+// TestCopyImageReusesBuffers pins the image buffers' contract: a copy is
+// the caller's bytes at the call, a released buffer large enough is handed
+// out again, and writers on several goroutines share the store's buffers.
+func TestCopyImageReusesBuffers(t *testing.T) {
+	s := newTestStore(t)
+	data := []byte("state at wave 4")
+	img := s.CopyImage(data)
+	data[0] = 'X'
+	if string(img) != "state at wave 4" {
+		t.Fatalf("image %q changed with the caller's bytes", img)
+	}
+	s.ReleaseImage(img)
+	again := s.CopyImage([]byte("wave 8"))
+	if &again[0] != &img[0] || string(again) != "wave 8" {
+		t.Fatalf("a released buffer large enough was not reused (%q)", again)
+	}
+	s.ReleaseImage(again)
+	if big := s.CopyImage(make([]byte, 2*len(img))); len(big) != 2*len(img) {
+		t.Fatalf("image of %d bytes for a %d-byte state", len(big), 2*len(img))
+	}
+
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			state := bytes.Repeat([]byte{byte(g)}, 4096)
+			for i := 0; i < 100; i++ {
+				img := s.CopyImage(state)
+				if !bytes.Equal(img, state) {
+					t.Errorf("goroutine %d: image differs from its state", g)
+				}
+				s.ReleaseImage(img)
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+}

@@ -75,9 +75,13 @@ func TestCheckpointWriterUniqueness(t *testing.T) {
 		if err := env.Checkpoint(1, state); err != nil {
 			return nil, err
 		}
-		// Leaving a barrier with every send acknowledged means the other
-		// world's ranks received what this rank's twin sent them after its
-		// Checkpoint: the writer has written.
+		// Flush waits for this process's writer. Leaving a barrier with
+		// every send acknowledged means the other world's ranks received
+		// what this rank's twin sent them after its Flush: the writer has
+		// written.
+		if err := env.Flush(); err != nil {
+			return nil, err
+		}
 		c.Barrier()
 		env.Replicated().Quiesce()
 		// Every replica (writer or not) verifies the stored file against

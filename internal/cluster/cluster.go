@@ -195,6 +195,24 @@ func (c Config) logRanks(l core.Layout) []bool {
 	return logged
 }
 
+// LoggedRanks lists, ascending, the logical ranks a run of c arms
+// sender-based message logging for: every degree-1 rank under
+// RecoveryLog, none otherwise, and none when c's degree vector does not
+// build a layout (the run reports that error).
+func (c Config) LoggedRanks() []int {
+	l, err := c.layout()
+	if err != nil {
+		return nil
+	}
+	var ranks []int
+	for rank, logged := range c.logRanks(l) {
+		if logged {
+			ranks = append(ranks, rank)
+		}
+	}
+	return ranks
+}
+
 // timeout returns the effective per-epoch watchdog deadline.
 func (c Config) timeout() time.Duration {
 	if c.Timeout <= 0 {
@@ -319,50 +337,148 @@ type Env struct {
 	store        *ckpt.Store
 	logSelf      bool // this rank persists replay state with each checkpoint
 	ranks, epoch int  // logical world size; rollback restarts before this epoch
+
+	// Checkpoint waves off the step path, touched by the application's
+	// goroutine only: the last wave captured, until reap takes it back
+	// from its writer, and the error of a wave that failed, until
+	// Checkpoint or Flush returns it.
+	wave    *ckptWave
+	waveErr error
 }
 
-// Checkpoint saves the application state for this process's rank at a
-// step. Under replication, only the writer replica (the lowest-index
-// replica this process believes alive) performs the file write; the
-// others are no-ops, giving exactly-once output as in redundant-execution
-// I/O. Once every rank's writer has saved a step, the harness stamps the
-// wave with the coordinated-commit marker (and prunes superseded waves),
-// making it eligible for rollback restart. Requires Config.CheckpointDir.
+// ckptWave is one checkpoint wave between its capture on the step path and
+// its settling on the application's goroutine. The writer goroutine
+// persists it and closes done; settle then sends frontier, if any.
+type ckptWave struct {
+	step     int
+	img      []byte // a copy of the application's state, from the store's buffers
+	state    []byte // the encoded replay state, or nil
+	frontier []byte // the delivery frontier to acknowledge once durable, or nil
+	done     chan struct{}
+	err      error // written by the writer before done closes
+}
+
+// Checkpoint captures the application state for this process's rank at a
+// step and returns; a writer goroutine persists it. Under replication,
+// only the writer replica (the lowest-index replica this process believes
+// alive) captures anything; the others are no-ops, giving exactly-once
+// output as in redundant-execution I/O. Requires Config.CheckpointDir.
+//
+// The capture is all that happens on the caller's step path: the writer
+// election, a copy of data (the caller may change data as soon as
+// Checkpoint returns), and, for a sender-logged rank, its replay state and
+// delivery frontier. The writer then saves the image, then the replay
+// state, then tells the harness, which commits the wave with the
+// coordinated-commit marker once every rank's writer has saved it (and
+// prunes superseded waves); only a committed wave is eligible for rollback
+// restart. A logged rank's log truncation goes out at the first Step,
+// Checkpoint or Flush after both of its files are durable.
+//
+// At most one wave per process is in flight: Checkpoint first waits for
+// the previous one. If that wave failed, Checkpoint returns its error
+// instead of capturing step, and the failed wave never commits. A process
+// whose application returns waits for its last wave, whose error then
+// becomes the application's; so does the launcher, before it reads the
+// store back, for a process that crashed or was torn down — except a
+// distributed worker killed by a signal, whose in-flight wave is lost
+// (it never commits, so rollback picks the wave before).
 func (e *Env) Checkpoint(step int, data []byte) error {
 	if e.store == nil {
 		return fmt.Errorf("cluster: no CheckpointDir configured")
 	}
-	write := e.isWriter()
-	if err := e.store.Save(e.Rank, step, data, write); err != nil {
+	if err := e.Flush(); err != nil {
 		return err
 	}
-	if write && e.logSelf && e.proto != nil {
-		// Localized-replay bookkeeping for a logging-enabled rank: persist
-		// the protocol replay state next to the app checkpoint, then
-		// acknowledge the wave so senders truncate their message logs.
-		// The broadcast happens ONLY after both files are durable — until
-		// then senders keep everything, so a capture or save failure just
-		// leaves this wave replay-ineligible (and the logs longer), never
-		// unsafe. A finished Send may still await its own acks: collect
-		// them first, or the capture refuses the wave.
+	if !e.isWriter() {
+		return nil
+	}
+	w := &ckptWave{step: step, img: e.store.CopyImage(data), done: make(chan struct{})}
+	if e.logSelf && e.proto != nil {
+		// Localized-replay bookkeeping for a logging-enabled rank: capture
+		// the protocol replay state and the delivery frontier with the app
+		// state. The frontier is acknowledged — senders truncate their
+		// message logs — only after both files are durable; until then
+		// senders keep everything, so a capture or save failure just leaves
+		// this wave replay-ineligible (and the logs longer), never unsafe.
+		// A finished Send may still await its own acks: collect them first,
+		// or the capture refuses the wave.
 		e.proto.Quiesce()
 		state, err := e.proto.CaptureReplayState(e.World.CollSeq())
 		switch {
 		case err == nil:
-			if err := e.store.SaveLog(e.Rank, step, state); err != nil {
-				return err
-			}
-			e.proto.BroadcastLogTruncate()
+			w.state, w.frontier = state, e.proto.LogFrontier()
 		case !errors.Is(err, core.ErrReplayBuffered):
 			ev := obs.Ev(obs.StageReplay, "wave not replay-eligible: "+err.Error())
 			ev.Rank, ev.Rep, ev.Wave = e.Rank, e.Rep, step
 			obs.DefaultTrace.Emit(ev)
 		}
 	}
-	if write {
-		return e.h.noteCkpt(e.Rank, step)
-	}
+	e.wave = w
+	go e.persist(w)
 	return nil
+}
+
+// persist is the writer goroutine of one wave: the image, then the replay
+// state, then the harness's tally, in the order a synchronous save made.
+func (e *Env) persist(w *ckptWave) {
+	defer close(w.done)
+	err := e.store.Save(e.Rank, w.step, w.img, true)
+	e.store.ReleaseImage(w.img)
+	if err == nil && w.state != nil {
+		err = e.store.SaveLog(e.Rank, w.step, w.state)
+	}
+	if err == nil {
+		err = e.h.noteCkpt(e.Rank, w.step)
+	}
+	if err != nil {
+		w.err = fmt.Errorf("cluster: checkpoint wave %d of rank %d: %w", w.step, e.Rank, err)
+	}
+}
+
+// Flush waits for this process's last checkpoint wave to persist, sends
+// its log truncation, and returns the error of a wave that failed since
+// the last Checkpoint or Flush. Callers that read their own files back
+// from the store call it first. It does not wait for other processes'
+// writers: a wave is committed only once every rank's writer has saved it.
+func (e *Env) Flush() error {
+	e.settle(true)
+	err := e.waveErr
+	e.waveErr = nil
+	return err
+}
+
+// settle sends the log truncation of the last wave once its writer has
+// returned, waiting for it when wait is set. It drives the protocol, so
+// only the application's goroutine calls it.
+func (e *Env) settle(wait bool) {
+	if w := e.reap(wait); w != nil && w.frontier != nil {
+		e.proto.BroadcastLogTruncate(w.frontier)
+	}
+}
+
+// reap takes the last wave back once its writer has returned, waiting for
+// it when wait is set. A failed wave's error stays for Checkpoint or Flush
+// and reap returns nil for it. It sends nothing, so a process unwinding
+// from a crash may call it.
+func (e *Env) reap(wait bool) *ckptWave {
+	w := e.wave
+	if w == nil {
+		return nil
+	}
+	if !wait {
+		select {
+		case <-w.done:
+		default:
+			return nil
+		}
+	}
+	<-w.done
+	e.wave = nil
+	if w.err != nil {
+		e.waveErr = w.err
+		return nil
+	}
+	return w
 }
 
 // CanCheckpoint reports whether this run has a checkpoint store configured
@@ -440,7 +556,10 @@ func (e *Env) Replicated() *core.Replicated { return e.proto }
 // snapshot for the application state at this boundary. snapshot may be
 // nil only where no recovery can fire. Step must be called at quiescent
 // points: all requests completed.
-func (e *Env) Step(step int, snapshot func() []byte) { e.h.stepHook(e, step, snapshot) }
+func (e *Env) Step(step int, snapshot func() []byte) {
+	e.settle(false)
+	e.h.stepHook(e, step, snapshot)
+}
 
 // ProcReport describes one physical process's outcome. Under partial
 // replication only the replicas the degree vector names exist — the
@@ -657,6 +776,9 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 	// kill triggers the detector broadcast; the panic unwinds the app.
 	self := rs.layout.Phys(e.Rep, e.Rank)
 	if rs.kills.fire(self, step) {
+		// The victim's last wave persists first, as it did when Checkpoint
+		// wrote it: a kill one step past a wave finds the wave on disk.
+		e.settle(true)
 		kev := obs.Ev(obs.StageKill, "fail-stop crash injected")
 		kev.Proc, kev.Rank, kev.Rep, kev.Step = int(self), e.Rank, e.Rep, step
 		obs.DefaultTrace.Emit(kev)

@@ -165,7 +165,8 @@ func TestLineWriterPrefixesEveryLine(t *testing.T) {
 // with the worker env contract set (the same hidden-mode trick sdrun
 // uses). It must exit the process so the test framework never reports on
 // it. It runs rollbackApp(12, 3), or replayRing(12, 2) when the run's
-// WorkerEnv sets SDR_TEST_APP=ring.
+// WorkerEnv sets SDR_TEST_APP=ring, or storeLoss without flushes when it
+// sets SDR_TEST_APP=storeloss.
 func TestDistWorkerHelper(t *testing.T) {
 	if !DistWorkerActive() {
 		t.Skip("not in worker mode")
@@ -179,15 +180,19 @@ func TestDistWorkerHelper(t *testing.T) {
 		silentWorkerMain(cfg)
 	}
 	app := rollbackApp(12, 3)
-	if os.Getenv("SDR_TEST_APP") == "ring" {
+	switch os.Getenv("SDR_TEST_APP") {
+	case "ring":
 		app = replayRing(12, 2, nil)
+	case "storeloss":
+		app = func(env *Env) (any, error) { return storeLoss(env.store.Dir(), false)(env) }
 	}
 	os.Exit(RunWorker(cfg, func(env *Env) (any, error) {
 		res, err := app(env)
 		if err != nil {
 			return nil, err
 		}
-		return WorkerResult{Checksum: float64(res.(uint64))}, nil
+		sum, _ := res.(uint64)
+		return WorkerResult{Checksum: float64(sum)}, nil
 	}))
 }
 

@@ -133,14 +133,6 @@ func EnvFlag(name string) bool { return rawEnv(name) == "1" }
 // value is an error naming the variable.
 func EnvInt(name string) (int, error) { return envLookup(rawEnv).num(name) }
 
-// EnvIntOr parses an optional integer variable, returning def when the
-// variable is unset (empty).
-func EnvIntOr(name string, def int) (int, error) { return envLookup(rawEnv).numOr(name, def) }
-
-// EnvInts parses an optional comma-separated integer list; unset means
-// nil.
-func EnvInts(name string) ([]int, error) { return envLookup(rawEnv).nums(name) }
-
 // envLookup reads contract variables from some source: the process
 // environment (rawEnv) for a worker, a decoded environ() list in tests.
 type envLookup func(name string) string
@@ -154,6 +146,8 @@ func (get envLookup) num(name string) (int, error) {
 	return v, nil
 }
 
+// numOr parses an optional integer variable, returning def when the
+// variable is unset (empty).
 func (get envLookup) numOr(name string, def int) (int, error) {
 	if get(name) == "" {
 		return def, nil
@@ -161,6 +155,7 @@ func (get envLookup) numOr(name string, def int) (int, error) {
 	return get.num(name)
 }
 
+// nums parses an optional comma-separated integer list; unset means nil.
 func (get envLookup) nums(name string) ([]int, error) {
 	s := get(name)
 	if s == "" {

@@ -24,27 +24,30 @@ func TestEnvAccessors(t *testing.T) {
 		t.Fatalf("EnvInt(%s) accepted a non-integer", EnvRanks)
 	}
 
+	// The optional forms are read through the lookup the worker decodes
+	// its seat with.
+	env := envLookup(rawEnv)
 	t.Setenv(EnvReplay, "")
-	if v, err := EnvIntOr(EnvReplay, -1); err != nil || v != -1 {
-		t.Fatalf("EnvIntOr(%s, -1) = %d, %v; want the default", EnvReplay, v, err)
+	if v, err := env.numOr(EnvReplay, -1); err != nil || v != -1 {
+		t.Fatalf("numOr(%s, -1) = %d, %v; want the default", EnvReplay, v, err)
 	}
 	t.Setenv(EnvReplay, "3")
-	if v, err := EnvIntOr(EnvReplay, -1); err != nil || v != 3 {
-		t.Fatalf("EnvIntOr(%s, -1) = %d, %v; want 3", EnvReplay, v, err)
+	if v, err := env.numOr(EnvReplay, -1); err != nil || v != 3 {
+		t.Fatalf("numOr(%s, -1) = %d, %v; want 3", EnvReplay, v, err)
 	}
 
 	t.Setenv(EnvDead, "")
-	if v, err := EnvInts(EnvDead); err != nil || v != nil {
-		t.Fatalf("EnvInts(%s) on empty = %v, %v; want nil", EnvDead, v, err)
+	if v, err := env.nums(EnvDead); err != nil || v != nil {
+		t.Fatalf("nums(%s) on empty = %v, %v; want nil", EnvDead, v, err)
 	}
 	t.Setenv(EnvDead, "2,5,7")
-	v, err := EnvInts(EnvDead)
+	v, err := env.nums(EnvDead)
 	if err != nil || len(v) != 3 || v[0] != 2 || v[1] != 5 || v[2] != 7 {
-		t.Fatalf("EnvInts(%s) = %v, %v; want [2 5 7]", EnvDead, v, err)
+		t.Fatalf("nums(%s) = %v, %v; want [2 5 7]", EnvDead, v, err)
 	}
 	t.Setenv(EnvDead, "2,x")
-	if _, err := EnvInts(EnvDead); err == nil {
-		t.Fatalf("EnvInts(%s) accepted a malformed entry", EnvDead)
+	if _, err := env.nums(EnvDead); err == nil {
+		t.Fatalf("nums(%s) accepted a malformed entry", EnvDead)
 	}
 }
 

@@ -29,7 +29,9 @@ import (
 // to the coordinator over the registry control plane).
 type harness interface {
 	// noteCkpt records that rank's writer completed its save for step;
-	// the harness commits the wave once every rank has.
+	// the harness commits the wave once every rank has. A process's
+	// checkpoint writer goroutine calls it, concurrently with its
+	// application.
 	noteCkpt(rank, step int) error
 	// stepHook realizes the failure/recovery schedule at a step boundary.
 	stepHook(e *Env, step int, snapshot func() []byte)
@@ -469,13 +471,16 @@ type procOutcome struct {
 }
 
 // run is the process body. finished receives the application's result —
-// an application panic is its error — and returns whether to drain; the
-// drain ends once stop is closed (the epoch is over) or the process is
-// killed. The library's typed unwinds (a crash, replication exhaustion)
-// end the body wherever they surface; a replay state that no longer
-// restores ends it as exhaustion of its own rank, failing closed into
-// rollback.
+// an application panic is its error, and so is the failure of its last
+// checkpoint wave — and returns whether to drain; the drain ends once stop
+// is closed (the epoch is over) or the process is killed. The library's
+// typed unwinds (a crash, replication exhaustion) end the body wherever
+// they surface; a replay state that no longer restores ends it as
+// exhaustion of its own rank, failing closed into rollback. However the
+// body ends, its checkpoint writer has returned before run does: the
+// launcher reads the store back only after every process has exited.
 func (b procBody) run(app AppFunc, finished func(res any, err error) bool, stop <-chan struct{}) (out procOutcome) {
+	e := b.env
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := mpi.ErrCrashed(r); ok {
@@ -486,8 +491,11 @@ func (b procBody) run(app AppFunc, finished func(res any, err error) bool, stop 
 				out.err = fmt.Errorf("panic: %v", r)
 			}
 		}
+		e.reap(true)
+		if out.err == nil {
+			out.err = e.waveErr
+		}
 	}()
-	e := b.env
 	id := b.layout.Phys(e.Rep, e.Rank)
 	proc := mpi.NewProc(b.nw, id)
 	if b.cfg.EagerLimit > 0 {
@@ -534,7 +542,11 @@ func (b procBody) run(app AppFunc, finished func(res any, err error) bool, stop 
 	if b.state != nil {
 		e.World.SetCollSeq(collSeq)
 	}
-	if !finished(callApp(app, e)) {
+	res, err := callApp(app, e)
+	if ferr := e.Flush(); err == nil {
+		err = ferr
+	}
+	if !finished(res, err) {
 		return out
 	}
 	drain(proc, stop)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -270,6 +271,27 @@ func TestRecoveryModeValidation(t *testing.T) {
 	}
 	if err := Run(Config{Ranks: 2, Protocol: SDR, RecoveryMode: "bogus"}, app).FirstError(); err == nil {
 		t.Error("unknown recovery mode accepted")
+	}
+}
+
+// TestLoggedRanks pins the one derivation of the sender-logged ranks that
+// the launchers arm and cmd/sdrun prints.
+func TestLoggedRanks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want []int
+	}{
+		{"unreplicated list", Config{Ranks: 4, Replication: 2, UnreplicatedRanks: []int{3, 1}, RecoveryMode: RecoveryLog}, []int{1, 3}},
+		{"degree vector", Config{Ranks: 3, Replication: 2, Degrees: []int{2, 1, 2}, RecoveryMode: RecoveryLog}, []int{1}},
+		{"no degree-1 rank", Config{Ranks: 3, Replication: 2, RecoveryMode: RecoveryLog}, nil},
+		{"rollback mode", Config{Ranks: 4, Replication: 2, UnreplicatedRanks: []int{1}}, nil},
+		{"invalid degrees", Config{Ranks: 3, Replication: 2, Degrees: []int{1, 1}, RecoveryMode: RecoveryLog}, nil},
+	} {
+		tc.cfg.Protocol = SDR
+		if got := tc.cfg.LoggedRanks(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: LoggedRanks() = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -58,13 +58,15 @@ func (ws *workerState) noteCkpt(rank, step int) error {
 }
 
 // stepHook realizes the kill schedule: at a scheduled boundary the worker
-// tells the coordinator it is parked and blocks until the SIGKILL lands —
-// giving the crash the exact step placement the in-process harness has,
-// with a real process death.
+// waits for its last checkpoint wave to persist, tells the coordinator it
+// is parked and blocks until the SIGKILL lands — giving the crash the
+// exact step placement, and the store the same waves, that the in-process
+// harness has, with a real process death.
 func (ws *workerState) stepHook(e *Env, step int, snapshot func() []byte) {
 	if !ws.kills.fire(ws.cfg.Proc, step) {
 		return
 	}
+	e.settle(true)
 	_ = ws.cc.send(ctlMsg{Op: opKillMe, Proc: int(ws.cfg.Proc), Step: step})
 	select {} // await SIGKILL; the ping goroutine keeps the conn warm
 }

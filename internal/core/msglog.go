@@ -173,14 +173,29 @@ func DecodeSeqRecs(b []byte) ([]SeqRec, error) {
 	return recs, nil
 }
 
+// LogFrontier encodes this process's delivery frontier: one record per
+// (context, source rank) it has admitted messages from. A logging-enabled
+// rank encodes it when it captures a checkpoint wave, beside the replay
+// state: a frontier taken later would cover messages the wave does not
+// hold, and the truncation it drives would drop log entries that a replay
+// from this wave still needs.
+func (p *Replicated) LogFrontier() []byte {
+	var recs []SeqRec
+	p.recvSeq.forEach(func(ctx uint32, rank int, next uint64) {
+		recs = append(recs, SeqRec{Ctx: ctx, Rank: rank, Next: next})
+	})
+	return EncodeSeqRecs(nil, recs)
+}
+
 // BroadcastLogTruncate announces this (logging-enabled) rank's delivery
-// frontier to every alive process — the checkpoint acknowledgement that
-// drives sender-side log GC. Called by the harness right after the rank's
-// checkpoint wave (app state + replay state) reached stable storage; until
-// then senders keep everything, so a crash between checkpoint and
-// broadcast only costs extra (deduplicated) re-sends.
-func (p *Replicated) BroadcastLogTruncate() {
-	payload := p.recvFrontier()
+// frontier, as LogFrontier encoded it at the wave's capture, to every
+// alive process — the checkpoint acknowledgement that drives sender-side
+// log GC. Called by the harness once the rank's checkpoint wave (app state
+// + replay state) reached stable storage, possibly some steps later;
+// until then senders keep everything, so a crash between checkpoint and
+// broadcast, or a late broadcast, only costs extra (deduplicated) re-sends
+// and log memory.
+func (p *Replicated) BroadcastLogTruncate(frontier []byte) {
 	for i := 0; i < p.layout.Procs(); i++ {
 		q := transport.ProcID(i)
 		if q == p.proc.ID() || !p.alive[int(q)] {
@@ -191,19 +206,9 @@ func (p *Replicated) BroadcastLogTruncate() {
 			Kind: transport.KindCtl,
 			Tag:  detect.TagLogTruncate,
 			Meta: [4]int64{int64(p.myRank)},
-			Data: payload,
+			Data: frontier,
 		})
 	}
-}
-
-// recvFrontier encodes this process's delivery frontier: one record per
-// (context, source rank) it has admitted messages from.
-func (p *Replicated) recvFrontier() []byte {
-	var recs []SeqRec
-	p.recvSeq.forEach(func(ctx uint32, rank int, next uint64) {
-		recs = append(recs, SeqRec{Ctx: ctx, Rank: rank, Next: next})
-	})
-	return EncodeSeqRecs(nil, recs)
 }
 
 // onLogTruncate applies a receiver's checkpoint acknowledgement: log

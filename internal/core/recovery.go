@@ -36,7 +36,7 @@ func (p *Replicated) BroadcastRecovered(revived transport.ProcID) {
 	if p.coalesce {
 		p.flushAcks(true)
 	}
-	frontier := p.recvFrontier()
+	frontier := p.LogFrontier()
 	for i := 0; i < p.layout.Procs(); i++ {
 		q := transport.ProcID(i)
 		if q == p.proc.ID() || q == revived || !p.alive[int(q)] {
