@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -337,6 +338,10 @@ type Env struct {
 	store        *ckpt.Store
 	logSelf      bool // this rank persists replay state with each checkpoint
 	ranks, epoch int  // logical world size; rollback restarts before this epoch
+	// persistMu is the run's: a writer holds it across one wave's persist,
+	// so persisting never takes more than one CPU from the ranks. It is
+	// never taken under commitLine's mu.
+	persistMu *sync.Mutex // sdr:lockrank persist < waves
 
 	// Checkpoint waves off the step path, touched by the application's
 	// goroutine only: the last wave captured, until reap takes it back
@@ -373,6 +378,13 @@ type ckptWave struct {
 // prunes superseded waves); only a committed wave is eligible for rollback
 // restart. A logged rank's log truncation goes out at the first Step,
 // Checkpoint or Flush after both of its files are durable.
+//
+// A run persists one wave at a time: its processes' writers take turns,
+// each holding a lock the run shares across its save, replay-state save and
+// commit. The ranks of a coordinated checkpoint capture at nearly the same
+// moment, so writers that persisted together would take every core the
+// ranks step on; taking turns, they hold one. A distributed worker hosts
+// one process, so its writer takes turns with no one.
 //
 // At most one wave per process is in flight: Checkpoint first waits for
 // the previous one. If that wave failed, Checkpoint returns its error
@@ -419,9 +431,12 @@ func (e *Env) Checkpoint(step int, data []byte) error {
 }
 
 // persist is the writer goroutine of one wave: the image, then the replay
-// state, then the harness's tally, in the order a synchronous save made.
+// state, then the harness's tally, in the order a synchronous save made,
+// all under the run's persistMu.
 func (e *Env) persist(w *ckptWave) {
 	defer close(w.done)
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
 	err := e.store.Save(e.Rank, w.step, w.img, true)
 	e.store.ReleaseImage(w.img)
 	if err == nil && w.state != nil {
@@ -625,7 +640,8 @@ type runState struct {
 	det    *detect.Service
 	app    AppFunc
 
-	commitLine // the checkpoint store and its wave tally
+	commitLine             // the checkpoint store and its wave tally
+	persistMu  *sync.Mutex // the run's, shared by every epoch's Envs (Env.persistMu)
 	kills      *schedule
 	// seed is the rollback this epoch resumes from: every replica of rank
 	// starts from seed.states[rank] (nil on the first epoch).
@@ -652,6 +668,7 @@ type runState struct {
 // completes. Scheduled crashes fire at most once across epochs.
 func Run(cfg Config, app AppFunc) *Report {
 	rep := &Report{Config: cfg}
+	var persistMu sync.Mutex
 	err := ladder(cfg, &rep.Tally, obs.DefaultTrace, true, func(layout core.Layout, store *ckpt.Store, kills *schedule, seed epochSeed) epochOutcome {
 		var nw *transport.Network
 		if cfg.UseTCP {
@@ -681,6 +698,7 @@ func Run(cfg Config, app AppFunc) *Report {
 			det:        detect.NewService(nw),
 			app:        app,
 			commitLine: commitLine{store: store, waves: waveTally{ranks: cfg.Ranks}},
+			persistMu:  &persistMu,
 			kills:      kills,
 			seed:       seed,
 			recovered:  make([]atomic.Bool, len(cfg.Recoveries)),
@@ -709,8 +727,8 @@ func Run(cfg Config, app AppFunc) *Report {
 func (rs *runState) start(p int, seed *replaySeed) error {
 	id := transport.ProcID(p)
 	rank, rep := rs.layout.RankOf(id), rs.layout.RepOf(id)
-	env := &Env{Rank: rank, Rep: rep, h: rs, restoredStep: -1,
-		store: rs.store, ranks: rs.cfg.Ranks, epoch: rs.seed.epoch}
+	env := &Env{Rank: rank, Rep: rep, h: rs, restoredStep: -1, store: rs.store,
+		persistMu: rs.persistMu, ranks: rs.cfg.Ranks, epoch: rs.seed.epoch}
 	b := procBody{cfg: rs.cfg, layout: rs.layout, nw: rs.nw, det: rs.det, env: env}
 	switch {
 	case seed != nil:

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -156,7 +157,8 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	// likes. Loading after the rendezvous let the fast workers commit and
 	// prune under a slow one ("rollback restore wave 6: no such file").
 	ws := &workerState{cfg: cfg, cc: cc, kills: kills}
-	env := &Env{Rank: rank, Rep: rep, h: ws, restoredStep: -1, ranks: cfg.Ranks, epoch: cfg.Epoch}
+	env := &Env{Rank: rank, Rep: rep, h: ws, restoredStep: -1, persistMu: new(sync.Mutex),
+		ranks: cfg.Ranks, epoch: cfg.Epoch}
 	if cfg.CheckpointDir != "" {
 		if env.store, err = ckpt.NewStore(cfg.CheckpointDir); err != nil {
 			return fail(err)
