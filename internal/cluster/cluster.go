@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -338,10 +337,10 @@ type Env struct {
 	store        *ckpt.Store
 	logSelf      bool // this rank persists replay state with each checkpoint
 	ranks, epoch int  // logical world size; rollback restarts before this epoch
-	// persistMu is the run's: a writer holds it across one wave's persist,
-	// so persisting never takes more than one CPU from the ranks. It is
-	// never taken under commitLine's mu.
-	persistMu *sync.Mutex // sdr:lockrank persist < waves
+	// ckptTurn is the run's one persisting turn, a token of capacity
+	// one: a writer holds it across its wave's persist unless its process
+	// is waiting for that wave (see persist).
+	ckptTurn chan struct{}
 
 	// Checkpoint waves off the step path, touched by the application's
 	// goroutine only: the last wave captured, until reap takes it back
@@ -356,9 +355,10 @@ type Env struct {
 // persists it and closes done; settle then sends frontier, if any.
 type ckptWave struct {
 	step     int
-	img      []byte // a copy of the application's state, from the store's buffers
-	state    []byte // the encoded replay state, or nil
-	frontier []byte // the delivery frontier to acknowledge once durable, or nil
+	img      []byte        // a copy of the application's state, from the store's buffers
+	state    []byte        // the encoded replay state, or nil
+	frontier []byte        // the delivery frontier to acknowledge once durable, or nil
+	hurry    chan struct{} // closed once the process waits for this wave
 	done     chan struct{}
 	err      error // written by the writer before done closes
 }
@@ -379,12 +379,16 @@ type ckptWave struct {
 // restart. A logged rank's log truncation goes out at the first Step,
 // Checkpoint or Flush after both of its files are durable.
 //
-// A run persists one wave at a time: its processes' writers take turns,
-// each holding a lock the run shares across its save, replay-state save and
-// commit. The ranks of a coordinated checkpoint capture at nearly the same
-// moment, so writers that persisted together would take every core the
-// ranks step on; taking turns, they hold one. A distributed worker hosts
-// one process, so its writer takes turns with no one.
+// While the ranks step, a run persists one wave at a time: its processes'
+// writers take turns, each holding a turn the run shares across its save,
+// replay-state save and commit. The ranks of a coordinated checkpoint
+// capture at nearly the same moment, so writers that persisted together
+// would take every core the ranks step on; taking turns, they hold one.
+// A process that waits for its own wave — at its next Checkpoint, Flush, a
+// scheduled kill or its end — steps no more, so its writer goes without
+// waiting for the turn: back-to-back waves and a run's last wave do not
+// queue behind other ranks' persists. A distributed worker hosts one
+// process, so its writer takes turns with no one.
 //
 // At most one wave per process is in flight: Checkpoint first waits for
 // the previous one. If that wave failed, Checkpoint returns its error
@@ -404,7 +408,7 @@ func (e *Env) Checkpoint(step int, data []byte) error {
 	if !e.isWriter() {
 		return nil
 	}
-	w := &ckptWave{step: step, img: e.store.CopyImage(data), done: make(chan struct{})}
+	w := &ckptWave{step: step, img: e.store.CopyImage(data), hurry: make(chan struct{}), done: make(chan struct{})}
 	if e.logSelf && e.proto != nil {
 		// Localized-replay bookkeeping for a logging-enabled rank: capture
 		// the protocol replay state and the delivery frontier with the app
@@ -432,11 +436,15 @@ func (e *Env) Checkpoint(step int, data []byte) error {
 
 // persist is the writer goroutine of one wave: the image, then the replay
 // state, then the harness's tally, in the order a synchronous save made,
-// all under the run's persistMu.
+// all in the run's persisting turn — or without it, once the process waits
+// for this wave and so leaves the CPU to it.
 func (e *Env) persist(w *ckptWave) {
 	defer close(w.done)
-	e.persistMu.Lock()
-	defer e.persistMu.Unlock()
+	select {
+	case e.ckptTurn <- struct{}{}:
+		defer func() { <-e.ckptTurn }()
+	case <-w.hurry:
+	}
 	err := e.store.Save(e.Rank, w.step, w.img, true)
 	e.store.ReleaseImage(w.img)
 	if err == nil && w.state != nil {
@@ -480,14 +488,15 @@ func (e *Env) reap(wait bool) *ckptWave {
 	if w == nil {
 		return nil
 	}
-	if !wait {
-		select {
-		case <-w.done:
-		default:
+	select {
+	case <-w.done:
+	default:
+		if !wait {
 			return nil
 		}
+		close(w.hurry) // this process steps no more until the wave is done
+		<-w.done
 	}
-	<-w.done
 	e.wave = nil
 	if w.err != nil {
 		e.waveErr = w.err
@@ -640,8 +649,8 @@ type runState struct {
 	det    *detect.Service
 	app    AppFunc
 
-	commitLine             // the checkpoint store and its wave tally
-	persistMu  *sync.Mutex // the run's, shared by every epoch's Envs (Env.persistMu)
+	commitLine               // the checkpoint store and its wave tally
+	ckptTurn   chan struct{} // the run's, shared by every epoch's Envs (Env.ckptTurn)
 	kills      *schedule
 	// seed is the rollback this epoch resumes from: every replica of rank
 	// starts from seed.states[rank] (nil on the first epoch).
@@ -668,7 +677,7 @@ type runState struct {
 // completes. Scheduled crashes fire at most once across epochs.
 func Run(cfg Config, app AppFunc) *Report {
 	rep := &Report{Config: cfg}
-	var persistMu sync.Mutex
+	ckptTurn := make(chan struct{}, 1)
 	err := ladder(cfg, &rep.Tally, obs.DefaultTrace, true, func(layout core.Layout, store *ckpt.Store, kills *schedule, seed epochSeed) epochOutcome {
 		var nw *transport.Network
 		if cfg.UseTCP {
@@ -698,7 +707,7 @@ func Run(cfg Config, app AppFunc) *Report {
 			det:        detect.NewService(nw),
 			app:        app,
 			commitLine: commitLine{store: store, waves: waveTally{ranks: cfg.Ranks}},
-			persistMu:  &persistMu,
+			ckptTurn:   ckptTurn,
 			kills:      kills,
 			seed:       seed,
 			recovered:  make([]atomic.Bool, len(cfg.Recoveries)),
@@ -728,7 +737,7 @@ func (rs *runState) start(p int, seed *replaySeed) error {
 	id := transport.ProcID(p)
 	rank, rep := rs.layout.RankOf(id), rs.layout.RepOf(id)
 	env := &Env{Rank: rank, Rep: rep, h: rs, restoredStep: -1, store: rs.store,
-		persistMu: rs.persistMu, ranks: rs.cfg.Ranks, epoch: rs.seed.epoch}
+		ckptTurn: rs.ckptTurn, ranks: rs.cfg.Ranks, epoch: rs.seed.epoch}
 	b := procBody{cfg: rs.cfg, layout: rs.layout, nw: rs.nw, det: rs.det, env: env}
 	switch {
 	case seed != nil:

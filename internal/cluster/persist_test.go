@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -241,10 +242,11 @@ func TestCheckpointPersistErrorEndsProcess(t *testing.T) {
 }
 
 // TestWavesPersistInTurn checkpoints a 64 KiB image after every step of an
-// 8-rank, r = 2 ring for 100 waves, so the writers of all eight ranks queue
-// for the run's persist lock on every wave. Every committed wave left in
-// the store must load and verify with the image that rank captured, and no
-// temp file may be left behind.
+// 8-rank, r = 2 ring for 100 waves, so the writers of all eight ranks meet
+// at the run's persisting turn on every wave, and each process waits for
+// its previous wave at the next Checkpoint. Every committed wave left in
+// the store must load and verify with the image that rank captured, and
+// no temp file may be left behind.
 func TestWavesPersistInTurn(t *testing.T) {
 	const ranks, waves, imgBytes = 8, 100, 64 << 10
 	dir := t.TempDir()
@@ -291,15 +293,72 @@ func TestWavesPersistInTurn(t *testing.T) {
 	}
 }
 
+// turnHarness counts the waves its writers note and realizes no schedule.
+type turnHarness struct{ noted atomic.Int32 }
+
+func (h *turnHarness) noteCkpt(rank, step int) error { h.noted.Add(1); return nil }
+
+func (h *turnHarness) stepHook(*Env, int, func() []byte) {}
+
+// TestWaitingProcessSkipsTurn holds the run's persisting turn elsewhere: a
+// captured wave waits for it while its process goes on, and persists
+// without it once the process waits for the wave (Flush here; the next
+// Checkpoint, a scheduled kill and the process's end wait the same way).
+// A writer that does get the turn gives it back.
+func TestWaitingProcessSkipsTurn(t *testing.T) {
+	store, err := ckpt.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	turn := make(chan struct{}, 1)
+	turn <- struct{}{} // another writer's turn
+	h := &turnHarness{}
+	e := &Env{h: h, store: store, ckptTurn: turn, restoredStep: -1, ranks: 1}
+	if err := e.Checkpoint(1, []byte("wave one")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := h.noted.Load(); n != 0 {
+		t.Fatalf("the wave persisted without the turn while its process went on (%d noted)", n)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- e.Flush() }()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush still waits for a turn another writer holds")
+	}
+	if img, err := store.Load(0, 1); err != nil || string(img) != "wave one" || h.noted.Load() != 1 {
+		t.Fatalf("wave 1 reads %q (%v), %d noted", img, err, h.noted.Load())
+	}
+	if len(turn) != 1 {
+		t.Fatal("the waited-for writer gave back a turn it never took")
+	}
+
+	<-turn // the other writer is done
+	if err := e.Checkpoint(2, []byte("wave two")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(turn) != 0 {
+		t.Fatal("the writer kept the run's turn after its wave")
+	}
+}
+
 // BenchmarkCheckpointWaves is the persist layer's own number: a 4-rank,
-// r = 2 ring that takes 100 steps, a barrier and a 256 KiB checkpoint per
-// wave (recovery-ladder-4's interval and image), one wave per op. ns/op is
-// the wall time per wave, launch included; cpu-ns/wave is the process's
-// user and system time per wave. The writers persist while the ring steps,
-// so both read what persisting takes from the ranks.
+// r = 2 ring that checkpoints a 256 KiB image after a barrier every few
+// steps, one wave per op. every=100 is recovery-ladder-4's interval, where
+// the writers persist while the ring steps; every=1 checkpoints back to
+// back, as sdrbench's ablation-ckpt and sdrun's per-iteration checkpoints
+// do, so each wave waits for the one before. ns/op is the wall time per
+// wave, launch included; cpu-ns/wave is the process's user and system time
+// per wave.
 func BenchmarkCheckpointWaves(b *testing.B) {
-	const every = 100
-	cfg := Config{Ranks: 4, Protocol: SDR, CheckpointDir: b.TempDir(), Timeout: 10 * time.Minute}
 	cpu := func() time.Duration {
 		var ru syscall.Rusage
 		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
@@ -307,13 +366,18 @@ func BenchmarkCheckpointWaves(b *testing.B) {
 		}
 		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 	}
-	b.ResetTimer()
-	before := cpu()
-	rep := Run(cfg, waveRing(b.N*every, every, 256<<10))
-	used := cpu() - before
-	b.StopTimer()
-	if err := rep.FirstError(); err != nil {
-		b.Fatal(err)
+	for _, every := range []int{1, 100} {
+		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
+			cfg := Config{Ranks: 4, Protocol: SDR, CheckpointDir: b.TempDir(), Timeout: 10 * time.Minute}
+			b.ResetTimer()
+			before := cpu()
+			rep := Run(cfg, waveRing(b.N*every, every, 256<<10))
+			used := cpu() - before
+			b.StopTimer()
+			if err := rep.FirstError(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(used.Nanoseconds())/float64(b.N), "cpu-ns/wave")
+		})
 	}
-	b.ReportMetric(float64(used.Nanoseconds())/float64(b.N), "cpu-ns/wave")
 }

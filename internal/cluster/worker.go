@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -157,7 +156,7 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	// likes. Loading after the rendezvous let the fast workers commit and
 	// prune under a slow one ("rollback restore wave 6: no such file").
 	ws := &workerState{cfg: cfg, cc: cc, kills: kills}
-	env := &Env{Rank: rank, Rep: rep, h: ws, restoredStep: -1, persistMu: new(sync.Mutex),
+	env := &Env{Rank: rank, Rep: rep, h: ws, restoredStep: -1, ckptTurn: make(chan struct{}, 1),
 		ranks: cfg.Ranks, epoch: cfg.Epoch}
 	if cfg.CheckpointDir != "" {
 		if env.store, err = ckpt.NewStore(cfg.CheckpointDir); err != nil {
