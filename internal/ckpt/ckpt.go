@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,7 +38,7 @@ import (
 )
 
 // Store is a directory of checkpoint files, plus the image buffers its
-// callers persist from.
+// callers persist from and restore into.
 type Store struct {
 	dir string
 
@@ -76,31 +77,43 @@ func (s *Store) Save(rank, step int, data []byte, write bool) error {
 	return nil
 }
 
-// CopyImage copies data into an image buffer the store owns, reusing one
-// that ReleaseImage returned when it is large enough. A writer that
-// persists off the application's step path writes from the copy while the
-// application goes on changing data. The buffers live as long as the
-// store, so every wave, epoch and relaunch of a run shares them.
+// CopyImage copies data into an image buffer the store owns. A writer
+// that persists off the application's step path writes from the copy while
+// the application goes on changing data. The image buffers are one free
+// list per store, shared by CopyImage, Load and LoadLog, so every wave,
+// epoch, rollback and relaunch of a run reuses them. They are one size
+// class: a request takes the newest buffer when it fits and is no more
+// than twice as large, and otherwise gets a new buffer with FooterLen bytes
+// of spare capacity, so a writer's image can later hold the sealed file
+// of the same state read back.
 func (s *Store) CopyImage(data []byte) []byte {
-	var img []byte
-	s.mu.Lock()
-	if n := len(s.images); n > 0 {
-		img, s.images = s.images[n-1], s.images[:n-1]
-	}
-	s.mu.Unlock()
-	if cap(img) < len(data) {
-		img = make([]byte, len(data))
-	}
-	img = img[:len(data)]
+	img := s.takeImage(len(data))
 	copy(img, data)
 	return img
 }
 
-// ReleaseImage hands a buffer from CopyImage back once nothing reads it.
+// ReleaseImage hands back a buffer from CopyImage, Load or LoadLog once
+// nothing reads it.
 func (s *Store) ReleaseImage(img []byte) {
 	s.mu.Lock()
 	s.images = append(s.images, img)
 	s.mu.Unlock()
+}
+
+// takeImage returns an n-byte image buffer of n's size class: the newest
+// released one when it holds n and is at most twice the size, else a new
+// one.
+func (s *Store) takeImage(n int) []byte {
+	s.mu.Lock()
+	if k := len(s.images); k > 0 {
+		if img := s.images[k-1]; n <= cap(img) && cap(img) <= 2*(n+FooterLen) {
+			s.images = s.images[:k-1]
+			s.mu.Unlock()
+			return img[:n]
+		}
+	}
+	s.mu.Unlock()
+	return make([]byte, n, n+FooterLen)
 }
 
 // The footer that closes every checkpoint and message-log file, and every
@@ -186,23 +199,38 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// readVerified reads a sealed file and hands its payload on only once Open
-// has accepted the footer; an error names the file as what.
-func readVerified(path, what string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
+// readVerified reads the sealed file at path into an image buffer with one
+// read(2) of the size fstat reports, and hands its payload on only once
+// Open has accepted the footer; an error names the file as what and
+// returns the buffer to the free list.
+func (s *Store) readVerified(path, what string) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	payload, err := Open(raw)
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	raw := s.takeImage(int(fi.Size()))
+	var payload []byte
+	if _, err = io.ReadFull(f, raw); err == nil {
+		payload, err = Open(raw)
+	}
+	if err != nil {
+		s.ReleaseImage(raw)
 		return nil, fmt.Errorf("ckpt: %s: %w", what, err)
 	}
 	return payload, nil
 }
 
-// Load reads and verifies one rank's checkpoint at a step.
+// Load reads and verifies one rank's checkpoint at a step. The payload is
+// an image buffer of the store's free list: a caller that is done with it
+// may hand it back with ReleaseImage, and one that keeps it leaves the
+// buffer to the garbage collector.
 func (s *Store) Load(rank, step int) ([]byte, error) {
-	return readVerified(s.path(rank, step), fmt.Sprintf("checkpoint rank %d step %d", rank, step))
+	return s.readVerified(s.path(rank, step), fmt.Sprintf("checkpoint rank %d step %d", rank, step))
 }
 
 // Verify checks an existing checkpoint against data a non-writer replica
@@ -216,6 +244,7 @@ func (s *Store) Verify(rank, step int, data []byte) error {
 	if err != nil {
 		return err
 	}
+	defer s.ReleaseImage(stored)
 	if !bytes.Equal(stored, data) {
 		return fmt.Errorf("ckpt: replica state diverges from stored checkpoint (rank %d step %d)", rank, step)
 	}
@@ -302,25 +331,31 @@ func (s *Store) Committed(step int) bool {
 // file per wave forever. In-flight ckpt-tmp-* files are left alone — a
 // concurrent writer may own them.
 func (s *Store) Prune(keep int) error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	for _, e := range entries {
-		kind, _, st, ok := parseName(e.Name())
-		if !ok || st >= keep {
-			continue
+	return s.remove(func(_ fileKind, step int) bool { return step < keep })
+}
+
+// remove deletes every file the store wrote for which doomed reports true;
+// names the store does not write are never touched.
+func (s *Store) remove(doomed func(kind fileKind, step int) bool) error {
+	var first error
+	err := s.scan(func(kind fileKind, rank, step int) {
+		if first != nil || !doomed(kind, step) {
+			return
 		}
-		if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("ckpt: %w", err)
+		if err := os.Remove(s.fileName(kind, rank, step)); err != nil && !os.IsNotExist(err) {
+			first = fmt.Errorf("ckpt: %w", err)
+			return
 		}
 		if kind == kindLog {
 			mPrunedLogs.Inc()
 		} else {
 			mPruned.Inc()
 		}
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return first
 }
 
 // fileKind is one of the store's three file families.
@@ -331,6 +366,18 @@ const (
 	kindLog                    // mlog-r<rank>-s<step>.bin
 	kindCommit                 // ckpt-commit-s<step>.ok
 )
+
+// fileName is the path of the file parseName takes apart into kind, rank
+// and step.
+func (s *Store) fileName(kind fileKind, rank, step int) string {
+	switch kind {
+	case kindCkpt:
+		return s.path(rank, step)
+	case kindLog:
+		return s.logPath(rank, step)
+	}
+	return s.commitPath(step)
+}
 
 // scan reads the directory once and reports every file the store wrote.
 func (s *Store) scan(visit func(kind fileKind, rank, step int)) error {

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 )
 
@@ -79,6 +82,10 @@ func FuzzReadVerified(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { file.Close() })
+	s, err := NewStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if _, err := file.WriteAt(raw, 0); err != nil {
 			t.Fatal(err)
@@ -86,7 +93,7 @@ func FuzzReadVerified(f *testing.F) {
 		if err := file.Truncate(int64(len(raw))); err != nil {
 			t.Fatal(err)
 		}
-		payload, err := readVerified(file.Name(), "fuzz input")
+		payload, err := s.readVerified(file.Name(), "fuzz input")
 		if err != nil {
 			if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped error: %v", err)
@@ -96,6 +103,7 @@ func FuzzReadVerified(f *testing.F) {
 		if resealed := sealed(payload); !bytes.Equal(resealed, raw) {
 			t.Fatalf("accepted % x, which re-seals to % x", raw, resealed)
 		}
+		s.ReleaseImage(payload)
 	})
 }
 
@@ -129,6 +137,10 @@ func BenchmarkStoreSave(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreLoad reads one checkpoint back per iteration and hands the
+// image back, as a restore does once nothing reads it: what it times is
+// the read and the footer check, not the garbage collector sweeping one
+// image-sized allocation per load.
 func BenchmarkStoreLoad(b *testing.B) {
 	s, err := NewStore(b.TempDir())
 	if err != nil {
@@ -139,8 +151,75 @@ func BenchmarkStoreLoad(b *testing.B) {
 	}
 	b.SetBytes(benchImage)
 	for b.Loop() {
-		if _, err := s.Load(0, 1); err != nil {
+		img, err := s.Load(0, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		s.ReleaseImage(img)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// runtime allocates on its own.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// TestStoreLoadAllocs pins the restore path's allocation: a checkpoint
+// read back lands in an image buffer from the store's free list, so once
+// one cycle of Load and ReleaseImage has run, a further cycle allocates
+// only the file handle and the names, not the image.
+func TestStoreLoadAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race runtime allocates")
+	}
+	s := newTestStore(t)
+	if err := s.Save(0, 1, bytes.Repeat([]byte{0x5A}, benchImage), true); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		img, err := s.Load(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ReleaseImage(img)
+	}
+	cycle()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if perCycle := (after.TotalAlloc - before.TotalAlloc) / runs; perCycle >= 4<<10 {
+		t.Fatalf("a Load+ReleaseImage cycle allocates %d B, want under 4 KiB", perCycle)
+	}
+}
+
+// TestLoadReusesWriterImage pins the footer room and the size class: a
+// writer's image buffer, handed back after its wave persisted, holds the
+// sealed file of the same state, so a restore reads into it instead of
+// allocating, and a replay state read in between does not take it.
+func TestLoadReusesWriterImage(t *testing.T) {
+	s := newTestStore(t)
+	img := s.CopyImage(bytes.Repeat([]byte{0xA5}, benchImage))
+	if err := s.Save(2, 4, img, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveLog(2, 4, []byte("replay state")); err != nil {
+		t.Fatal(err)
+	}
+	s.ReleaseImage(img)
+	if state, err := s.LoadLog(2, 4); err != nil || string(state) != "replay state" {
+		t.Fatalf("LoadLog = %q, %v", state, err)
+	}
+	got, err := s.Load(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &img[0] || !bytes.Equal(got, bytes.Repeat([]byte{0xA5}, benchImage)) {
+		t.Fatal("the restore did not read into the writer's released image")
 	}
 }

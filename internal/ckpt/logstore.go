@@ -2,9 +2,7 @@ package ckpt
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 )
 
 // The per-rank message-log side of the store, backing the recovery
@@ -36,11 +34,14 @@ func (s *Store) SaveLog(rank, step int, data []byte) error {
 	return nil
 }
 
-// LoadLog reads and integrity-checks one rank's replay state at a step.
-// The returned bytes still carry the codec-level checksum; decode them
-// with core.ValidateReplayState / RestoreReplayState, which fail closed.
+// LoadLog reads and integrity-checks one rank's replay state at a step,
+// into an image buffer the way Load does (a replay state is far smaller
+// than a checkpoint image, so it takes a new buffer unless one of its size
+// class was handed back). The returned bytes still carry the codec-level
+// checksum; decode them with core.ValidateReplayState /
+// RestoreReplayState, which fail closed.
 func (s *Store) LoadLog(rank, step int) ([]byte, error) {
-	return readVerified(s.logPath(rank, step), fmt.Sprintf("message log rank %d step %d", rank, step))
+	return s.readVerified(s.logPath(rank, step), fmt.Sprintf("message log rank %d step %d", rank, step))
 }
 
 // LogSteps lists the steps with a persisted replay state for a rank,
@@ -58,21 +59,7 @@ func (s *Store) LogSteps(rank int) ([]int, error) {
 // checkpoint must fail closed into another rollback, not restore stale
 // counters and desynchronize from the restarted survivors.
 func (s *Store) PruneLogs() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "mlog-") || !strings.HasSuffix(name, ".bin") {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("ckpt: %w", err)
-		}
-		mPrunedLogs.Inc()
-	}
-	return nil
+	return s.remove(func(kind fileKind, _ int) bool { return kind == kindLog })
 }
 
 // LatestLog returns the newest step for which rank has BOTH a checkpoint

@@ -89,6 +89,36 @@ func TestPruneCollectsMessageLogs(t *testing.T) {
 	}
 }
 
+// TestPruneLogsKeepsForeignFiles: PruneLogs deletes the replay states the
+// store wrote and nothing else, reading the directory through the same
+// name parser as Prune, so a foreign mlog-*.bin name stays.
+func TestPruneLogsKeepsForeignFiles(t *testing.T) {
+	s := newTestStore(t)
+	if err := s.SaveLog(1, 4, []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(1, 4, []byte("image"), true); err != nil {
+		t.Fatal(err)
+	}
+	foreign := []string{"mlog-notes.bin", "mlog-r0001-sBAD.bin"}
+	for _, name := range foreign {
+		if err := os.WriteFile(filepath.Join(s.Dir(), name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.PruneLogs(); err != nil {
+		t.Fatal(err)
+	}
+	if steps, err := s.LogSteps(1); err != nil || len(steps) != 0 {
+		t.Fatalf("LogSteps after PruneLogs = %v, %v; want none", steps, err)
+	}
+	for _, name := range append(foreign, filepath.Base(s.path(1, 4))) {
+		if _, err := os.Stat(filepath.Join(s.Dir(), name)); err != nil {
+			t.Errorf("PruneLogs removed %s: %v", name, err)
+		}
+	}
+}
+
 // TestLogStepsIgnoresForeignFiles mirrors the checkpoint scanner's
 // robustness for the mlog namespace.
 func TestLogStepsIgnoresForeignFiles(t *testing.T) {

@@ -551,7 +551,11 @@ func writerRep(l core.Layout, rank int, alive func(transport.ProcID) bool) int {
 
 // Restored returns the application snapshot this process resumes from —
 // the substitute's fork in a §3.4 recovery, or this rank's checkpoint in a
-// rollback restart — or nil for a normal start.
+// rollback restart or a localized relaunch — or nil for a normal start.
+// The bytes stay valid until the application returns, and no longer: the
+// launcher hands a checkpoint's image buffer back to the store once the
+// process has exited, so an application decodes its state from them and
+// keeps none of them, in its result either.
 func (e *Env) Restored() []byte { return e.restored }
 
 // RestoredStep returns the checkpoint wave a rollback restart — or a
@@ -775,6 +779,9 @@ func (rs *runState) start(p int, seed *replaySeed) error {
 		pr.Elapsed, pr.Crashed = time.Since(start), out.crashed
 		if out.err != nil {
 			pr.Err = out.err
+		}
+		if seed != nil && !seed.fork {
+			rs.store.ReleaseImage(seed.app)
 		}
 		rs.events <- seatEvent{proc: p, out: out}
 	}()

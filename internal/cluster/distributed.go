@@ -245,6 +245,9 @@ func (h *procSeats) start(p int, seed *replaySeed) error {
 	wc := h.cfg.seat(h.loop.layout, p, h.kills.pending(transport.ProcID(p)), h.epoch)
 	wc.Registry, wc.RingDir = h.reg.Addr(), h.ringDir
 	if seed != nil {
+		// The worker reads the wave itself: the coordinator's copy was only
+		// the relaunch's pre-flight.
+		h.loop.store.ReleaseImage(seed.app)
 		h.reg.forget(p)
 		wc.ReplayWave = seed.wave
 		for q, n := range h.loop.live {

@@ -162,7 +162,10 @@ func ladder(cfg Config, t *Tally, tr *obs.Trace, preload bool,
 // its per-rank bytes when preload asks for them, and a store without the
 // torn-down epoch's replay states — they are epoch-relative (sequence
 // counters restart with the fresh processes), so a logging rank dying in
-// the new epoch must fail closed rather than restore them.
+// the new epoch must fail closed rather than restore them. Every process
+// of the epoch the seed started has exited by now, so the bytes it was
+// seeded with go back to the store's image buffers, where the new wave's
+// loads find them.
 func (s *epochSeed) rollback(ranks int, store *ckpt.Store, budget int, preload bool) error {
 	if store == nil {
 		return fmt.Errorf("no CheckpointDir is configured for rollback")
@@ -176,6 +179,9 @@ func (s *epochSeed) rollback(ranks int, store *ckpt.Store, budget int, preload b
 	}
 	if wave < 0 {
 		return fmt.Errorf("no committed checkpoint wave to roll back to")
+	}
+	for _, st := range s.states {
+		store.ReleaseImage(st)
 	}
 	var states [][]byte
 	if preload {
@@ -399,8 +405,9 @@ func (l *epochLoop) complete() {
 // replaySeed carries everything a restored process resumes from: the
 // checkpoint wave (-1 for a fork), the application state, and the encoded
 // protocol replay state. A localized relaunch reads its rank's own newest
-// wave from the store; a §3.4 fork (fork set) takes both states from its
-// live substitute.
+// wave from the store, app into one of the store's image buffers, which
+// goes back once the incarnation has exited; a §3.4 fork (fork set) takes
+// both states from its live substitute.
 type replaySeed struct {
 	wave  int
 	app   []byte
@@ -436,10 +443,11 @@ func readReplay(store *ckpt.Store, rank, wave int) (*replaySeed, error) {
 		return nil, err
 	}
 	state, err := store.LoadLog(rank, wave)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = core.ValidateReplayState(state)
 	}
-	if err := core.ValidateReplayState(state); err != nil {
+	if err != nil {
+		store.ReleaseImage(app)
 		return nil, err
 	}
 	return &replaySeed{wave: wave, app: app, state: state}, nil
