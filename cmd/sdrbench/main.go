@@ -1,8 +1,7 @@
 // Command sdrbench regenerates the paper's evaluation artifacts and runs
-// its failure scenarios by id; -exp takes one id or a comma-separated list:
+// its failure scenarios by id; -exp takes one id or a comma-separated list,
+// and all runs every one, in this order:
 //
-//	sdrbench -exp table1          # NAS benchmarks, native vs SDR-MPI
-//	sdrbench -exp table2          # HPCCG & CM1 (ANY_SOURCE apps)
 //	sdrbench -exp fig2            # anonymous receptions: leader vs SDR
 //	sdrbench -exp fig3            # crash + substitution scenario
 //	sdrbench -exp fig4            # recovery scenario
@@ -10,6 +9,9 @@
 //	sdrbench -exp partial         # unreplicated rank lost: no substitution, rollback (§5)
 //	sdrbench -exp replay          # unreplicated rank lost under recovery=log: localized replay
 //	sdrbench -exp fig7a,fig7b     # NetPipe latency / throughput (one sweep for both)
+//	sdrbench -exp table1          # NAS benchmarks, native vs SDR-MPI
+//	sdrbench -exp table1-ext      # extended NAS set (LU, IS, EP)
+//	sdrbench -exp table2          # HPCCG & CM1 (ANY_SOURCE apps)
 //	sdrbench -exp ablation-mirror # O(q·r) vs O(q·r²) message complexity
 //	sdrbench -exp ablation-leader # wildcard cost: leader vs leaderless
 //	sdrbench -exp ablation-degree # overhead vs replication degree (r=1,2,3)
@@ -17,9 +19,8 @@
 //	sdrbench -exp ablation-coalesce # discrete vs coalesced ack traffic
 //	sdrbench -exp ablation-ckpt   # checkpoint interval vs rollback-restart cost
 //	sdrbench -exp ablation-recovery # localized replay vs global rollback re-executed work
-//	sdrbench -exp ablation-partial # partial replication sweep (§5 outlook)
-//	sdrbench -exp table1-ext      # extended NAS set (LU, IS, EP)
 //	sdrbench -exp determinism     # send-determinism verdicts (§2.1 taxonomy)
+//	sdrbench -exp ablation-partial # partial replication sweep (§5 outlook)
 //	sdrbench -exp sdc             # redMPI-style corruption detection
 //	sdrbench -exp all             # everything
 //
@@ -51,18 +52,38 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
 	reps := flag.Int("reps", 3, "repetitions per measurement (median reported)")
 	flag.Parse()
+	os.Exit(runList(*exp, experiments(bench.Scale{Ranks: *ranks, Factor: *scale}, *reps), os.Stdout, os.Stderr))
+}
 
-	s := bench.Scale{Ranks: *ranks, Factor: *scale}
-	table := func(title string, ws []bench.Workload) func() error {
+// experiments is the table of every experiment at scale s with reps
+// repetitions per table row. Its order is the order of -exp all.
+func experiments(s bench.Scale, reps int) []experiment {
+	// compare checks and prints a native-vs-SDR comparison in the layout of
+	// the paper's tables.
+	compare := func(title string, run func() ([]bench.Row, error)) func() error {
 		return func() error {
-			rows, err := bench.CompareTable(ws, cluster.SDR, *reps)
+			rs, err := run()
+			if err == nil {
+				err = bench.VerifyRows(rs)
+			}
 			if err != nil {
 				return err
 			}
-			if err := bench.VerifyRows(rows); err != nil {
+			bench.RenderRows(os.Stdout, title, rs)
+			return nil
+		}
+	}
+	table := func(title string, ws []bench.Workload) func() error {
+		return compare(fmt.Sprintf("%s (ranks=%d, scale=%d, replication=2)", title, s.Ranks, s.Factor),
+			func() ([]bench.Row, error) { return bench.CompareTable(ws, cluster.SDR, reps) })
+	}
+	ablation := func(run func(bench.Scale) (bench.Sweep, error)) func() error {
+		return func() error {
+			sw, err := run(s)
+			if err != nil {
 				return err
 			}
-			bench.RenderRows(os.Stdout, fmt.Sprintf("%s (ranks=%d, scale=%d, replication=2)", title, *ranks, *scale), rows)
+			bench.RenderSweep(os.Stdout, sw)
 			return nil
 		}
 	}
@@ -96,11 +117,11 @@ func main() {
 			return nil
 		}
 	}
+	size, rounds := 16<<10, 400*s.Factor
 
-	// The order of this list is the order of -exp all.
-	exps := []experiment{
+	return []experiment{
 		{"fig2", func() error {
-			r, err := bench.RunFig2(200 * *scale)
+			r, err := bench.RunFig2(200 * s.Factor)
 			if err != nil {
 				return err
 			}
@@ -117,46 +138,12 @@ func main() {
 		{"table1", table("Table 1 — NAS proxies", bench.NASWorkloads(s))},
 		{"table1-ext", table("Table 1 (extended) — LU/IS/EP proxies", bench.ExtendedNASWorkloads(s))},
 		{"table2", table("Table 2 — ANY_SOURCE applications", bench.WildcardWorkloads(s))},
-		{"ablation-mirror", func() error {
-			rows, err := bench.RunMirrorAblation(s)
-			if err != nil {
-				return err
-			}
-			bench.RenderAblation(os.Stdout, "Ablation — parallel (SDR) vs mirror message complexity (CG proxy)", rows)
-			return nil
-		}},
-		{"ablation-leader", func() error {
-			rows, err := bench.RunLeaderAblation(s)
-			if err != nil {
-				return err
-			}
-			bench.RenderAblation(os.Stdout, "Ablation — leader vs leaderless ANY_SOURCE (HPCCG proxy)", rows)
-			return nil
-		}},
-		{"ablation-degree", func() error {
-			rows, err := bench.RunDegreeSweep(s)
-			if err != nil {
-				return err
-			}
-			bench.RenderDegrees(os.Stdout, rows)
-			return nil
-		}},
-		{"ablation-eager", func() error {
-			rows, err := bench.RunEagerAblation(16<<10, 400**scale, *reps)
-			if err != nil {
-				return err
-			}
-			bench.RenderEager(os.Stdout, 16<<10, 400**scale, rows)
-			return nil
-		}},
-		{"ablation-coalesce", func() error {
-			rows, err := bench.RunCoalesceAblation(s)
-			if err != nil {
-				return err
-			}
-			bench.RenderCoalesce(os.Stdout, rows)
-			return nil
-		}},
+		{"ablation-mirror", ablation(bench.RunMirrorAblation)},
+		{"ablation-leader", ablation(bench.RunLeaderAblation)},
+		{"ablation-degree", ablation(bench.RunDegreeSweep)},
+		{"ablation-eager", compare(fmt.Sprintf("Ablation — eager vs rendezvous wire protocol (%d B × %d round trips)", size, rounds),
+			func() ([]bench.Row, error) { return bench.RunEagerAblation(size, rounds, reps) })},
+		{"ablation-coalesce", ablation(bench.RunCoalesceAblation)},
 		{"ablation-ckpt", func() error {
 			rows, err := bench.RunCkptAblation(s)
 			if err != nil {
@@ -181,14 +168,7 @@ func main() {
 			bench.RenderDeterminism(os.Stdout, rows)
 			return nil
 		}},
-		{"ablation-partial", func() error {
-			rows, err := bench.RunPartialSweep(s)
-			if err != nil {
-				return err
-			}
-			bench.RenderPartial(os.Stdout, rows)
-			return nil
-		}},
+		{"ablation-partial", ablation(bench.RunPartialSweep)},
 		{"sdc", func() error {
 			n, err := bench.RunSDCDemo()
 			if err != nil {
@@ -201,11 +181,15 @@ func main() {
 			return nil
 		}},
 	}
+}
 
-	// Resolve the whole list before running anything, so an unknown id
-	// anywhere in it costs no experiment time.
+// runList runs the experiments a comma-separated list of ids names, in
+// list order, and returns the exit status. It resolves the whole list
+// before running anything, so an unknown id anywhere in it costs no
+// experiment time.
+func runList(list string, exps []experiment, stdout, stderr io.Writer) int {
 	var chosen []experiment
-	for _, id := range strings.Split(*exp, ",") {
+	for _, id := range strings.Split(list, ",") {
 		if id == "all" {
 			chosen = append(chosen, exps...)
 			continue
@@ -218,15 +202,16 @@ func main() {
 			}
 		}
 		if !found {
-			fmt.Fprintf(os.Stderr, "sdrbench: unknown experiment %q\n", id)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "sdrbench: unknown experiment %q\n", id)
+			return 1
 		}
 	}
 	for _, e := range chosen {
 		if err := e.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "sdrbench %s: %v\n", e.id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "sdrbench %s: %v\n", e.id, err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }

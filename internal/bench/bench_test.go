@@ -2,12 +2,14 @@ package bench
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/transport"
 )
 
 func TestNetpipeSizesSweep(t *testing.T) {
@@ -116,17 +118,17 @@ func TestFig2Comparison(t *testing.T) {
 }
 
 func TestMirrorAblationComplexity(t *testing.T) {
-	rows, err := RunMirrorAblation(Scale{Ranks: 4, Factor: 1})
+	sw, err := RunMirrorAblation(Scale{Ranks: 4, Factor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byProto := map[cluster.Protocol]AblationRow{}
-	for _, r := range rows {
-		byProto[r.Protocol] = r
+	byProto := map[cluster.Protocol]SweepRow{}
+	for _, r := range sw.Rows {
+		byProto[cluster.Protocol(r.Label)] = r
 	}
-	q := byProto[cluster.Native].AppMsgs
-	qs := byProto[cluster.SDR].AppMsgs
-	qm := byProto[cluster.Mirror].AppMsgs
+	q := byProto[cluster.Native].Stats.AppMsgs()
+	qs := byProto[cluster.SDR].Stats.AppMsgs()
+	qm := byProto[cluster.Mirror].Stats.AppMsgs()
 	// §2.4: parallel O(q·r), mirror O(q·r²), r = 2.
 	if ratio := float64(qs) / float64(q); ratio < 1.9 || ratio > 2.1 {
 		t.Errorf("parallel/native ratio %.2f, want ~2", ratio)
@@ -134,25 +136,38 @@ func TestMirrorAblationComplexity(t *testing.T) {
 	if ratio := float64(qm) / float64(q); ratio < 3.8 || ratio > 4.2 {
 		t.Errorf("mirror/native ratio %.2f, want ~4", ratio)
 	}
-	if byProto[cluster.SDR].AckMsgs == 0 || byProto[cluster.Mirror].AckMsgs != 0 {
+	if byProto[cluster.SDR].Stats.AckMsgs() == 0 || byProto[cluster.Mirror].Stats.AckMsgs() != 0 {
 		t.Error("ack accounting wrong")
 	}
 }
 
 func TestLeaderAblationDecisions(t *testing.T) {
-	rows, err := RunLeaderAblation(Scale{Ranks: 4, Factor: 1})
+	sw, err := RunLeaderAblation(Scale{Ranks: 4, Factor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byProto := map[cluster.Protocol]AblationRow{}
-	for _, r := range rows {
-		byProto[r.Protocol] = r
+	byProto := map[cluster.Protocol]SweepRow{}
+	for _, r := range sw.Rows {
+		byProto[cluster.Protocol(r.Label)] = r
 	}
-	if byProto[cluster.SDR].CtlMsgs != 0 {
-		t.Errorf("SDR control messages: %d", byProto[cluster.SDR].CtlMsgs)
+	if n := byProto[cluster.SDR].Stats.Msgs[transport.KindCtl]; n != 0 {
+		t.Errorf("SDR control messages: %d", n)
 	}
-	if byProto[cluster.Leader].CtlMsgs == 0 {
+	if byProto[cluster.Leader].Stats.Msgs[transport.KindCtl] == 0 {
 		t.Error("leader sent no decisions despite ANY_SOURCE receptions")
+	}
+}
+
+func TestWorkloadSweepCatchesDivergence(t *testing.T) {
+	// Every process of every run draws a fresh value, so rank 0 replica
+	// 0's checksum differs between the two points.
+	var draws atomic.Int64
+	w := Workload{"planted", 2, func(c *mpi.Comm) apps.Result {
+		return apps.Result{Checksum: float64(draws.Add(1))}
+	}}
+	_, err := workloadSweep("divergence check", 1, w, protocols(time.Minute, cluster.Native, cluster.SDR))
+	if err == nil || !strings.Contains(err.Error(), "divergence check sdr: checksum") {
+		t.Fatalf("err = %v, want the sdr point's checksum named", err)
 	}
 }
 

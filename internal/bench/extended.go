@@ -13,8 +13,7 @@ import (
 // Extended evaluation beyond the paper's Tables 1–2: three more NAS
 // proxies spanning communication regimes the original five do not cover
 // (LU: fine-grained pipelined wavefront; IS: Alltoallv-dominated; EP: near
-// zero communication), a replication-degree sweep, and the runnable form
-// of the paper's §2.1 claim that master-worker codes are not
+// zero communication), and the runnable form of the paper's §2.1 claim that master-worker codes are not
 // send-deterministic.
 
 // ExtendedNASWorkloads returns the three additional proxies at the given
@@ -36,58 +35,6 @@ func ExtendedNASWorkloads(s Scale) []Workload {
 		{"EP", s.Ranks, func(c *mpi.Comm) apps.Result {
 			return apps.EP(c, apps.EPParams{Pairs: 10000 * f, Work: 80000})
 		}},
-	}
-}
-
-// --- Replication-degree sweep -----------------------------------------------
-
-// DegreeRow is one line of the replication-degree ablation: the same
-// workload under increasing r. Each extra replica adds one more ack per
-// message to the sender's completion gate (r−1 total), which is the
-// protocol's only r-dependent cost in a failure-free run.
-type DegreeRow struct {
-	R           int
-	Wall        time.Duration
-	OverheadPct float64 // versus the native (r=1) run
-	AckMsgs     uint64
-	AppMsgs     uint64
-}
-
-// RunDegreeSweep measures the CG proxy at r = 1 (native), 2 and 3,
-// reporting the median of three runs per degree.
-func RunDegreeSweep(s Scale) ([]DegreeRow, error) {
-	w := Workload{"CG", s.Ranks, func(c *mpi.Comm) apps.Result {
-		return apps.CG(c, apps.CGParams{N: 512 * s.Factor, Iters: 16 * s.Factor, Work: 8000})
-	}}
-	var rows []DegreeRow
-	var base float64
-	for _, r := range []int{1, 2, 3} {
-		proto := cluster.SDR
-		if r == 1 {
-			proto = cluster.Native
-		}
-		wall, _, rep, err := timedRun(cluster.Config{
-			Ranks: w.Ranks, Protocol: proto, Replication: r, Timeout: 5 * time.Minute,
-		}, 3, w.checksum)
-		if err != nil {
-			return nil, fmt.Errorf("degree sweep r=%d: %w", r, err)
-		}
-		row := DegreeRow{R: r, Wall: wall, AckMsgs: rep.Stats.AckMsgs(), AppMsgs: rep.Stats.AppMsgs()}
-		if r == 1 {
-			base = wall.Seconds()
-		}
-		row.OverheadPct = (wall.Seconds() - base) / base * 100
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RenderDegrees prints the replication-degree table.
-func RenderDegrees(w io.Writer, rows []DegreeRow) {
-	fmt.Fprintln(w, "Ablation — replication degree (CG proxy; acks per message = r−1)")
-	fmt.Fprintf(w, "%3s %12s %14s %12s %12s\n", "r", "Wall (sec)", "Overhead (%)", "app msgs", "ack msgs")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%3d %12.3f %14.2f %12d %12d\n", r.R, r.Wall.Seconds(), r.OverheadPct, r.AppMsgs, r.AckMsgs)
 	}
 }
 

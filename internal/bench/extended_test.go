@@ -33,29 +33,30 @@ func TestExtendedNASTableShape(t *testing.T) {
 }
 
 func TestDegreeSweep(t *testing.T) {
-	rows, err := RunDegreeSweep(Scale{Ranks: 4, Factor: 1})
+	sw, err := RunDegreeSweep(Scale{Ranks: 4, Factor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := sw.Rows
 	if len(rows) != 3 {
 		t.Fatalf("expected 3 degrees, got %d", len(rows))
 	}
-	if rows[0].R != 1 || rows[1].R != 2 || rows[2].R != 3 {
+	if rows[0].Label != "1" || rows[1].Label != "2" || rows[2].Label != "3" {
 		t.Fatalf("degrees = %v", rows)
 	}
-	if rows[0].AckMsgs != 0 {
-		t.Errorf("native run recorded %d acks", rows[0].AckMsgs)
+	if n := rows[0].Stats.AckMsgs(); n != 0 {
+		t.Errorf("native run recorded %d acks", n)
 	}
 	// Each extra replica multiplies application messages (parallel
 	// protocol: O(q·r)) and adds one more ack per message.
-	if rows[1].AppMsgs <= rows[0].AppMsgs {
-		t.Errorf("r=2 app msgs %d not above native %d", rows[1].AppMsgs, rows[0].AppMsgs)
+	if a1, a0 := rows[1].Stats.AppMsgs(), rows[0].Stats.AppMsgs(); a1 <= a0 {
+		t.Errorf("r=2 app msgs %d not above native %d", a1, a0)
 	}
-	if rows[2].AckMsgs <= rows[1].AckMsgs {
-		t.Errorf("r=3 acks %d not above r=2 acks %d", rows[2].AckMsgs, rows[1].AckMsgs)
+	if k2, k1 := rows[2].Stats.AckMsgs(), rows[1].Stats.AckMsgs(); k2 <= k1 {
+		t.Errorf("r=3 acks %d not above r=2 acks %d", k2, k1)
 	}
 	var sb strings.Builder
-	RenderDegrees(&sb, rows)
+	RenderSweep(&sb, sw)
 	if !strings.Contains(sb.String(), "replication degree") {
 		t.Error("render missing title")
 	}
@@ -100,12 +101,12 @@ func TestEagerAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Mode != "eager" || rows[1].Mode != "rendezvous" {
+	if len(rows) != 2 || rows[0].Name != "eager" || rows[1].Name != "rendezvous" {
 		t.Fatalf("rows = %+v", rows)
 	}
 	for _, r := range rows {
-		if r.Native <= 0 || r.SDR <= 0 {
-			t.Errorf("%s: non-positive durations", r.Mode)
+		if r.Native <= 0 || r.Replicated <= 0 {
+			t.Errorf("%s: non-positive durations", r.Name)
 		}
 	}
 	// The rendezvous path takes more wire hops, so its native time must
@@ -114,7 +115,7 @@ func TestEagerAblation(t *testing.T) {
 		t.Errorf("rendezvous native %v not above eager native %v", rows[1].Native, rows[0].Native)
 	}
 	var sb strings.Builder
-	RenderEager(&sb, 8<<10, 40, rows)
+	RenderRows(&sb, "eager vs rendezvous", rows)
 	if !strings.Contains(sb.String(), "rendezvous") {
 		t.Error("render missing mode")
 	}

@@ -16,8 +16,7 @@ import (
 // the followers' receive posting; the send-deterministic scheme decides
 // locally.
 type Fig2Result struct {
-	// PerRecvUS is the mean wall-clock cost of one ANY_SOURCE reception
-	// round, microseconds.
+	// PerRecvUS is one ANY_SOURCE reception round's mean wall time, in µs.
 	PerRecvUS map[cluster.Protocol]float64
 	// CtlMsgs counts protocol control messages (leader decisions).
 	CtlMsgs map[cluster.Protocol]uint64
@@ -29,20 +28,14 @@ type Fig2Result struct {
 // RunFig2 measures k wildcard reception rounds between two ranks under
 // SDR and the leader baseline.
 func RunFig2(k int) (*Fig2Result, error) {
-	out := &Fig2Result{
-		PerRecvUS:     make(map[cluster.Protocol]float64),
-		CtlMsgs:       make(map[cluster.Protocol]uint64),
-		MaxUnexpected: make(map[cluster.Protocol]int),
-	}
-	for _, proto := range []cluster.Protocol{cluster.SDR, cluster.Leader} {
-		d, _, rep, err := timedRun(cluster.Config{
-			Ranks: 2, Protocol: proto, Timeout: 2 * time.Minute,
-			// The extra decision hop only costs something on a network
-			// with latency; use the paper's IB-20G model.
-			Delay: transport.IB20G(),
-		}, 1, func(c *mpi.Comm) float64 {
+	pts := protocols(2*time.Minute, cluster.SDR, cluster.Leader)
+	for i := range pts {
+		// The extra decision hop only costs something on a network with
+		// latency; use the paper's IB-20G model.
+		pts[i].cfg.Ranks, pts[i].cfg.Delay = 2, transport.IB20G()
+		pts[i].body = func(c *mpi.Comm) float64 {
 			buf := make([]byte, 64)
-			for i := 0; i < k; i++ {
+			for round := 0; round < k; round++ {
 				if c.Rank() == 0 {
 					// The Figure 2 pattern: an anonymous reception
 					// answered by an ack-carrying reply.
@@ -54,20 +47,25 @@ func RunFig2(k int) (*Fig2Result, error) {
 				}
 			}
 			return float64(c.Proc().Engine().UnexpectedHighWater())
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig2 %s: %w", proto, err)
 		}
+	}
+	rows, err := sweep("fig2", 1, pts)
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig2Result{map[cluster.Protocol]float64{}, map[cluster.Protocol]uint64{}, map[cluster.Protocol]int{}}
+	for _, r := range rows {
 		// Each replica of the receiving rank reports its own high water:
 		// the leader's follower is the one whose receives post late.
 		maxU := 0
-		for _, p := range rep.Procs {
+		for _, p := range r.Report.Procs {
 			if u := int(p.Result.(timed).v); p.Rank == 0 && u > maxU {
 				maxU = u
 			}
 		}
-		out.PerRecvUS[proto] = d.Seconds() * 1e6 / float64(k)
-		out.CtlMsgs[proto] = rep.Stats.Msgs[6] // KindCtl
+		proto := cluster.Protocol(r.Label)
+		out.PerRecvUS[proto] = r.Elapsed.Seconds() * 1e6 / float64(k)
+		out.CtlMsgs[proto] = r.Stats.Msgs[transport.KindCtl]
 		out.MaxUnexpected[proto] = maxU
 	}
 	return out, nil

@@ -20,17 +20,7 @@ type NetpipePoint struct {
 	Bytes          int
 	LatencyUS      float64 // one-way latency, microseconds (half RTT)
 	ThroughputMbps float64
-	AppMsgs        uint64 // application messages on the wire for the run
-	AckMsgs        uint64 // replication acks on the wire (0 for native)
-}
-
-// AckRatio is ack messages per application message — the protocol-traffic
-// overhead the ack-coalescing fast path minimizes (0 for native).
-func (p NetpipePoint) AckRatio() float64 {
-	if p.AppMsgs == 0 {
-		return 0
-	}
-	return float64(p.AckMsgs) / float64(p.AppMsgs)
+	AckRatio       float64 // acks per application message (0 for native)
 }
 
 // NetpipeSizes returns the sweep over the range the paper plots (up to
@@ -93,29 +83,31 @@ func dilated(f float64) *transport.DelayModel {
 	}
 }
 
-// Netpipe runs the two-rank ping-pong sweep under the given protocol on
+// netpipe runs the two-rank ping-pong sweep under the given protocol on
 // the IB-20G-calibrated delay model and returns one point per size. The
 // measured quantity matches the paper's Figure 7: half the round-trip time
 // of an MPI_Send/MPI_Recv exchange.
-func Netpipe(proto cluster.Protocol, sizes []int) ([]NetpipePoint, error) {
-	var points []NetpipePoint
+func netpipe(proto cluster.Protocol, sizes []int) ([]NetpipePoint, error) {
+	var pts []point
 	for _, size := range sizes {
-		iters := netpipeIters(size)
-		f := netpipeDilation(size)
-		elapsed, _, rep, err := timedRun(cluster.Config{
-			Ranks: 2, Protocol: proto, Delay: dilated(f), Timeout: 10 * time.Minute,
-		}, 1, pingPong(size, iters))
-		if err != nil {
-			return nil, fmt.Errorf("netpipe %s size %d: %w", proto, size, err)
-		}
-		oneWay := elapsed.Seconds() / float64(2*iters) / f
-		points = append(points, NetpipePoint{
+		pts = append(pts, point{label: fmt.Sprint(size), cfg: cluster.Config{
+			Ranks: 2, Protocol: proto, Delay: dilated(netpipeDilation(size)), Timeout: 10 * time.Minute,
+		}, body: pingPong(size, netpipeIters(size))})
+	}
+	rows, err := sweep("netpipe "+string(proto), 1, pts)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]NetpipePoint, len(rows))
+	for i, r := range rows {
+		size := sizes[i]
+		oneWay := r.Elapsed.Seconds() / float64(2*netpipeIters(size)) / netpipeDilation(size)
+		points[i] = NetpipePoint{
 			Bytes:          size,
 			LatencyUS:      oneWay * 1e6,
 			ThroughputMbps: float64(size) * 8 / oneWay / 1e6,
-			AppMsgs:        rep.Stats.AppMsgs(),
-			AckMsgs:        rep.Stats.AckMsgs(),
-		})
+			AckRatio:       r.AckRatio(),
+		}
 	}
 	return points, nil
 }
@@ -138,8 +130,8 @@ func pingPong(size, rounds int) func(c *mpi.Comm) float64 {
 	}
 }
 
-// NetpipeComparison pairs native and SDR sweeps with the relative
-// performance decrease, the quantity on Figure 7's right-hand axis.
+// NetpipeComparison pairs the native and SDR sweeps: Figure 7's two
+// series, and the relative performance decrease on its right-hand axis.
 type NetpipeComparison struct {
 	Native []NetpipePoint
 	SDR    []NetpipePoint
@@ -147,48 +139,39 @@ type NetpipeComparison struct {
 
 // RunNetpipe performs both sweeps.
 func RunNetpipe(sizes []int) (*NetpipeComparison, error) {
-	native, err := Netpipe(cluster.Native, sizes)
+	native, err := netpipe(cluster.Native, sizes)
 	if err != nil {
-		return nil, fmt.Errorf("native sweep: %w", err)
+		return nil, err
 	}
-	sdr, err := Netpipe(cluster.SDR, sizes)
+	sdr, err := netpipe(cluster.SDR, sizes)
 	if err != nil {
-		return nil, fmt.Errorf("sdr sweep: %w", err)
+		return nil, err
 	}
 	return &NetpipeComparison{Native: native, SDR: sdr}, nil
 }
 
-// LatencyDecreasePct returns SDR's latency increase at point i, as a
-// percentage of native latency.
-func (nc *NetpipeComparison) LatencyDecreasePct(i int) float64 {
-	return (nc.SDR[i].LatencyUS - nc.Native[i].LatencyUS) / nc.Native[i].LatencyUS * 100
-}
-
-// ThroughputDecreasePct returns SDR's throughput loss at point i, as a
-// percentage of native throughput.
-func (nc *NetpipeComparison) ThroughputDecreasePct(i int) float64 {
-	return (nc.Native[i].ThroughputMbps - nc.SDR[i].ThroughputMbps) / nc.Native[i].ThroughputMbps * 100
-}
-
 // RenderFig7a writes the latency figure as a table (the paper's Figure 7a
-// series: Open MPI, SDR-MPI, performance decrease), plus the SDR run's
-// ack-per-application-message ratio the coalescing fast path targets.
+// series: Open MPI, SDR-MPI, and SDR's latency increase in percent of
+// native's), plus the SDR run's ack-per-application-message ratio the
+// coalescing fast path targets.
 func (nc *NetpipeComparison) RenderFig7a(w io.Writer) {
 	fmt.Fprintln(w, "Figure 7a — NetPipe latency, IB-20G model (one-way, usec)")
 	fmt.Fprintf(w, "%12s %14s %14s %12s %10s\n", "bytes", "native", "SDR-MPI", "decrease(%)", "acks/app")
 	for i, p := range nc.Native {
+		s := nc.SDR[i]
 		fmt.Fprintf(w, "%12d %14.2f %14.2f %12.1f %10.3f\n",
-			p.Bytes, p.LatencyUS, nc.SDR[i].LatencyUS, nc.LatencyDecreasePct(i),
-			nc.SDR[i].AckRatio())
+			p.Bytes, p.LatencyUS, s.LatencyUS, (s.LatencyUS-p.LatencyUS)/p.LatencyUS*100, s.AckRatio)
 	}
 }
 
-// RenderFig7b writes the throughput figure.
+// RenderFig7b writes the throughput figure: both series and SDR's
+// throughput loss in percent of native's.
 func (nc *NetpipeComparison) RenderFig7b(w io.Writer) {
 	fmt.Fprintln(w, "Figure 7b — NetPipe throughput, IB-20G model (Mbps)")
 	fmt.Fprintf(w, "%12s %14s %14s %12s\n", "bytes", "native", "SDR-MPI", "decrease(%)")
 	for i, p := range nc.Native {
+		s := nc.SDR[i]
 		fmt.Fprintf(w, "%12d %14.1f %14.1f %12.1f\n",
-			p.Bytes, p.ThroughputMbps, nc.SDR[i].ThroughputMbps, nc.ThroughputDecreasePct(i))
+			p.Bytes, p.ThroughputMbps, s.ThroughputMbps, (p.ThroughputMbps-s.ThroughputMbps)/p.ThroughputMbps*100)
 	}
 }

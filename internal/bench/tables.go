@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/transport"
 )
 
 // Workload names a parameterized application run.
@@ -74,7 +75,7 @@ func WildcardWorkloads(s Scale) []Workload {
 }
 
 // Row is one table line: wall-clock native vs replicated, as in the
-// paper's Tables 1 and 2.
+// paper's Tables 1 and 2 and the eager/rendezvous ablation.
 type Row struct {
 	Name        string
 	Native      time.Duration
@@ -84,7 +85,7 @@ type Row struct {
 	ReplSum     float64
 }
 
-// checksum is the workload as a timedRun body.
+// checksum is the workload as a timed body.
 func (w Workload) checksum(c *mpi.Comm) float64 { return w.Run(c).Checksum }
 
 // CompareTable runs every workload native and under proto, producing the
@@ -92,32 +93,62 @@ func (w Workload) checksum(c *mpi.Comm) float64 { return w.Run(c).Checksum }
 func CompareTable(ws []Workload, proto cluster.Protocol, reps int) ([]Row, error) {
 	var rows []Row
 	for _, w := range ws {
-		nat, natSum, _, err := timedRun(cluster.Config{Ranks: w.Ranks, Protocol: cluster.Native, Timeout: 5 * time.Minute}, reps, w.checksum)
+		r, err := compare(w.Name, cluster.Config{Ranks: w.Ranks, Timeout: 5 * time.Minute}, proto, reps, w.checksum)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, cluster.Native, err)
+			return nil, err
 		}
-		rpl, rplSum, _, err := timedRun(cluster.Config{Ranks: w.Ranks, Protocol: proto, Timeout: 5 * time.Minute}, reps, w.checksum)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, proto, err)
-		}
-		rows = append(rows, Row{
-			Name:        w.Name,
-			Native:      nat,
-			Replicated:  rpl,
-			OverheadPct: (rpl.Seconds() - nat.Seconds()) / nat.Seconds() * 100,
-			NativeSum:   natSum,
-			ReplSum:     rplSum,
-		})
+		rows = append(rows, r)
 	}
 	return rows, nil
 }
 
-// RenderRows prints rows in the layout of the paper's tables.
+// RunEagerAblation ping-pongs rounds messages of size bytes through both
+// wire protocols, by overriding the eager limit, native vs SDR (median of
+// reps). It isolates where the replication cost lands on each path: on
+// the eager path the sender retains a payload copy until the acks arrive;
+// on the rendezvous path the sender's completion already waits for the
+// receiver's CTS, so the ack adds less on top (§3.2/§3.3).
+func RunEagerAblation(size, rounds, reps int) ([]Row, error) {
+	// A coarse delay model (50 µs hops, IB-20G bandwidth) makes the
+	// modelled wire time dominate goroutine-scheduling noise, so the
+	// overheads reflect protocol hops and ack placement rather than
+	// simulation-host contention.
+	delay := &transport.DelayModel{Latency: 50 * time.Microsecond, BytesPerSec: 1.6e9}
+	var rows []Row
+	// An EagerLimit above size sends every message eagerly, 1 by rendezvous.
+	limit := map[string]int{"eager": size * 2, "rendezvous": 1}
+	for _, mode := range []string{"eager", "rendezvous"} {
+		r, err := compare(mode, cluster.Config{Ranks: 2, EagerLimit: limit[mode], Timeout: 2 * time.Minute, Delay: delay},
+			cluster.SDR, reps, pingPong(size, rounds))
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r)
+	}
+	return rows, nil
+}
+
+// compare times body natively and under proto as a two-point sweep of
+// cfg: one row of the paper's tables.
+func compare(name string, cfg cluster.Config, proto cluster.Protocol, reps int, body func(c *mpi.Comm) float64) (Row, error) {
+	rpl := cfg
+	cfg.Protocol, rpl.Protocol = cluster.Native, proto
+	rows, err := sweep(name, reps, []point{{string(cluster.Native), cfg, body}, {string(proto), rpl, body}})
+	if err != nil {
+		return Row{}, err
+	}
+	nat, rp := rows[0], rows[1]
+	return Row{Name: name, Native: nat.Elapsed, Replicated: rp.Elapsed, OverheadPct: overheadPct(rp.Elapsed, nat.Elapsed),
+		NativeSum: nat.Checksum, ReplSum: rp.Checksum}, nil
+}
+
+// RenderRows prints rows in the layout of the paper's tables, at
+// microsecond resolution.
 func RenderRows(w io.Writer, title string, rows []Row) {
 	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "%-8s %14s %16s %14s\n", "", "Native (sec)", "Replicated (sec)", "Overhead (%)")
+	fmt.Fprintf(w, "%-12s %14s %16s %14s\n", "", "Native (sec)", "Replicated (sec)", "Overhead (%)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %14.3f %16.3f %14.2f\n",
+		fmt.Fprintf(w, "%-12s %14.6f %16.6f %14.2f\n",
 			r.Name, r.Native.Seconds(), r.Replicated.Seconds(), r.OverheadPct)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/transport"
 )
 
 func TestNASWorkloadCatalog(t *testing.T) {
@@ -51,13 +52,16 @@ func TestWorkloadCatalogRunnable(t *testing.T) {
 	}
 }
 
-func TestRenderAblation(t *testing.T) {
-	rows := []AblationRow{
-		{Protocol: cluster.SDR, Elapsed: 1e9, AppMsgs: 100, AckMsgs: 100},
-		{Protocol: cluster.Mirror, Elapsed: 2e9, AppMsgs: 200, AckMsgs: 0},
-	}
+func TestRenderSweep(t *testing.T) {
+	var sdr, mirror transport.StatsSnapshot
+	sdr.Msgs[transport.KindEager], sdr.Msgs[transport.KindAck] = 100, 100
+	mirror.Msgs[transport.KindEager] = 200
+	sw := Sweep{Title: "test title", Label: "protocol", Rows: []SweepRow{
+		{Label: "sdr", Elapsed: 1e9, Stats: sdr},
+		{Label: "mirror", Elapsed: 2e9, Stats: mirror},
+	}}
 	var sb strings.Builder
-	RenderAblation(&sb, "test title", rows)
+	RenderSweep(&sb, sw)
 	out := sb.String()
 	for _, want := range []string{"test title", "sdr", "mirror", "100", "200"} {
 		if !strings.Contains(out, want) {
@@ -67,42 +71,43 @@ func TestRenderAblation(t *testing.T) {
 }
 
 func TestPartialSweepSmall(t *testing.T) {
-	rows, err := RunPartialSweep(Scale{Ranks: 4, Factor: 1})
+	sw, err := RunPartialSweep(Scale{Ranks: 4, Factor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := sw.Rows
 	if len(rows) == 0 {
 		t.Fatal("empty sweep")
 	}
 	// The sweep must include the unreplicated and fully replicated ends,
 	// with physical process counts growing with the protected fraction.
 	first, last := rows[0], rows[len(rows)-1]
-	if first.ReplicatedRanks != 0 {
-		t.Errorf("first row protects %d ranks, want 0", first.ReplicatedRanks)
+	if first.Label != "0/4" {
+		t.Errorf("first row protects %s ranks, want 0/4", first.Label)
 	}
-	if last.ReplicatedRanks != 4 {
-		t.Errorf("last row protects %d ranks, want 4", last.ReplicatedRanks)
+	if last.Label != "4/4" {
+		t.Errorf("last row protects %s ranks, want 4/4", last.Label)
 	}
-	if last.PhysicalProcs <= first.PhysicalProcs {
-		t.Errorf("physical procs did not grow: %d → %d", first.PhysicalProcs, last.PhysicalProcs)
+	if last.Procs <= first.Procs {
+		t.Errorf("physical procs did not grow: %d → %d", first.Procs, last.Procs)
 	}
 	// The ablation's point: protocol traffic scales with the replicated
 	// fraction. The unreplicated end pays no acks at all; the fully
 	// replicated end pays more application messages and more acks than
 	// any partial point.
-	if first.AckMsgs != 0 {
-		t.Errorf("native end sent %d acks, want 0", first.AckMsgs)
+	if n := first.Stats.AckMsgs(); n != 0 {
+		t.Errorf("native end sent %d acks, want 0", n)
 	}
 	mid := rows[len(rows)/2]
-	if !(first.AppMsgs < mid.AppMsgs && mid.AppMsgs < last.AppMsgs) {
+	if !(first.Stats.AppMsgs() < mid.Stats.AppMsgs() && mid.Stats.AppMsgs() < last.Stats.AppMsgs()) {
 		t.Errorf("app messages not increasing with replicated fraction: %d, %d, %d",
-			first.AppMsgs, mid.AppMsgs, last.AppMsgs)
+			first.Stats.AppMsgs(), mid.Stats.AppMsgs(), last.Stats.AppMsgs())
 	}
-	if mid.AckMsgs == 0 || mid.AckMsgs >= last.AckMsgs {
-		t.Errorf("ack messages not increasing with replicated fraction: %d → %d", mid.AckMsgs, last.AckMsgs)
+	if mid.Stats.AckMsgs() == 0 || mid.Stats.AckMsgs() >= last.Stats.AckMsgs() {
+		t.Errorf("ack messages not increasing with replicated fraction: %d → %d", mid.Stats.AckMsgs(), last.Stats.AckMsgs())
 	}
 	var sb strings.Builder
-	RenderPartial(&sb, rows)
+	RenderSweep(&sb, sw)
 	if !strings.Contains(sb.String(), "partial") && !strings.Contains(sb.String(), "Partial") {
 		t.Errorf("render:\n%s", sb.String())
 	}

@@ -616,17 +616,17 @@ type Report struct {
 	SDCDetected int
 }
 
-// FirstError returns the first non-crash error, if any.
+// FirstError returns the first error an application returned, if any,
+// and only then the run's timeout or exhaustion: a rank whose application
+// failed leaves its neighbours waiting for the watchdog, and the failure
+// is the cause. A torn-down process is Crashed with no Err.
 func (r *Report) FirstError() error {
-	if err := r.Tally.err(); err != nil {
-		return err
-	}
 	for _, p := range r.Procs {
 		if p.Err != nil {
 			return fmt.Errorf("proc %d (rank %d rep %d): %w", p.Proc, p.Rank, p.Rep, p.Err)
 		}
 	}
-	return nil
+	return r.Tally.err()
 }
 
 // ResultOf returns the result of replica rep of rank.

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +71,20 @@ func TestRingAllProtocols(t *testing.T) {
 		t.Run(string(proto), func(t *testing.T) {
 			rep := Run(Config{Ranks: n, Protocol: proto, Timeout: 30 * time.Second}, ringApp(rounds))
 			checkAll(t, rep, want)
+		})
+	}
+}
+
+// TestFirstErrorNamesAppError: rank 2's application returns an error while
+// its neighbours wait for it until the watchdog. FirstError names that
+// error and its rank, not the timeout.
+func TestFirstErrorNamesAppError(t *testing.T) {
+	for _, proto := range []Protocol{Native, SDR} {
+		t.Run(string(proto), func(t *testing.T) {
+			err := Run(Config{Ranks: 4, Protocol: proto, Timeout: 500 * time.Millisecond}, boomRing).FirstError()
+			if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), "rank 2 ") {
+				t.Fatalf("FirstError = %v, want rank 2's boom", err)
+			}
 		})
 	}
 }

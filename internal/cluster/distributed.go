@@ -101,17 +101,16 @@ type DistReport struct {
 	EpochsSec []float64
 }
 
-// FirstError returns the first failure of the run, if any.
+// FirstError returns the first failure of the run, if any: a worker's
+// application error before the run's timeout or exhaustion, as
+// Report.FirstError does.
 func (r *DistReport) FirstError() error {
-	if err := r.Tally.err(); err != nil {
-		return err
-	}
 	for _, p := range r.Procs {
 		if p.Err != "" {
 			return fmt.Errorf("worker %d (rank %d rep %d): %s", p.Proc, p.Rank, p.Rep, p.Err)
 		}
 	}
-	return nil
+	return r.Tally.err()
 }
 
 // RunDistributed executes the application as real OS processes — one per

@@ -165,8 +165,9 @@ func TestLineWriterPrefixesEveryLine(t *testing.T) {
 // with the worker env contract set (the same hidden-mode trick sdrun
 // uses). It must exit the process so the test framework never reports on
 // it. It runs rollbackApp(12, 3), or replayRing(12, 2) when the run's
-// WorkerEnv sets SDR_TEST_APP=ring, or storeLoss without flushes when it
-// sets SDR_TEST_APP=storeloss.
+// WorkerEnv sets SDR_TEST_APP=ring, boomRing when it sets
+// SDR_TEST_APP=boom, or storeLoss without flushes when it sets
+// SDR_TEST_APP=storeloss.
 func TestDistWorkerHelper(t *testing.T) {
 	if !DistWorkerActive() {
 		t.Skip("not in worker mode")
@@ -183,6 +184,8 @@ func TestDistWorkerHelper(t *testing.T) {
 	switch os.Getenv("SDR_TEST_APP") {
 	case "ring":
 		app = replayRing(12, 2, nil)
+	case "boom":
+		app = boomRing
 	case "storeloss":
 		app = func(env *Env) (any, error) { return storeLoss(env.store.Dir(), false)(env) }
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,16 +10,17 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/mpi"
 )
 
 // launchBoth runs cfg under Run and under RunDistributed — the worker
-// helper running the same replayRing(12, 2) — and returns each run's
-// tally, first error, and final-epoch checksum per "rank.rep" of every
-// process that finished.
-func launchBoth(t *testing.T, cfg Config, dir func() string) (tallies [2]Tally, errs [2]error, sums [2]map[string]float64) {
+// helper running the same app, "ring" (replayRing(12, 2)) or "boom"
+// (boomRing) — and returns each run's tally, first error, and final-epoch
+// checksum per "rank.rep" of every process that finished.
+func launchBoth(t *testing.T, cfg Config, dir func() string, app string) (tallies [2]Tally, errs [2]error, sums [2]map[string]float64) {
 	t.Helper()
 	cfg.CheckpointDir = dir()
-	in := Run(cfg, replayRing(12, 2, nil))
+	in := Run(cfg, map[string]AppFunc{"ring": replayRing(12, 2, nil), "boom": boomRing}[app])
 	tallies[0], errs[0], sums[0] = in.Tally, in.FirstError(), map[string]float64{}
 	for _, p := range in.Procs {
 		if !p.Crashed && p.Err == nil && p.Result != nil {
@@ -29,7 +31,7 @@ func launchBoth(t *testing.T, cfg Config, dir func() string) (tallies [2]Tally, 
 	dist := RunDistributed(DistConfig{
 		Config:    cfg,
 		WorkerCmd: []string{os.Args[0], "-test.run=^TestDistWorkerHelper$"},
-		WorkerEnv: []string{"SDR_TEST_APP=ring"},
+		WorkerEnv: []string{"SDR_TEST_APP=" + app},
 		LogSink:   io.Discard,
 	})
 	tallies[1], errs[1], sums[1] = dist.Tally, dist.FirstError(), map[string]float64{}
@@ -73,7 +75,7 @@ func TestLauncherParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Ranks: ranks, Replication: 2, Protocol: SDR, UnreplicatedRanks: tc.unreplicated,
 				RecoveryMode: tc.mode, Failures: tc.failures, Timeout: 60 * time.Second}
-			tallies, errs, sums := launchBoth(t, cfg, t.TempDir)
+			tallies, errs, sums := launchBoth(t, cfg, t.TempDir, "ring")
 			for i, launcher := range []string{"Run", "RunDistributed"} {
 				if errs[i] != nil {
 					t.Fatalf("%s: %v", launcher, errs[i])
@@ -100,6 +102,37 @@ func TestLauncherParity(t *testing.T) {
 			}
 		})
 	}
+	// Rank 2's application fails while its neighbours wait for it: both
+	// launchers report that error, not the watchdog's.
+	for _, proto := range []Protocol{Native, SDR} {
+		t.Run("app error/"+string(proto), func(t *testing.T) {
+			_, errs, _ := launchBoth(t, Config{Ranks: 4, Protocol: proto, Timeout: 500 * time.Millisecond}, t.TempDir, "boom")
+			for i, launcher := range []string{"Run", "RunDistributed"} {
+				if err := errs[i]; err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "rank 2 ") {
+					t.Errorf("%s: FirstError = %v, want rank 2's boom", launcher, err)
+				}
+			}
+		})
+	}
+}
+
+var errBoom = errors.New("boom")
+
+// boomRing is a ring exchange of 12 steps in which rank 2 returns errBoom
+// at step 3; its neighbours then wait for it until the watchdog.
+func boomRing(env *Env) (any, error) {
+	c := env.World
+	n, me := c.Size(), int(c.Rank())
+	sbuf, rbuf := make([]byte, 8), make([]byte, 8)
+	for i := 0; i < 12; i++ {
+		if me == 2 && i == 3 {
+			return nil, errBoom
+		}
+		req := c.Isend(mpi.Rank((me+1)%n), 0, sbuf)
+		c.Recv(mpi.Rank((me-1+n)%n), 0, rbuf)
+		mpi.Waitall(req)
+	}
+	return uint64(0), nil
 }
 
 // TestFailedRelaunchNamesRank kills a logging rank whose newest replay
@@ -129,7 +162,7 @@ func TestFailedRelaunchNamesRank(t *testing.T) {
 	}
 	cfg := Config{Ranks: 3, Protocol: SDR, UnreplicatedRanks: []int{1}, RecoveryMode: RecoveryLog,
 		Failures: []FailureEvent{{Rank: 1, Rep: 0, AtStep: 1}}, Timeout: 60 * time.Second}
-	tallies, _, _ := launchBoth(t, cfg, planted)
+	tallies, _, _ := launchBoth(t, cfg, planted, "ring")
 	for i, launcher := range []string{"Run", "RunDistributed"} {
 		err := tallies[i].ExhaustErr
 		if err == nil || !strings.Contains(err.Error(), "all replicas of rank 1 failed") ||

@@ -106,7 +106,7 @@ func TestDistributedReplayPicksKillStepWave(t *testing.T) {
 	cfg := Config{Ranks: 3, Replication: 2, Protocol: SDR, UnreplicatedRanks: []int{1},
 		RecoveryMode: RecoveryLog, Failures: []FailureEvent{{Rank: 1, Rep: 0, AtStep: 6}},
 		Timeout: 60 * time.Second}
-	tallies, errs, _ := launchBoth(t, cfg, t.TempDir)
+	tallies, errs, _ := launchBoth(t, cfg, t.TempDir, "ring")
 	for i, launcher := range []string{"Run", "RunDistributed"} {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", launcher, errs[i])
